@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
+
+from .errors import ParseError
 
 ExactScalar = Fraction
 
@@ -47,7 +50,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+        raise ParseError(f"malformed rational {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -152,6 +155,8 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
+            if _is_rational(self.coeffs) and _is_rational(other.coeffs):
+                return Poly(_rational_product(self.coeffs, other.coeffs))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -244,6 +249,39 @@ class Poly:
             return format_poly(self)
         except TypeError:
             return ",".join(str(c) for c in self.coeffs)
+
+
+_RATIONAL_TYPES = frozenset((Fraction, int))
+
+
+def _is_rational(coeffs: list) -> bool:
+    return all(type(c) in _RATIONAL_TYPES for c in coeffs)
+
+
+def _all_int(coeffs: list) -> bool:
+    return all(type(c) is int for c in coeffs)
+
+
+def _rational_product(a: list, b: list) -> list:
+    """Coefficients of the product of two Fraction/int coefficient lists.
+
+    Each factor is scaled to integers by its common denominator, the integer
+    numerators are convolved, and each output coefficient becomes a single
+    Fraction.  Two all-int factors give int coefficients, as the generic
+    loop does."""
+    da = lcm(*[c.denominator for c in a])
+    db = lcm(*[c.denominator for c in b])
+    na = [c.numerator * (da // c.denominator) for c in a]
+    nb = [c.numerator * (db // c.denominator) for c in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb, i):
+                out[j] += x * y
+    den = da * db
+    if den == 1 and _all_int(a) and _all_int(b):
+        return out
+    return [Fraction(c, den) for c in out]
 
 
 def deflate(p: Poly, y) -> tuple[Poly, object]:
@@ -512,17 +550,19 @@ class TridiagSpec:
         return cls(len(diag), tuple(diag), tuple(sup), tuple(sub))
 
 
-def _run_det(spec: TridiagSpec, lo: int, hi: int) -> Poly:
-    """Determinant of the block on 1-based indices lo..hi via the three-term
-    recursion det(1..j) = diag_j det(1..j-1) - sup_{j-1} sub_{j-1} det(1..j-2)."""
-    prev2 = Poly([1])
-    prev = Poly([1])
+def tridiag_prefix_dets(spec: TridiagSpec, lo: int, hi: int) -> list[Poly]:
+    """Every prefix determinant of the block on 1-based indices lo..hi:
+    entry k - lo + 1 is det(lo..k), and entry 0 is the empty determinant 1.
+
+    One pass of the three-term recursion
+    det(lo..k) = diag_k det(lo..k-1) - sup_{k-1} sub_{k-1} det(lo..k-2)."""
+    dets = [Poly([1])]
     for k in range(lo, hi + 1):
-        cur = spec.diag[k - 1] * prev
+        cur = spec.diag[k - 1] * dets[-1]
         if k > lo:
-            cur = cur - (spec.sup[k - 2] * spec.sub[k - 2]) * prev2
-        prev2, prev = prev, cur
-    return prev
+            cur = cur - (spec.sup[k - 2] * spec.sub[k - 2]) * dets[-2]
+        dets.append(cur)
+    return dets
 
 
 def tridiag_minor_det(spec: TridiagSpec, removed: Iterable[int] = ()) -> Poly:
@@ -547,7 +587,7 @@ def tridiag_minor_det(spec: TridiagSpec, removed: Iterable[int] = ()) -> Poly:
         if run_start is None:
             run_start = i
         elif i is None or i != prev + 1:
-            result = result * _run_det(spec, run_start, prev)
+            result = result * tridiag_prefix_dets(spec, run_start, prev)[-1]
             run_start = i
         prev = i
     return result

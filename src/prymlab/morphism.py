@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (BiPoly, Poly, TridiagSpec, divided_difference,
-                      format_poly, pr_split_from, tridiag_minor_det)
+                      format_poly, pr_split_from, tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                       _coord_layout, _lift_phi, phase_coordinates,
@@ -83,23 +83,28 @@ class PhiImage:
         return payload
 
 
-def _phi_polys(spec, a, b, m: int, n: int):
-    """The (u, v, w) polynomials of the image; generic over the scalar ring."""
-    minor = lambda *idx: tridiag_minor_det(spec, idx)
-    am = a[(m - 1) % n]
-    am1 = a[(m - 2) % n]
-    bm = b[(m - 1) % n]
-    d_m = minor(m)
-    d_prev = minor(m - 1, m)
-    d_next = minor(m, m + 1)
-    d_both = minor(m - 1, m, m + 1)
+def _phi_polys(spec, a):
+    """The (u, v, w, p) polynomials of the index-n image; generic over the
+    scalar ring.
+
+    With n in the last slot every minor is a prefix determinant of one of
+    two runs: Delta_n, Delta_{n-1,n} and the full determinant are
+    det(1..n-1), det(1..n-2) and det(1..n); Delta_{n,n+1} = Delta_{1,n} and
+    Delta_{n-1,n,n+1} are det(2..n-1) and det(2..n-2).
+    """
+    n = spec.n
+    head = tridiag_prefix_dets(spec, 1, n)
+    inner = tridiag_prefix_dets(spec, 2, n - 1)
+    d_m, d_prev, full = head[n - 1], head[n - 2], head[n]
+    d_next, d_both = inner[n - 2], inner[n - 3]
+    am, am1 = a[n - 1], a[n - 2]
+    x_minus_bm = spec.diag[n - 1]
     u = d_m
     v = am1 * d_prev - am * d_next
-    x_minus_bm = Poly([-bm, Fraction(1)]) if isinstance(bm, Fraction) else Poly([-bm, MultiPoly.const(bm.nvars, 1)])
-    w = (x_minus_bm * x_minus_bm) * d_m \
-        - 2 * x_minus_bm * (am1 * d_prev + am * d_next) \
+    w = x_minus_bm * (x_minus_bm * d_m - 2 * (am1 * d_prev + am * d_next)) \
         + (4 * (am * am1)) * d_both
-    return u, v, w
+    p = full - am * d_next
+    return u, v, w, p
 
 
 def phi(point: TodaPoint, m: int) -> PhiImage:
@@ -116,9 +121,7 @@ def phi(point: TodaPoint, m: int) -> PhiImage:
     if n < 3:
         raise InvariantError("size", "the morphism needs n >= 3")
     shifted = point.shift(m % n)
-    spec = toda_tridiag(shifted)
-    u, v, w = _phi_polys(spec, shifted.a, shifted.b, n, n)
-    p = tridiag_minor_det(spec) - shifted.a[n - 1] * tridiag_minor_det(spec, [1, n])
+    u, v, w, p = _phi_polys(toda_tridiag(shifted), shifted.a)
     if all(x == 0 for x in point.b):
         flavor = ODD_PRYM if n % 2 == 1 else EVEN_PRYM
     else:
@@ -135,7 +138,7 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     x = Poly([MultiPoly(nv), MultiPoly.const(nv, 1)])
     diag = [x - Poly([bi]) for bi in b]
     spec = TridiagSpec.build(diag, [-ai for ai in a[:-1]], [MultiPoly.const(nv, -1)] * (n - 1))
-    u, v, w = _phi_polys(spec, a, b, n, n)
+    u, v, w, _p = _phi_polys(spec, a)
     g = n - 1
     u_slots, v_slots, w_slots = _coord_layout(EVEN_MUMFORD, g)
     zero = MultiPoly(nv)

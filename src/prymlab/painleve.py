@@ -166,6 +166,8 @@ def _alpha_for(A: Sequence[int], n: int) -> list[Fraction]:
 
 def make_balance(n: int, A: Iterable[int]) -> Balance:
     """Balance for an admissible pole set; validates the indicial equation."""
+    if n < 2:
+        raise InvariantError("size", "a balance needs n >= 2")
     A = tuple(sorted({(i - 1) % n + 1 for i in A}))
     if not in_sigma(A, n):
         raise InvariantError("sigma", f"{A} is not in Sigma_{n}")
@@ -325,6 +327,8 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     """
     if balance.n != n:
         raise InvariantError("size", "balance does not match n")
+    if order < 0:
+        raise InvariantError("order", "the Laurent order must be >= 0")
     params = {k: Fraction(v) for k, v in free_params.items()}
     M = kowalevski_matrix(balance)
     coeffs = [list(balance.alpha)]  # a^(0) = alpha

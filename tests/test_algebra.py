@@ -12,7 +12,9 @@ from prymlab.algebra import (BiPoly, LaurentSeries, Poly, TridiagSpec,
                              exact_divide_linear, exact_divide_x2_minus_xp2,
                              format_poly, format_rational, parity_project,
                              parse_poly, parse_rational, pr_split,
-                             pr_split_from, tridiag_minor_det)
+                             pr_split_from, tridiag_minor_det,
+                             tridiag_prefix_dets)
+from prymlab.symbolic import MultiPoly
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
 small_polys = st.lists(small_coeffs, min_size=0, max_size=9).map(
@@ -71,6 +73,53 @@ def test_divrem_reexpansion(p, d):
     q, r = p.divrem(d)
     assert q * d + r == p
     assert r.degree < d.degree
+
+
+def _schoolbook(a, b):
+    """Reference product: every coefficient pair multiplied as it stands."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+wide_ints = st.integers(min_value=-10**6, max_value=10**6)
+big_fractions = st.builds(F, st.integers(min_value=-10**30, max_value=10**30),
+                          st.integers(min_value=1, max_value=10**30))
+rational_coeff_lists = st.one_of(
+    st.lists(st.just(0), max_size=4),  # the zero polynomial
+    st.lists(wide_ints, max_size=9),
+    st.lists(st.one_of(wide_ints, st.fractions(max_denominator=60)), max_size=9),
+    st.lists(big_fractions, max_size=9),
+)
+
+
+@given(rational_coeff_lists, rational_coeff_lists)
+@settings(max_examples=200, deadline=None)
+def test_rational_product_matches_schoolbook(a, b):
+    product = Poly(a) * Poly(b)
+    assert product.coeffs == _schoolbook(a, b)
+    if all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in product.coeffs)
+    else:
+        assert all(type(c) is F for c in product.coeffs)
+
+
+def test_multipoly_coefficient_product():
+    x, y = MultiPoly.variables(2)
+    a = [x, MultiPoly.const(2, F(1, 2)), y * y]
+    b = [y - x, x * y]
+    product = Poly(a) * Poly(b)
+    assert product.coeffs == _schoolbook(a, b)
+    assert all(isinstance(c, MultiPoly) for c in product.coeffs)
+    # a MultiPoly factor against a rational one stays on the generic path
+    mixed = Poly(a) * Poly([F(3), 2])
+    assert mixed.coeffs == _schoolbook(a, [F(3), 2])
 
 
 def test_zero_poly_degree_sentinel():
@@ -224,6 +273,22 @@ def test_tridiag_vs_dense_oracle(rng):
             [F(rng.randint(-5, 5)) for _ in range(n - 1)])
         removed = [i for i in range(1, n + 1) if rng.random() < 0.3]
         assert tridiag_minor_det(spec, removed) == _dense_minor_det(spec, removed)
+
+
+def test_prefix_dets_vs_dense_oracle(rng):
+    for _ in range(15):
+        n = rng.randint(1, 7)
+        spec = TridiagSpec.build(
+            [_x_minus(F(rng.randint(-5, 5), rng.randint(1, 5))) for _ in range(n)],
+            [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n - 1)],
+            [F(rng.randint(-5, 5)) for _ in range(n - 1)])
+        lo = rng.randint(1, n)
+        hi = rng.randint(lo - 1, n)
+        dets = tridiag_prefix_dets(spec, lo, hi)
+        assert len(dets) == hi - lo + 2
+        for k in range(lo - 1, hi + 1):  # k = lo - 1 is the empty block
+            outside = [i for i in range(1, n + 1) if not lo <= i <= k]
+            assert dets[k - lo + 1] == _dense_minor_det(spec, outside)
 
 
 def test_det_form_identity(rng):

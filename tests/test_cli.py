@@ -146,3 +146,27 @@ def test_point_file_argument(capsys, tmp_path):
     code, out = run_cli(capsys, "phi", "--point", f"@{point_file}", "--m", "3")
     assert code == EXIT_OK
     assert json.loads(out)["u"] == "-1,0,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bracket", "--space", "odd-mumford", "--g", "1", "--phi", "1,x"),
+    ("example5", "--k", "3", "--l", "x"),
+])
+def test_malformed_rational_exits_input(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert "malformed rational 'x'" in error["message"]
+
+
+@pytest.mark.parametrize("argv, invariant", [
+    (("kowalevski", "0", "--A", "1"), "size"),
+    (("balance", "1", "--A", "1"), "size"),
+    (("balance", "5", "--A", "1,2", "--order", "-1"), "order"),
+])
+def test_out_of_domain_sizes_exit_invariant(capsys, argv, invariant):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invariant" and error["invariant"] == invariant

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from prymlab.algebra import BiPoly, Poly, divided_difference, parse_poly
+from prymlab.algebra import (BiPoly, Poly, divided_difference, parse_poly,
+                             tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
 from prymlab.morphism import (PhiImage, phi, phi_inverse, phi_symbolic,
                               pr_symbolic, quad_mumford_table)
@@ -13,7 +14,8 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              phase_coordinates, point_values)
 from prymlab.sampling import km_point, toda_point
 from prymlab.symbolic import MultiPoly
-from prymlab.toda import KMPoint, char_poly, toda_pencil_table, toda_point_values
+from prymlab.toda import (KMPoint, char_poly, toda_pencil_table, toda_point_values,
+                          toda_tridiag)
 
 
 def _as_mp(value, nvars):
@@ -40,6 +42,39 @@ def test_fiber_identity_all_m(rng):
         point = toda_point(rng, n)
         for m in range(1, n + 1):
             phi(point, m)  # PhiImage validates u w + v^2 = p^2 - 4
+
+
+def _phi_by_minors(point, m):
+    """(u, v, w, p) of the index-m image from the minor formulas of the
+    morphism module docstring, one tridiag_minor_det call per minor, on the
+    point relabeled so that m sits in the last slot."""
+    n = point.n
+    shifted = point.shift(m % n)
+    spec = toda_tridiag(shifted)
+    minor = lambda *removed: tridiag_minor_det(spec, removed)
+    am, am1 = Poly([shifted.a[n - 1]]), Poly([shifted.a[n - 2]])
+    x_minus_bm = Poly([-shifted.b[n - 1], F(1)])
+    d_m, d_prev = minor(n), minor(n - 1, n)
+    d_next, d_both = minor(n, n + 1), minor(n - 1, n, n + 1)
+    u = d_m
+    v = am1 * d_prev - am * d_next
+    w = (x_minus_bm * x_minus_bm * d_m
+         - Poly([F(2)]) * x_minus_bm * (am1 * d_prev + am * d_next)
+         + Poly([F(4)]) * am * am1 * d_both)
+    p = minor() - am * minor(1, n)
+    return u, v, w, p
+
+
+def test_phi_matches_minor_formulas(rng):
+    # n = 3 covers the empty run 2..n-2 behind Delta_{n-1,n,n+1} = 1
+    for n in range(3, 9):
+        for point in (toda_point(rng, n), toda_point(rng, n), km_point(rng, n).embed()):
+            half_k = F(1, 2) * char_poly(point)
+            for m in range(1, n + 1):
+                image = phi(point, m)
+                t = image.triple
+                assert (t.u, t.v, t.w, image.p) == _phi_by_minors(point, m)
+                assert image.p == half_k
 
 
 def test_phi_image_validation():
