@@ -89,7 +89,10 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
-            cs.pop()
+            # a trimmed Fraction zero keeps an int remainder over Q, so that
+            # products stay Fraction-typed (see _rational_product)
+            if type(cs.pop()) is Fraction and _all_int(cs):
+                cs = [Fraction(c) for c in cs]
         self.coeffs = cs
 
     # -- basic queries ------------------------------------------------------
@@ -233,6 +236,8 @@ class Poly:
             c = rem[k]
             if c == 0:
                 continue
+            if type(c) is int and type(lead) is int:
+                c = Fraction(c)
             q = c / lead if isinstance(c, Fraction) or isinstance(lead, Fraction) else c * (1 / lead)
             quot[k - dd] = q
             for j, b in enumerate(divisor.coeffs):

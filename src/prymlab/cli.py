@@ -155,6 +155,8 @@ def _cmd_flow(args) -> dict:
     data = _load_json_arg(args.point)
     if args.system in ("km", "toda"):
         point = KMPoint.from_json(data) if args.system == "km" else TodaPoint.from_json(data)
+        if args.system == "toda" and args.index is None:
+            raise ParseError("--index is required for toda flows")
         selector = args.index
     else:
         point = MumfordTriple.from_json(data)

@@ -6,22 +6,24 @@ conservation baselines are the float values at t = 0, so reported drift
 isolates integrator error from representation error.  The integrator is
 the classical fixed-step fourth-order one-step method; runs are short and
 deterministic reproducibility of the drift numbers matters more than
-adaptivity.  Trajectories that leave the overflow guard are truncated and
-flagged (expected behaviour near the Painleve poles of the lattice
-fields).
+adaptivity.  Trajectories that leave the overflow guard or turn NaN are
+truncated and flagged (expected behaviour near the Painleve poles of the
+lattice fields).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError
 from .mumford import (MUMFORD_FLAVORS, MumfordTriple, _coord_layout,
                       _poly_degree, point_values)
-from .toda import KMPoint, TodaPoint
+from .toda import KMPoint, TodaPoint, hierarchy_commutator
 
 BLOWUP_GUARD = 1e12
+MAX_STEPS = 100_000  # every state is kept, so this also bounds the memory of a run
 
 
 @dataclass
@@ -33,6 +35,7 @@ class Trajectory:
     drift: dict = field(default_factory=dict)
     truncated: bool = False
     note: str = ""
+    steps_requested: int = 0
 
     def endpoint(self) -> list:
         return self.states[-1]
@@ -50,7 +53,8 @@ class Trajectory:
 
     def drift_summary(self) -> dict:
         return {"system": self.system, "steps": len(self.times) - 1,
-                "truncated": self.truncated,
+                "steps_requested": self.steps_requested,
+                "truncated": self.truncated, "note": self.note,
                 "drift": {k: v for k, v in self.drift.items()}}
 
 
@@ -125,61 +129,9 @@ def km_rhs(a):
 
 
 def _toda_rhs(state, n, index):
-    """[L, (L^i)_+] in float arithmetic; h-graded matrices as dicts."""
-    a, b = state[:n], state[n:]
-
-    def zeros():
-        return [[0.0] * n for _ in range(n)]
-
-    L = {0: zeros(), 1: zeros(), -1: zeros()}
-    for i in range(n):
-        L[0][i][i] = b[i]
-        if i + 1 < n:
-            L[0][i][i + 1] = a[i]
-            L[0][i + 1][i] = 1.0
-    L[-1][0][n - 1] = 1.0
-    L[1][n - 1][0] = a[n - 1]
-
-    def hmul(A, B):
-        out = {}
-        for ka, MA in A.items():
-            for kb, MB in B.items():
-                k = ka + kb
-                tgt = out.setdefault(k, zeros())
-                for i in range(n):
-                    rowA = MA[i]
-                    for l in range(n):
-                        if rowA[l] == 0.0:
-                            continue
-                        rowB = MB[l]
-                        trow = tgt[i]
-                        for j in range(n):
-                            trow[j] += rowA[l] * rowB[j]
-        return out
-
-    P = dict(L)
-    for _ in range(index - 1):
-        P = hmul(P, L)
-    plus = {}
-    for k, M in P.items():
-        if k > 0:
-            plus[k] = [row[:] for row in M]
-        elif k == 0:
-            keep = zeros()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    keep[i][j] = M[i][j]
-            plus[k] = keep
-    C = hmul(L, plus)
-    D = hmul(plus, L)
-    comm = {}
-    for k in set(C) | set(D):
-        comm[k] = [[C.get(k, zeros())[i][j] - D.get(k, zeros())[i][j]
-                    for j in range(n)] for i in range(n)]
-    da = [comm.get(0, zeros())[i][i + 1] for i in range(n - 1)]
-    da.append(comm.get(1, zeros())[n - 1][0])
-    db = [comm.get(0, zeros())[i][i] for i in range(n)]
-    return da + db
+    """X_index at the float state a + b (see toda.hierarchy_commutator)."""
+    C = hierarchy_commutator(state[:n], state[n:], index)
+    return C[1] + C[0]
 
 
 def _mumford_rhs(state, flavor, g, y):
@@ -243,23 +195,28 @@ def _encode_tangent(du, dv, dw, flavor, g):
 
 def _char_coeffs_float(a, b):
     """Coefficients of K(x) = 2(Delta - a_n Delta_{1,n}) in floats, via the
-    same three-term minor recursion as the exact route."""
+    three-term minor recursion run in place on coefficient lists."""
     n = len(a)
 
-    def block(lo, hi):  # determinant on 1-based indices lo..hi
-        prev2, prev = [1.0], [1.0]
-        for k in range(lo, hi + 1):
-            cur = _fmul([-b[k - 1], 1.0], prev)
-            if k > lo:
-                cur = _fsub(cur, _fscale(prev2, a[k - 2]))
+    def block(lo, hi):  # determinant on 0-based indices lo..hi-1
+        prev2, prev = [], [1.0]
+        for k in range(lo, hi):
+            cur = [0.0] + prev
+            bk = b[k]
+            for j, c in enumerate(prev):
+                cur[j] -= bk * c
+            if prev2:
+                ak = a[k - 1]
+                for j, c in enumerate(prev2):
+                    cur[j] -= ak * c
             prev2, prev = prev, cur
         return prev
 
-    delta = block(1, n)
-    d1n = block(2, n - 1)
-    full = _fsub(delta, _fscale(d1n, a[n - 1]))
-    out = _fscale(full, 2.0)
-    return out + [0.0] * (n + 1 - len(out))
+    out = block(0, n)
+    an = a[n - 1]
+    for j, c in enumerate(block(1, n - 1)):
+        out[j] -= an * c
+    return [2.0 * c for c in out]
 
 
 def _lattice_invariants(state, n, km=False):
@@ -304,10 +261,14 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
     system: "km" (basic Volterra field; selector ignored), "toda"
     (selector = hierarchy index), "mumford" or "prym" (selector = the Lax
     parameter y).  Conserved quantities are sampled at every step and the
-    drift against t = 0 is reported per integral.
+    drift against t = 0 is reported per integral.  t_end and step must be
+    positive and finite ("integration"), and t_end / step at most
+    MAX_STEPS ("step-count").
     """
-    if step <= 0 or t_end <= 0:
-        raise InvariantError("integration", "step and t_end must be positive")
+    if not (0 < step < math.inf and 0 < t_end < math.inf):
+        raise InvariantError("integration", "step and t_end must be positive and finite")
+    if t_end / step > MAX_STEPS:
+        raise InvariantError("step-count", f"t_end / step exceeds {MAX_STEPS} steps")
     if system == "km":
         if not isinstance(point, KMPoint):
             point = KMPoint(tuple(point))
@@ -319,7 +280,9 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         if not isinstance(point, TodaPoint):
             raise InvariantError("point-type", "toda integration needs a TodaPoint")
         n = point.n
-        index = int(selector)
+        index = 0 if selector is None else int(selector)
+        if not 1 <= index <= n - 1:
+            raise InvariantError("hierarchy-index", f"need 1 <= index <= {n - 1}")
         state = [float(x) for x in point.a] + [float(x) for x in point.b]
         rhs = lambda s: _toda_rhs(s, n, index)
         invariants = lambda s: _lattice_invariants(s, n)
@@ -351,12 +314,13 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
     traj.drift = {k: 0.0 for k in names}
     traj.times.append(0.0)
     traj.states.append(list(state))
-    nsteps = int(round(t_end / step))
+    nsteps = traj.steps_requested = int(round(t_end / step))
     for i in range(1, nsteps + 1):
         state = _rk4_step(rhs, state, step)
-        if any(abs(x) > BLOWUP_GUARD for x in state):
+        if any(not abs(x) <= BLOWUP_GUARD for x in state):  # also true for NaN
             traj.truncated = True
-            traj.note = f"state exceeded overflow guard at step {i}"
+            reason = "became NaN" if any(map(math.isnan, state)) else "exceeded overflow guard"
+            traj.note = f"state {reason} at step {i}"
             break
         traj.times.append(i * step)
         traj.states.append(list(state))

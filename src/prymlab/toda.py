@@ -487,18 +487,39 @@ def toda_pencil_table(phi: Poly, n: int) -> BracketTable:
 # Lax flows
 # ---------------------------------------------------------------------------
 
-def _plus_projection(M):
-    """Keep all h^{>0} parts plus the strictly upper triangular h^0 part."""
-    n = len(M)
-    out = [[HLaurent() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            parts = {k: v for k, v in M[i][j].parts.items()
-                     if k > 0 or (k == 0 and j > i)}
-            cell = HLaurent()
-            cell.parts = dict(parts)
-            out[i][j] = cell
+def _band_mul(A, B) -> dict:
+    """Product of two cyclic-band matrices (stored as in hierarchy_commutator)."""
+    out = {}
+    for e, x in A.items():
+        for f, y in B.items():
+            k = e % len(y)
+            y = y[k:] + y[:k]  # entry r of B's diagonal f taken at row r + e
+            acc = out.get(e + f)
+            out[e + f] = ([p * q for p, q in zip(x, y)] if acc is None
+                          else [s + p * q for s, p, q in zip(acc, x, y)])
     return out
+
+
+def hierarchy_commutator(a, b, i: int) -> dict:
+    """C = [L(h), (L(h)^i)_+] on the cyclic band, over any scalar ring.
+
+    A band matrix is a dict from offset d to its d-th cyclic diagonal: entry
+    r of the list stands at column (r + d) mod n of row r, times
+    h^floor((r + d) / n), which is one-to-one even where offsets wrap
+    (n = 2, 3).  L is {-1: [1] * n, 0: b, 1: a}, and ( )_+ keeps exactly the
+    offsets d > 0 (the h^{>0} parts and the strictly upper h^0 part).  C
+    has offsets 0..i+1; the field X_i reads db = C[0] and da = C[1] (whose
+    last entry is the h a_n corner), and every other offset vanishes.
+    Cost O(n i^2)."""
+    n = len(a)
+    L = {-1: [1] * n, 0: list(b), 1: list(a)}
+    power = L
+    for k in range(1, i):
+        # offsets d <= k - i of L^k cannot reach the plus part of L^i
+        power = _band_mul({d: v for d, v in power.items() if d > k - i}, L)
+    plus = {d: v for d, v in power.items() if d > 0}
+    LP, PL = _band_mul(L, plus), _band_mul(plus, L)
+    return {d: [p - q for p, q in zip(LP[d], PL[d])] for d in LP}
 
 
 def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -510,30 +531,14 @@ def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]
     n = point.n
     if not 1 <= i <= n - 1:
         raise InvariantError("hierarchy-index", f"need 1 <= i <= {n - 1}")
-    L = lax_matrix(point)
-    P = _plus_projection(_powers(L, i)[i])
-    C = [[HLaurent() for _ in range(n)] for _ in range(n)]
-    LP, PL = mat_mul(L, P), mat_mul(P, L)
-    for r in range(n):
-        for c in range(n):
-            C[r][c] = LP[r][c] - PL[r][c]
-    da = [Fraction(0)] * n
-    db = [Fraction(0)] * n
-    for r in range(n):
-        db[r] = Fraction(C[r][r].coefficient(0))
-    for r in range(n - 1):
-        da[r] = Fraction(C[r][r + 1].coefficient(0))
-    da[n - 1] = Fraction(C[n - 1][0].coefficient(1))
-    # everything else must cancel for the Lax shape to be preserved
-    for r in range(n):
-        for c in range(n):
-            for k, v in C[r][c].parts.items():
-                expected = ((k == 0 and (c == r or c == r + 1))
-                            or (k == 1 and (r, c) == (n - 1, 0)))
-                if not expected and not (v == 0):
-                    raise InvariantError("lax-shape",
-                                         f"commutator leaks into entry ({r + 1},{c + 1}) h^{k}")
-    return da, db
+    C = hierarchy_commutator(point.a, point.b, i)
+    # offsets 2..i+1 must cancel for the Lax shape to be preserved
+    for d, diagonal in C.items():
+        for r, v in enumerate(diagonal):
+            if d > 1 and v != 0:
+                raise InvariantError("lax-shape", f"commutator leaks into entry "
+                                     f"({r + 1},{(r + d) % n + 1}) h^{(r + d) // n}")
+    return [Fraction(x) for x in C[1]], [Fraction(x) for x in C[0]]
 
 
 def km_field(a) -> list[Fraction]:

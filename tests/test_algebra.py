@@ -372,3 +372,17 @@ def test_series_shift_truncate_zero():
     assert t.known_through() == 3
     zero = s - s
     assert zero.known_zero() and zero == 0
+
+
+def test_divrem_of_int_polys_stays_exact():
+    q, r = Poly([3, 0, 1]).divrem(Poly([2, 2]))
+    assert (q, r) == (Poly([F(-1, 2), F(1, 2)]), Poly([4]))
+    assert not any(isinstance(c, float) for c in q.coeffs + r.coeffs)
+    q, r = Poly([3.0, 0.0, 1.0]).divrem(Poly([2.0, 2.0]))
+    assert q.coeffs == [-0.5, 0.5] and r.coeffs == [4.0]
+
+
+def test_trimmed_fraction_zero_keeps_products_rational():
+    assert Poly([1, F(0)]).coeffs == [F(1)] and type(Poly([1, F(0)]).coeffs[0]) is F
+    assert all(type(c) is F for c in (Poly([1]) * Poly([1, F(0)])).coeffs)
+    assert all(type(c) is int for c in (Poly([1]) * Poly([1, 0])).coeffs)

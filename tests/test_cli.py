@@ -170,3 +170,37 @@ def test_out_of_domain_sizes_exit_invariant(capsys, argv, invariant):
     assert code == EXIT_INVARIANT
     error = json.loads(out)["error"]
     assert error["kind"] == "invariant" and error["invariant"] == invariant
+
+
+LATTICE3 = '{"n":3,"a":["2","1/2","1"],"b":["0","0","0"]}'
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (("--system", "toda", "--index", "0", "--t", "1", "--step", "0.1"),
+     EXIT_INVARIANT, {"kind": "invariant", "invariant": "hierarchy-index"}),
+    (("--system", "toda", "--index", "5", "--t", "1", "--step", "0.1"),
+     EXIT_INVARIANT, {"kind": "invariant", "invariant": "hierarchy-index"}),
+    (("--system", "toda", "--t", "1", "--step", "0.1"),
+     EXIT_INPUT, {"kind": "input", "message": "--index is required for toda flows"}),
+    (("--system", "km", "--t", "nan", "--step", "0.1"),
+     EXIT_INVARIANT, {"kind": "invariant", "invariant": "integration"}),
+    (("--system", "km", "--t", "inf", "--step", "0.1"),
+     EXIT_INVARIANT, {"kind": "invariant", "invariant": "integration"}),
+    (("--system", "km", "--t", "1e9", "--step", "1e-9"),
+     EXIT_INVARIANT, {"kind": "invariant", "invariant": "step-count"}),
+])
+def test_flow_rejects_bad_runs(capsys, argv, code, error):
+    got, out = run_cli(capsys, "flow", "--point", LATTICE3, *argv)
+    assert got == code
+    payload = json.loads(out)["error"]
+    assert {k: payload[k] for k in error} == error
+
+
+def test_flow_summary_reports_steps_and_note(capsys):
+    code, out = run_cli(capsys, "flow", "--system", "toda", "--index", "2",
+                        "--point", LATTICE3, "--t", "0.5", "--step", "0.01")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["steps"] == payload["steps_requested"] == 50
+    assert payload["note"] == "" and not payload["truncated"]
+    _validate(payload, "drift_summary")

@@ -1,18 +1,20 @@
 """Float integration lane: field agreement with the exact route,
 conservation drift, convergence order, blow-up handling."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from prymlab import numerics
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, ODD_PRYM, flow_values, mumford_flow,
                              point_values, triple_from_values)
-from prymlab.numerics import (Trajectory, _mumford_rhs, _prym_rhs, _toda_rhs,
-                              integrate, km_rhs)
+from prymlab.numerics import (Trajectory, _char_coeffs_float, _mumford_rhs, _prym_rhs,
+                              _toda_rhs, integrate, km_rhs)
 from prymlab.prym import prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
-from prymlab.toda import KMPoint, TodaPoint, km_field, toda_flow
+from prymlab.toda import KMPoint, TodaPoint, char_poly, km_field, toda_flow
 
 REFERENCE = KMPoint((F(2), F(1, 2), F(1), F(1), F(1)))
 
@@ -148,3 +150,65 @@ def __prym_point():
     u_s, v_s, w_s = _coord_layout(ODD_PRYM, 1)
     return triple_from_values(ODD_PRYM, 1,
                               [F(1, 2)] * (len(u_s) + len(v_s) + len(w_s)))
+
+
+def test_toda_field_matches_exact_at_benchmark_size(rng):
+    point = toda_point(rng, 10)
+    da, db = toda_flow(point, 2)
+    exact = [float(x) for x in da + db]
+    numeric = _toda_rhs([float(x) for x in point.a] + [float(x) for x in point.b], 10, 2)
+    scale = max(1.0, max(abs(x) for x in exact))
+    assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 20])
+def test_char_coeffs_float_match_exact_char_poly(rng, n):
+    for point in (toda_point(rng, n), km_point(rng, n).embed()):
+        exact = [float(c) for c in char_poly(point).coeffs]
+        numeric = _char_coeffs_float([float(x) for x in point.a],
+                                     [float(x) for x in point.b])
+        assert len(numeric) == len(exact) == n + 1
+        scale = max(abs(c) for c in exact)
+        assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("index", [0, 3, None])
+def test_toda_index_outside_hierarchy(index):
+    point = TodaPoint((F(2), F(1, 2), F(1)), (F(0), F(1), F(0)))
+    with pytest.raises(InvariantError) as caught:
+        integrate("toda", point, index, 1.0, 0.1)
+    assert caught.value.invariant == "hierarchy-index"
+
+
+@pytest.mark.parametrize("t_end, step", [(math.nan, 0.1), (math.inf, 0.1),
+                                         (1.0, math.nan), (1.0, math.inf)])
+def test_non_finite_times_rejected(t_end, step):
+    with pytest.raises(InvariantError) as caught:
+        integrate("km", REFERENCE, None, t_end, step)
+    assert caught.value.invariant == "integration"
+
+
+def test_step_count_capped(monkeypatch):
+    with pytest.raises(InvariantError) as caught:
+        integrate("km", REFERENCE, None, 1e9, 1e-9)
+    assert caught.value.invariant == "step-count"
+    monkeypatch.setattr(numerics, "MAX_STEPS", 50)
+    assert len(integrate("km", REFERENCE, None, 1.0, 0.02).times) == 51
+    with pytest.raises(InvariantError):
+        integrate("km", REFERENCE, None, 1.0, 0.019)
+
+
+def test_nan_state_truncates(monkeypatch):
+    monkeypatch.setattr(numerics, "km_rhs", lambda a: [math.nan] * len(a))
+    traj = integrate("km", REFERENCE, None, 1.0, 0.1)
+    assert traj.truncated and traj.note == "state became NaN at step 1"
+    assert len(traj.times) == 1
+
+
+def test_drift_summary_says_why_a_run_stopped():
+    blown = integrate("km", KMPoint((F(-2), F(-1, 2), F(1), F(1), F(1))), None, 8.0, 1e-2)
+    summary = blown.drift_summary()
+    assert summary["truncated"] and "overflow guard" in summary["note"]
+    assert summary["steps_requested"] == 800 > summary["steps"]
+    summary = integrate("km", REFERENCE, None, 1.0, 1e-2).drift_summary()
+    assert summary["note"] == "" and summary["steps"] == summary["steps_requested"] == 100

@@ -8,9 +8,10 @@ from prymlab.algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
 from prymlab.sampling import km_point, toda_point
 from prymlab.symbolic import MultiPoly
-from prymlab.toda import (HLaurent, KMPoint, TodaPoint, char_poly, km_even_split,
-                          km_even_split_symbolic, km_field, km_field_symbolic,
-                          lax_matrix, mat_trace, toda_bracket,
+from prymlab import toda
+from prymlab.toda import (HLaurent, KMPoint, TodaPoint, char_poly, hierarchy_commutator,
+                          km_even_split, km_even_split_symbolic, km_field,
+                          km_field_symbolic, lax_matrix, mat_mul, mat_trace, toda_bracket,
                           toda_bracket_table, toda_coordinate_names,
                           toda_flow, toda_integrals, toda_integrals_symbolic,
                           toda_pencil_table, toda_point_values, toda_tridiag)
@@ -255,6 +256,55 @@ def test_shift_equivariance(rng):
         das, dbs = toda_flow(p.shift(), i)
         assert das == da[1:] + da[:1]
         assert dbs == db[1:] + db[:1]
+
+
+def _dense_commutator(point, i):
+    """[L, (L^i)_+] from dense HLaurent matrices; the plus part keeps the
+    h^{>0} parts and the strictly upper h^0 part."""
+    n = point.n
+    L = lax_matrix(point)
+    power = L
+    for _ in range(i - 1):
+        power = mat_mul(power, L)
+    plus = [[HLaurent({k: v for k, v in power[r][c].parts.items()
+                       if k > 0 or (k == 0 and c > r)})
+             for c in range(n)] for r in range(n)]
+    LP, PL = mat_mul(L, plus), mat_mul(plus, L)
+    return [[LP[r][c] - PL[r][c] for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_band_commutator_matches_dense(rng, n):
+    # n = 2, 3 make the band offsets wrap onto the same columns
+    point = toda_point(rng, n)
+    for i in range(1, n):
+        dense = _dense_commutator(point, i)
+        band = [[HLaurent() for _ in range(n)] for _ in range(n)]
+        for d, diagonal in hierarchy_commutator(point.a, point.b, i).items():
+            for r, v in enumerate(diagonal):
+                c = (r + d) % n
+                band[r][c] = band[r][c] + HLaurent({(r + d) // n: v})
+        assert band == dense, (n, i)
+        da, db = toda_flow(point, i)
+        assert all(type(x) is F for x in da + db)
+        assert db == [dense[r][r].coefficient(0) for r in range(n)]
+        assert da == [dense[r][(r + 1) % n].coefficient(1 if r == n - 1 else 0)
+                      for r in range(n)]
+
+
+def test_flow_raises_on_a_leaking_commutator(rng, monkeypatch):
+    exact = toda.hierarchy_commutator
+
+    def leaky(a, b, i):
+        C = exact(a, b, i)
+        C[2][2] += 1
+        return C
+
+    monkeypatch.setattr(toda, "hierarchy_commutator", leaky)
+    with pytest.raises(InvariantError) as caught:
+        toda_flow(toda_point(rng, 4), 2)
+    assert caught.value.invariant == "lax-shape"
+    assert "entry (3,1) h^1" in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
