@@ -188,10 +188,7 @@ class Poly:
 
     def evaluate(self, x):
         """Horner evaluation; x may live in any compatible ring."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)[1]
 
     def reflect(self) -> "Poly":
         """Substitute x -> -x."""
@@ -289,16 +286,25 @@ def _rational_product(a: list, b: list) -> list:
     return [Fraction(c, den) for c in out]
 
 
+def horner(coeffs: list, y) -> tuple[list, object]:
+    """One Horner pass over an ascending coefficient list in any scalar ring.
+
+    Returns (q, p(y)) with p(x) = (x - y) q(x) + p(y), so q is the divided
+    difference (p(x) - p(y)) / (x - y); the empty list gives ([], 0)."""
+    if not coeffs:
+        return [], 0
+    q = [0] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        q[k] = acc
+        acc = coeffs[k] + acc * y
+    return q, acc
+
+
 def deflate(p: Poly, y) -> tuple[Poly, object]:
     """Synthetic division: p = (x - y) q + r with r scalar."""
-    if p.is_zero():
-        return Poly(), 0
-    q = [0] * p.degree
-    acc = p.coeffs[p.degree]
-    for k in range(p.degree - 1, -1, -1):
-        q[k] = acc
-        acc = p.coeffs[k] + acc * y
-    return Poly(q), acc
+    q, r = horner(p.coeffs, y)
+    return Poly(q), r
 
 
 def exact_divide_linear(p: Poly, y) -> Poly:
@@ -307,11 +313,6 @@ def exact_divide_linear(p: Poly, y) -> Poly:
     if not (r == 0):
         raise ValueError("polynomial is not divisible by x - y")
     return q
-
-
-def exact_divide_x2_minus(p: Poly, y) -> Poly:
-    """Divide by (x - y)(x + y) = x^2 - y^2, insisting on exactness."""
-    return exact_divide_linear(exact_divide_linear(p, y), -y)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .algebra import format_poly, format_rational, parse_poly, parse_rational
 from .errors import InvariantError, ParseError, PrymlabError
-from .mumford import MumfordTriple, mumford_bracket_table
+from .mumford import (MUMFORD_FLAVORS, MumfordTriple, mumford_bracket_table,
+                      phase_coordinates, point_values)
 from .morphism import phi, phi_inverse, quad_mumford_table
 from .painleve import (indicial_solutions, kowalevski, laurent_balance,
                        make_balance, sigma_enum)
@@ -87,6 +88,8 @@ def _cmd_kowalevski(args) -> dict:
 def _cmd_balance(args) -> dict:
     balance = make_balance(args.n, _parse_cells(args.A))
     raw = _load_json_arg(args.params) if args.params else {}
+    if not isinstance(raw, dict):
+        raise ParseError("--params must be a JSON object")
     params = {key: parse_rational(str(value)) for key, value in raw.items()}
     series = laurent_balance(args.n, balance, params, args.order)
     payload = balance.to_json()
@@ -142,10 +145,14 @@ def _cmd_bracket(args) -> dict:
             values = list(point.a) + list(point.b)
             if space == "km":
                 values = list(point.a)
+            names = table.names if len(values) == table.dim else []
         else:
             triple = MumfordTriple.from_json(data)
-            from .mumford import point_values
             values = point_values(triple)
+            g = triple.g if triple.flavor in MUMFORD_FLAVORS else triple.prym_index
+            names = list(phase_coordinates(triple.flavor, g).names)
+        if names != table.names:
+            raise InvariantError("point-space", "the point does not lie in this phase space")
         payload["values"] = [[format_rational(v) for v in row]
                              for row in table.at(values)]
     return payload

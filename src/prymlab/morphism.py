@@ -53,7 +53,7 @@ from .algebra import (BiPoly, Poly, TridiagSpec, divided_difference,
                       format_poly, pr_split_from, tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
-                      _coord_layout, _lift_phi, phase_coordinates,
+                      _lift_phi, _read_slots, phase_coordinates,
                       table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 from .toda import TodaPoint, toda_tridiag
@@ -139,12 +139,8 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     diag = [x - Poly([bi]) for bi in b]
     spec = TridiagSpec.build(diag, [-ai for ai in a[:-1]], [MultiPoly.const(nv, -1)] * (n - 1))
     u, v, w, _p = _phi_polys(spec, a)
-    g = n - 1
-    u_slots, v_slots, w_slots = _coord_layout(EVEN_MUMFORD, g)
-    zero = MultiPoly(nv)
-    grab = lambda poly, k: poly.coeff(k) if not isinstance(poly.coeff(k), int) else zero
-    return ([grab(u, k) for k in u_slots] + [grab(v, k) for k in v_slots]
-            + [grab(w, k) for k in w_slots])
+    values = _read_slots(EVEN_MUMFORD, n - 1, u.coeffs, v.coeffs, w.coeffs)
+    return [MultiPoly(nv) if isinstance(c, int) else c for c in values]
 
 
 # ---------------------------------------------------------------------------

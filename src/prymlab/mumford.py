@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import (BiPoly, Poly, divided_difference, exact_divide_linear,
-                      format_poly, parse_poly)
+from .algebra import BiPoly, Poly, divided_difference, format_poly, horner, parse_poly
 from .errors import InvariantError, ParseError
 from .symbolic import BracketTable, MultiPoly
 
@@ -158,95 +158,90 @@ class CoordSystem:
         return self.names.index(name)
 
 
-def _coord_layout(flavor: str, g: int) -> tuple[list, list, list]:
-    """Lists of coefficient exponents that are free coordinates, per family."""
+@lru_cache(maxsize=128)
+def _coord_layout(flavor: str, g: int) -> tuple[range, range, range]:
+    """Coefficient exponents that are free coordinates, per family."""
     if flavor == ODD_MUMFORD:
-        return list(range(g)), list(range(g)), list(range(g + 1))
+        return range(g), range(g), range(g + 1)
     if flavor == EVEN_MUMFORD:
-        return list(range(g)), list(range(g)), list(range(g + 2))
+        return range(g), range(g), range(g + 2)
     if flavor == ODD_PRYM:
         n = g
-        return (list(range(0, 2 * n, 2)), list(range(1, 2 * n, 2)),
-                list(range(0, 2 * n + 2, 2)))
+        return range(0, 2 * n, 2), range(1, 2 * n, 2), range(0, 2 * n + 2, 2)
     if flavor == EVEN_PRYM:
         n = g
-        return (list(range(1, 2 * n + 1, 2)), list(range(0, 2 * n + 1, 2)),
-                list(range(1, 2 * n + 3, 2)))
+        return range(1, 2 * n + 1, 2), range(0, 2 * n + 1, 2), range(1, 2 * n + 3, 2)
     raise InvariantError("flavor", f"unknown flavor {flavor!r}")
 
 
+@lru_cache(maxsize=128)
 def _poly_degree(flavor: str, g: int) -> tuple[int, int]:
     """(deg u, deg w) for a flavor; g is the prym index for prym flavors."""
     return {ODD_MUMFORD: (g, g + 1), EVEN_MUMFORD: (g, g + 2),
             ODD_PRYM: (2 * g, 2 * g + 2), EVEN_PRYM: (2 * g + 1, 2 * g + 3)}[flavor]
 
 
+def _coefficient_lists(flavor: str, g: int, values, zero, one) -> tuple[list, list, list]:
+    """Ascending coefficient lists (u, v, w) of the point whose coordinates,
+    in coordinate order, are `values`; every other slot holds `zero`, and
+    the leading coefficients of u and w hold `one`."""
+    if g < 0:
+        raise InvariantError("genus", f"the genus (or prym index) must be >= 0, got {g}")
+    layout = _coord_layout(flavor, g)
+    count = sum(map(len, layout))
+    if len(values) != count:
+        raise InvariantError("coordinates", f"expected {count} coordinates, got {len(values)}")
+    deg_u, deg_w = _poly_degree(flavor, g)
+    u, v, w = [zero] * deg_u + [one], [zero] * deg_u, [zero] * deg_w + [one]
+    start = 0
+    for target, slots in zip((u, v, w), layout):
+        target[slots.start:slots.stop:slots.step] = values[start:start + len(slots)]
+        start += len(slots)
+    return u, v, w
+
+
+def _read_slots(flavor: str, g: int, du: list, dv: list, dw: list) -> list:
+    """Entries of coefficient lists at the coordinate slots, in coordinate
+    order; a slot past the end of its list reads as 0."""
+    out = []
+    for p, slots in zip((du, dv, dw), _coord_layout(flavor, g)):
+        picked = p[slots.start:slots.stop:slots.step]
+        out += picked + [0] * (len(slots) - len(picked))
+    return out
+
+
+def _alpha(u: list, w: list) -> list:
+    """Coefficients of alpha(t): 1 on odd Mumford spaces (deg w = deg u + 1),
+    t + w_{deg u+1} - u_{deg u-1} otherwise, a missing u_{-1} read as 0.
+    On prym points both coefficients vanish by parity, so alpha(t) = t."""
+    d = len(u) - 1
+    if len(w) == d + 2:
+        return [u[d]]
+    return [w[d + 1] - (u[d - 1] if d >= 1 else 0), u[d]]
+
+
 def phase_coordinates(flavor: str, g: int) -> CoordSystem:
     """Coordinate system of a phase space; g is the genus for Mumford
     flavors and the index n for prym flavors."""
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    names = ([f"u{k}" for k in u_slots] + [f"v{k}" for k in v_slots]
-             + [f"w{k}" for k in w_slots])
+    layout = _coord_layout(flavor, g)
+    names = tuple(f"{fam}{k}" for fam, slots in zip("uvw", layout) for k in slots)
     nvars = len(names)
-    index = {name: i for i, name in enumerate(names)}
-
-    def build(prefix: str, slots: list, degree: int) -> Poly:
-        coeffs = [MultiPoly.const(nvars, 0)] * (degree + 1)
-        for k in slots:
-            coeffs[k] = MultiPoly.var(nvars, index[f"{prefix}{k}"])
-        coeffs[degree] = MultiPoly.const(nvars, 1)
-        return Poly(coeffs)
-
-    deg_u, deg_w = _poly_degree(flavor, g)
-    u = build("u", u_slots, deg_u)
-    v_coeffs = [MultiPoly.const(nvars, 0)] * (deg_u if v_slots else 0)
-    for k in v_slots:
-        v_coeffs[k] = MultiPoly.var(nvars, index[f"v{k}"])
-    v = Poly(v_coeffs)
-    w = build("w", w_slots, deg_w)
-
-    if flavor == ODD_MUMFORD:
-        alpha = Poly([MultiPoly.const(nvars, 1)])
-    elif flavor == EVEN_MUMFORD:
-        c0 = (MultiPoly.var(nvars, index[f"w{g + 1}"])
-              - MultiPoly.var(nvars, index[f"u{g - 1}"]))
-        alpha = Poly([c0, MultiPoly.const(nvars, 1)])
-    elif flavor == ODD_PRYM:
-        # restriction of the ambient even alpha: the w_{2n+1}, u_{2n-1}
-        # coefficients vanish on the parity locus, leaving alpha(t) = t
-        alpha = Poly([MultiPoly.const(nvars, 0), MultiPoly.const(nvars, 1)])
-    else:
-        alpha = Poly([MultiPoly.const(nvars, 0), MultiPoly.const(nvars, 1)])
-    return CoordSystem(flavor, g, tuple(names), u, v, w, alpha)
+    u, v, w = _coefficient_lists(flavor, g, MultiPoly.variables(nvars),
+                                 MultiPoly.const(nvars, 0), MultiPoly.const(nvars, 1))
+    return CoordSystem(flavor, g, names, Poly(u), Poly(v), Poly(w), Poly(_alpha(u, w)))
 
 
 def point_values(triple: MumfordTriple) -> list[Fraction]:
     """Coordinate values of a triple, aligned with phase_coordinates."""
     g = triple.g if triple.flavor in MUMFORD_FLAVORS else triple.prym_index
-    u_slots, v_slots, w_slots = _coord_layout(triple.flavor, g)
-    vals = [Fraction(triple.u.coeff(k)) for k in u_slots]
-    vals += [Fraction(triple.v.coeff(k)) for k in v_slots]
-    vals += [Fraction(triple.w.coeff(k)) for k in w_slots]
-    return vals
+    return [Fraction(c) for c in _read_slots(triple.flavor, g, triple.u.coeffs,
+                                             triple.v.coeffs, triple.w.coeffs)]
 
 
 def triple_from_values(flavor: str, g: int, values) -> MumfordTriple:
     """Inverse of point_values."""
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    deg_u, deg_w = _poly_degree(flavor, g)
-    vals = list(values)
-    u_coeffs = [Fraction(0)] * (deg_u + 1)
-    for k in u_slots:
-        u_coeffs[k] = vals.pop(0)
-    u_coeffs[deg_u] = Fraction(1)
-    v_coeffs = [Fraction(0)] * deg_u
-    for k in v_slots:
-        v_coeffs[k] = vals.pop(0)
-    w_coeffs = [Fraction(0)] * (deg_w + 1)
-    for k in w_slots:
-        w_coeffs[k] = vals.pop(0)
-    w_coeffs[deg_w] = Fraction(1)
-    return MumfordTriple(Poly(u_coeffs), Poly(v_coeffs), Poly(w_coeffs), flavor)
+    u, v, w = _coefficient_lists(flavor, g, list(values), Fraction(0), Fraction(1))
+    return MumfordTriple(Poly(u), Poly(v), Poly(w), flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -353,62 +348,59 @@ def momentum_symbolic(coords: CoordSystem) -> Poly:
     return coords.u * coords.w + coords.v * coords.v
 
 
-def _alpha_at(triple: MumfordTriple, y: Fraction) -> Poly:
-    """alpha(x + y) as a polynomial in x, at a numeric Lax parameter y."""
-    if triple.flavor == ODD_MUMFORD:
-        return Poly([Fraction(1)])
-    g = triple.g
-    const = Fraction(y) + triple.w.coeff(g + 1) - triple.u.coeff(g - 1)
-    return Poly([const, Fraction(1)])
+def _padded(p: list, n: int) -> list:
+    return p + [0] * (n - len(p))
 
 
-def mumford_flow(triple: MumfordTriple, y: Fraction) -> tuple[Poly, Poly, Poly]:
-    """Tangent (du, dv, dw) of the multi-Hamiltonian field X_y.
+def mumford_tangent(u: list, v: list, w: list, y) -> tuple[list, list, list]:
+    """Tangent (du, dv, dw) of the multi-Hamiltonian field X_y at (u, v, w),
+    as ascending coefficient lists over any scalar ring (Fraction, MultiPoly
+    or float).
 
-    Spelled out from the Lax form, with all divisions by (x - y) exact:
-        du = 2 (u(x)v(y) - v(x)u(y)) / (x-y)
-        dv = (w(x)u(y) - u(x)w(y)) / (x-y) - alpha(x+y) u(x) u(y)
-        dw = 2 (v(x)w(y) - w(x)v(y)) / (x-y) + 2 alpha(x+y) v(x) u(y)
+    From the Lax form, with D_p = (p(x) - p(y)) / (x - y) from one Horner
+    pass each (so no division can leave a remainder):
+        du = 2 (v(y) D_u - u(y) D_v)
+        dv = u(y) D_w - w(y) D_u - alpha(x+y) u(y) u
+        dw = 2 (w(y) D_v - v(y) D_w) + 2 alpha(x+y) u(y) v
+    Every term has degree < deg w, so dv and dw are read below x^{deg w};
+    x u reaches x^{deg w} only on odd spaces, where alpha has no t term.
     """
-    y = Fraction(y)
-    u, v, w = triple.u, triple.v, triple.w
-    uy, vy, wy = u.evaluate(y), v.evaluate(y), w.evaluate(y)
-    alpha_xy = _alpha_at(triple, y)
-    du = 2 * exact_divide_linear(u * vy - v * uy, y)
-    dv = exact_divide_linear(w * uy - u * wy, y) - alpha_xy * u * uy
-    dw = 2 * exact_divide_linear(v * wy - w * vy, y) + 2 * alpha_xy * v * uy
+    Du, uy = horner(u, y)
+    Dv, vy = horner(v, y)
+    Dw, wy = horner(w, y)
+    n = len(Dw)
+    a0, a1 = (_alpha(u, w) + [0])[:2]  # alpha(x + y) = (a0 + a1 y) + a1 x
+    c = a0 + a1 * y
+    du = [2 * (vy * a - uy * b) for a, b in zip(Du, _padded(Dv, len(Du)))]
+    Du, Dv, u, v = _padded(Du, n), _padded(Dv, n), _padded(u, n), _padded(v, n)
+    dv = [uy * (d - c * p - a1 * q) - wy * a for d, a, p, q in zip(Dw, Du, u, [0] + u)]
+    dw = [2 * (wy * b - vy * d + uy * (c * p + a1 * q)) for b, d, p, q in zip(Dv, Dw, v, [0] + v)]
     return du, dv, dw
 
 
+def mumford_flow(triple: MumfordTriple, y: Fraction) -> tuple[Poly, Poly, Poly]:
+    """Tangent (du, dv, dw) of the multi-Hamiltonian field X_y (see
+    mumford_tangent)."""
+    tangent = mumford_tangent(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs, Fraction(y))
+    return tuple(Poly(p) for p in tangent)
+
+
 def flow_values(flavor: str, g: int, du: Poly, dv: Poly, dw: Poly) -> list:
-    """Tangent vector in coordinate order; insists the fixed (monic) slots
-    carry zero velocity."""
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    free = {("u", k) for k in u_slots} | {("v", k) for k in v_slots} | {("w", k) for k in w_slots}
-    for fam, dp in (("u", du), ("v", dv), ("w", dw)):
-        for k in range(dp.degree + 1):
-            if not (dp.coeff(k) == 0) and (fam, k) not in free:
+    """Tangent vector in coordinate order; insists the fixed (monic) and
+    forbidden-parity slots carry zero velocity."""
+    for fam, dp, slots in zip("uvw", (du, dv, dw), _coord_layout(flavor, g)):
+        for k, c in enumerate(dp.coeffs):
+            if not (c == 0) and k not in slots:
                 raise InvariantError("tangent-shape",
                                      f"flow moves the fixed coefficient {fam}{k}")
-    vals = [du.coeff(k) for k in u_slots]
-    vals += [dv.coeff(k) for k in v_slots]
-    vals += [dw.coeff(k) for k in w_slots]
-    return vals
+    return _read_slots(flavor, g, du.coeffs, dv.coeffs, dw.coeffs)
 
 
 def mumford_flow_symbolic(flavor: str, g: int, y: Fraction) -> list[MultiPoly]:
     """Components of X_y as exact polynomials in the coordinates."""
     coords = phase_coordinates(flavor, g)
-    y = Fraction(y)
-    u, v, w = coords.u, coords.v, coords.w
-    uy, vy, wy = u.evaluate(y), v.evaluate(y), w.evaluate(y)
-    # alpha(x + y): substitute t -> x + y in alpha(t)
-    alpha_xy = coords.alpha.compose(Poly([MultiPoly.const(coords.nvars, y),
-                                          MultiPoly.const(coords.nvars, 1)]))
-    du = 2 * exact_divide_linear(u * vy - v * uy, y)
-    dv = exact_divide_linear(w * uy - u * wy, y) - alpha_xy * u * uy
-    dw = 2 * exact_divide_linear(v * wy - w * vy, y) + 2 * alpha_xy * v * uy
-    return flow_values(flavor, g, du, dv, dw)
+    tangent = mumford_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, Fraction(y))
+    return flow_values(flavor, g, *(Poly(p) for p in tangent))
 
 
 def flow_commutator_symbolic(flavor: str, g: int, y1: Fraction, y2: Fraction) -> list[MultiPoly]:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .algebra import Poly
 from .errors import InvariantError
-from .mumford import (MUMFORD_FLAVORS, MumfordTriple, _coord_layout,
-                      _poly_degree, point_values)
+from .mumford import (MUMFORD_FLAVORS, MumfordTriple, _coefficient_lists,
+                      _read_slots, mumford_tangent, point_values)
+from .prym import prym_tangent
 from .toda import KMPoint, TodaPoint, hierarchy_commutator
 
 BLOWUP_GUARD = 1e12
@@ -68,58 +69,6 @@ def _rk4_step(f, x, h):
 
 
 # ---------------------------------------------------------------------------
-# float polynomial helpers (dense lists, ascending degree)
-# ---------------------------------------------------------------------------
-
-def _fmul(p, q):
-    if not p or not q:
-        return []
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _fadd(p, q):
-    out = list(p) + [0.0] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
-
-
-def _fsub(p, q):
-    out = list(p) + [0.0] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] -= b
-    return out
-
-
-def _fscale(p, c):
-    return [c * x for x in p]
-
-
-def _feval(p, x):
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _fdeflate(p, y):
-    """Quotient of p by (x - y); the remainder is discarded (it vanishes
-    identically for the flow numerators)."""
-    if len(p) <= 1:
-        return []
-    q = [0.0] * (len(p) - 1)
-    acc = p[-1]
-    for k in range(len(p) - 2, -1, -1):
-        q[k] = acc
-        acc = p[k] + acc * y
-    return q
-
-
-# ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------
 
@@ -135,58 +84,16 @@ def _toda_rhs(state, n, index):
 
 
 def _mumford_rhs(state, flavor, g, y):
-    u, v, w = _decode_triple(state, flavor, g)
-    uy, vy, wy = _feval(u, y), _feval(v, y), _feval(w, y)
-    if flavor == "even-mumford":
-        alpha = [y + w[-2] - u[-2], 1.0]  # alpha(x+y), x-ascending
-    else:
-        alpha = [1.0]
-    du = _fscale(_fdeflate(_fsub(_fscale(u, vy), _fscale(v, uy)), y), 2.0)
-    dv = _fsub(_fdeflate(_fsub(_fscale(w, uy), _fscale(u, wy)), y),
-               _fscale(_fmul(alpha, u), uy))
-    dw = _fadd(_fscale(_fdeflate(_fsub(_fscale(v, wy), _fscale(w, vy)), y), 2.0),
-               _fscale(_fmul(alpha, v), 2.0 * uy))
-    return _encode_tangent(du, dv, dw, flavor, g)
+    """X_y at the float state (see mumford.mumford_tangent)."""
+    u, v, w = _coefficient_lists(flavor, g, state, 0.0, 1.0)
+    return _read_slots(flavor, g, *mumford_tangent(u, v, w, y))
 
 
 def _prym_rhs(state, flavor, n, y):
-    u, v, w = _decode_triple(state, flavor, n)
-    uy, vy, wy = _feval(u, y), _feval(v, y), _feval(w, y)
-    xv, xu, xw = [0.0] + v, [0.0] + u, [0.0] + w
-
-    def div2(p):
-        return _fdeflate(_fdeflate(p, y), -y)
-
-    du = _fscale(div2(_fsub(_fscale(u, y * vy), _fscale(xv, uy))), 2.0)
-    dv = _fsub(div2(_fsub(_fscale(xw, uy), _fscale(xu, wy))), _fscale(xu, uy))
-    dw = _fadd(_fscale(div2(_fsub(_fscale(xv, wy), _fscale(w, y * vy))), 2.0),
-               _fscale(xv, 2.0 * uy))
-    return _encode_tangent(du, dv, dw, flavor, n)
-
-
-def _decode_triple(state, flavor, g):
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    deg_u, deg_w = _poly_degree(flavor, g)
-    u = [0.0] * (deg_u + 1)
-    v = [0.0] * deg_u
-    w = [0.0] * (deg_w + 1)
-    vals = list(state)
-    for k in u_slots:
-        u[k] = vals.pop(0)
-    u[deg_u] = 1.0
-    for k in v_slots:
-        v[k] = vals.pop(0)
-    for k in w_slots:
-        w[k] = vals.pop(0)
-    w[deg_w] = 1.0
-    return u, v, w
-
-
-def _encode_tangent(du, dv, dw, flavor, g):
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    pick = lambda p, k: p[k] if k < len(p) else 0.0
-    return ([pick(du, k) for k in u_slots] + [pick(dv, k) for k in v_slots]
-            + [pick(dw, k) for k in w_slots])
+    """Reduced X_y at the float state (see prym.prym_tangent); the
+    remainders, zero up to rounding, are not checked."""
+    u, v, w = _coefficient_lists(flavor, n, state, 0.0, 1.0)
+    return _read_slots(flavor, n, *prym_tangent(u, v, w, y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +153,8 @@ def _lattice_invariants(state, n, km=False):
 
 
 def _momentum_invariants(state, flavor, g):
-    u, v, w = _decode_triple(state, flavor, g)
-    H = _fadd(_fmul(u, w), _fmul(v, v))
-    return {f"H{j}": c for j, c in enumerate(H)}
+    u, v, w = map(Poly, _coefficient_lists(flavor, g, state, 0.0, 1.0))
+    return {f"H{j}": float(c) for j, c in enumerate((u * w + v * v).coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +168,8 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
     (selector = hierarchy index), "mumford" or "prym" (selector = the Lax
     parameter y).  Conserved quantities are sampled at every step and the
     drift against t = 0 is reported per integral.  t_end and step must be
-    positive and finite ("integration"), and t_end / step at most
-    MAX_STEPS ("step-count").
+    positive and finite ("integration"), t_end / step at most MAX_STEPS
+    ("step-count"), and a lattice needs n >= 1 ("size").
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):
         raise InvariantError("integration", "step and t_end must be positive and finite")
@@ -281,8 +187,6 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
             raise InvariantError("point-type", "toda integration needs a TodaPoint")
         n = point.n
         index = 0 if selector is None else int(selector)
-        if not 1 <= index <= n - 1:
-            raise InvariantError("hierarchy-index", f"need 1 <= index <= {n - 1}")
         state = [float(x) for x in point.a] + [float(x) for x in point.b]
         rhs = lambda s: _toda_rhs(s, n, index)
         invariants = lambda s: _lattice_invariants(s, n)
@@ -306,6 +210,10 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         invariants = lambda s: _momentum_invariants(s, flavor, g)
     else:
         raise InvariantError("system", f"unknown system {system!r}")
+    if system in ("km", "toda") and n < 1:
+        raise InvariantError("size", "a lattice needs n >= 1")
+    if system == "toda" and not 1 <= index <= n - 1:
+        raise InvariantError("hierarchy-index", f"need 1 <= index <= {n - 1}")
 
     traj = Trajectory(system=system)
     base = invariants(state)

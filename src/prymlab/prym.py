@@ -36,12 +36,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (BiPoly, Poly, exact_divide_x2_minus,
-                      exact_divide_x2_minus_xp2)
+from .algebra import BiPoly, Poly, exact_divide_x2_minus_xp2, horner
 from .errors import InvariantError
-from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, CoordSystem,
-                      MumfordTriple, _lift_phi, flow_values,
-                      mumford_bracket_table, phase_coordinates)
+from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
+                      _lift_phi, _padded, flow_values, mumford_bracket_table,
+                      phase_coordinates)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -200,27 +199,47 @@ def tables_equal(a: BracketTable, b: BracketTable) -> bool:
 # reduced Lax flows
 # ---------------------------------------------------------------------------
 
-def _x_times(p: Poly) -> Poly:
-    return Poly([0] + list(p.coeffs))
+def prym_tangent(u: list, v: list, w: list, y) -> tuple[tuple, tuple]:
+    """Tangent (du, dv, dw) of the reduced field X_y at (u, v, w), as
+    ascending coefficient lists over any scalar ring, and the three
+    remainders of the divisions by x + y.
+
+    From the Lax form, with D_p = (p(x) - p(y)) / (x - y) from one Horner
+    pass each and D_xv = (x v(x) - y v(y)) / (x - y) = v + y D_v:
+        du = 2 (y v(y) D_u - u(y) D_xv) / (x + y)
+        dv = x (u(y) D_w - w(y) D_u) / (x + y) - x u(y) u
+        dw = 2 (w(y) D_xv - y v(y) D_w) / (x + y) + 2 x u(y) v
+    The remainders vanish identically on the parity locus.
+    """
+    Du, uy = horner(u, y)
+    Dv, vy = horner(v, y)
+    Dw, wy = horner(w, y)
+    n = len(Du)  # deg u; deg w = n + 2
+    v = _padded(v, n)
+    Dxv = [p + y * b for p, b in zip(v, _padded(Dv, n))]
+    yvy = y * vy
+    qu, ru = horner([yvy * a - uy * e for a, e in zip(Du, Dxv)], -y)
+    qv, rv = horner([0] + [uy * d - wy * a for d, a in zip(Dw, _padded(Du, n + 2))], -y)
+    qw, rw = horner([wy * e - yvy * d for e, d in zip(_padded(Dxv, n + 2), Dw)], -y)
+    du = [2 * c for c in qu]
+    dv = [q - uy * p for q, p in zip(qv, [0] + u)]
+    dw = [2 * (q + uy * p) for q, p in zip(qw, [0] + v)]
+    return (du, dv, dw), (ru, rv, rw)
+
+
+def _exact_prym_tangent(u: list, v: list, w: list, y) -> tuple[Poly, Poly, Poly]:
+    """prym_tangent at a rational y, insisting that every remainder is 0."""
+    tangent, residues = prym_tangent(u, v, w, Fraction(y))
+    if not all(r == 0 for r in residues):
+        raise InvariantError("tangent-shape", "the reduced field needs a point of prym parity")
+    return tuple(Poly(p) for p in tangent)
 
 
 def prym_flow(triple: MumfordTriple, y: Fraction) -> tuple[Poly, Poly, Poly]:
-    """Tangent of the reduced field X_y at a prym point.
-
-    From the Lax form, with exact division by (x - y)(x + y):
-        du = 2 (y v(y) u(x) - x u(y) v(x)) / (x^2 - y^2)
-        dv = (x u(y) w(x) - x w(y) u(x)) / (x^2 - y^2) - x u(x) u(y)
-        dw = 2 (x w(y) v(x) - y v(y) w(x)) / (x^2 - y^2) + 2 x v(x) u(y)
-    """
+    """Tangent of the reduced field X_y at a prym point (see prym_tangent)."""
     if triple.flavor not in (ODD_PRYM, EVEN_PRYM):
         raise InvariantError("flavor", "prym_flow needs a prym point")
-    y = Fraction(y)
-    u, v, w = triple.u, triple.v, triple.w
-    uy, vy, wy = u.evaluate(y), v.evaluate(y), w.evaluate(y)
-    du = 2 * exact_divide_x2_minus((y * vy) * u - uy * _x_times(v), y)
-    dv = exact_divide_x2_minus(uy * _x_times(w) - wy * _x_times(u), y) - uy * _x_times(u)
-    dw = 2 * exact_divide_x2_minus(wy * _x_times(v) - (y * vy) * w, y) + 2 * uy * _x_times(v)
-    return du, dv, dw
+    return _exact_prym_tangent(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs, y)
 
 
 def prym_flow_symbolic(flavor: str, n: int, y: Fraction) -> list[MultiPoly]:
@@ -230,11 +249,5 @@ def prym_flow_symbolic(flavor: str, n: int, y: Fraction) -> list[MultiPoly]:
     coefficient of the tangent fails to vanish identically.
     """
     coords = phase_coordinates(flavor, n)
-    y = Fraction(y)
-    u, v, w = coords.u, coords.v, coords.w
-    uy, vy, wy = u.evaluate(y), v.evaluate(y), w.evaluate(y)
-    yvy = vy * y
-    du = 2 * exact_divide_x2_minus(yvy * u - uy * _x_times(v), y)
-    dv = exact_divide_x2_minus(uy * _x_times(w) - wy * _x_times(u), y) - uy * _x_times(u)
-    dw = 2 * exact_divide_x2_minus(wy * _x_times(v) - yvy * w, y) + 2 * uy * _x_times(v)
-    return flow_values(flavor, n, du, dv, dw)
+    tangent = _exact_prym_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, y)
+    return flow_values(flavor, n, *tangent)

@@ -51,8 +51,7 @@ def km_point(rng: random.Random, n: int) -> KMPoint:
 
 
 def mumford_triple(rng: random.Random, flavor: str, g: int) -> MumfordTriple:
-    u_slots, v_slots, w_slots = _coord_layout(flavor, g)
-    count = len(u_slots) + len(v_slots) + len(w_slots)
+    count = sum(map(len, _coord_layout(flavor, g)))
     return triple_from_values(flavor, g, [rational(rng) for _ in range(count)])
 
 

@@ -95,8 +95,8 @@ class TodaPoint:
         try:
             n = int(payload["n"])
             a = [parse_rational(str(x)) for x in payload["a"]]
-            b = [parse_rational(str(x)) for x in payload.get("b", ["0"] * n)]
-        except (KeyError, TypeError, ValueError) as exc:
+            b = [parse_rational(str(x)) for x in payload.get("b", ["0"] * len(a))]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed lattice point: {exc}") from exc
         if len(a) != n or len(b) != n:
             raise ParseError("sequence lengths disagree with n")

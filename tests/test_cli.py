@@ -1,11 +1,19 @@
 """CLI driver: subcommand artifacts, determinism, exit codes, schemas."""
 
+import contextlib
+import io
 import json
+import math
 import pathlib
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from prymlab.cli import EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
+from prymlab.algebra import Poly
+from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
+from prymlab.mumford import EVEN_MUMFORD, FLAVORS, mumford_bracket_table
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "prymlab" / "schemas"
 
@@ -204,3 +212,126 @@ def test_flow_summary_reports_steps_and_note(capsys):
     assert payload["steps"] == payload["steps_requested"] == 50
     assert payload["note"] == "" and not payload["truncated"]
     _validate(payload, "drift_summary")
+
+
+def test_bracket_genus_zero_and_negative(capsys):
+    code, out = run_cli(capsys, "bracket", "--space", "even-mumford", "--g", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["coordinates"] == ["w0", "w1"]
+    assert mumford_bracket_table(EVEN_MUMFORD, 0, Poly([1])).jacobi_holds()
+    code, out = run_cli(capsys, "bracket", "--space", "even-mumford", "--g", "-1")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == "genus"
+
+
+@pytest.mark.parametrize("params", ["[1,2]", "3", '"a"', "null"])
+def test_balance_params_must_be_an_object(capsys, params):
+    code, out = run_cli(capsys, "balance", "4", "--A", "1,2", "--params", params)
+    assert code == EXIT_INPUT
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("system", ["km", "toda"])
+def test_flow_on_empty_lattice_exits_invariant(capsys, system):
+    code, out = run_cli(capsys, "flow", "--system", system, "--index", "1",
+                        "--point", '{"n":0,"a":[]}', "--t", "1", "--step", "0.1")
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == "size"
+
+
+@pytest.mark.parametrize("n", ["Infinity", "1e300"])
+def test_lattice_size_that_is_not_an_integer_exits_input(capsys, n):
+    code, out = run_cli(capsys, "flow", "--system", "km", "--point", f'{{"n":{n},"a":["1"]}}',
+                        "--t", "1", "--step", "0.1")
+    assert code == EXIT_INPUT
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_lattice_size_is_checked_before_any_allocation(capsys):
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "flow", "--system", "km", "--point",
+                            '{"n":1000000,"a":["1"]}', "--t", "1", "--step", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert peak < 4_000_000  # a default b of n entries would take 8 MB and more
+
+
+@pytest.mark.parametrize("argv", [
+    ("--space", "toda-linear", "--n", "3", "--point", '{"n":2,"a":["2","1/2"]}'),
+    ("--space", "odd-mumford", "--g", "2", "--point",
+     '{"flavor":"odd-mumford","u":"1","v":"","w":"0,1"}'),
+    ("--space", "odd-mumford", "--g", "2", "--point",
+     '{"flavor":"odd-prym","u":"1,0,1","v":"0,1","w":"1,0,2,0,1"}'),
+])
+def test_bracket_point_outside_the_space_exits_invariant(capsys, argv):
+    code, out = run_cli(capsys, "bracket", *argv)
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == "point-space"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated argv
+# ---------------------------------------------------------------------------
+
+_sizes = st.integers(-2, 3)
+_rational_text = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "x", ""])
+_json_scalar = st.one_of(st.none(), st.booleans(), _sizes, st.floats(), _rational_text)
+_json_value = st.recursive(_json_scalar, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_rational_text, inner, max_size=3)),
+    max_leaves=6)
+_poly_text = st.lists(_rational_text, max_size=4).map(",".join)
+_lattice_json = st.fixed_dictionaries(
+    {"n": st.one_of(_sizes, _json_scalar), "a": st.lists(_rational_text, max_size=4)},
+    optional={"b": st.lists(_rational_text, max_size=4)})
+_triple_json = st.fixed_dictionaries(
+    {"flavor": st.one_of(st.sampled_from(FLAVORS), _rational_text),
+     "u": _poly_text, "v": _poly_text, "w": _poly_text})
+# well-formed points of several spaces and sizes, so that --point also
+# reaches the evaluation of a table at a point
+_valid_points = st.sampled_from([
+    LATTICE3, '{"n":2,"a":["2","1/2"]}', '{"n":3,"a":["2","1/2","1"],"b":["1","0","-1"]}',
+    '{"flavor":"odd-mumford","u":"1","v":"","w":"0,1"}',
+    '{"flavor":"odd-mumford","u":"2,1","v":"3","w":"1,0,1"}',
+    '{"flavor":"even-mumford","u":"1,1","v":"2","w":"1,0,3,1"}',
+    '{"flavor":"odd-prym","u":"1,0,1","v":"0,1","w":"1,0,2,0,1"}',
+    '{"flavor":"even-prym","u":"0,1","v":"1","w":"0,2,0,1"}'])
+_point = st.one_of(_valid_points,
+                   st.one_of(_lattice_json, _triple_json, _json_value).map(json.dumps))
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, str(value)]))
+
+
+_bracket_argv = st.tuples(
+    st.just(["bracket"]), st.sampled_from(_BRACKET_SPACES).map(lambda s: ["--space", s]),
+    _option("--phi", _poly_text), _option("--g", _sizes), _option("--n", _sizes),
+    _option("--point", _point))
+_balance_argv = st.tuples(
+    st.just(["balance"]), _sizes.map(lambda n: [str(n)]),
+    st.lists(st.integers(-1, 4), max_size=3).map(lambda A: ["--A", ",".join(map(str, A))]),
+    _option("--params", _json_value.map(json.dumps)), _option("--order", st.integers(-1, 3)))
+_flow_argv = st.tuples(
+    st.just(["flow"]),
+    st.sampled_from(["km", "toda", "mumford", "prym"]).map(lambda s: ["--system", s]),
+    st.one_of(_lattice_json.map(json.dumps), _point).map(lambda p: ["--point", p]),
+    _option("--index", _sizes), _option("--y", _rational_text),
+    st.one_of(st.floats(-1, 1), st.sampled_from([0.0, math.nan, math.inf])).map(
+        lambda t: ["--t", repr(t)]),
+    st.one_of(st.floats(0.05, 1), st.sampled_from([0.0, -0.1, math.nan, math.inf])).map(
+        lambda h: ["--step", repr(h)]))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_bracket_argv, _balance_argv, _flow_argv))
+def test_every_argv_exits_with_a_json_verdict(parts):
+    argv = [arg for part in parts for arg in part]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    out = stdout.getvalue()
+    assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_INPUT), argv
+    payload = json.loads(out)
+    assert (code == EXIT_OK) != ("error" in payload), argv

@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from prymlab import numerics
+from prymlab.algebra import Poly
 from prymlab.errors import InvariantError
-from prymlab.mumford import (EVEN_MUMFORD, ODD_PRYM, flow_values, mumford_flow,
-                             point_values, triple_from_values)
+from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
+                             momentum_symbolic, mumford_bracket_table, mumford_flow,
+                             phase_coordinates, point_values, triple_from_values)
 from prymlab.numerics import (Trajectory, _char_coeffs_float, _mumford_rhs, _prym_rhs,
                               _toda_rhs, integrate, km_rhs)
-from prymlab.prym import prym_flow
+from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
 from prymlab.toda import KMPoint, TodaPoint, char_poly, km_field, toda_flow
 
@@ -212,3 +214,36 @@ def test_drift_summary_says_why_a_run_stopped():
     assert summary["steps_requested"] == 800 > summary["steps"]
     summary = integrate("km", REFERENCE, None, 1.0, 1e-2).drift_summary()
     assert summary["note"] == "" and summary["steps"] == summary["steps_requested"] == 100
+
+
+def _hamiltonian_oracle(table, flavor, n, point, phi, y):
+    """X_y from the bracket table: the Hamiltonian field of H(y), over phi(y)."""
+    H = momentum_symbolic(phase_coordinates(flavor, n))
+    field = table.hamiltonian_field(H.evaluate(y), point_values(point))
+    return [float(x / phi.evaluate(y)) for x in field]
+
+
+def _assert_close(numeric, oracle):
+    assert len(numeric) == len(oracle)
+    scale = max(1.0, max(abs(x) for x in oracle))
+    assert max(abs(a - b) for a, b in zip(numeric, oracle)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("flavor, g", [(ODD_MUMFORD, 1), (ODD_MUMFORD, 2), (EVEN_MUMFORD, 2)])
+def test_float_mumford_field_is_the_hamiltonian_field(rng, flavor, g):
+    phi = Poly([F(1)])
+    table = mumford_bracket_table(flavor, g, phi)
+    for y in (F(7, 10), F(-3, 2)):
+        point = mumford_triple(rng, flavor, g)
+        numeric = _mumford_rhs([float(x) for x in point_values(point)], flavor, g, float(y))
+        _assert_close(numeric, _hamiltonian_oracle(table, flavor, g, point, phi, y))
+
+
+@pytest.mark.parametrize("flavor, n", [(ODD_PRYM, 1), (ODD_PRYM, 2), (EVEN_PRYM, 1)])
+def test_float_prym_field_is_the_reduced_hamiltonian_field(rng, flavor, n):
+    phi = Poly([F(1)]) if flavor == ODD_PRYM else Poly([F(0), F(1)])
+    table = prym_bracket_table(flavor, n, phi)
+    for y in (F(7, 10), F(-3, 2)):
+        point = mumford_triple(rng, flavor, n)
+        numeric = _prym_rhs([float(x) for x in point_values(point)], flavor, n, float(y))
+        _assert_close(numeric, _hamiltonian_oracle(table, flavor, n, point, phi, y))

@@ -13,8 +13,8 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
 from prymlab.prym import (dirac_reduce, involution_j, involution_signs,
                           is_fixed_point, is_poisson_involution,
                           prym_bracket_generators, prym_bracket_table,
-                          prym_flow, prym_flow_symbolic, reduce_mumford_table,
-                          tables_equal)
+                          prym_flow, prym_flow_symbolic, prym_tangent,
+                          reduce_mumford_table, tables_equal)
 from prymlab.sampling import mumford_triple
 
 
@@ -153,3 +153,26 @@ def test_even_prym_reducibility_signal(rng):
     for _ in range(4):
         point = mumford_triple(rng, EVEN_PRYM, 2)
         assert momentum(point).coeff(0) == point.v.coeff(0) ** 2
+
+
+def _unchecked_triple(u, v, w, flavor):
+    """A triple that skips MumfordTriple's validation, to reach the flows
+    with a point off the parity locus."""
+    triple = object.__new__(MumfordTriple)
+    for name, value in (("u", u), ("v", v), ("w", w), ("flavor", flavor)):
+        object.__setattr__(triple, name, value)
+    return triple
+
+
+def test_prym_kernel_remainders_vanish_on_the_parity_locus(rng):
+    for flavor, n in ((ODD_PRYM, 1), (ODD_PRYM, 2), (EVEN_PRYM, 1)):
+        point = mumford_triple(rng, flavor, n)
+        _, residues = prym_tangent(point.u.coeffs, point.v.coeffs, point.w.coeffs, F(5, 3))
+        assert residues == (0, 0, 0)
+        wrong_parity = parse_poly("2") if flavor == EVEN_PRYM else parse_poly("0,2")
+        bad = _unchecked_triple(point.u + wrong_parity, point.v, point.w, flavor)
+        _, residues = prym_tangent(bad.u.coeffs, bad.v.coeffs, bad.w.coeffs, F(5, 3))
+        assert any(r != 0 for r in residues)
+        with pytest.raises(InvariantError) as caught:
+            prym_flow(bad, F(5, 3))
+        assert caught.value.invariant == "tangent-shape"
