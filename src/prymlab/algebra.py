@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -264,21 +265,37 @@ def _all_int(coeffs: list) -> bool:
     return all(type(c) is int for c in coeffs)
 
 
-def _rational_product(a: list, b: list) -> list:
-    """Coefficients of the product of two Fraction/int coefficient lists.
+def integer_numerators(values) -> tuple[list[int], int]:
+    """(numerators, d) with d the lcm of the denominators of the Fraction/int
+    values and numerators[i] = values[i] * d."""
+    d = lcm(*[c.denominator for c in values])
+    return [c.numerator * (d // c.denominator) for c in values], d
+
+
+def rational_dot(a: list, b: list) -> Fraction:
+    """sum a_i b_i of two Fraction/int lists, built as a single Fraction."""
+    na, da = integer_numerators(a)
+    nb, db = integer_numerators(b)
+    return Fraction(sum(map(mul, na, nb)), da * db)
+
+
+def _rational_product(a: list, b: list, width: int | None = None) -> list:
+    """Coefficients of the product of two Fraction/int coefficient lists,
+    the first `width` of them when it is given.
 
     Each factor is scaled to integers by its common denominator, the integer
     numerators are convolved, and each output coefficient becomes a single
     Fraction.  Two all-int factors give int coefficients, as the generic
     loop does."""
-    da = lcm(*[c.denominator for c in a])
-    db = lcm(*[c.denominator for c in b])
-    na = [c.numerator * (da // c.denominator) for c in a]
-    nb = [c.numerator * (db // c.denominator) for c in b]
-    out = [0] * (len(a) + len(b) - 1)
+    if width is None:
+        width = len(a) + len(b) - 1
+    a, b = a[:width], b[:width]
+    na, da = integer_numerators(a)
+    nb, db = integer_numerators(b)
+    out = [0] * width
     for i, x in enumerate(na):
         if x:
-            for j, y in enumerate(nb, i):
+            for j, y in enumerate(nb[:width - i], i):
                 out[j] += x * y
     den = da * db
     if den == 1 and _all_int(a) and _all_int(b):
@@ -641,7 +658,7 @@ def pr_split(u: Poly, v: Poly, w: Poly, n: int) -> tuple[Poly, Poly]:
 class LaurentSeries:
     """Laurent series known exactly on a finite exponent window.
 
-    coeffs[i] multiplies t^(lo+i); every coefficient above `hi` is unknown
+    coeffs[i], an int or Fraction, multiplies t^(lo+i); every coefficient above `hi` is unknown
     (truncated) and every one below lo is zero.  hi=None marks an exact
     series (a Laurent polynomial) whose higher coefficients are all zero.
     Arithmetic tracks how far results remain valid, so "equals zero through
@@ -801,17 +818,7 @@ class LaurentSeries:
         width = top - lo + 1
         if width <= 0:
             return LaurentSeries(0, [], hi)
-        out = [0] * width
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < width:
-                    out[k] = out[k] + a * b
-        return LaurentSeries(lo, out, hi)
+        return LaurentSeries(lo, _rational_product(self.coeffs, other.coeffs, width), hi)
 
     __rmul__ = __mul__
 

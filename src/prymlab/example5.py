@@ -43,7 +43,7 @@ from fractions import Fraction
 from .algebra import LaurentSeries, Poly, format_rational
 from .errors import InvariantError
 from .painleve import Balance, free_slots, laurent_balance, make_balance
-from .toda import KMPoint, char_poly
+from .toda import KMPoint
 
 # ---------------------------------------------------------------------------
 # projective points

@@ -36,9 +36,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import LaurentSeries, format_rational
+from .algebra import LaurentSeries, format_rational, rational_dot
 from .errors import InvariantError, ResonanceError
 from .symbolic import solve_affine
+
+# The largest lattice the Painleve analysis accepts.  |Sigma_n| grows like
+# the golden ratio to the n (15 126 sets at n = 20, about 1.3e6 at n = 30,
+# 1.7e8 at n = 40), and a balance builds an n x n Kowalevski matrix.
+MAX_N = 24
+
+
+def _check_size(n: int, least: int, what: str) -> None:
+    if not least <= n <= MAX_N:
+        raise InvariantError("size", f"{what} needs {least} <= n <= {MAX_N}, got n = {n}")
+
 
 # ---------------------------------------------------------------------------
 # Sigma_n combinatorics
@@ -108,8 +119,7 @@ def sigma_enum(n: int) -> list[tuple[int, ...]]:
     wrapping into a head 1..j), and the rest of A lives on the line
     strictly between the wrap run and g.
     """
-    if n < 2:
-        raise InvariantError("size", "Sigma_n needs n >= 2")
+    _check_size(n, 2, "Sigma_n")
     out: list[tuple[int, ...]] = [()]
     if n % 2 == 0:
         out.append(tuple(range(1, n + 1)))
@@ -153,21 +163,20 @@ class Balance:
                 "r": list(self.r)}
 
 
-def _alpha_for(A: Sequence[int], n: int) -> list[Fraction]:
-    alpha = [Fraction(0)] * (n + 1)  # 1-based
+def _alpha_for(A: Sequence[int], n: int) -> list[int]:
+    alpha = [0] * (n + 1)  # 1-based
     for run in cyclic_runs(A, n):
         if len(run) % 2:
             raise InvariantError("sigma", f"run {run} has odd length")
         l = len(run) // 2
         for pos, cell in enumerate(run, start=1):
-            alpha[cell] = Fraction((pos - 1) // 2 - l if pos % 2 else pos // 2)
+            alpha[cell] = (pos - 1) // 2 - l if pos % 2 else pos // 2
     return alpha[1:]
 
 
 def make_balance(n: int, A: Iterable[int]) -> Balance:
     """Balance for an admissible pole set; validates the indicial equation."""
-    if n < 2:
-        raise InvariantError("size", "a balance needs n >= 2")
+    _check_size(n, 2, "a balance")
     A = tuple(sorted({(i - 1) % n + 1 for i in A}))
     if not in_sigma(A, n):
         raise InvariantError("sigma", f"{A} is not in Sigma_{n}")
@@ -180,14 +189,13 @@ def make_balance(n: int, A: Iterable[int]) -> Balance:
         rhs = alpha[i] * (alpha[(i - 1) % n] - alpha[(i + 1) % n])
         if lhs != rhs and alpha[i] != 0:
             raise InvariantError("indicial", f"alpha fails the indicial equation at {i + 1}")
-    r = tuple(int(alpha[i % n] - alpha[(i - 2) % n]) for i in range(1, n + 1))
-    return Balance(n, A, tuple(alpha), r)
+    r = tuple(alpha[i % n] - alpha[(i - 2) % n] for i in range(1, n + 1))
+    return Balance(n, A, tuple(map(Fraction, alpha)), r)
 
 
 def indicial_solutions(n: int) -> list[Balance]:
     """One balance per admissible A in Sigma_n (the full circle excluded)."""
-    if n < 3:
-        raise InvariantError("size", "indicial analysis needs n >= 3")
+    _check_size(n, 3, "indicial analysis")
     out = []
     for A in sigma_enum(n):
         if len(A) == n:
@@ -305,13 +313,21 @@ def slot_name(i: int, k: int) -> str:
     return f"a{i}.{k}"
 
 
+def _shifted_systems(balance: Balance, through_order: int):
+    """k Id - M for k = 1..through_order; the integral entries (all of them
+    for a balance from make_balance) as ints."""
+    M = [[c.numerator if c.denominator == 1 else c for c in row]
+         for row in kowalevski_matrix(balance)]
+    for k in range(1, through_order + 1):
+        yield k, [[(k if i == j else 0) - c for j, c in enumerate(row)]
+                  for i, row in enumerate(M)]
+
+
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     """Names of the free coefficients the recursion leaves open, in order."""
-    M = kowalevski_matrix(balance)
     names = []
-    for k in range(1, through_order + 1):
-        system = [[(k if i == j else 0) - M[i][j] for j in range(n)] for i in range(n)]
-        sol = solve_affine(system, [Fraction(0)] * n)
+    for k, system in _shifted_systems(balance, through_order):
+        sol = solve_affine(system, [0] * n)
         names.extend(slot_name(c + 1, k) for c in sol.free_columns)
     return names
 
@@ -330,18 +346,13 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     if order < 0:
         raise InvariantError("order", "the Laurent order must be >= 0")
     params = {k: Fraction(v) for k, v in free_params.items()}
-    M = kowalevski_matrix(balance)
-    coeffs = [list(balance.alpha)]  # a^(0) = alpha
-    for k in range(1, order + 1):
-        rhs = []
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(1, k):
-                acc += coeffs[j][i] * (coeffs[k - j][(i - 1) % n]
-                                       - coeffs[k - j][(i + 1) % n])
-            rhs.append(acc)
-        system = [[(k if i == j else Fraction(0)) - M[i][j] for j in range(n)]
-                  for i in range(n)]
+    alpha = balance.alpha  # a^(0)
+    # columns[i] = [a_i^(0), a_i^(1), ...]; diffs[i][m] = a_{i-1}^(m) - a_{i+1}^(m),
+    # the m-th coefficient of the bracket in da_i/dt = a_i (a_{i-1} - a_{i+1})
+    columns = [[c] for c in alpha]
+    diffs = [[alpha[i - 1] - alpha[(i + 1) % n]] for i in range(n)]
+    for k, system in _shifted_systems(balance, order):
+        rhs = [rational_dot(columns[i][1:k], diffs[i][k - 1:0:-1]) for i in range(n)]
         sol = solve_affine(system, rhs)
         if not sol.consistent:
             raise ResonanceError(f"inconsistent resonance at order k={k}")
@@ -355,13 +366,13 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
                     f"missing value for free slot {name}; expected slots {expected}")
             value = params.pop(name)
             vec = [x + value * y for x, y in zip(vec, basis_vec)]
-        coeffs.append(vec)
+        for i in range(n):
+            columns[i].append(vec[i])
+            diffs[i].append(vec[i - 1] - vec[(i + 1) % n])
     if params:
         raise InvariantError("free-parameters",
                              f"unused parameters {sorted(params)}")
-    return [LaurentSeries(-1, [coeffs[k][i] for k in range(order + 1)],
-                          hi=order - 1)
-            for i in range(n)]
+    return [LaurentSeries(-1, columns[i], hi=order - 1) for i in range(n)]
 
 
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:

@@ -10,15 +10,23 @@ tolerance.
 MultiPoly is the workhorse: a dict from exponent tuples to Fraction,
 one exponent slot per coordinate.  It is deliberately minimal; degrees
 and variable counts stay small everywhere in this package.
+
+The exact kernels keep Fraction out of their inner loops: a MultiPoly
+product convolves integer numerators over one common denominator per
+factor, and `rref` eliminates on integer rows (each row scaled by the
+lcm of its denominators, kept primitive by its content gcd).  Both build
+one Fraction per output entry at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
+from operator import add
 from typing import Iterable, Sequence
 
-from .algebra import Poly
+from .algebra import Poly, integer_numerators
 
 
 class MultiPoly:
@@ -121,17 +129,19 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(expo, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[expo] = acc
-                else:
-                    terms.pop(expo, None)
         out = MultiPoly(self.nvars)
-        out.terms = terms
+        if not self.terms or not other.terms:
+            return out
+        n1, d1 = integer_numerators(self.terms.values())
+        n2, d2 = integer_numerators(other.terms.values())
+        acc: dict = {}
+        get = acc.get
+        for e1, c1 in zip(self.terms, n1):
+            for e2, c2 in zip(other.terms, n2):
+                expo = tuple(map(add, e1, e2))
+                acc[expo] = get(expo, 0) + c1 * c2
+        den = d1 * d2
+        out.terms = {e: Fraction(c, den) for e, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -222,30 +232,71 @@ class MultiPoly:
 # exact linear algebra over Fraction
 # ---------------------------------------------------------------------------
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    rows = [[Fraction(c) for c in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _eliminate(rows: list[list[int]], reduce_above: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of integer rows, in place.
+
+    For each pivot p in row r, every other row with an entry f in the pivot
+    column becomes (p row - f row_r) / g, g the content gcd of the new row;
+    rows below the pivot are cleared, and with reduce_above the rows above
+    it too (Gauss-Jordan).  Returns the pivot columns and the ints num, den
+    with det(input) = num * prod(pivot entries) / den when the input is
+    square of full rank."""
     pivots: list[int] = []
+    num = den = 1
+    m = len(rows)
     r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
+    for col in range(len(rows[0]) if rows else 0):
+        for pivot_row in range(r, m):
+            if rows[pivot_row][col]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [c * inv for c in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col] != 0:
-                factor = row[col]
-                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            num = -num
+        prow = rows[r]
+        p = prow[col]
+        for i in range(0 if reduce_above else r + 1, m):
+            row = rows[i]
+            f = row[col]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [a // g for a in new]
+                    num *= g
+                den *= p
+                rows[i] = new
         pivots.append(col)
         r += 1
-        if r == len(rows):
+        if r == m:
             break
-    return rows, pivots
+    return pivots, num, den
+
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    Entries may be Fraction or int; every output entry is a Fraction."""
+    # each row times the lcm of its denominators
+    rows = [integer_numerators(row)[0] for row in matrix]
+    pivots, _, _ = _eliminate(rows, reduce_above=True)
+    zero = Fraction(0)
+    out = [[Fraction(c, row[col]) if c else zero for c in row]
+           for row, col in zip(rows, pivots)]
+    ncols = len(rows[0]) if rows else 0
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
+
+
+def integer_determinant(rows: list[list[int]]) -> int:
+    """Exact determinant of a square int matrix; the rows are overwritten."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    pivots, num, den = _eliminate(rows, reduce_above=False)
+    if len(pivots) < len(rows):
+        return 0
+    return num * prod(row[col] for row, col in zip(rows, pivots)) // den
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:

@@ -46,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, TridiagSpec, format_rational, parse_rational, tridiag_minor_det
+from .algebra import (Poly, TridiagSpec, format_rational, horner, integer_numerators,
+                      parse_rational, tridiag_minor_det)
 from .errors import InvariantError, ParseError
-from .symbolic import BracketTable, MultiPoly
+from .symbolic import BracketTable, MultiPoly, integer_determinant
 
 # ---------------------------------------------------------------------------
 # phase points
@@ -325,16 +326,33 @@ def toda_integrals_symbolic(n: int) -> list[MultiPoly]:
 
 
 def char_poly(point: TodaPoint) -> Poly:
-    """K(x) with det(x Id - L(h)) = -h - 1/h + K(x)/2, asserted exactly."""
+    """K(x) with det(x Id - L(h)) = -h - 1/h + K(x)/2, asserted exactly.
+
+    K is read off tridiagonal minors.  The check is independent of them:
+    h det(x Id - L(h)) is a polynomial of degree <= 2 in h and <= n in x
+    (h^-1 and h sit in one entry each), so agreeing with -h^2 - 1 + h K(x)/2
+    at x = 0..n and h = 1, -1, 2, each determinant found by exact
+    elimination, proves the identity."""
     n = point.n
     spec = toda_tridiag(point)
-    delta = tridiag_minor_det(spec)
-    delta_1n = tridiag_minor_det(spec, [1, n])
-    half_k = delta - point.a[n - 1] * delta_1n
-    det = _charpoly_det(point)
-    expected = HLaurent({-1: Poly([Fraction(-1)]), 1: Poly([Fraction(-1)]), 0: half_k})
-    if det != expected:
-        raise InvariantError("char-poly", "h-expansion of det(x Id - L) is off")
+    half_k = tridiag_minor_det(spec)
+    if n > 1:  # at n = 1 both corners share the one entry, and no term pairs them
+        half_k = half_k - point.a[n - 1] * tridiag_minor_det(spec, [1, n])
+    k_nums, k_den = integer_numerators(half_k.coeffs)  # K/2 = k_nums(x) / k_den
+    lax = [entry.parts for row in lax_matrix(point) for entry in row]
+    for h in (1, -1, 2):
+        h_power = {-1: Fraction(1, h), 0: 1, 1: h}
+        # -D L(h) with integer entries
+        flat, D = integer_numerators([-sum(v * h_power[k] for k, v in parts.items())
+                                      for parts in lax])
+        for x in range(n + 1):
+            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+            for i in range(n):
+                rows[i][i] += D * x
+            det = integer_determinant(rows)
+            # det(D (x Id - L(h))) = D^n (K(x)/2 - h - 1/h), times k_den h
+            if det * k_den * h != D ** n * (horner(k_nums, x)[1] * h - (h * h + 1) * k_den):
+                raise InvariantError("char-poly", f"det(x Id - L(h)) is off at x = {x}, h = {h}")
     return 2 * half_k
 
 
@@ -345,45 +363,6 @@ def toda_tridiag(point: TodaPoint) -> TridiagSpec:
     sup = [-ai for ai in point.a[:-1]]
     sub = [Fraction(-1)] * (point.n - 1)
     return TridiagSpec.build(diag, sup, sub)
-
-
-def _charpoly_det(point: TodaPoint) -> HLaurent:
-    """det(x Id - L(h)) by sparse Laplace expansion (entries h-Laurent
-    polynomials in x); independent of the tridiagonal-minor route."""
-    n = point.n
-    L = lax_matrix(point)
-    M = [[HLaurent() for _ in range(n)] for _ in range(n)]
-    x = Poly([Fraction(0), Fraction(1)])
-    for i in range(n):
-        for j in range(n):
-            entry = HLaurent()
-            entry.parts = {k: -Poly([v]) if not isinstance(v, Poly) else -v
-                           for k, v in L[i][j].parts.items()}
-            if i == j:
-                entry = entry + HLaurent.of(x)
-            M[i][j] = entry
-
-    cols_used = [False] * n
-
-    def expand(row: int) -> HLaurent:
-        if row == n:
-            return HLaurent.of(Poly([Fraction(1)]))
-        acc = HLaurent()
-        sign = 1
-        for col in range(n):
-            if cols_used[col]:
-                continue
-            entry = M[row][col]
-            if not entry.is_zero():
-                cols_used[col] = True
-                sub = expand(row + 1)
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-                cols_used[col] = False
-            sign = -sign
-        return acc
-
-    return expand(0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +403,8 @@ def toda_bracket(kind: str, i: int, j: int, which: str, point: TodaPoint | KMPoi
 
 def toda_bracket_table(kind: str, n: int) -> BracketTable:
     """Symbolic coordinate table of a lattice bracket."""
+    if n < 1:
+        raise InvariantError("size", "a lattice needs n >= 1")
     if kind == "km":
         names = [f"a{i}" for i in range(1, n + 1)]
         a = MultiPoly.variables(n)

@@ -374,6 +374,44 @@ def test_series_shift_truncate_zero():
     assert zero.known_zero() and zero == 0
 
 
+@st.composite
+def series(draw):
+    """A Laurent series, exact or known through a window past its terms."""
+    lo = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.one_of(st.just(0), wide_ints, st.fractions(max_denominator=60)),
+                           max_size=7))
+    hi = draw(st.one_of(st.none(), st.integers(0, 3).map(lambda k: lo + len(coeffs) - 1 + k)))
+    return LaurentSeries(lo, coeffs, hi)
+
+
+def _series_schoolbook(a, b):
+    """Reference product: its window (unknown terms of one factor meet the
+    other's leading exponent) and every coefficient in it, summed pairwise."""
+    if (a.known_zero() and a.hi is None) or (b.known_zero() and b.hi is None):
+        return None, {}
+    bounds = [h + other.leading_exponent() for h, other in ((a.hi, b), (b.hi, a))
+              if h is not None]
+    hi = min(bounds) if bounds else None
+    top = hi if hi is not None else a.lo + len(a.coeffs) + b.lo + len(b.coeffs) - 2
+    return hi, {e: sum((a.coefficient(i) * b.coefficient(e - i)
+                        for i in range(a.lo, a.lo + len(a.coeffs))), F(0))
+                for e in range(a.lo + b.lo, top + 1)}
+
+
+@given(series(), series())
+@settings(max_examples=100, deadline=None)
+def test_series_product_matches_schoolbook(a, b):
+    product = a * b
+    hi, expected = _series_schoolbook(a, b)
+    assert product.known_through() == hi
+    assert all(product.coefficient(e) == c for e, c in expected.items())
+    assert all(product.coefficient(e) == 0
+               for e in range(product.lo, product.lo + len(product.coeffs)) if e not in expected)
+    kinds = {type(c) for c in a.coeffs + b.coeffs}
+    if kinds:
+        assert {type(c) for c in product.coeffs} <= (kinds if len(kinds) == 1 else {F, int})
+
+
 def test_divrem_of_int_polys_stays_exact():
     q, r = Poly([3, 0, 1]).divrem(Poly([2, 2]))
     assert (q, r) == (Poly([F(-1, 2), F(1, 2)]), Poly([4]))

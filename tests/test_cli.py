@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from prymlab.algebra import Poly
 from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from prymlab.mumford import EVEN_MUMFORD, FLAVORS, mumford_bracket_table
+from prymlab.painleve import MAX_N
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "prymlab" / "schemas"
 
@@ -224,6 +225,23 @@ def test_bracket_genus_zero_and_negative(capsys):
     assert json.loads(out)["error"]["invariant"] == "genus"
 
 
+@pytest.mark.parametrize("space, n", [("toda-linear", "-1"), ("toda-quadratic", "0"),
+                                      ("km", "0")])
+def test_bracket_on_empty_lattice_exits_invariant(capsys, space, n):
+    code, out = run_cli(capsys, "bracket", "--space", space, "--n", n)
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == "size"
+
+
+@pytest.mark.parametrize("argv", [("sigma", "25"), ("indicial", "25"),
+                                  ("kowalevski", "25", "--A", "1,2"),
+                                  ("balance", "25", "--A", "1,2")])
+def test_painleve_size_bound_exits_invariant(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == "size"
+
+
 @pytest.mark.parametrize("params", ["[1,2]", "3", '"a"', "null"])
 def test_balance_params_must_be_an_object(capsys, params):
     code, out = run_cli(capsys, "balance", "4", "--A", "1,2", "--params", params)
@@ -323,11 +341,18 @@ _flow_argv = st.tuples(
         lambda t: ["--t", repr(t)]),
     st.one_of(st.floats(0.05, 1), st.sampled_from([0.0, -0.1, math.nan, math.inf])).map(
         lambda h: ["--step", repr(h)]))
+# the Painleve commands: small lattices, and one size just above the bound
+_painleve_sizes = st.one_of(st.integers(-2, 9), st.just(MAX_N + 1)).map(lambda n: [str(n)])
+_cells = st.lists(st.integers(-1, 10), max_size=4).map(lambda A: ["--A", ",".join(map(str, A))])
+_sigma_argv = st.tuples(st.sampled_from([["sigma"], ["indicial"]]), _painleve_sizes)
+_kowalevski_argv = st.tuples(st.just(["kowalevski"]), _painleve_sizes, _cells)
+_example5_argv = st.tuples(
+    st.just(["example5"]), _rational_text.map(lambda k: ["--k", k]),
+    _rational_text.map(lambda l: ["--l", l]), _option("--beta", _rational_text),
+    _option("--delta", _rational_text), _option("--order", st.integers(-1, 3)))
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(_bracket_argv, _balance_argv, _flow_argv))
-def test_every_argv_exits_with_a_json_verdict(parts):
+def _assert_json_verdict(parts):
     argv = [arg for part in parts for arg in part]
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = main(argv)
@@ -335,3 +360,15 @@ def test_every_argv_exits_with_a_json_verdict(parts):
     assert code in (EXIT_OK, EXIT_INVARIANT, EXIT_INPUT), argv
     payload = json.loads(out)
     assert (code == EXIT_OK) != ("error" in payload), argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_bracket_argv, _balance_argv, _flow_argv))
+def test_every_argv_exits_with_a_json_verdict(parts):
+    _assert_json_verdict(parts)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_sigma_argv, _kowalevski_argv, _example5_argv))
+def test_every_painleve_argv_exits_with_a_json_verdict(parts):
+    _assert_json_verdict(parts)

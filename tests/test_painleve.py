@@ -2,11 +2,14 @@
 
 from fractions import Fraction as F
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import fraction_rref
 
 from prymlab.errors import InvariantError, ResonanceError
-from prymlab.painleve import (Balance, c_block, c_block_triangularization,
+from prymlab.painleve import (MAX_N, Balance, c_block, c_block_triangularization,
                               cyclic_runs, free_slots, in_sigma,
                               indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance,
@@ -30,6 +33,21 @@ def test_sigma_small_counts():
 @pytest.mark.parametrize("n", list(range(2, 17)))
 def test_sigma_matches_brute_force(n):
     assert sigma_enum(n) == sigma_enum_brute(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: sigma_enum(n), lambda n: indicial_solutions(n),
+    lambda n: make_balance(n, (1, 2)), lambda n: kowalevski(n, (1, 2))])
+def test_painleve_size_bound_is_checked_first(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantError) as err:
+            call(MAX_N + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.invariant == "size"
+    assert peak < 100_000  # nothing of size |Sigma_n| or n^2 was built
 
 
 def test_cyclic_runs():
@@ -213,3 +231,38 @@ def test_kowalevski_matrix_entries():
     M = kowalevski_matrix(balance)
     assert M[0][1] == 1 and M[0][4] == -1  # alpha_1 = -1 row
     assert M[2][2] == 2 and M[3][3] == 1 and M[4][4] == 2
+
+
+def _solve_balance(balance, params, order):
+    """In-test Laurent recursion: schoolbook right-hand sides, each order
+    solved by Fraction Gauss-Jordan, free columns set from params."""
+    n = balance.n
+    M = kowalevski_matrix(balance)
+    coeffs = [list(balance.alpha)]
+    for k in range(1, order + 1):
+        rhs = [sum((coeffs[j][i] * (coeffs[k - j][(i - 1) % n] - coeffs[k - j][(i + 1) % n])
+                    for j in range(1, k)), F(0)) for i in range(n)]
+        system = [[F(k if i == j else 0) - M[i][j] for j in range(n)] + [rhs[i]]
+                  for i in range(n)]
+        reduced, pivots = fraction_rref(system)
+        assert n not in pivots
+        vec = [params[slot_name(j + 1, k)] if j not in pivots else None for j in range(n)]
+        for row, col in zip(reduced, pivots):
+            vec[col] = row[n] - sum(row[j] * vec[j] for j in range(n) if j not in pivots)
+        coeffs.append(vec)
+    return coeffs
+
+
+def test_laurent_balance_matches_in_test_solve_on_sigma6(rng):
+    order = 9
+    for balance in indicial_solutions(6):
+        params = {name: F(rng.randint(-9, 9), rng.randint(1, 7))
+                  for name in free_slots(6, balance, order)}
+        series = laurent_balance(6, balance, params, order)
+        expected = _solve_balance(balance, params, order)
+        for i, s in enumerate(series):
+            assert [s.coefficient(k - 1) for k in range(order + 1)] \
+                == [expected[k][i] for k in range(order + 1)]
+            assert all(type(c) is F for c in s.coeffs)
+        for r in km_residual(series):
+            assert r.known_through() == order - 2 and r.is_zero_through(order - 2)

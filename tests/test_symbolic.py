@@ -1,11 +1,15 @@
 """Multivariate polynomials, exact linear algebra and bracket tables."""
 
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from conftest import fraction_rref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prymlab.symbolic import (BracketTable, MultiPoly, matrix_rank, rref,
-                              solve_affine)
+from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, matrix_rank,
+                              rref, solve_affine)
 
 
 def test_multipoly_arithmetic():
@@ -73,3 +77,100 @@ def test_bracket_table_detects_broken_jacobi():
     good = BracketTable(["x", "y", "z"],
                         [[zero, z, -y], [-z, zero, x], [y, -x, zero]])
     assert good.jacobi_holds()
+
+
+# ---------------------------------------------------------------------------
+# fraction-free kernels against schoolbook Fraction oracles
+# ---------------------------------------------------------------------------
+
+small_ints = st.integers(-6, 6)
+entries = st.one_of(st.just(0), small_ints, st.fractions(max_denominator=12),
+                    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**9)))
+
+
+@st.composite
+def matrices(draw):
+    """Empty, 0 x n, zero, dependent, int-only and mixed rows."""
+    ncols = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["mixed", "int", "fraction"]))
+    entry = {"mixed": entries, "int": small_ints,
+             "fraction": st.fractions(max_denominator=30)}[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    extra = draw(st.sampled_from(["none", "zero", "dependent"]))
+    if extra == "zero":
+        rows.append([0] * ncols)
+    elif extra == "dependent" and rows:
+        c = draw(st.fractions(max_denominator=5))
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(matrix):
+    reduced, pivots = rref(matrix)
+    expected, expected_pivots = fraction_rref(matrix)
+    assert reduced == expected and pivots == expected_pivots
+    assert all(type(c) is F for row in reduced for c in row)
+
+
+def _leibniz(matrix):
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_integer_determinant_matches_leibniz(matrix):
+    expected = _leibniz(matrix)
+    got = integer_determinant([list(row) for row in matrix])
+    assert got == expected and type(got) is int
+
+
+def test_integer_determinant_singular_and_shape():
+    assert integer_determinant([[1, 2], [2, 4]]) == 0
+    assert integer_determinant([]) == 1
+    with pytest.raises(ValueError):
+        integer_determinant([[1, 2]])
+
+
+def _dict_product(p, q):
+    """Reference product: Fraction products summed term by term."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, F(0)) + F(c1) * F(c2)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+@st.composite
+def multipolys(draw, nvars):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), entries, max_size=5))
+    return MultiPoly(nvars, terms)
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(multipolys(n), multipolys(n))))
+@settings(max_examples=100, deadline=None)
+def test_multipoly_product_matches_fraction_dict_product(factors):
+    p, q = factors
+    for a, b in ((p, q), (p, p), (p, MultiPoly(p.nvars)), (p + q, p - q)):
+        product = a * b
+        assert product.terms == _dict_product(a.terms, b.terms)
+        assert all(type(c) is F and c != 0 for c in product.terms.values())
+
+
+def test_multipoly_product_cancels_terms():
+    x, y = MultiPoly.variables(2)
+    product = (x * F(1, 2) + y * F(1, 3)) * (x * F(1, 2) - y * F(1, 3))
+    assert product.terms == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+    assert (MultiPoly.const(0, F(2, 3)) * 3).terms == {(): F(2)}

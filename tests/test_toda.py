@@ -110,6 +110,55 @@ def test_char_poly_km5_spectral_curve(rng):
     assert char_poly(p.embed()) == Poly([0, 2 * L, 0, -2 * K, 0, 2])
 
 
+def _x_minus_lax(point):
+    """x Id - L(h) with HLaurent entries over Poly in x."""
+    x = Poly([F(0), F(1)])
+    lax = lax_matrix(point)
+    return [[HLaurent({k: Poly([-v]) for k, v in entry.parts.items()})
+             + (HLaurent.of(x) if i == j else HLaurent())
+             for j, entry in enumerate(row)] for i, row in enumerate(lax)]
+
+
+@pytest.mark.parametrize("point", [TodaPoint((F(1),), (F(3),)),
+                                   TodaPoint((F(2), F(1, 2)), (F(1), F(-1, 3)))])
+def test_char_poly_degree_bound_at_small_n(point):
+    """At n = 1 both h corners share one entry; the grid check still needs
+    h det(x Id - L(h)) of degree <= 2 in h and <= n in x."""
+    M = _x_minus_lax(point)
+    det = M[0][0] if point.n == 1 else M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    assert set(det.parts) <= {-1, 0, 1}
+    assert all(v.degree <= point.n for v in det.parts.values())
+    half_k = Poly([c / 2 for c in char_poly(point).coeffs])
+    assert det == HLaurent({-1: Poly([F(-1)]), 1: Poly([F(-1)]), 0: half_k})
+
+
+def test_char_poly_check_catches_a_wrong_k(monkeypatch, rng):
+    point = toda_point(rng, 5)
+    exact = tridiag_minor_det
+    monkeypatch.setattr(toda, "tridiag_minor_det",
+                        lambda spec, removed=(): exact(spec, removed) + Poly([F(0), F(1, 7)]))
+    with pytest.raises(InvariantError) as err:
+        char_poly(point)
+    assert err.value.invariant == "char-poly"
+
+
+def test_char_poly_check_sees_the_h_profile(monkeypatch, rng):
+    """Moving h^-1 to h in the corner changes nothing at h = 1; only the
+    other grid values of h can see it."""
+    point = toda_point(rng, 5)
+    exact = lax_matrix
+
+    def moved(p, values=None):
+        L = exact(p, values)
+        L[0][p.n - 1] = L[0][p.n - 1] - HLaurent({-1: F(1)}) + HLaurent({1: F(1)})
+        return L
+
+    monkeypatch.setattr(toda, "lax_matrix", moved)
+    with pytest.raises(InvariantError) as err:
+        char_poly(point)
+    assert err.value.invariant == "char-poly"
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------
@@ -344,3 +393,11 @@ def test_toda_tridiag_matches_names(rng):
     spec = toda_tridiag(p)
     assert tridiag_minor_det(spec, [1, 2, 3]) == Poly([F(1)])
     assert toda_coordinate_names(2) == ["a1", "a2", "b1", "b2"]
+
+
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "km"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_bracket_table_rejects_empty_lattice(kind, n):
+    with pytest.raises(InvariantError) as err:
+        toda_bracket_table(kind, n)
+    assert err.value.invariant == "size"
