@@ -53,7 +53,7 @@ from .algebra import (BiPoly, Poly, TridiagSpec, divided_difference,
                       format_poly, pr_split_from, tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
-                      _lift_phi, _read_slots, phase_coordinates,
+                      _lift_phi, _read_slots, check_table_genus, phase_coordinates,
                       table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 from .toda import TodaPoint, toda_tridiag
@@ -249,7 +249,14 @@ def quad_bracket_generators(g: int, phi: Poly) -> dict:
     }
 
 
+# The largest genus of a quadratic-family table.  Its entries are quadratic
+# in the coordinates, so its cost grows much faster with g than that of the
+# linear tables (mumford.MAX_GENUS).
+MAX_QUAD_GENUS = 4
+
+
 def quad_mumford_table(g: int, phi: Poly) -> BracketTable:
+    check_table_genus(g, MAX_QUAD_GENUS, "the genus of a quadratic-family table")
     coords = phase_coordinates(EVEN_MUMFORD, g)
     return table_from_generators(coords, quad_bracket_generators(g, phi))
 

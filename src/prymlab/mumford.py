@@ -54,6 +54,17 @@ MUMFORD_FLAVORS = (ODD_MUMFORD, EVEN_MUMFORD)
 PRYM_FLAVORS = (ODD_PRYM, EVEN_PRYM)
 FLAVORS = MUMFORD_FLAVORS + PRYM_FLAVORS
 
+# The largest genus a Mumford bracket table accepts; a table has up to
+# (3g + 2)^2 polynomial entries.
+MAX_GENUS = 24
+
+
+def check_table_genus(g: int, bound: int, what: str) -> None:
+    """InvariantError("genus") unless 0 <= g <= bound; bracket tables call
+    it before they build anything."""
+    if not 0 <= g <= bound:
+        raise InvariantError("genus", f"{what} must lie in 0..{bound}, got {g}")
+
 
 def _require(cond: bool, invariant: str, message: str) -> None:
     if not cond:
@@ -331,6 +342,7 @@ def table_from_generators(coords: CoordSystem, generators: dict) -> BracketTable
 
 def mumford_bracket_table(flavor: str, g: int, phi: Poly) -> BracketTable:
     """Exact coordinate table of the bracket {.,.}^phi on a Mumford space."""
+    check_table_genus(g, MAX_GENUS, "the genus of a Mumford bracket table")
     coords = phase_coordinates(flavor, g)
     return table_from_generators(coords, bracket_generators(flavor, g, phi))
 

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .algebra import LaurentSeries, format_rational, rational_dot
 from .errors import InvariantError, ResonanceError
-from .symbolic import solve_affine
+from .symbolic import pivot_columns, solve_affine
 
 # The largest lattice the Painleve analysis accepts.  |Sigma_n| grows like
 # the golden ratio to the n (15 126 sets at n = 20, about 1.3e6 at n = 30,
@@ -324,11 +324,12 @@ def _shifted_systems(balance: Balance, through_order: int):
 
 
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
-    """Names of the free coefficients the recursion leaves open, in order."""
+    """Names of the free coefficients the recursion leaves open, in order:
+    the non-pivot columns of each k Id - M."""
     names = []
     for k, system in _shifted_systems(balance, through_order):
-        sol = solve_affine(system, [0] * n)
-        names.extend(slot_name(c + 1, k) for c in sol.free_columns)
+        pivots = pivot_columns(system)
+        names.extend(slot_name(c + 1, k) for c in range(n) if c not in pivots)
     return names
 
 

@@ -38,9 +38,9 @@ from fractions import Fraction
 
 from .algebra import BiPoly, Poly, exact_divide_x2_minus_xp2, horner
 from .errors import InvariantError
-from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
-                      _lift_phi, _padded, flow_values, mumford_bracket_table,
-                      phase_coordinates)
+from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, MumfordTriple,
+                      _lift_phi, _padded, check_table_genus, flow_values,
+                      mumford_bracket_table, phase_coordinates)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,14 @@ def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
     }
 
 
+# The largest prym index a prym bracket table accepts: the ambient Mumford
+# space of either flavor (genus 2n or 2n + 1) stays within MAX_GENUS.
+MAX_PRYM_INDEX = (MAX_GENUS - 1) // 2
+
+
 def prym_bracket_table(flavor: str, n: int, phi: Poly) -> BracketTable:
     """Closed-form reduced bracket table on a prym phase space."""
+    check_table_genus(n, MAX_PRYM_INDEX, "the prym index of a prym bracket table")
     from .mumford import table_from_generators
     coords = phase_coordinates(flavor, n)
     return table_from_generators(coords, prym_bracket_generators(flavor, n, phi))

@@ -13,16 +13,17 @@ and variable counts stay small everywhere in this package.
 
 The exact kernels keep Fraction out of their inner loops: a MultiPoly
 product convolves integer numerators over one common denominator per
-factor, and `rref` eliminates on integer rows (each row scaled by the
-lcm of its denominators, kept primitive by its content gcd).  Both build
-one Fraction per output entry at the end.
+factor, `rref` eliminates on integer rows (each row scaled by the lcm of
+its denominators, kept primitive by its content gcd), and the Jacobi
+check works on integer numerators with packed exponents (_PackedTable).
+They build one Fraction per output entry at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -299,8 +300,14 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return num * prod(row[col] for row, col in zip(rows, pivots)) // den
 
 
+def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
+    """The pivot columns of the rref of a Fraction/int matrix, read off a
+    forward integer elimination (no back substitution, no Fraction)."""
+    return _eliminate([integer_numerators(row)[0] for row in matrix], reduce_above=False)[0]
+
+
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(matrix)[1])
+    return len(pivot_columns(matrix))
 
 
 @dataclass
@@ -379,21 +386,16 @@ class BracketTable:
 
     def jacobiator(self, i: int, j: int, k: int) -> MultiPoly:
         """{{c_i,c_j},c_k} + {{c_j,c_k},c_i} + {{c_k,c_i},c_j} as MultiPoly."""
-        acc = MultiPoly(self.entries[0][0].nvars)
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.entries[a][b]
-            for l in range(self.dim):
-                d = inner.diff(l)
-                if not d.is_zero():
-                    acc = acc + d * self.entries[l][c]
-        return acc
+        view = _PackedTable(self.entries)
+        return view.unpack(*view.jacobiator(i, j, k))
 
     def jacobi_holds(self) -> bool:
+        view = _PackedTable(self.entries)
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    if not self.jacobiator(i, j, k).is_zero():
+                    if any(view.jacobiator(i, j, k)[0].values()):
                         return False
         return True
 
@@ -433,6 +435,74 @@ class BracketTable:
 
     def __repr__(self) -> str:
         return f"BracketTable({self.names})"
+
+
+class _PackedTable:
+    """Integer view of a bracket table for the Jacobi kernel.
+
+    Entry (a, b) becomes parallel lists of packed exponent keys and integer
+    numerators over one denominator.  A key holds exponent e_l in the bit
+    field bits*l .. bits*(l+1) - 1, wide enough for 2 maxdeg, so adding the
+    keys of a gradient and an entry adds their exponents without carrying
+    into the next field.  Built per call and never stored on the table,
+    whose entries may change."""
+
+    def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
+        self.dim = len(entries)
+        self.nvars = entries[0][0].nvars if entries else 0
+        maxdeg = max((max(expo, default=0) for row in entries for entry in row
+                      for expo in entry.terms), default=0)
+        self.bits = (2 * maxdeg + 1).bit_length()
+        self.shifts = [self.bits * l for l in range(self.nvars)]
+        self.rows = [[self._pack(entry) for entry in row] for row in entries]
+
+    def _pack(self, entry: MultiPoly) -> tuple:
+        nums, den = integer_numerators(entry.terms.values())
+        keys = [sum(e << s for e, s in zip(expo, self.shifts)) for expo in entry.terms]
+        return list(entry.terms), keys, nums, den
+
+    def unpack(self, acc: dict, den: int) -> MultiPoly:
+        mask = (1 << self.bits) - 1
+        out = MultiPoly(self.nvars)
+        out.terms = {tuple((key >> s) & mask for s in self.shifts): Fraction(c, den)
+                     for key, c in acc.items() if c}
+        return out
+
+    def gradient(self, a: int, b: int) -> dict:
+        """{l: (keys, numerators)} for every nonzero d/dc_l of entry (a, b),
+        l < dim, over the entry's denominator: d/dc_l takes one from field l
+        of each key with e_l > 0 and multiplies its numerator by e_l."""
+        expos, keys, nums, _ = self.rows[a][b]
+        grad: dict = {}
+        for expo, key, num in zip(expos, keys, nums):
+            for l, e in enumerate(expo[:self.dim]):
+                if e:
+                    dkeys, dnums = grad.setdefault(l, ([], []))
+                    dkeys.append(key - (1 << self.shifts[l]))
+                    dnums.append(num * e)
+        return grad
+
+    def jacobiator(self, i: int, j: int, k: int) -> tuple[dict, int]:
+        """The jacobiator of (i, j, k) as {packed key: numerator} over one
+        denominator, the lcm of the denominators of its d*e products."""
+        products = []
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            dg = self.rows[a][b][3]
+            for l, (dkeys, dnums) in self.gradient(a, b).items():
+                _, ekeys, enums, de = self.rows[l][c]
+                if ekeys:
+                    products.append((dkeys, dnums, ekeys, enums, dg * de))
+        den = lcm(*[p[4] for p in products])
+        acc: dict = {}
+        get = acc.get
+        for dkeys, dnums, ekeys, enums, d in products:
+            scale = den // d
+            for k1, n1 in zip(dkeys, dnums):
+                n1 *= scale
+                for k2, n2 in zip(ekeys, enums):
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + n1 * n2
+        return acc, den
 
 
 def coordinate_poly(coeff_slots: Sequence[int | None], nvars: int,

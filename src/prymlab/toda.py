@@ -49,6 +49,7 @@ from fractions import Fraction
 from .algebra import (Poly, TridiagSpec, format_rational, horner, integer_numerators,
                       parse_rational, tridiag_minor_det)
 from .errors import InvariantError, ParseError
+from .painleve import MAX_N
 from .symbolic import BracketTable, MultiPoly, integer_determinant
 
 # ---------------------------------------------------------------------------
@@ -402,9 +403,10 @@ def toda_bracket(kind: str, i: int, j: int, which: str, point: TodaPoint | KMPoi
 
 
 def toda_bracket_table(kind: str, n: int) -> BracketTable:
-    """Symbolic coordinate table of a lattice bracket."""
-    if n < 1:
-        raise InvariantError("size", "a lattice needs n >= 1")
+    """Symbolic coordinate table of a lattice bracket, for 1 <= n <= MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise InvariantError("size",
+                             f"a lattice bracket table needs 1 <= n <= {MAX_N}, got n = {n}")
     if kind == "km":
         names = [f"a{i}" for i in range(1, n + 1)]
         a = MultiPoly.variables(n)

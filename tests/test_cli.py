@@ -13,8 +13,12 @@ from hypothesis import strategies as st
 
 from prymlab.algebra import Poly
 from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
-from prymlab.mumford import EVEN_MUMFORD, FLAVORS, mumford_bracket_table
+from prymlab.errors import InvariantError
+from prymlab.morphism import MAX_QUAD_GENUS, quad_mumford_table
+from prymlab.mumford import EVEN_MUMFORD, FLAVORS, MAX_GENUS, mumford_bracket_table
 from prymlab.painleve import MAX_N
+from prymlab.prym import MAX_PRYM_INDEX, prym_bracket_table
+from prymlab.toda import toda_bracket_table, toda_pencil_table
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "prymlab" / "schemas"
 
@@ -275,6 +279,52 @@ def test_lattice_size_is_checked_before_any_allocation(capsys):
         tracemalloc.stop()
     assert code == EXIT_INPUT
     assert peak < 4_000_000  # a default b of n entries would take 8 MB and more
+
+
+# every bracket table family, its bound and the invariant past the bound
+TABLE_BOUNDS = [
+    (lambda n: toda_bracket_table("quadratic", n), MAX_N, "size"),
+    (lambda n: toda_bracket_table("km", n), MAX_N, "size"),
+    (lambda n: toda_pencil_table(Poly([2, 3]), n), MAX_N, "size"),
+    (lambda g: mumford_bracket_table("odd-mumford", g, Poly([1])), MAX_GENUS, "genus"),
+    (lambda g: mumford_bracket_table(EVEN_MUMFORD, g, Poly([2, 3])), MAX_GENUS, "genus"),
+    (lambda n: prym_bracket_table("odd-prym", n, Poly([1])), MAX_PRYM_INDEX, "genus"),
+    (lambda n: prym_bracket_table("even-prym", n, Poly([0, 1])), MAX_PRYM_INDEX, "genus"),
+    (lambda g: quad_mumford_table(g, Poly([2, 3])), MAX_QUAD_GENUS, "genus"),
+]
+TABLE_IDS = ["toda-quadratic", "km", "toda-pencil", "odd-mumford", "even-mumford",
+             "odd-prym", "even-prym", "quad-mumford"]
+
+
+@pytest.mark.parametrize("build, bound, invariant", TABLE_BOUNDS, ids=TABLE_IDS)
+def test_bracket_table_bound_is_checked_first(build, bound, invariant):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantError) as err:
+            build(bound + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.invariant == invariant
+    assert peak < 100_000  # no coordinate system or table entry was built
+
+
+@pytest.mark.parametrize("build, bound, invariant", TABLE_BOUNDS, ids=TABLE_IDS)
+def test_bracket_table_accepts_its_bound(build, bound, invariant):
+    assert build(bound).dim > 0
+
+
+@pytest.mark.parametrize("argv, invariant", [
+    (("--space", "toda-quadratic", "--n", str(MAX_N + 1)), "size"),
+    (("--space", "km", "--n", str(MAX_N + 1)), "size"),
+    (("--space", "odd-mumford", "--g", str(MAX_GENUS + 1)), "genus"),
+    (("--space", "even-prym", "--n", str(MAX_PRYM_INDEX + 1), "--phi", "0,1"), "genus"),
+    (("--space", "quad-mumford", "--g", str(MAX_QUAD_GENUS + 1)), "genus"),
+])
+def test_bracket_size_bound_exits_invariant(capsys, argv, invariant):
+    code, out = run_cli(capsys, "bracket", *argv)
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["error"]["invariant"] == invariant
 
 
 @pytest.mark.parametrize("argv", [

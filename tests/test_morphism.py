@@ -168,6 +168,11 @@ def test_quad_table_antisymmetry_and_jacobi():
         quad_mumford_table(2, parse_poly("0,0,1"))
 
 
+@pytest.mark.parametrize("phi_text", ["1", "0,1", "2,3"])
+def test_quad_table_jacobi_at_genus_three(phi_text):
+    assert quad_mumford_table(3, parse_poly(phi_text)).jacobi_holds()
+
+
 def test_quad_bracket_with_p_displayed_formula():
     g = 2
     coords = phase_coordinates(EVEN_MUMFORD, g)

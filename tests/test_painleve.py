@@ -14,6 +14,7 @@ from prymlab.painleve import (MAX_N, Balance, c_block, c_block_triangularization
                               indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance,
                               sigma_enum, sigma_enum_brute, slot_name)
+from prymlab.symbolic import solve_affine
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
 
@@ -181,6 +182,26 @@ def test_free_slot_count_equals_nonneg_eigenvalues():
         for balance in indicial_solutions(n):
             assert len(free_slots(n, balance, 12)) \
                 == kowalevski(n, balance.A).nonneg_count
+
+
+def _solve_affine_free_slots(n, balance, through_order):
+    """Free slots from the free columns of a full solve of (k Id - M) x = 0."""
+    M = kowalevski_matrix(balance)
+    names = []
+    for k in range(1, through_order + 1):
+        system = [[(k if i == j else 0) - c for j, c in enumerate(row)]
+                  for i, row in enumerate(M)]
+        names.extend(slot_name(c + 1, k) for c in solve_affine(system, [0] * n).free_columns)
+    return names
+
+
+def test_free_slots_match_a_full_solve():
+    for n in range(3, 9):
+        for balance in indicial_solutions(n):
+            assert free_slots(n, balance, 12) == _solve_affine_free_slots(n, balance, 12)
+    # a hand-built balance with non-integral leading coefficients
+    bogus = Balance(4, (1, 2), (F(-1, 2), F(3, 2), F(0), F(0)), (1, 1, -1, 0))
+    assert free_slots(4, bogus, 6) == _solve_affine_free_slots(4, bogus, 6) == ["a4.1", "a3.2"]
 
 
 def test_general_n_first_consistency_ties_alphas():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, matrix_rank,
-                              rref, solve_affine)
+                              pivot_columns, rref, solve_affine)
 
 
 def test_multipoly_arithmetic():
@@ -111,6 +111,7 @@ def test_rref_matches_fraction_gauss_jordan(matrix):
     reduced, pivots = rref(matrix)
     expected, expected_pivots = fraction_rref(matrix)
     assert reduced == expected and pivots == expected_pivots
+    assert pivot_columns(matrix) == expected_pivots
     assert all(type(c) is F for row in reduced for c in row)
 
 
@@ -174,3 +175,104 @@ def test_multipoly_product_cancels_terms():
     product = (x * F(1, 2) + y * F(1, 3)) * (x * F(1, 2) - y * F(1, 3))
     assert product.terms == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
     assert (MultiPoly.const(0, F(2, 3)) * 3).terms == {(): F(2)}
+
+
+# ---------------------------------------------------------------------------
+# the packed integer Jacobi kernel against a Fraction-dict jacobiator
+# ---------------------------------------------------------------------------
+
+def _dict_jacobiator(table, i, j, k):
+    """Reference jacobiator: sum over the cyclic triples and l of
+    d{c_a, c_b}/dc_l * {c_l, c_c}, as Fraction dicts from MultiPoly.diff."""
+    out = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l in range(table.dim):
+            for e, coeff in _dict_product(table.entry(a, b).diff(l).terms,
+                                          table.entry(l, c).terms).items():
+                out[e] = out.get(e, F(0)) + coeff
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _assert_kernel_matches_oracle(table):
+    n = table.dim
+    holds = True
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                got = table.jacobiator(i, j, k)
+                expected = _dict_jacobiator(table, i, j, k)
+                assert got.terms == expected, (i, j, k)
+                assert got.nvars == table.entry(0, 0).nvars
+                assert all(type(c) is F and c != 0 for c in got.terms.values())
+                if i < j < k:  # the triples jacobi_holds checks
+                    holds = holds and not expected
+    assert table.jacobi_holds() == holds
+
+
+def _random_table(rng, nvars, maxexp, nterms=3):
+    """An nvars x nvars table of random polynomials: fractional, int and
+    constant coefficients, exponents up to maxexp; in general not Poisson."""
+    def poly():
+        terms = {}
+        for _ in range(rng.randrange(nterms + 1)):
+            expo = tuple(rng.randrange(maxexp + 1) if rng.random() < 0.6 else 0
+                         for _ in range(nvars))
+            terms[expo] = rng.choice([F(rng.randint(-9, 9)),
+                                      F(rng.randint(-9, 9), rng.randint(1, 12))])
+        return MultiPoly(nvars, terms)
+    entries = [[MultiPoly(nvars)] * nvars for _ in range(nvars)]
+    for a in range(nvars):
+        for b in range(a + 1, nvars):
+            p = poly()
+            entries[a][b], entries[b][a] = p, -p
+        entries[a][a] = poly() if rng.random() < 0.2 else MultiPoly(nvars)
+    return BracketTable([f"c{l}" for l in range(nvars)], entries)
+
+
+@pytest.mark.parametrize("nvars, maxexp", [(1, 7), (2, 1), (2, 7), (3, 2), (3, 3),
+                                           (3, 4), (4, 1), (4, 5)])
+def test_jacobiator_matches_fraction_oracle_on_perturbed_tables(rng, nvars, maxexp):
+    for _ in range(3):
+        _assert_kernel_matches_oracle(_random_table(rng, nvars, maxexp))
+
+
+def test_jacobiator_matches_fraction_oracle_on_poisson_tables():
+    from prymlab.algebra import parse_poly
+    from prymlab.morphism import quad_mumford_table
+    from prymlab.mumford import EVEN_MUMFORD, mumford_bracket_table
+    from prymlab.toda import toda_pencil_table
+    for table in (quad_mumford_table(1, parse_poly("2,3")),
+                  mumford_bracket_table(EVEN_MUMFORD, 1, parse_poly("1/2,-3")),
+                  toda_pencil_table(parse_poly("-1/3,5/2"), 2)):
+        _assert_kernel_matches_oracle(table)
+        entries = [list(row) for row in table.entries]
+        nvars = entries[0][0].nvars
+        bump = MultiPoly(nvars, {(0,) * (nvars - 1) + (3,): F(1, 7)})
+        entries[0][1] = entries[0][1] + bump
+        entries[1][0] = entries[1][0] - bump
+        _assert_kernel_matches_oracle(BracketTable(table.names, entries))
+
+
+def test_jacobiator_constant_and_empty_tables():
+    one, zero = MultiPoly.const(3, F(3, 5)), MultiPoly(3)
+    table = BracketTable(["x", "y", "z"], [[zero, one, -one], [-one, zero, one], [one, -one, zero]])
+    _assert_kernel_matches_oracle(table)
+    assert table.jacobiator(0, 1, 2).terms == {}
+    assert BracketTable([], []).jacobi_holds()
+
+
+@st.composite
+def bracket_tables(draw):
+    nvars = draw(st.integers(1, 3))
+    expo = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=9))
+    polys = st.builds(lambda t: MultiPoly(nvars, t),
+                      st.dictionaries(expo, coeff, max_size=3))
+    entries = [[draw(polys) for _ in range(nvars)] for _ in range(nvars)]
+    return BracketTable([f"c{l}" for l in range(nvars)], entries)
+
+
+@given(bracket_tables())
+@settings(max_examples=60, deadline=None)
+def test_jacobiator_matches_fraction_oracle_on_random_tables(table):
+    _assert_kernel_matches_oracle(table)
