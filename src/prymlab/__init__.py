@@ -26,7 +26,7 @@ from .painleve import (Balance, KowalevskiReport, indicial_solutions,
 from .prym import dirac_reduce, involution_j, prym_bracket_table, prym_flow
 from .symbolic import BracketTable, MultiPoly
 from .toda import (KMPoint, TodaPoint, char_poly, km_even_split, km_field,
-                   lax_matrix, toda_bracket, toda_flow, toda_integrals)
+                   toda_bracket, toda_flow, toda_integrals)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "divided_difference", "divisor_points", "example5_report",
     "incidence_data", "indicial_solutions", "integrate", "involution_j",
     "km_even_split", "km_field", "kowalevski", "laurent_balance",
-    "lax_matrix", "make_balance", "momentum", "mumford_bracket_table",
+    "make_balance", "momentum", "mumford_bracket_table",
     "mumford_flow", "parity_project", "parse_poly", "phi", "phi_inverse",
     "pr_split", "prym_bracket_table", "prym_flow", "quad_mumford_table",
     "quotient_curves", "sigma_enum", "spectral_data_5", "toda_bracket",

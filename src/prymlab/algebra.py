@@ -213,12 +213,6 @@ class Poly:
             raise ValueError("polynomial is not even")
         return Poly(self.coeffs[0::2])
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
-
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
@@ -322,14 +316,6 @@ def deflate(p: Poly, y) -> tuple[Poly, object]:
     """Synthetic division: p = (x - y) q + r with r scalar."""
     q, r = horner(p.coeffs, y)
     return Poly(q), r
-
-
-def exact_divide_linear(p: Poly, y) -> Poly:
-    """Divide by (x - y), insisting on zero remainder."""
-    q, r = deflate(p, y)
-    if not (r == 0):
-        raise ValueError("polynomial is not divisible by x - y")
-    return q
 
 
 # ---------------------------------------------------------------------------

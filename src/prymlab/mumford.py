@@ -413,17 +413,3 @@ def mumford_flow_symbolic(flavor: str, g: int, y: Fraction) -> list[MultiPoly]:
     coords = phase_coordinates(flavor, g)
     tangent = mumford_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, Fraction(y))
     return flow_values(flavor, g, *(Poly(p) for p in tangent))
-
-
-def flow_commutator_symbolic(flavor: str, g: int, y1: Fraction, y2: Fraction) -> list[MultiPoly]:
-    """[X_{y1}, X_{y2}] componentwise, as polynomials in the coordinates."""
-    X = mumford_flow_symbolic(flavor, g, y1)
-    Y = mumford_flow_symbolic(flavor, g, y2)
-    n = len(X)
-    out = []
-    for k in range(n):
-        acc = MultiPoly(X[0].nvars)
-        for l in range(n):
-            acc = acc + Y[k].diff(l) * X[l] - X[k].diff(l) * Y[l]
-        out.append(acc)
-    return out

@@ -21,7 +21,7 @@ from .errors import InvariantError
 from .mumford import (MUMFORD_FLAVORS, MumfordTriple, _coefficient_lists,
                       _read_slots, mumford_tangent, point_values)
 from .prym import prym_tangent
-from .toda import KMPoint, TodaPoint, hierarchy_commutator
+from .toda import KMPoint, TodaPoint, char_coeffs, hierarchy_commutator
 
 BLOWUP_GUARD = 1e12
 MAX_STEPS = 100_000  # every state is kept, so this also bounds the memory of a run
@@ -100,39 +100,13 @@ def _prym_rhs(state, flavor, n, y):
 # conserved quantities
 # ---------------------------------------------------------------------------
 
-def _char_coeffs_float(a, b):
-    """Coefficients of K(x) = 2(Delta - a_n Delta_{1,n}) in floats, via the
-    three-term minor recursion run in place on coefficient lists."""
-    n = len(a)
-
-    def block(lo, hi):  # determinant on 0-based indices lo..hi-1
-        prev2, prev = [], [1.0]
-        for k in range(lo, hi):
-            cur = [0.0] + prev
-            bk = b[k]
-            for j, c in enumerate(prev):
-                cur[j] -= bk * c
-            if prev2:
-                ak = a[k - 1]
-                for j, c in enumerate(prev2):
-                    cur[j] -= ak * c
-            prev2, prev = prev, cur
-        return prev
-
-    out = block(0, n)
-    an = a[n - 1]
-    for j, c in enumerate(block(1, n - 1)):
-        out[j] -= an * c
-    return [2.0 * c for c in out]
-
-
 def _lattice_invariants(state, n, km=False):
     a = state[:n]
     b = [0.0] * n if km else state[n:]
-    coeffs = _char_coeffs_float(a, b)
+    half_k = char_coeffs(a, b, 0.0)
     out = {}
     for j in range(n):
-        out[f"K{j}"] = coeffs[j]
+        out[f"K{j}"] = 2.0 * half_k[j]
     prod = 1.0
     for x in a:
         prod *= x

@@ -22,12 +22,12 @@ the Kowalevski matrix  M_ij = dF_i/da_j(alpha) + delta_ij:
 
 After rotating a run to the front, M is block upper triangular with
 tridiagonal blocks C_i of size 2 l_i on the runs (eigenvalues
-+-1..+-l_i, via the Vandermonde-type basis f_j = [1^{j-1},...,l^{j-1}])
-and diagonal blocks on the gaps with entries 1 - r_j; hence the spectrum
-is integral and the count of non-negative eigenvalues is n - #A/2, the
-number of free parameters of the Laurent family.  Free parameters enter
-the recursion exactly at the non-pivot columns of M - k I and are
-addressed by slot names "a<i>.<k>".
++-1..+-l_i) and diagonal blocks on the gaps with entries 1 - r_j; hence
+the spectrum is integral and the count of non-negative eigenvalues is
+n - #A/2, the number of free parameters of the Laurent family.  Every
+report proves its spectrum by exact determinants (check_spectrum).
+Free parameters enter the recursion exactly at the non-pivot columns of
+M - k I and are addressed by slot names "a<i>.<k>".
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from .algebra import LaurentSeries, format_rational, rational_dot
 from .errors import InvariantError, ResonanceError
-from .symbolic import pivot_columns, solve_affine
+from .symbolic import pivot_columns, shifted_determinants, solve_affine
 
 # The largest lattice the Painleve analysis accepts.  |Sigma_n| grows like
 # the golden ratio to the n (15 126 sets at n = 20, about 1.3e6 at n = 30,
@@ -220,6 +220,9 @@ class KowalevskiReport:
     spectrum: tuple         # sorted integer eigenvalues with multiplicity
     nonneg_count: int
 
+    def __post_init__(self):
+        check_spectrum(self.matrix, self.spectrum)
+
     def to_json(self) -> dict:
         return {"n": self.n, "A": list(self.A),
                 "alpha": [format_rational(x) for x in self.alpha],
@@ -243,12 +246,35 @@ def kowalevski_matrix(balance: Balance) -> list[list[Fraction]]:
     return M
 
 
+def check_spectrum(matrix, spectrum) -> None:
+    """Prove that the n x n rational `matrix` has the eigenvalues `spectrum`
+    (with multiplicity), or raise InvariantError("kowalevski-spectrum").
+
+    With D the common denominator of the entries, det(D (M - lam Id)) and
+    D^n prod(e_i - lam) are polynomials of degree n in lam; agreeing at
+    lam = 0..n, each determinant found by exact integer elimination, they
+    are equal."""
+    n = len(matrix)
+    if len(spectrum) != n:
+        raise InvariantError("kowalevski-spectrum",
+                             f"{len(spectrum)} eigenvalues for a {n} x {n} matrix")
+    dets, D = shifted_determinants(matrix, [-lam for lam in range(n + 1)])
+    for lam, det in enumerate(dets):
+        expected = D ** n
+        for e in spectrum:
+            expected *= e - lam
+        if det != expected:
+            raise InvariantError("kowalevski-spectrum",
+                                 f"det(M - lam Id) is not prod(e_i - lam) at lam = {lam}")
+
+
 def kowalevski(n: int, A: Iterable[int]) -> KowalevskiReport:
     """Exact structural spectrum of the Kowalevski matrix of a balance.
 
     The spectrum is read off the block decomposition: each run of order l
     contributes {-l..-1, 1..l}, each gap cell j contributes 1 - r_j; the
-    non-negative count is therefore n - ord A.
+    non-negative count is therefore n - ord A.  The report's constructor
+    proves the spectrum against the matrix (check_spectrum).
     """
     balance = make_balance(n, A)
     M = kowalevski_matrix(balance)
@@ -278,31 +304,6 @@ def c_block(l: int) -> list[list[Fraction]]:
     balance = make_balance(2 * l + 1, range(1, 2 * l + 1))
     M = kowalevski_matrix(balance)
     return [row[:2 * l] for row in M[:2 * l]]
-
-
-def c_block_triangularization(l: int) -> list[list[Fraction]]:
-    """Exact check data for the run-block spectrum: expresses the odd/even
-    interleaved half-block operator in the basis f_j = [1^{j-1},..,l^{j-1}];
-    returns that matrix, which must be upper triangular with diagonal
-    1, -2, 3, ..., (-1)^{l-1} l."""
-    C = c_block(l)
-    odd = [2 * k for k in range(l)]           # e_1, e_3, ... (0-based rows)
-    even = [2 * l - 1 - 2 * k for k in range(l)]  # e_{2l}, e_{2l-2}, ...
-    # in the reordered basis C = [[0, A], [A, 0]] with A the transpose of
-    # the operator Lambda that the f-basis triangularizes
-    Amat = [[C[r][c] for c in even] for r in odd]
-    Lam = [[Amat[j][i] for j in range(l)] for i in range(l)]
-    # pass to the f-basis: solve F X = Lambda F where F columns are f_j
-    F = [[Fraction(k + 1) ** j for j in range(l)] for k in range(l)]
-    AF = [[sum(Lam[r][k] * F[k][j] for k in range(l)) for j in range(l)]
-          for r in range(l)]
-    X = []
-    for j in range(l):
-        sol = solve_affine(F, [AF[r][j] for r in range(l)])
-        if not sol.consistent or sol.kernel_basis:
-            raise InvariantError("c-block", "f-basis is not a basis")
-        X.append(sol.particular)
-    return [[X[j][i] for j in range(l)] for i in range(l)]
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,21 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return num * prod(row[col] for row, col in zip(rows, pivots)) // den
 
 
+def shifted_determinants(matrix: Sequence[Sequence[Fraction]], shifts) -> tuple[list[int], int]:
+    """(dets, D) for a square Fraction/int matrix M: D is the lcm of its
+    denominators and dets[i] = det(D (M + shifts[i] Id)) for integer
+    shifts, each found by exact integer elimination."""
+    n = len(matrix)
+    flat, D = integer_numerators([c for row in matrix for c in row])
+    dets = []
+    for s in shifts:
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        for i in range(n):
+            rows[i][i] += D * s
+        dets.append(integer_determinant(rows))
+    return dets, D
+
+
 def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
     """The pivot columns of the rref of a Fraction/int matrix, read off a
     forward integer elimination (no back substitution, no Fraction)."""
@@ -390,6 +405,11 @@ class BracketTable:
         return view.unpack(*view.jacobiator(i, j, k))
 
     def jacobi_holds(self) -> bool:
+        """True iff the table is antisymmetric and every jacobiator with
+        i < j < k vanishes; for an antisymmetric table the jacobiator is
+        alternating, so those triples decide the Jacobi identity."""
+        if self.antisymmetry_defects():
+            return False
         view = _PackedTable(self.entries)
         n = self.dim
         for i in range(n):

@@ -47,10 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Poly, TridiagSpec, format_rational, horner, integer_numerators,
-                      parse_rational, tridiag_minor_det)
+                      parse_rational)
 from .errors import InvariantError, ParseError
 from .painleve import MAX_N
-from .symbolic import BracketTable, MultiPoly, integer_determinant
+from .symbolic import BracketTable, MultiPoly, shifted_determinants
 
 # ---------------------------------------------------------------------------
 # phase points
@@ -139,159 +139,40 @@ class KMPoint:
 
 
 # ---------------------------------------------------------------------------
-# h-Laurent matrices
-# ---------------------------------------------------------------------------
-
-class HLaurent:
-    """Finite Laurent polynomial in the spectral parameter h.
-
-    Values attached to each h-exponent may be Fractions, MultiPolys or
-    Polys in x; arithmetic is duck typed."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=None):
-        self.parts = {}
-        if parts:
-            for k, v in parts.items():
-                if not (v == 0):
-                    self.parts[k] = v
-
-    @classmethod
-    def of(cls, value) -> "HLaurent":
-        return cls({0: value})
-
-    def coefficient(self, k: int):
-        return self.parts.get(k, 0)
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def h_exponents(self) -> list[int]:
-        return sorted(self.parts)
-
-    def h_free(self) -> bool:
-        return set(self.parts) <= {0}
-
-    def __add__(self, other: "HLaurent") -> "HLaurent":
-        parts = dict(self.parts)
-        for k, v in other.parts.items():
-            acc = parts.get(k, 0) + v
-            if acc == 0:
-                parts.pop(k, None)
-            else:
-                parts[k] = acc
-        out = HLaurent()
-        out.parts = parts
-        return out
-
-    def __neg__(self) -> "HLaurent":
-        out = HLaurent()
-        out.parts = {k: -v for k, v in self.parts.items()}
-        return out
-
-    def __sub__(self, other: "HLaurent") -> "HLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "HLaurent") -> "HLaurent":
-        parts: dict = {}
-        for k1, v1 in self.parts.items():
-            for k2, v2 in other.parts.items():
-                k = k1 + k2
-                acc = parts.get(k, 0) + v1 * v2
-                if acc == 0:
-                    parts.pop(k, None)
-                else:
-                    parts[k] = acc
-        out = HLaurent()
-        out.parts = parts
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HLaurent):
-            return self.parts == other.parts
-        if other == 0:
-            return not self.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.parts.items()))
-
-    def __repr__(self) -> str:
-        return f"HLaurent({self.parts!r})"
-
-
-def lax_matrix(point: TodaPoint | KMPoint, values=None):
-    """The n x n Lax operator as a matrix of HLaurent scalars.
-
-    `values` may override the (a, b) entries (e.g. with MultiPoly
-    variables) while keeping the shape of the given point."""
-    if isinstance(point, KMPoint):
-        point = point.embed()
-    n = point.n
-    a, b = (values if values is not None else (point.a, point.b))
-    zero = HLaurent()
-    mat = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = HLaurent.of(b[i])
-        if i + 1 < n:
-            mat[i][i + 1] = HLaurent.of(a[i])
-            mat[i + 1][i] = HLaurent.of(Fraction(1))
-    mat[0][n - 1] = mat[0][n - 1] + HLaurent({-1: Fraction(1)})
-    mat[n - 1][0] = mat[n - 1][0] + HLaurent({1: a[n - 1]})
-    return mat
-
-
-def mat_mul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = HLaurent()
-            for k in range(n):
-                if A[i][k].is_zero() or B[k][j].is_zero():
-                    continue
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_trace(A) -> HLaurent:
-    acc = HLaurent()
-    for i in range(len(A)):
-        acc = acc + A[i][i]
-    return acc
-
-
-def _powers(L, top: int):
-    powers = [None, L]
-    for _ in range(2, top + 1):
-        powers.append(mat_mul(powers[-1], L))
-    return powers
-
-
-# ---------------------------------------------------------------------------
 # spectral invariants
 # ---------------------------------------------------------------------------
+
+def _lax_traces(a, b, zero) -> list[dict]:
+    """tr L(h)^k for k = 1..n, each as {h-exponent: value}, from powers of
+    the cyclic band L = {-1: ones, 0: b, 1: a} (see hierarchy_commutator).
+
+    A diagonal entry of a band power sits at an offset d = 0 mod n and
+    carries h^(d/n); for k <= n that is d = 0, and d = +-n at k = n."""
+    n = len(a)
+    L = {-1: [1] * n, 0: list(b), 1: list(a)}
+    power, out = L, []
+    for k in range(1, n + 1):
+        if k > 1:
+            power = _band_mul(power, L)
+        trace = {d // n: sum(v, zero) for d, v in power.items() if d % n == 0}
+        out.append({e: v for e, v in trace.items() if v != 0})
+    return out
+
 
 def toda_integrals(point: TodaPoint) -> list[Fraction]:
     """I_0..I_{n-1}; raises if any h-dependence survives (which would
     signal an implementation bug, not bad input)."""
     n = point.n
-    powers = _powers(lax_matrix(point), n)
+    traces = _lax_traces(point.a, point.b, Fraction(0))
     out = []
-    for i in range(n - 1):
-        tr = mat_trace(powers[i + 1])
-        if not tr.h_free():
-            raise InvariantError("h-free", f"tr L^{i + 1} kept h-terms {tr.h_exponents()}")
-        out.append(Fraction(tr.coefficient(0)) / (i + 1))
-    tr = mat_trace(powers[n])
-    top = {k: Fraction(v) / n for k, v in tr.parts.items()}
+    for k, tr in enumerate(traces[:-1], start=1):
+        if set(tr) - {0}:
+            raise InvariantError("h-free", f"tr L^{k} kept h-terms {sorted(tr)}")
+        out.append(tr.get(0, Fraction(0)) / k)
+    top = {e: v / n for e, v in traces[-1].items()}
     if not (top.get(1, 0) == 1 and top.get(-1, 0) == 1 and set(top) <= {-1, 0, 1}):
         raise InvariantError("h-free", f"tr L^n / n has h-profile {sorted(top)}")
-    out.append(Fraction(top.get(0, 0)))
+    out.append(top.get(0, Fraction(0)))
     return out
 
 
@@ -311,50 +192,77 @@ def toda_integrals_symbolic(n: int) -> list[MultiPoly]:
     phase space, which is harmless because prod a is a Casimir of the
     whole bracket pencil."""
     nv = 2 * n
-    a = [MultiPoly.var(nv, i) for i in range(n)]
-    b = [MultiPoly.var(nv, n + i) for i in range(n)]
-    dummy = TodaPoint((Fraction(1),) * n, (Fraction(0),) * n)
-    L = lax_matrix(dummy, values=(a, b))
-    powers = _powers(L, n)
-    out = []
-    for i in range(n):
-        tr = mat_trace(powers[i + 1])
-        coeff = tr.coefficient(0)
-        if isinstance(coeff, int):
-            coeff = MultiPoly.const(nv, coeff)
-        out.append(coeff * Fraction(1, i + 1))
+    x, zero = MultiPoly.variables(nv), MultiPoly(nv)
+    traces = _lax_traces(x[:n], x[n:], zero)
+    return [tr.get(0, zero) * Fraction(1, k) for k, tr in enumerate(traces, start=1)]
+
+
+def char_coeffs(a, b, zero) -> list:
+    """Ascending coefficients of K(x)/2 = Delta - a_n Delta_{1,n} over any
+    scalar ring with the given zero (Fraction, float).
+
+    Each minor comes from the three-term recurrence
+    D_k = (x - b_k) D_{k-1} - a_{k-1} D_{k-2}, run in place on coefficient
+    lists; at n = 1 both h corners share the one entry and the a_n term,
+    which has no permutation, is dropped."""
+    n = len(a)
+    one = zero + 1
+
+    def minor(lo, hi):  # determinant on 0-based indices lo..hi-1
+        prev2, prev = [], [one]
+        for k in range(lo, hi):
+            cur = [zero] + prev
+            bk = b[k]
+            for j, c in enumerate(prev):
+                cur[j] -= bk * c
+            if prev2:
+                ak = a[k - 1]
+                for j, c in enumerate(prev2):
+                    cur[j] -= ak * c
+            prev2, prev = prev, cur
+        return prev
+
+    out = minor(0, n)
+    if n > 1:
+        an = a[n - 1]
+        for j, c in enumerate(minor(1, n - 1)):
+            out[j] -= an * c
     return out
+
+
+def _lax_at(point: TodaPoint, h) -> list[list[Fraction]]:
+    """L(h) at a numeric h as a dense n x n matrix."""
+    n = point.n
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        L[i][i] = point.b[i]
+        if i + 1 < n:
+            L[i][i + 1] = point.a[i]
+            L[i + 1][i] = Fraction(1)
+    L[0][n - 1] += Fraction(1, h)
+    L[n - 1][0] += h * point.a[n - 1]
+    return L
 
 
 def char_poly(point: TodaPoint) -> Poly:
     """K(x) with det(x Id - L(h)) = -h - 1/h + K(x)/2, asserted exactly.
 
-    K is read off tridiagonal minors.  The check is independent of them:
-    h det(x Id - L(h)) is a polynomial of degree <= 2 in h and <= n in x
-    (h^-1 and h sit in one entry each), so agreeing with -h^2 - 1 + h K(x)/2
-    at x = 0..n and h = 1, -1, 2, each determinant found by exact
-    elimination, proves the identity."""
+    K is read off the minor recurrence (char_coeffs).  The check is
+    independent of it: h det(x Id - L(h)) is a polynomial of degree <= 2
+    in h and <= n in x (h^-1 and h sit in one entry each), so agreeing
+    with -h^2 - 1 + h K(x)/2 at x = 0..n and h = 1, -1, 2, each
+    determinant found by exact elimination, proves the identity."""
     n = point.n
-    spec = toda_tridiag(point)
-    half_k = tridiag_minor_det(spec)
-    if n > 1:  # at n = 1 both corners share the one entry, and no term pairs them
-        half_k = half_k - point.a[n - 1] * tridiag_minor_det(spec, [1, n])
-    k_nums, k_den = integer_numerators(half_k.coeffs)  # K/2 = k_nums(x) / k_den
-    lax = [entry.parts for row in lax_matrix(point) for entry in row]
+    half_k = char_coeffs(point.a, point.b, Fraction(0))
+    k_nums, k_den = integer_numerators(half_k)  # K/2 = k_nums(x) / k_den
     for h in (1, -1, 2):
-        h_power = {-1: Fraction(1, h), 0: 1, 1: h}
-        # -D L(h) with integer entries
-        flat, D = integer_numerators([-sum(v * h_power[k] for k, v in parts.items())
-                                      for parts in lax])
-        for x in range(n + 1):
-            rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-            for i in range(n):
-                rows[i][i] += D * x
-            det = integer_determinant(rows)
+        dets, D = shifted_determinants([[-v for v in row] for row in _lax_at(point, h)],
+                                       range(n + 1))
+        for x, det in enumerate(dets):
             # det(D (x Id - L(h))) = D^n (K(x)/2 - h - 1/h), times k_den h
             if det * k_den * h != D ** n * (horner(k_nums, x)[1] * h - (h * h + 1) * k_den):
                 raise InvariantError("char-poly", f"det(x Id - L(h)) is off at x = {x}, h = {h}")
-    return 2 * half_k
+    return Poly([2 * c for c in half_k])
 
 
 def toda_tridiag(point: TodaPoint) -> TridiagSpec:

@@ -3,9 +3,9 @@ line per check.  The checks live in prymlab.verify and are shared with the
 `prymlab verify` subcommand; run with `pytest -s` to see the lines inline.
 
 Tolerances are pinned here once and for all: exact (zero tolerance) for
-every algebraic identity, 1e-8 for the floating eigensolver cross-check
-and the conservation drift, [12, 20] for the step-halving ratio, and the
-stated runtime ceilings for the heavyweight suites.
+every algebraic identity, Kowalevski spectra included, 1e-8 for the
+conservation drift, [12, 20] for the step-halving ratio, and the stated
+runtime ceilings for the heavyweight suites.
 """
 
 import pytest
@@ -52,7 +52,7 @@ def test_criterion_05_reduction_agreement():
 
 def test_criterion_06_kowalevski_counts():
     # every admissible A for n <= 10; structural counts exact, spectra
-    # cross-checked against the floating eigensolver at 1e-8; < 60 s
+    # proven by exact determinants; < 60 s
     _run("kowalevski", budget=60.0)
 
 

@@ -4,13 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import prymlab
 from prymlab.algebra import Poly
 from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from prymlab.errors import InvariantError
@@ -127,6 +131,19 @@ def test_verify_subcommand_quick(capsys):
     payload = json.loads(out)
     assert payload["passed"]
     _validate(payload, "verify_report")
+
+
+def test_kowalevski_suite_runs_without_numpy():
+    # numpy is a test extra only; importing it anywhere in prymlab fails here
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from prymlab.cli import main\n"
+            "sys.exit(main(['verify', '--suite', 'kowalevski']))")
+    src = str(pathlib.Path(prymlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == EXIT_OK, result.stdout + result.stderr
+    assert json.loads(result.stdout)["passed"]
 
 
 def test_exit_code_invariant_violation(capsys):

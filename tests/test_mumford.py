@@ -8,13 +8,12 @@ from prymlab.algebra import BiPoly, Poly, divided_difference, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              ODD_MUMFORD, ODD_PRYM, MumfordTriple,
-                             bracket_generators, flow_commutator_symbolic,
-                             flow_values, momentum, momentum_symbolic,
+                             bracket_generators, flow_values, momentum, momentum_symbolic,
                              mumford_bracket_table, mumford_flow,
                              mumford_flow_symbolic, phase_coordinates,
                              point_values, triple_from_values)
 from prymlab.sampling import mumford_triple, rational
-from prymlab.symbolic import matrix_rank
+from prymlab.symbolic import MultiPoly, matrix_rank
 
 ONE = Poly([F(1)])
 X = parse_poly("0,1")
@@ -186,6 +185,19 @@ def test_flow_is_hamiltonian_for_the_family(rng):
         scale = F(1) / phi.evaluate(y)
         field = table.hamiltonian_field(H.evaluate(y), values)
         assert [scale * x for x in field] == lax, phi_text
+
+
+def flow_commutator_symbolic(flavor, g, y1, y2):
+    """[X_{y1}, X_{y2}] componentwise, as polynomials in the coordinates."""
+    X = mumford_flow_symbolic(flavor, g, y1)
+    Y = mumford_flow_symbolic(flavor, g, y2)
+    out = []
+    for k in range(len(X)):
+        acc = MultiPoly(X[0].nvars)
+        for l in range(len(X)):
+            acc = acc + Y[k].diff(l) * X[l] - X[k].diff(l) * Y[l]
+        out.append(acc)
+    return out
 
 
 def test_flow_fields_commute_symbolically():

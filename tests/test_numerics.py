@@ -12,11 +12,11 @@ from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
                              momentum_symbolic, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
-from prymlab.numerics import (Trajectory, _char_coeffs_float, _mumford_rhs, _prym_rhs,
+from prymlab.numerics import (Trajectory, _lattice_invariants, _mumford_rhs, _prym_rhs,
                               _toda_rhs, integrate, km_rhs)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
-from prymlab.toda import KMPoint, TodaPoint, char_poly, km_field, toda_flow
+from prymlab.toda import KMPoint, TodaPoint, char_coeffs, char_poly, km_field, toda_flow
 
 REFERENCE = KMPoint((F(2), F(1, 2), F(1), F(1), F(1)))
 
@@ -163,15 +163,18 @@ def test_toda_field_matches_exact_at_benchmark_size(rng):
     assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 20])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 20])
 def test_char_coeffs_float_match_exact_char_poly(rng, n):
     for point in (toda_point(rng, n), km_point(rng, n).embed()):
         exact = [float(c) for c in char_poly(point).coeffs]
-        numeric = _char_coeffs_float([float(x) for x in point.a],
-                                     [float(x) for x in point.b])
+        state = [float(x) for x in point.a] + [float(x) for x in point.b]
+        numeric = [2.0 * c for c in char_coeffs(state[:n], state[n:], 0.0)]
         assert len(numeric) == len(exact) == n + 1
+        assert all(type(c) is float for c in numeric)
         scale = max(abs(c) for c in exact)
         assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
+        invariants = _lattice_invariants(state, n)
+        assert [invariants[f"K{j}"] for j in range(n)] == numeric[:n]
 
 
 @pytest.mark.parametrize("index", [0, 3, None])

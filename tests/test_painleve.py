@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 from conftest import fraction_rref
 
 from prymlab.errors import InvariantError, ResonanceError
-from prymlab.painleve import (MAX_N, Balance, c_block, c_block_triangularization,
-                              cyclic_runs, free_slots, in_sigma,
+from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots, in_sigma,
                               indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance,
                               sigma_enum, sigma_enum_brute, slot_name)
@@ -105,20 +105,34 @@ def test_kowalevski_principal_n5():
 
 
 def test_c_block_spectra():
-    for l in (1, 2, 3):
-        eig = sorted(np.linalg.eigvals(
-            np.array([[float(x) for x in row] for row in c_block(l)])).real)
-        expected = sorted(list(range(-l, 0)) + list(range(1, l + 1)))
-        assert max(abs(a - b) for a, b in zip(eig, expected)) < 1e-8
+    # the run block of order l has spectrum {-l..-1, 1..l}, proven on the
+    # lambda grid; moving one eigenvalue is caught, and so is trading
+    # (-1, 2) for (-2, 1), which keeps the determinant (lambda = 0)
+    for l in range(1, 6):
+        spectrum = list(range(-l, 0)) + list(range(1, l + 1))
+        check_spectrum(c_block(l), spectrum)
+        wrong = [spectrum[:-1] + [l + 1]]
+        if l > 1:
+            wrong.append([{-1: -2, 2: 1}.get(e, e) for e in spectrum])
+        for bad in wrong:
+            with pytest.raises(InvariantError) as err:
+                check_spectrum(c_block(l), bad)
+            assert err.value.invariant == "kowalevski-spectrum"
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
-def test_c_block_triangularization_basis(l):
-    tri = c_block_triangularization(l)
-    for i in range(l):
-        for j in range(i):
-            assert tri[i][j] == 0
-    assert [tri[i][i] for i in range(l)] == [F((-1) ** i * (i + 1)) for i in range(l)]
+def test_report_with_a_wrong_eigenvalue_raises():
+    report = kowalevski(7, (1, 2, 4, 5))
+    spectrum = list(report.spectrum)
+    spectrum[0] += 1
+    for wrong in (spectrum, spectrum[1:], spectrum + [0]):
+        with pytest.raises(InvariantError) as err:
+            dataclasses.replace(report, spectrum=tuple(wrong))
+        assert err.value.invariant == "kowalevski-spectrum"
+    # (0 - lam)(2 - lam) agrees with det([[0]] - lam Id) at lam = 0, 1:
+    # only the length check rejects it
+    with pytest.raises(InvariantError) as err:
+        check_spectrum([[F(0)]], [0, 2])
+    assert err.value.invariant == "kowalevski-spectrum"
 
 
 def test_kowalevski_counts_sweep():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, matrix_rank,
-                              pivot_columns, rref, solve_affine)
+                              pivot_columns, rref, shifted_determinants, solve_affine)
 
 
 def test_multipoly_arithmetic():
@@ -63,6 +63,17 @@ def test_bracket_table_canonical_pair():
     p = MultiPoly.var(2, 1)
     field = table.hamiltonian_field(p * p * F(1, 2), [F(3), F(5)])
     assert field == [F(5), F(0)]
+
+
+def test_jacobi_holds_needs_antisymmetry():
+    # {x, y} = {y, x} = x: no triple i < j < k exists, so only the
+    # antisymmetry check can reject it
+    x, y = MultiPoly.variables(2)
+    zero = MultiPoly(2)
+    table = BracketTable(["x", "y"], [[zero, x], [x, zero]])
+    assert table.antisymmetry_defects() == [(0, 1)]
+    assert not table.jacobi_holds()
+    assert BracketTable(["x", "y"], [[zero, x], [-x, zero]]).jacobi_holds()
 
 
 def test_bracket_table_detects_broken_jacobi():
@@ -137,6 +148,17 @@ def test_integer_determinant_matches_leibniz(matrix):
     assert got == expected and type(got) is int
 
 
+def test_shifted_determinants_match_leibniz(rng):
+    for n in range(5):
+        matrix = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        dets, D = shifted_determinants(matrix, range(-2, 3))
+        assert all(c * D == int(c * D) for row in matrix for c in row)
+        for s, det in zip(range(-2, 3), dets):
+            shifted = [[D * (c + (s if i == j else 0)) for j, c in enumerate(row)]
+                       for i, row in enumerate(matrix)]
+            assert det == _leibniz(shifted) and type(det) is int
+
+
 def test_integer_determinant_singular_and_shape():
     assert integer_determinant([[1, 2], [2, 4]]) == 0
     assert integer_determinant([]) == 1
@@ -195,7 +217,8 @@ def _dict_jacobiator(table, i, j, k):
 
 def _assert_kernel_matches_oracle(table):
     n = table.dim
-    holds = True
+    holds = all({e: -c for e, c in table.entry(j, i).terms.items()} == table.entry(i, j).terms
+                for i in range(n) for j in range(n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -204,7 +227,7 @@ def _assert_kernel_matches_oracle(table):
                 assert got.terms == expected, (i, j, k)
                 assert got.nvars == table.entry(0, 0).nvars
                 assert all(type(c) is F and c != 0 for c in got.terms.values())
-                if i < j < k:  # the triples jacobi_holds checks
+                if i < j < k:  # with antisymmetry, the triples that decide Jacobi
                     holds = holds and not expected
     assert table.jacobi_holds() == holds
 

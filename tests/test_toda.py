@@ -3,15 +3,16 @@
 from fractions import Fraction as F
 
 import pytest
+from dense_lax import HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace
 
 from prymlab.algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
 from prymlab.sampling import km_point, toda_point
 from prymlab.symbolic import MultiPoly
 from prymlab import toda
-from prymlab.toda import (HLaurent, KMPoint, TodaPoint, char_poly, hierarchy_commutator,
+from prymlab.toda import (KMPoint, TodaPoint, char_poly, hierarchy_commutator,
                           km_even_split, km_even_split_symbolic, km_field,
-                          km_field_symbolic, lax_matrix, mat_mul, mat_trace, toda_bracket,
+                          km_field_symbolic, toda_bracket,
                           toda_bracket_table, toda_coordinate_names,
                           toda_flow, toda_integrals, toda_integrals_symbolic,
                           toda_pencil_table, toda_point_values, toda_tridiag)
@@ -71,6 +72,35 @@ def test_integrals_h_free_and_first(rng):
         p = toda_point(rng, n)
         integrals = toda_integrals(p)  # raises on any h-dependence
         assert integrals[0] == sum(p.b)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integrals_match_dense_traces(rng, n):
+    # n = 1, 2 make the band offsets wrap onto the diagonal
+    for point in (toda_point(rng, n), km_point(rng, n).embed(), toda_point(rng, n)):
+        traces = dense_traces(lax_matrix(point))
+        expected = []
+        for k, tr in enumerate(traces[:-1], start=1):
+            assert set(tr.parts) <= {0}
+            expected.append(F(tr.coefficient(0)) / k)
+        assert traces[-1].coefficient(1) == traces[-1].coefficient(-1) == n
+        expected.append(F(traces[-1].coefficient(0)) / n)
+        got = toda_integrals(point)
+        assert got == expected
+        assert all(type(x) is F for x in got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symbolic_integrals_match_dense_traces(n):
+    nv = 2 * n
+    x = MultiPoly.variables(nv)
+    dummy = TodaPoint((F(1),) * n, (F(0),) * n)
+    traces = dense_traces(lax_matrix(dummy, values=(x[:n], x[n:])))
+    got = toda_integrals_symbolic(n)
+    for k, (tr, integral) in enumerate(zip(traces, got), start=1):
+        expected = MultiPoly(nv) + tr.coefficient(0)
+        assert integral.terms == (expected * F(1, k)).terms
+        assert all(type(c) is F for c in integral.terms.values())
 
 
 def test_km_even_integrals_vanish(rng):
@@ -134,9 +164,14 @@ def test_char_poly_degree_bound_at_small_n(point):
 
 def test_char_poly_check_catches_a_wrong_k(monkeypatch, rng):
     point = toda_point(rng, 5)
-    exact = tridiag_minor_det
-    monkeypatch.setattr(toda, "tridiag_minor_det",
-                        lambda spec, removed=(): exact(spec, removed) + Poly([F(0), F(1, 7)]))
+    exact = toda.char_coeffs
+
+    def wrong(a, b, zero):
+        coeffs = exact(a, b, zero)
+        coeffs[1] += F(1, 7)
+        return coeffs
+
+    monkeypatch.setattr(toda, "char_coeffs", wrong)
     with pytest.raises(InvariantError) as err:
         char_poly(point)
     assert err.value.invariant == "char-poly"
@@ -146,14 +181,14 @@ def test_char_poly_check_sees_the_h_profile(monkeypatch, rng):
     """Moving h^-1 to h in the corner changes nothing at h = 1; only the
     other grid values of h can see it."""
     point = toda_point(rng, 5)
-    exact = lax_matrix
+    exact = toda._lax_at
 
-    def moved(p, values=None):
-        L = exact(p, values)
-        L[0][p.n - 1] = L[0][p.n - 1] - HLaurent({-1: F(1)}) + HLaurent({1: F(1)})
+    def moved(p, h):
+        L = exact(p, h)
+        L[0][p.n - 1] += h - F(1, h)
         return L
 
-    monkeypatch.setattr(toda, "lax_matrix", moved)
+    monkeypatch.setattr(toda, "_lax_at", moved)
     with pytest.raises(InvariantError) as err:
         char_poly(point)
     assert err.value.invariant == "char-poly"
