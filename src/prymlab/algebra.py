@@ -279,21 +279,25 @@ def _rational_product(a: list, b: list, width: int | None = None) -> list:
 
     Each factor is scaled to integers by its common denominator, the integer
     numerators are convolved, and each output coefficient becomes a single
-    Fraction.  Two all-int factors give int coefficients, as the generic
-    loop does."""
+    Fraction.  Two all-int factors are convolved as they are and give int
+    coefficients, as the generic loop does."""
     if width is None:
         width = len(a) + len(b) - 1
     a, b = a[:width], b[:width]
-    na, da = integer_numerators(a)
-    nb, db = integer_numerators(b)
+    all_int = _all_int(a) and _all_int(b)
+    if all_int:
+        na, nb = a, b
+    else:
+        na, da = integer_numerators(a)
+        nb, db = integer_numerators(b)
     out = [0] * width
     for i, x in enumerate(na):
         if x:
             for j, y in enumerate(nb[:width - i], i):
                 out[j] += x * y
-    den = da * db
-    if den == 1 and _all_int(a) and _all_int(b):
+    if all_int:
         return out
+    den = da * db
     return [Fraction(c, den) for c in out]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import format_poly, format_rational, parse_poly, parse_rational
 from .errors import InvariantError, ParseError, PrymlabError

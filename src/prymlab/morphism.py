@@ -18,6 +18,17 @@ Delta_1 Delta_k - Delta Delta_{1,k} = prod(alpha_i gamma_i) applied to the
 minor with row/column m removed forces that sign; the identity fails with
 a plus sign there.
 
+Integer evaluation.  The formulas are weighted-homogeneous: x and b_i
+have weight 1 and a_i has weight 2.  With D the lcm of the denominators
+of all a_i and b_i, `phi` runs the minor recursion on integers in y = D x:
+diagonal y - D b_i, super-diagonal -D^2 a_i, sub-diagonal -1, and the
+a-list D^2 a_i.  A minor of size k then comes out as D^k times itself at
+x = y / D, so the recursion returns U = D^{n-1} u(y/D), V = D^n v(y/D),
+W = D^{n+1} w(y/D) and P = D^n p(y/D), and coefficient j of u is
+U_j / D^{n-1-j} (likewise for v, w, p with their weights): one Fraction
+per output coefficient.  `phi_symbolic` feeds MultiPolys to the same
+recursion (`_phi_polys`).
+
 On the Mumford side, splitting u w + v^2 = p^2 + r (p monic of degree n)
 defines for each phi of degree <= 1 a quadratic bracket family
 
@@ -50,13 +61,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (BiPoly, Poly, TridiagSpec, divided_difference,
-                      format_poly, pr_split_from, tridiag_prefix_dets)
+                      format_poly, integer_numerators, pr_split_from,
+                      tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                       _lift_phi, _read_slots, check_table_genus, phase_coordinates,
                       table_from_generators)
 from .symbolic import BracketTable, MultiPoly
-from .toda import TodaPoint, toda_tridiag
+from .toda import TodaPoint
 
 # ---------------------------------------------------------------------------
 # the forward map
@@ -65,7 +77,12 @@ from .toda import TodaPoint, toda_tridiag
 @dataclass(frozen=True)
 class PhiImage:
     """Image point plus the source index m and the half spectral polynomial;
-    carries the exact fiber identity u w + v^2 = p^2 - 4."""
+    carries the exact fiber identity u w + v^2 = p^2 - 4.
+
+    The identity is checked fraction-free: with u = N_u / d_u and so on
+    (integer numerator polynomials over one denominator each), it reads
+    N_u N_w d_v^2 d_p^2 + N_v^2 d_u d_w d_p^2 = (N_p^2 - 4 d_p^2) d_u d_w d_v^2
+    over the integers."""
 
     triple: MumfordTriple
     m: int
@@ -73,8 +90,12 @@ class PhiImage:
 
     def __post_init__(self):
         t = self.triple
-        lhs = t.u * t.w + t.v * t.v
-        if lhs != self.p * self.p - Poly([Fraction(4)]):
+        (nu, du), (nv, dv), (nw, dw), (np_, dp) = (
+            integer_numerators(q.coeffs) for q in (t.u, t.v, t.w, self.p))
+        nu, nv, nw, np_ = Poly(nu), Poly(nv), Poly(nw), Poly(np_)
+        lhs = nu * nw * (dv * dv * dp * dp) + nv * nv * (du * dw * dp * dp)
+        rhs = (np_ * np_ - Poly([4 * dp * dp])) * (du * dw * dv * dv)
+        if lhs != rhs:
             raise InvariantError("fiber-identity", "u w + v^2 != p^2 - 4")
 
     def to_json(self) -> dict:
@@ -107,6 +128,11 @@ def _phi_polys(spec, a):
     return u, v, w, p
 
 
+def _descale(q: Poly, d: int, weight: int) -> Poly:
+    """Read q(x) off Q(y) = d^weight q(y / d): q_j = Q_j / d^(weight - j)."""
+    return Poly([Fraction(c, d ** (weight - j)) for j, c in enumerate(q.coeffs)])
+
+
 def phi(point: TodaPoint, m: int) -> PhiImage:
     """Map a Toda point into M'_{n-1} (prym flavors on the b = 0 slice).
 
@@ -120,8 +146,15 @@ def phi(point: TodaPoint, m: int) -> PhiImage:
     n = point.n
     if n < 3:
         raise InvariantError("size", "the morphism needs n >= 3")
-    shifted = point.shift(m % n)
-    u, v, w, p = _phi_polys(toda_tridiag(shifted), shifted.a)
+    # integer data in y = D x, relabeled by m (module docstring, "Integer
+    # evaluation")
+    nums, d = integer_numerators(point.a + point.b)
+    s = m % n
+    a = [c * d for c in nums[s:n] + nums[:s]]
+    b = nums[n + s:] + nums[n:n + s]
+    spec = TridiagSpec.build([Poly([-bi, 1]) for bi in b], [-ai for ai in a[:-1]], [-1] * (n - 1))
+    u, v, w, p = (_descale(q, d, weight)
+                  for q, weight in zip(_phi_polys(spec, a), (n - 1, n, n + 1, n)))
     if all(x == 0 for x in point.b):
         flavor = ODD_PRYM if n % 2 == 1 else EVEN_PRYM
     else:

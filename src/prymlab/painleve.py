@@ -80,13 +80,31 @@ def in_sigma(A: Iterable[int], n: int) -> bool:
     return all(len(run) % 2 == 0 for run in cyclic_runs(A, n))
 
 
+def in_sigma_mask(mask: int, n: int) -> bool:
+    """in_sigma for the subset {i + 1 : bit i of mask set}, by bit arithmetic.
+
+    The full circle is one run of length n.  Otherwise the mask is rotated
+    so that its lowest empty cell becomes the top bit: no run then wraps.
+    With s = x & ~(x << 1) the run starts, adding a start bit to x carries
+    through its run and lands on end + 1, which is an empty cell; the run
+    is even iff that cell has the start's parity."""
+    full = (1 << n) - 1
+    if mask == full:
+        return n % 2 == 0
+    z = (~mask & (mask + 1)).bit_length()  # lowest empty cell, plus one
+    x = (mask >> z) | ((mask & ((1 << z) - 1)) << (n - z))
+    starts = x & ~(x << 1)
+    even = ((1 << (n + n % 2)) - 1) // 3  # bits 0, 2, 4, ... below n
+    odd = full ^ even
+    return (((x + (starts & even)) & ~x & odd) == 0
+            and ((x + (starts & odd)) & ~x & even) == 0)
+
+
 def sigma_enum_brute(n: int) -> list[tuple[int, ...]]:
-    """Filter all 2^n subsets; the test oracle route."""
-    out = []
-    for mask in range(1 << n):
-        subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        if in_sigma(subset, n):
-            out.append(subset)
+    """Filter all 2^n subsets by the bit test; the test oracle route,
+    independent of the constructive enumeration."""
+    out = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+           for mask in range(1 << n) if in_sigma_mask(mask, n)]
     return sorted(out, key=lambda s: (len(s), s))
 
 

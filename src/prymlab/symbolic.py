@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import Poly, integer_numerators
 

@@ -46,8 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, TridiagSpec, format_rational, horner, integer_numerators,
-                      parse_rational)
+from .algebra import Poly, format_rational, horner, integer_numerators, parse_rational
 from .errors import InvariantError, ParseError
 from .painleve import MAX_N
 from .symbolic import BracketTable, MultiPoly, shifted_determinants
@@ -263,15 +262,6 @@ def char_poly(point: TodaPoint) -> Poly:
             if det * k_den * h != D ** n * (horner(k_nums, x)[1] * h - (h * h + 1) * k_den):
                 raise InvariantError("char-poly", f"det(x Id - L(h)) is off at x = {x}, h = {h}")
     return Poly([2 * c for c in half_k])
-
-
-def toda_tridiag(point: TodaPoint) -> TridiagSpec:
-    """x Id - L(h) with the two h corners removed."""
-    x = Poly([Fraction(0), Fraction(1)])
-    diag = [x - Poly([bi]) for bi in point.b]
-    sup = [-ai for ai in point.a[:-1]]
-    sub = [Fraction(-1)] * (point.n - 1)
-    return TridiagSpec.build(diag, sup, sub)
 
 
 # ---------------------------------------------------------------------------

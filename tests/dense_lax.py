@@ -1,5 +1,7 @@
 """Dense h-Laurent Lax matrices: the independent oracle for the cyclic-band
-code in prymlab.toda (traces, the hierarchy commutator, char_poly).
+code in prymlab.toda (traces, the hierarchy commutator, char_poly), and
+the Fraction band of x Id - L(h) behind the minor oracle for
+prymlab.morphism.phi.
 
 L(h) = band(b on the diagonal, a on the super, 1 on the sub)
        + h^{-1} E_{1,n} + h a_n E_{n,1},
@@ -8,6 +10,7 @@ stored as an n x n list of HLaurent entries and multiplied entry by entry.
 
 from fractions import Fraction
 
+from prymlab.algebra import Poly, TridiagSpec
 from prymlab.toda import KMPoint
 
 
@@ -135,3 +138,12 @@ def dense_traces(L) -> list[HLaurent]:
         power = mat_mul(power, L)
         out.append(mat_trace(power))
     return out
+
+
+def toda_tridiag(point) -> TridiagSpec:
+    """x Id - L(h) with the two h corners removed, over Fraction."""
+    x = Poly([Fraction(0), Fraction(1)])
+    diag = [x - Poly([bi]) for bi in point.b]
+    sup = [-ai for ai in point.a[:-1]]
+    sub = [Fraction(-1)] * (point.n - 1)
+    return TridiagSpec.build(diag, sup, sub)

@@ -8,8 +8,6 @@ conservation drift, [12, 20] for the step-halving ratio, and the stated
 runtime ceilings for the heavyweight suites.
 """
 
-import pytest
-
 from prymlab import verify
 
 

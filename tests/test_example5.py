@@ -7,9 +7,9 @@ import pytest
 
 from prymlab.algebra import LaurentSeries, Poly, parse_poly
 from prymlab.errors import InvariantError
-from prymlab.example5 import (ProjectivePoint9, balance_limit,
-                              balance_to_divisor, chart_limit, chart_series,
-                              constraint_residual, curve_coords, curve_point,
+from prymlab.example5 import (ProjectivePoint9, balance_limit, chart_limit,
+                              chart_series, constraint_residual, curve_coords,
+                              curve_point,
                               divisor_points, example5_report,
                               fiber_polynomial_5, genus_of_hyperelliptic,
                               incidence_data, principal_balance_params,

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from dense_lax import toda_tridiag
 
 from prymlab.algebra import (BiPoly, Poly, divided_difference, parse_poly,
                              tridiag_minor_det)
@@ -14,8 +15,7 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              phase_coordinates, point_values)
 from prymlab.sampling import km_point, toda_point
 from prymlab.symbolic import MultiPoly
-from prymlab.toda import (KMPoint, char_poly, toda_pencil_table, toda_point_values,
-                          toda_tridiag)
+from prymlab.toda import KMPoint, char_poly, toda_pencil_table, toda_point_values
 
 
 def _as_mp(value, nvars):
@@ -66,14 +66,20 @@ def _phi_by_minors(point, m):
 
 
 def test_phi_matches_minor_formulas(rng):
-    # n = 3 covers the empty run 2..n-2 behind Delta_{n-1,n,n+1} = 1
-    for n in range(3, 9):
+    # n = 3 covers the empty run 2..n-2 behind Delta_{n-1,n,n+1} = 1.  phi
+    # works on integers scaled by the lcm D of the denominators; a KM point
+    # takes D from a alone, and a_n = 1 / prod(a_i) makes D a large power
+    # at n = 12.  Every coefficient must come back a Fraction, which == on
+    # Polys cannot tell from an int.
+    for n in range(3, 13):
         for point in (toda_point(rng, n), toda_point(rng, n), km_point(rng, n).embed()):
             half_k = F(1, 2) * char_poly(point)
             for m in range(1, n + 1):
                 image = phi(point, m)
-                t = image.triple
-                assert (t.u, t.v, t.w, image.p) == _phi_by_minors(point, m)
+                got = (image.triple.u, image.triple.v, image.triple.w, image.p)
+                for poly, expected in zip(got, _phi_by_minors(point, m)):
+                    assert poly == expected
+                    assert all(type(c) is F for c in poly.coeffs)
                 assert image.p == half_k
 
 
@@ -82,6 +88,59 @@ def test_phi_image_validation():
         PhiImage(MumfordTriple(parse_poly("0,0,1"), Poly(),
                                parse_poly("0,0,0,0,1"), EVEN_MUMFORD),
                  3, parse_poly("0,0,0,1"))
+
+
+def _perturbed(poly, k, delta):
+    coeffs = list(poly.coeffs) + [F(0)] * (k + 1 - len(poly.coeffs))
+    coeffs[k] += delta
+    return Poly(coeffs)
+
+
+@pytest.mark.parametrize("slot", ["u", "v", "w", "p"])
+def test_fiber_check_rejects_a_perturbed_coefficient(rng, slot):
+    # the constant coefficient keeps u and w monic and every degree in place
+    for n in (3, 4, 6):
+        image = phi(toda_point(rng, n), 2)
+        parts = {"u": image.triple.u, "v": image.triple.v,
+                 "w": image.triple.w, "p": image.p}
+        parts[slot] = _perturbed(parts[slot], 0, F(1, 7))
+        triple = MumfordTriple(parts["u"], parts["v"], parts["w"], image.triple.flavor)
+        with pytest.raises(InvariantError) as err:
+            PhiImage(triple, image.m, parts["p"])
+        assert err.value.invariant == "fiber-identity"
+
+
+def test_fiber_check_agrees_with_poly_identity(rng):
+    for n in (3, 4, 5, 8):
+        for point in (toda_point(rng, n), km_point(rng, n).embed()):
+            for m in range(1, n + 1):
+                image = phi(point, m)
+                t = image.triple
+                assert t.u * t.w + t.v * t.v == image.p * image.p - Poly([F(4)])
+                # a direct construction runs the same check and passes
+                assert PhiImage(t, image.m, image.p) == image
+    # int coefficients are cleared over denominator 1; this image passes
+    PhiImage(MumfordTriple(Poly([-1, 0, 1]), Poly(), Poly([4, 0, -5, 0, 1]), ODD_PRYM),
+             3, Poly([0, -3, 0, 1]))
+
+
+def test_fiber_check_builds_no_fraction(rng, monkeypatch):
+    image = phi(toda_point(rng, 5), 3)
+    bad = MumfordTriple(image.triple.u, image.triple.v,
+                        _perturbed(image.triple.w, 1, F(1, 7)), image.triple.flavor)
+    calls = []
+    original = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting_new)
+    PhiImage(image.triple, image.m, image.p)
+    with pytest.raises(InvariantError):
+        PhiImage(bad, image.m, image.p)
+    monkeypatch.undo()
+    assert not calls
 
 
 def test_km_images_have_prym_flavors(rng):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from prymlab.algebra import BiPoly, Poly, divided_difference, parse_poly
+from prymlab.algebra import BiPoly, Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              ODD_MUMFORD, ODD_PRYM, MumfordTriple,
@@ -12,7 +12,7 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              mumford_bracket_table, mumford_flow,
                              mumford_flow_symbolic, phase_coordinates,
                              point_values, triple_from_values)
-from prymlab.sampling import mumford_triple, rational
+from prymlab.sampling import mumford_triple
 from prymlab.symbolic import MultiPoly, matrix_rank
 
 ONE = Poly([F(1)])

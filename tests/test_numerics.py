@@ -12,8 +12,8 @@ from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
                              momentum_symbolic, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
-from prymlab.numerics import (Trajectory, _lattice_invariants, _mumford_rhs, _prym_rhs,
-                              _toda_rhs, integrate, km_rhs)
+from prymlab.numerics import (_lattice_invariants, _mumford_rhs, _prym_rhs, _toda_rhs,
+                              integrate, km_rhs)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
 from prymlab.toda import KMPoint, TodaPoint, char_coeffs, char_poly, km_field, toda_flow

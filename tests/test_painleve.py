@@ -11,7 +11,7 @@ from conftest import fraction_rref
 
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots, in_sigma,
-                              indicial_solutions, km_residual, kowalevski,
+                              in_sigma_mask, indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance,
                               sigma_enum, sigma_enum_brute, slot_name)
 from prymlab.symbolic import solve_affine
@@ -34,6 +34,33 @@ def test_sigma_small_counts():
 @pytest.mark.parametrize("n", list(range(2, 17)))
 def test_sigma_matches_brute_force(n):
     assert sigma_enum(n) == sigma_enum_brute(n)
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_sigma_counts_are_lucas_numbers():
+    # An independent count.  Tilings of an n-cycle by "0" cells and "11"
+    # dominoes number tr [[1, 1], [1, 0]]^n = L_n.  A word of Sigma_n with an
+    # empty cell has exactly one tiling (each even run splits into dominoes
+    # from its start); the full circle, in Sigma_n for even n, has two.
+    assert [_lucas(n) for n in range(8)] == [2, 1, 3, 4, 7, 11, 18, 29]
+    for n in range(2, 21):
+        assert len(sigma_enum(n)) == _lucas(n) - (n % 2 == 0)
+    for n in range(2, 17):
+        assert len(sigma_enum_brute(n)) == _lucas(n) - (n % 2 == 0)
+    assert len(sigma_enum(20)) == 15126  # the figure in MAX_N's comment
+
+
+def test_sigma_bit_test_matches_cyclic_runs():
+    for n in range(1, 13):
+        for mask in range(1 << n):
+            subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
+            assert in_sigma_mask(mask, n) == in_sigma(subset, n), (n, subset)
 
 
 @pytest.mark.parametrize("call", [

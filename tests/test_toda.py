@@ -3,7 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
-from dense_lax import HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace
+from dense_lax import (HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace,
+                       toda_tridiag)
 
 from prymlab.algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
@@ -15,7 +16,7 @@ from prymlab.toda import (KMPoint, TodaPoint, char_poly, hierarchy_commutator,
                           km_field_symbolic, toda_bracket,
                           toda_bracket_table, toda_coordinate_names,
                           toda_flow, toda_integrals, toda_integrals_symbolic,
-                          toda_pencil_table, toda_point_values, toda_tridiag)
+                          toda_pencil_table, toda_point_values)
 
 
 # ---------------------------------------------------------------------------
