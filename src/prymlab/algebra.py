@@ -92,7 +92,7 @@ class Poly:
         while cs and cs[-1] == 0:
             # a trimmed Fraction zero keeps an int remainder over Q, so that
             # products stay Fraction-typed (see _rational_product)
-            if type(cs.pop()) is Fraction and _all_int(cs):
+            if type(cs.pop()) is Fraction and _scalar_kind(cs) == _INT:
                 cs = [Fraction(c) for c in cs]
         self.coeffs = cs
 
@@ -159,8 +159,11 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            if _is_rational(self.coeffs) and _is_rational(other.coeffs):
-                return Poly(_rational_product(self.coeffs, other.coeffs))
+            kind = _scalar_kind(self.coeffs)
+            if kind != _OTHER:
+                kind = max(kind, _scalar_kind(other.coeffs))
+            if kind != _OTHER:
+                return Poly(_rational_product(self.coeffs, other.coeffs, all_int=kind == _INT))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -248,15 +251,21 @@ class Poly:
             return ",".join(str(c) for c in self.coeffs)
 
 
-_RATIONAL_TYPES = frozenset((Fraction, int))
+_INT, _RATIONAL, _OTHER = 0, 1, 2
 
 
-def _is_rational(coeffs: list) -> bool:
-    return all(type(c) in _RATIONAL_TYPES for c in coeffs)
-
-
-def _all_int(coeffs: list) -> bool:
-    return all(type(c) is int for c in coeffs)
+def _scalar_kind(coeffs: list) -> int:
+    """_INT if every coefficient is an int, _RATIONAL if each is an int or a
+    Fraction, _OTHER otherwise.  One pass, which stops at the first
+    coefficient of another type (a float list costs one step)."""
+    kind = _INT
+    for c in coeffs:
+        t = type(c)
+        if t is Fraction:
+            kind = _RATIONAL
+        elif t is not int:
+            return _OTHER
+    return kind
 
 
 def integer_numerators(values) -> tuple[list[int], int]:
@@ -273,18 +282,22 @@ def rational_dot(a: list, b: list) -> Fraction:
     return Fraction(sum(map(mul, na, nb)), da * db)
 
 
-def _rational_product(a: list, b: list, width: int | None = None) -> list:
+def _rational_product(a: list, b: list, width: int | None = None,
+                      all_int: bool | None = None) -> list:
     """Coefficients of the product of two Fraction/int coefficient lists,
     the first `width` of them when it is given.
 
     Each factor is scaled to integers by its common denominator, the integer
     numerators are convolved, and each output coefficient becomes a single
     Fraction.  Two all-int factors are convolved as they are and give int
-    coefficients, as the generic loop does."""
+    coefficients, as the generic loop does; a caller that has already
+    classified both factors passes that verdict as `all_int`, otherwise the
+    truncated factors are scanned here."""
     if width is None:
         width = len(a) + len(b) - 1
     a, b = a[:width], b[:width]
-    all_int = _all_int(a) and _all_int(b)
+    if all_int is None:
+        all_int = max(_scalar_kind(a), _scalar_kind(b)) == _INT
     if all_int:
         na, nb = a, b
     else:

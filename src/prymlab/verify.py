@@ -10,9 +10,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from . import example5, morphism, mumford, numerics, painleve, prym, sampling, toda
-from .algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
+from .algebra import (Poly, TridiagSpec, integer_numerators, parse_poly,
+                      tridiag_prefix_dets)
 from .errors import InvariantError
 from .symbolic import MultiPoly
 
@@ -89,21 +92,34 @@ def suite_roundtrip(seed: int = 0) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def suite_detlemma(seed: int = 0) -> list[CheckResult]:
+    """D1 Dn - D D1n = prod sup_i sub_i on 500 random rational tridiagonal
+    matrices of size 2..8 with diagonal x + r_i, checked on integers.
+
+    With d the lcm of the denominators of all r_i, sup_i and sub_i, the
+    matrix is rebuilt in y = d x: diagonal y + d r_i, super-diagonal
+    d sup_i, sub-diagonal d sub_i.  A block of size k then comes out as d^k
+    times its determinant at x = y / d (the `morphism` docstring,
+    "Integer evaluation"), and every minor is a prefix of one of two runs:
+    D = det(1..n) and Dn = det(1..n-1) from the run on 1..n, D1 = det(2..n)
+    and D1n = det(2..n-1) from the run on 2..n (empty at n = 2).  Both
+    sides of the scaled identity carry d^(2n-2), and y -> y / d is
+    invertible, so it holds over the integers exactly when the rational
+    lemma holds."""
     rng = sampling.rng_from_seed(seed + 2)
 
     def run():
         for trial in range(500):
             n = rng.randint(2, 8)
-            diag = [Poly([sampling.rational(rng), Fraction(1)]) for _ in range(n)]
+            r = [sampling.rational(rng) for _ in range(n)]
             sup = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
             sub = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
-            spec = TridiagSpec.build(diag, sup, sub)
-            lhs = (tridiag_minor_det(spec, [1]) * tridiag_minor_det(spec, [n])
-                   - tridiag_minor_det(spec) * tridiag_minor_det(spec, [1, n]))
-            prod = Fraction(1)
-            for s, t in zip(sup, sub):
-                prod *= s * t
-            if lhs != Poly([prod]):
+            nums, _ = integer_numerators(r + sup + sub)
+            spec = TridiagSpec.build([Poly([c, 1]) for c in nums[:n]],
+                                     nums[n:2 * n - 1], nums[2 * n - 1:])
+            head = tridiag_prefix_dets(spec, 1, n)
+            tail = tridiag_prefix_dets(spec, 2, n)
+            lhs = tail[n - 1] * head[n - 1] - head[n] * tail[n - 2]
+            if lhs != Poly([prod(map(mul, spec.sup, spec.sub))]):
                 raise AssertionError(f"determinant lemma failed, trial {trial}")
         return "500 trials, sizes 2..8, exact"
 

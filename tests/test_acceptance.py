@@ -8,7 +8,14 @@ conservation drift, [12, 20] for the step-halving ratio, and the stated
 runtime ceilings for the heavyweight suites.
 """
 
-from prymlab import verify
+from fractions import Fraction as F
+
+import pytest
+
+from prymlab import sampling, verify
+from prymlab.algebra import (Poly, TridiagSpec, integer_numerators, tridiag_minor_det,
+                             tridiag_prefix_dets)
+from prymlab.morphism import _descale
 
 
 def _run(suite_name, budget=None):
@@ -84,3 +91,69 @@ def test_criterion_11_parity():
 def test_criterion_12_even_splitting():
     # alternating products conserved symbolically for n = 4, 6
     _run("evensplit")
+
+
+# ---------------------------------------------------------------------------
+# the det-lemma suite on weight-scaled integers
+# ---------------------------------------------------------------------------
+
+def _record_runs(monkeypatch):
+    """Route verify's prefix runs through a recorder; returns its log of
+    (spec, lo, hi, dets), two entries per trial (the run on 1..n, then 2..n)."""
+    log = []
+
+    def recording(spec, lo, hi):
+        dets = tridiag_prefix_dets(spec, lo, hi)
+        log.append((spec, lo, hi, dets))
+        return dets
+
+    monkeypatch.setattr(verify, "tridiag_prefix_dets", recording)
+    return log
+
+
+def test_detlemma_runs_are_scaled_minors_of_the_drawn_matrices(monkeypatch):
+    log = _record_runs(monkeypatch)
+    assert all(r.passed for r in verify.suite_detlemma(0))
+    assert len(log) == 1000
+    # the draws in their fixed order: n, the diagonal constants, sup, sub
+    rng = sampling.rng_from_seed(2)
+    sizes = []
+    for trial in range(50):
+        n = rng.randint(2, 8)
+        r = [sampling.rational(rng) for _ in range(n)]
+        sup = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
+        sub = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
+        spec = TridiagSpec.build([Poly([c, F(1)]) for c in r], sup, sub)
+        (scaled, lo_h, hi_h, head), (scaled_t, lo_t, hi_t, tail) = log[2 * trial:2 * trial + 2]
+        assert scaled is scaled_t and (lo_h, hi_h, lo_t, hi_t) == (1, n, 2, n)
+        _, d = integer_numerators(r + sup + sub)
+        assert scaled.diag == tuple(Poly([c * d, 1]) for c in r)
+        assert scaled.sup == tuple(c * d for c in sup)
+        assert scaled.sub == tuple(c * d for c in sub)
+        assert all(type(c) is int for q in head + tail for c in q.coeffs)
+        pairs = ((head[n], []), (head[n - 1], [n]), (tail[n - 1], [1]), (tail[n - 2], [1, n]))
+        for run, removed in pairs:
+            size = n - len(removed)
+            assert _descale(run, d, size) == tridiag_minor_det(spec, removed), (trial, removed)
+        sizes.append(n)
+    # every size, n = 2 (where D1n is the empty determinant) included
+    assert set(sizes) == set(range(2, 9))
+
+
+@pytest.mark.parametrize("breaker", ["constant", "band-sign"])
+def test_detlemma_suite_fails_on_a_broken_lemma(monkeypatch, breaker):
+    def broken(spec, lo, hi):
+        if breaker == "band-sign":
+            spec = TridiagSpec.build(spec.diag, spec.sup, [-c for c in spec.sub])
+        dets = tridiag_prefix_dets(spec, lo, hi)
+        if breaker == "constant" and lo == 2:  # D1 off by one
+            last = dets[-1].coeffs
+            dets[-1] = Poly([last[0] + 1] + last[1:])
+        return dets
+
+    monkeypatch.setattr(verify, "tridiag_prefix_dets", broken)
+    (result,) = verify.suite_detlemma(0)
+    assert not result.passed
+    assert "determinant lemma failed, trial " in result.detail
+    if breaker == "constant":
+        assert result.detail.endswith("trial 0")

@@ -122,6 +122,36 @@ def test_multipoly_coefficient_product():
     assert mixed.coeffs == _schoolbook(a, [F(3), 2])
 
 
+_x, _y = MultiPoly.variables(2)
+_L = LaurentSeries
+# factor pairs, and the coefficient types of a * b and of b * a: int x int
+# stays int, any Fraction among ints and Fractions gives all Fractions, and
+# every other ring goes through the generic loop, which leaves the int 0 it
+# starts from where only a zero coefficient of a would have contributed
+MUL_TYPE_TABLE = {
+    "int": ([3, 0, -2], [1, 5], [int] * 4, [int] * 4),
+    "fraction": ([F(1, 2), F(0), F(-3, 4)], [F(2, 3), F(1)], [F] * 4, [F] * 4),
+    "int-fraction": ([3, 0, -2], [F(1, 2), F(5, 3)], [F] * 4, [F] * 4),
+    "bool": ([True, False, True], [True, True], [int] * 4, [int] * 4),
+    "bool-fraction": ([True, False, False, True], [F(1, 2)], [F, int, int, F], [F] * 4),
+    "float": ([0.0, 1.5, -2.0], [0.5, 3.0], [int] + [float] * 3, [float] * 4),
+    "float-fraction": ([1.5, 0.0, 2.0], [F(1, 3), F(2)], [float] * 4, [float] * 4),
+    "multipoly": ([_x, MultiPoly.const(2, F(1, 2)), _y * _y], [_y - _x, _x * _y],
+                  [MultiPoly] * 4, [MultiPoly] * 4),
+    "laurent": ([_L(-1, [1, F(1, 2)]), _L(0, [3], 2)], [_L(1, [F(2, 3), -1]), _L.constant(F(5))],
+                [_L] * 3, [_L] * 3),
+}
+
+
+@pytest.mark.parametrize("kind", MUL_TYPE_TABLE)
+def test_poly_product_type_table(kind):
+    a, b, types_ab, types_ba = MUL_TYPE_TABLE[kind]
+    for left, right, types in ((a, b, types_ab), (b, a, types_ba)):
+        product = Poly(left) * Poly(right)
+        assert product.coeffs == _schoolbook(left, right)
+        assert [type(c) for c in product.coeffs] == types
+
+
 def test_zero_poly_degree_sentinel():
     assert Poly().degree == -1
     assert Poly([F(0), F(0)]).is_zero()

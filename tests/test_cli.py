@@ -418,6 +418,36 @@ _example5_argv = st.tuples(
     _rational_text.map(lambda l: ["--l", l]), _option("--beta", _rational_text),
     _option("--delta", _rational_text), _option("--order", st.integers(-1, 3)))
 
+# the morphism commands: lattice points of a few sizes (n < 3 is refused),
+# triples that phi-inverse reconstructs at n = 3, 4, 5, generated and
+# malformed JSON; --m and --n may be missing, which argparse refuses
+_lattice_points = st.sampled_from([
+    LATTICE3, '{"n":3,"a":["1","1","1"],"b":["0","0","0"]}',
+    '{"n":4,"a":["1","2","1/2","1"],"b":["0","1/3","-1","2"]}',
+    '{"n":5,"a":["3","1","1/3","2","1/2"],"b":["0","0","0","0","0"]}',
+    '{"n":2,"a":["2","1/2"],"b":["1","1"]}'])
+_image_triples = st.sampled_from([
+    '{"flavor":"odd-prym","u":"-1,0,1","v":"0","w":"4,0,-5,0,1"}',
+    '{"flavor":"even-mumford","u":"-1,-10/3,2/3,1","v":"11/6,-5/6,-1/2",'
+    '"w":"-16,1/3,20,-5,-10/3,1"}',
+    '{"flavor":"odd-prym","u":"1,0,-13/3,0,1","v":"0,-22/3,0,3/2",'
+    '"w":"-4,0,67/3,0,-28/3,0,1"}'])
+_malformed_json = st.sampled_from(["", "{", "[1,", "@"])
+_phi_argv = st.tuples(
+    st.just(["phi"]),
+    st.one_of(_lattice_points, _point, _malformed_json).map(lambda p: ["--point", p]),
+    _option("--m", st.one_of(st.integers(-4, 7), _rational_text)))
+_phi_inverse_argv = st.tuples(
+    st.just(["phi-inverse"]),
+    st.one_of(_image_triples, _point, _malformed_json).map(lambda t: ["--triple", t]),
+    _option("--n", st.one_of(st.integers(3, 5), _sizes, _rational_text)))
+# only cheap real suites: an absent --suite would run them all
+_verify_argv = st.tuples(
+    st.just(["verify"]),
+    st.sampled_from(["evensplit", "balance5", "no-such-suite", "", "ALL"]).map(
+        lambda s: ["--suite", s]),
+    _option("--seed", st.one_of(st.integers(-3, 3), _rational_text)))
+
 
 def _assert_json_verdict(parts):
     argv = [arg for part in parts for arg in part]
@@ -438,4 +468,10 @@ def test_every_argv_exits_with_a_json_verdict(parts):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(_sigma_argv, _kowalevski_argv, _example5_argv))
 def test_every_painleve_argv_exits_with_a_json_verdict(parts):
+    _assert_json_verdict(parts)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_phi_argv, _phi_inverse_argv, _verify_argv))
+def test_every_morphism_and_verify_argv_exits_with_a_json_verdict(parts):
     _assert_json_verdict(parts)

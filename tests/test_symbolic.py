@@ -192,6 +192,64 @@ def test_multipoly_product_matches_fraction_dict_product(factors):
         assert all(type(c) is F and c != 0 for c in product.terms.values())
 
 
+def _dict_sum(p, q, sign=1):
+    """Reference sum p + sign * q: Fraction coefficients added term by term."""
+    out = {e: F(c) for e, c in p.items()}
+    for e, c in q.items():
+        out[e] = out.get(e, F(0)) + sign * F(c)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _dict_diff(p, index):
+    """Reference d/dx_index: every term with a positive exponent there."""
+    out = {}
+    for e, c in p.items():
+        k = e[index]
+        if k:
+            key = e[:index] + (k - 1,) + e[index + 1:]
+            out[key] = out.get(key, F(0)) + F(c) * k
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _assert_fraction_terms(poly):
+    assert all(type(c) is F and c != 0 for c in poly.terms.values())
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(multipolys(n), multipolys(n))),
+       st.one_of(small_ints, st.fractions(max_denominator=12)))
+@settings(max_examples=100, deadline=None)
+def test_multipoly_sum_and_difference_match_fraction_dicts(factors, scalar):
+    p, q = factors
+    before = dict(p.terms), dict(q.terms)
+    empty = MultiPoly(p.nvars)
+    # p - p and p + (-p) cancel to the empty polynomial
+    for a, b in ((p, q), (p, p), (p, -p), (p, empty), (empty, q), (empty, empty)):
+        total, difference = a + b, a - b
+        assert total.terms == _dict_sum(a.terms, b.terms)
+        assert difference.terms == _dict_sum(a.terms, b.terms, -1)
+        _assert_fraction_terms(total)
+        _assert_fraction_terms(difference)
+    assert (p - p).is_zero() and (p + -p).is_zero()
+    # int and Fraction scalars on either side, as constant terms
+    const = {(0,) * p.nvars: scalar}
+    assert (p + scalar).terms == (scalar + p).terms == _dict_sum(p.terms, const)
+    assert (p - scalar).terms == _dict_sum(p.terms, const, -1)
+    assert (scalar - p).terms == _dict_sum(const, p.terms, -1)
+    _assert_fraction_terms(scalar - p)
+    assert (p.terms, q.terms) == before  # the operands are left as they were
+
+
+@given(st.integers(1, 3).flatmap(multipolys))
+@settings(max_examples=100, deadline=None)
+def test_multipoly_diff_matches_fraction_dicts(p):
+    for index in range(p.nvars):
+        derivative = p.diff(index)
+        assert derivative.terms == _dict_diff(p.terms, index)
+        assert derivative.nvars == p.nvars
+        _assert_fraction_terms(derivative)
+        assert MultiPoly(p.nvars).diff(index).is_zero()
+
+
 def test_multipoly_product_cancels_terms():
     x, y = MultiPoly.variables(2)
     product = (x * F(1, 2) + y * F(1, 3)) * (x * F(1, 2) - y * F(1, 3))
