@@ -166,7 +166,9 @@ class Poly:
                 return Poly(_rational_product(self.coeffs, other.coeffs, all_int=kind == _INT))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if a == 0:
+                # skip exact zeros only: a series known to vanish just
+                # through its window still bounds the product's window
+                if a == 0 and (type(a) is not LaurentSeries or a.hi is None):
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
@@ -469,14 +471,6 @@ class BiPoly:
         return BiPoly([[-c if j & 1 else c for j, c in enumerate(row)]
                        for row in self.grid])
 
-    def swap(self) -> "BiPoly":
-        """Exchange x and x'."""
-        dx, dy = self.degrees()
-        if dx < 0:
-            return BiPoly.zero()
-        return BiPoly([[self.coeff(i, j) for i in range(dx + 1)]
-                       for j in range(dy + 1)])
-
     def __repr__(self) -> str:
         return f"BiPoly({self.grid!r})"
 
@@ -708,9 +702,6 @@ class LaurentSeries:
         return None
 
     # -- queries ---------------------------------------------------------------
-
-    def is_exact(self) -> bool:
-        return self.hi is None
 
     def known_zero(self) -> bool:
         return not self.coeffs

@@ -186,39 +186,54 @@ def _coord_layout(flavor: str, g: int) -> tuple[range, range, range]:
 
 
 @lru_cache(maxsize=128)
-def _poly_degree(flavor: str, g: int) -> tuple[int, int]:
-    """(deg u, deg w) for a flavor; g is the prym index for prym flavors."""
-    return {ODD_MUMFORD: (g, g + 1), EVEN_MUMFORD: (g, g + 2),
-            ODD_PRYM: (2 * g, 2 * g + 2), EVEN_PRYM: (2 * g + 1, 2 * g + 3)}[flavor]
+def _slot_codec(flavor: str, g: int):
+    """(lists, read) for one phase space, with its layout resolved once.
 
-
-def _coefficient_lists(flavor: str, g: int, values, zero, one) -> tuple[list, list, list]:
-    """Ascending coefficient lists (u, v, w) of the point whose coordinates,
-    in coordinate order, are `values`; every other slot holds `zero`, and
-    the leading coefficients of u and w hold `one`."""
+    lists(values, zero, one) gives the ascending coefficient lists (u, v, w)
+    of the point whose coordinates, in coordinate order, are `values`;
+    every other slot holds `zero`, and the leading coefficients of u and w
+    hold `one`.  read(du, dv, dw) gives the entries of coefficient lists at
+    the coordinate slots, in coordinate order; a slot past the end of its
+    list reads as 0."""
     if g < 0:
         raise InvariantError("genus", f"the genus (or prym index) must be >= 0, got {g}")
     layout = _coord_layout(flavor, g)
-    count = sum(map(len, layout))
-    if len(values) != count:
-        raise InvariantError("coordinates", f"expected {count} coordinates, got {len(values)}")
-    deg_u, deg_w = _poly_degree(flavor, g)
-    u, v, w = [zero] * deg_u + [one], [zero] * deg_u, [zero] * deg_w + [one]
-    start = 0
-    for target, slots in zip((u, v, w), layout):
-        target[slots.start:slots.stop:slots.step] = values[start:start + len(slots)]
-        start += len(slots)
-    return u, v, w
+    deg_u, deg_w = {ODD_MUMFORD: (g, g + 1), EVEN_MUMFORD: (g, g + 2),
+                    ODD_PRYM: (2 * g, 2 * g + 2), EVEN_PRYM: (2 * g + 1, 2 * g + 3)}[flavor]
+    sizes = [len(slots) for slots in layout]
+    count = sum(sizes)
+    su, sv, sw = (slice(s.start, s.stop, s.step) for s in layout)
+    iu, iv, iw = (slice(0, sizes[0]), slice(sizes[0], count - sizes[2]),
+                  slice(count - sizes[2], count))
+
+    def lists(values, zero, one):
+        if len(values) != count:
+            raise InvariantError("coordinates", f"expected {count} coordinates, got {len(values)}")
+        u, v, w = [zero] * deg_u + [one], [zero] * deg_u, [zero] * deg_w + [one]
+        u[su], v[sv], w[sw] = values[iu], values[iv], values[iw]
+        return u, v, w
+
+    def read(du, dv, dw):
+        out = du[su] + dv[sv] + dw[sw]
+        if len(out) == count:
+            return out
+        out = []
+        for p, s, size in zip((du, dv, dw), (su, sv, sw), sizes):
+            picked = p[s]
+            out += picked + [0] * (size - len(picked))
+        return out
+
+    return lists, read
+
+
+def _coefficient_lists(flavor: str, g: int, values, zero, one) -> tuple[list, list, list]:
+    """Coefficient lists (u, v, w) of a coordinate vector (see _slot_codec)."""
+    return _slot_codec(flavor, g)[0](values, zero, one)
 
 
 def _read_slots(flavor: str, g: int, du: list, dv: list, dw: list) -> list:
-    """Entries of coefficient lists at the coordinate slots, in coordinate
-    order; a slot past the end of its list reads as 0."""
-    out = []
-    for p, slots in zip((du, dv, dw), _coord_layout(flavor, g)):
-        picked = p[slots.start:slots.stop:slots.step]
-        out += picked + [0] * (len(slots) - len(picked))
-    return out
+    """Coordinate slots of coefficient lists (see _slot_codec)."""
+    return _slot_codec(flavor, g)[1](du, dv, dw)
 
 
 def _alpha(u: list, w: list) -> list:

@@ -9,17 +9,26 @@ deterministic reproducibility of the drift numbers matters more than
 adaptivity.  Trajectories that leave the overflow guard or turn NaN are
 truncated and flagged (expected behaviour near the Painleve poles of the
 lattice fields).
+
+The first integrals are sampled after every step.  Their names are fixed
+once per run, each monitor returns its values as a list in that order,
+and the step loop appends them to one column per integral.  Once the run
+ends, each column gives its integral's drift (the largest distance from
+its value at t = 0) and the first step at which the drift peaked.
+Trajectory.drift_summary() reports, per integral, the drift, the step
+and time of its peak, and the relative drift d / max(1, |value at t = 0|).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import indexOf
 
 from .algebra import Poly
 from .errors import InvariantError
-from .mumford import (MUMFORD_FLAVORS, MumfordTriple, _coefficient_lists,
-                      _read_slots, mumford_tangent, point_values)
+from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
 from .prym import prym_tangent
 from .toda import KMPoint, TodaPoint, char_coeffs, hierarchy_commutator
 
@@ -34,6 +43,7 @@ class Trajectory:
     states: list = field(default_factory=list)
     conserved: dict = field(default_factory=dict)
     drift: dict = field(default_factory=dict)
+    peak_step: dict = field(default_factory=dict)  # the step at which each drift peaked
     truncated: bool = False
     note: str = ""
     steps_requested: int = 0
@@ -53,10 +63,13 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def drift_summary(self) -> dict:
+        peak = {k: {"step": i, "t": self.times[i],
+                    "relative_drift": self.drift[k] / max(1.0, abs(self.conserved[k][0]))}
+                for k, i in self.peak_step.items()}
         return {"system": self.system, "steps": len(self.times) - 1,
                 "steps_requested": self.steps_requested,
                 "truncated": self.truncated, "note": self.note,
-                "drift": {k: v for k, v in self.drift.items()}}
+                "drift": dict(self.drift), "peak": peak}
 
 
 def _rk4_step(f, x, h):
@@ -85,50 +98,58 @@ def _toda_rhs(state, n, index):
 
 def _mumford_rhs(state, flavor, g, y):
     """X_y at the float state (see mumford.mumford_tangent)."""
-    u, v, w = _coefficient_lists(flavor, g, state, 0.0, 1.0)
-    return _read_slots(flavor, g, *mumford_tangent(u, v, w, y))
+    lists, read = _slot_codec(flavor, g)
+    return read(*mumford_tangent(*lists(state, 0.0, 1.0), y))
 
 
 def _prym_rhs(state, flavor, n, y):
     """Reduced X_y at the float state (see prym.prym_tangent); the
     remainders, zero up to rounding, are not checked."""
-    u, v, w = _coefficient_lists(flavor, n, state, 0.0, 1.0)
-    return _read_slots(flavor, n, *prym_tangent(u, v, w, y)[0])
+    lists, read = _slot_codec(flavor, n)
+    return read(*prym_tangent(*lists(state, 0.0, 1.0), y)[0])
 
 
 # ---------------------------------------------------------------------------
-# conserved quantities
+# conserved quantities: each monitor returns its values in the order of
+# the names given for the run
 # ---------------------------------------------------------------------------
+
+def _lattice_names(n, km=False):
+    names = [f"K{j}" for j in range(n)] + ["prod_a"]
+    if km and n == 5:
+        names += ["K", "L"]
+    if km and n % 2 == 0:
+        names += ["P_odd", "P_even"]
+    return names
+
 
 def _lattice_invariants(state, n, km=False):
     a = state[:n]
     b = [0.0] * n if km else state[n:]
-    half_k = char_coeffs(a, b, 0.0)
-    out = {}
-    for j in range(n):
-        out[f"K{j}"] = 2.0 * half_k[j]
-    prod = 1.0
-    for x in a:
-        prod *= x
-    out["prod_a"] = prod
+    out = [2.0 * c for c in char_coeffs(a, b, 0.0)[:n]]
+    out.append(math.prod(a, start=1.0))
     if km and n == 5:
-        out["K"] = sum(a)
-        out["L"] = (a[0] * a[2] + a[1] * a[3] + a[2] * a[4]
-                    + a[3] * a[0] + a[4] * a[1])
+        out.append(sum(a))
+        out.append(a[0] * a[2] + a[1] * a[3] + a[2] * a[4] + a[3] * a[0] + a[4] * a[1])
     if km and n % 2 == 0:
-        p_odd = p_even = 1.0
-        for x in a[0::2]:
-            p_odd *= x
-        for x in a[1::2]:
-            p_even *= x
-        out["P_odd"] = p_odd
-        out["P_even"] = p_even
+        out.append(math.prod(a[0::2], start=1.0))
+        out.append(math.prod(a[1::2], start=1.0))
     return out
 
 
-def _momentum_invariants(state, flavor, g):
-    u, v, w = map(Poly, _coefficient_lists(flavor, g, state, 0.0, 1.0))
-    return {f"H{j}": float(c) for j, c in enumerate((u * w + v * v).coeffs)}
+def _momentum_invariants(u, v, w):
+    """The coefficients H0, H1, ... of u w + v^2 from coefficient lists."""
+    u, v, w = Poly(u), Poly(v), Poly(w)
+    return [float(c) for c in (u * w + v * v).coeffs]
+
+
+def _peak(column) -> tuple:
+    """(drift, step) of one sampled integral: the largest |value - value at
+    t = 0| and the first step that reaches it, as a running maximum from
+    0.0 finds them (a NaN distance never sets a peak)."""
+    base = column[0]
+    peak = max(chain((0.0,), map(abs, map(base.__rsub__, column))))
+    return peak, indexOf(map(abs, map(base.__rsub__, column)), peak) if peak else 0
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +177,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         state = [float(x) for x in point.a]
         rhs = km_rhs
         invariants = lambda s: _lattice_invariants(s, n, km=True)
+        names = _lattice_names(n, km=True)
     elif system == "toda":
         if not isinstance(point, TodaPoint):
             raise InvariantError("point-type", "toda integration needs a TodaPoint")
@@ -164,6 +186,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         state = [float(x) for x in point.a] + [float(x) for x in point.b]
         rhs = lambda s: _toda_rhs(s, n, index)
         invariants = lambda s: _lattice_invariants(s, n)
+        names = _lattice_names(n)
     elif system in ("mumford", "prym"):
         if not isinstance(point, MumfordTriple):
             raise InvariantError("point-type", "flow needs a MumfordTriple")
@@ -181,7 +204,9 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
                     "flavor", "the ambient flow is not tangent to the parity"
                     " locus; use system='prym' for prym points")
             rhs = lambda s: _mumford_rhs(s, flavor, g, y)
-        invariants = lambda s: _momentum_invariants(s, flavor, g)
+        lists = _slot_codec(flavor, g)[0]
+        invariants = lambda s: _momentum_invariants(*lists(s, 0.0, 1.0))
+        names = [f"H{j}" for j in range(point.u.degree + point.w.degree + 1)]
     else:
         raise InvariantError("system", f"unknown system {system!r}")
     if system in ("km", "toda") and n < 1:
@@ -190,26 +215,23 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         raise InvariantError("hierarchy-index", f"need 1 <= index <= {n - 1}")
 
     traj = Trajectory(system=system)
-    base = invariants(state)
-    names = list(base)
-    traj.conserved = {k: [base[k]] for k in names}
-    traj.drift = {k: 0.0 for k in names}
-    traj.times.append(0.0)
-    traj.states.append(list(state))
+    columns = [[value] for value in invariants(state)]
+    states = [state]
+    inside = BLOWUP_GUARD.__ge__
     nsteps = traj.steps_requested = int(round(t_end / step))
     for i in range(1, nsteps + 1):
         state = _rk4_step(rhs, state, step)
-        if any(not abs(x) <= BLOWUP_GUARD for x in state):  # also true for NaN
+        if not all(map(inside, map(abs, state))):  # also true for NaN
             traj.truncated = True
             reason = "became NaN" if any(map(math.isnan, state)) else "exceeded overflow guard"
             traj.note = f"state {reason} at step {i}"
             break
-        traj.times.append(i * step)
-        traj.states.append(list(state))
-        vals = invariants(state)
-        for k in names:
-            traj.conserved[k].append(vals[k])
-            d = abs(vals[k] - base[k])
-            if d > traj.drift[k]:
-                traj.drift[k] = d
+        states.append(list(state))  # exact size: a comprehension's list is over-allocated
+        for column, value in zip(columns, invariants(state)):
+            column.append(value)
+    traj.states = states
+    traj.times = [i * step for i in range(len(states))]
+    for name, column in zip(names, columns, strict=True):
+        traj.conserved[name] = column
+        traj.drift[name], traj.peak_step[name] = _peak(column)
     return traj

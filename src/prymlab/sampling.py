@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Poly
 from .mumford import MumfordTriple, _coord_layout, triple_from_values
 from .toda import KMPoint, TodaPoint
 
@@ -53,10 +52,3 @@ def km_point(rng: random.Random, n: int) -> KMPoint:
 def mumford_triple(rng: random.Random, flavor: str, g: int) -> MumfordTriple:
     count = sum(map(len, _coord_layout(flavor, g)))
     return triple_from_values(flavor, g, [rational(rng) for _ in range(count)])
-
-
-def poly(rng: random.Random, degree: int, monic: bool = False) -> Poly:
-    coeffs = [rational(rng) for _ in range(degree + 1)]
-    if monic and degree >= 0:
-        coeffs[degree] = Fraction(1)
-    return Poly(coeffs)

@@ -27,7 +27,7 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Sequence
 
-from .algebra import Poly, integer_numerators
+from .algebra import integer_numerators
 
 
 class MultiPoly:
@@ -523,17 +523,3 @@ class _PackedTable:
                     key = k1 + k2
                     acc[key] = get(key, 0) + n1 * n2
         return acc, den
-
-
-def coordinate_poly(coeff_slots: Sequence[int | None], nvars: int,
-                    fixed: dict[int, Fraction] | None = None) -> Poly:
-    """Build a Poly whose k-th coefficient is the variable coeff_slots[k]
-    (or a fixed scalar when the slot is None)."""
-    fixed = fixed or {}
-    coeffs: list = []
-    for k, slot in enumerate(coeff_slots):
-        if slot is None:
-            coeffs.append(MultiPoly.const(nvars, fixed.get(k, 0)))
-        else:
-            coeffs.append(MultiPoly.var(nvars, slot))
-    return Poly(coeffs)

@@ -203,7 +203,13 @@ def char_coeffs(a, b, zero) -> list:
     Each minor comes from the three-term recurrence
     D_k = (x - b_k) D_{k-1} - a_{k-1} D_{k-2}, run in place on coefficient
     lists; at n = 1 both h corners share the one entry and the a_n term,
-    which has no permutation, is dropped."""
+    which has no permutation, is dropped.
+
+    The b_k D_{k-1} pass is skipped when b_k == 0 (the KM slice).  That is
+    exact over Fraction, and bit-identical over float while the
+    coefficients are finite: no coefficient is ever -0.0 (the lists start
+    from +0.0 and 1, and x - y is -0.0 only for x = -0.0), and subtracting
+    a zero product from anything but -0.0 leaves it as it is."""
     n = len(a)
     one = zero + 1
 
@@ -212,8 +218,9 @@ def char_coeffs(a, b, zero) -> list:
         for k in range(lo, hi):
             cur = [zero] + prev
             bk = b[k]
-            for j, c in enumerate(prev):
-                cur[j] -= bk * c
+            if bk != 0:
+                for j, c in enumerate(prev):
+                    cur[j] -= bk * c
             if prev2:
                 ak = a[k - 1]
                 for j, c in enumerate(prev2):

@@ -152,6 +152,20 @@ def test_poly_product_type_table(kind):
         assert [type(c) for c in product.coeffs] == types
 
 
+def test_poly_product_keeps_a_truncated_zero_factor():
+    """A coefficient known to vanish only through its window is not an
+    exact zero: the product keeps its window instead of an exact 0."""
+    zero3, one = _L(0, [], 2), _L.constant(1)  # O(t^3) and 1
+    for left, right in (([zero3, one], [one]), ([one], [zero3, one]),
+                        ([one, zero3, one], [one, _L(1, [2])])):
+        product = (Poly(left) * Poly(right)).coeffs
+        assert product == _schoolbook(left, right)
+        assert all(type(c) is _L for c in product)
+    assert (Poly([zero3, one]) * Poly([one])).coeffs[0].hi == 2
+    # an exact zero is still skipped
+    assert (Poly([_L(0, []), one]) * Poly([one])).coeffs == [0, one]
+
+
 def test_zero_poly_degree_sentinel():
     assert Poly().degree == -1
     assert Poly([F(0), F(0)]).is_zero()

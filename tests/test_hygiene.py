@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
-uses.  The repository has no linter, so this test is the guard."""
+uses, and src/ defines nothing that nothing refers to.  The repository
+has no linter, so these tests are the guard."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,93 @@ def test_scanner_sees_unused_and_allows_used():
         "    return os.path.sep\n"
     )
     assert unused_imports(source) == [(3, "sys"), (5, "It"), (6, "gcd")]
+
+
+# Definitions in src/ that only tests (or the argparse machinery) call, each
+# with the reason it stays.  An entry must go once its name gets a caller in
+# src/ (test_allow_list_is_current).
+TEST_ONLY = {
+    "algebra.Poly.evaluate": "the tests read polynomials at points through it",
+    "algebra.BiPoly.evaluate": "the tests check divided differences at points through it",
+    "algebra.Poly.even_odd_parts": "parity oracle in test_algebra",
+    "algebra.Poly.divrem": "the squarefree check of the prymdim suite will call it",
+    "algebra.deflate": "synthetic-division oracle in test_algebra",
+    "algebra.BiPoly.reflect_x": "symmetry oracle in test_algebra",
+    "algebra.BiPoly.reflect_xp": "symmetry oracle in test_algebra",
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "example5.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
+    "example5.curve_point": "point-on-curve oracle in test_example5",
+    "morphism.phi_symbolic": "symbolic oracle for phi in test_morphism",
+    "morphism.pr_symbolic": "symbolic oracle for pr_split in test_morphism",
+    "mumford.momentum_symbolic": "symbolic momentum map for the involution and field tests",
+    "mumford.mumford_flow_symbolic": "symbolic field oracle in test_mumford",
+    "painleve.c_block": "documents the run block; test_painleve checks its spectra",
+    "prym.is_fixed_point": "involution oracle in test_prym",
+    "sampling.mumford_triple": "seeded Mumford and Prym points for the tests",
+    "symbolic.MultiPoly.total_degree": "degree oracle in test_symbolic",
+    "symbolic.matrix_rank": "the rank counts of the divisor and prymdim suites will call it",
+    "symbolic.BracketTable.poisson_bracket": "bracket of two polynomials in the involution tests",
+    "symbolic.BracketTable.hamiltonian_field": "Hamiltonian-field oracle for every flow",
+    "toda.toda_point_values": "Toda coordinate vector in the phi pull-back tests",
+    "toda.toda_integrals_symbolic": "symbolic Toda integrals for the involution tests",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """module.name or module.Class.method of every top-level function,
+    class or method in `sources` (module name -> source) whose name no
+    source reads as a name or attribute, imports, exports in __all__ or
+    writes in a string annotation.  Dunder hooks (__init__,
+    __post_init__, ...) are exempt.  Names are matched without regard to
+    the object they belong to, so a method counts as used when any
+    attribute of that name is read."""
+    referenced, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        referenced |= _exported(tree) | _annotation_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [qualified for qualified, name in defined
+            if name not in referenced and not (name.startswith("__") and name.endswith("__"))]
+
+
+def _src_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(ROOT.glob("src/prymlab/*.py"))}
+
+
+def test_no_unreferenced_definitions():
+    found = [name for name in unreferenced_definitions(_src_sources()) if name not in TEST_ONLY]
+    assert not found, "defined in src but referenced nowhere in src:\n" + "\n".join(found)
+
+
+def test_allow_list_is_current():
+    assert sorted(set(TEST_ONLY) - set(unreferenced_definitions(_src_sources()))) == []
+
+
+def test_definition_scanner_sees_dead_and_allows_used():
+    sources = {
+        "a": ("from __future__ import annotations\n"
+              "__all__ = ['exported']\n"
+              "def exported(): pass\n"
+              "def dead(): pass\n"
+              "def called(): pass\n"
+              "def annotated(x: 'Helper') -> None: return called()\n"
+              "class Helper:\n"
+              "    def __post_init__(self): pass\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"),
+        "b": "from a import annotated\nannotated(None).used()\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.dead", "a.Helper.unused"]

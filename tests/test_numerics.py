@@ -5,8 +5,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from dict_loop import char_coeffs_unskipped
+from dict_loop import integrate as dict_loop_integrate
 
-from prymlab import numerics
+from prymlab import morphism, numerics
 from prymlab.algebra import Poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
@@ -173,8 +175,8 @@ def test_char_coeffs_float_match_exact_char_poly(rng, n):
         assert all(type(c) is float for c in numeric)
         scale = max(abs(c) for c in exact)
         assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
-        invariants = _lattice_invariants(state, n)
-        assert [invariants[f"K{j}"] for j in range(n)] == numeric[:n]
+        invariants = _lattice_invariants(state, n)  # K0..K{n-1}, then prod_a
+        assert invariants[:n] == numeric[:n]
 
 
 @pytest.mark.parametrize("index", [0, 3, None])
@@ -215,8 +217,41 @@ def test_drift_summary_says_why_a_run_stopped():
     summary = blown.drift_summary()
     assert summary["truncated"] and "overflow guard" in summary["note"]
     assert summary["steps_requested"] == 800 > summary["steps"]
-    summary = integrate("km", REFERENCE, None, 1.0, 1e-2).drift_summary()
+    _assert_peaks(blown)
+    run = integrate("km", REFERENCE, None, 1.0, 1e-2)
+    summary = run.drift_summary()
     assert summary["note"] == "" and summary["steps"] == summary["steps_requested"] == 100
+    _assert_peaks(run)
+
+
+def _assert_peaks(traj):
+    """Each integral's peak is the first step at which |value - value at
+    t = 0| reaches its drift, with that step's time and the drift over
+    max(1, |value at t = 0|)."""
+    summary = traj.drift_summary()
+    assert list(summary["peak"]) == list(summary["drift"]) == list(traj.conserved)
+    assert any(peak["step"] > 0 for peak in summary["peak"].values())
+    for name, peak in summary["peak"].items():
+        column, d = traj.conserved[name], traj.drift[name]
+        distances = [abs(x - column[0]) for x in column]
+        step = peak["step"]
+        assert max(distances) == d and all(x < d for x in distances[:step])
+        assert distances[step] == d
+        assert peak["t"] == traj.times[step]
+        assert peak["relative_drift"] == d / max(1.0, abs(column[0]))
+
+
+@pytest.mark.parametrize("column", [[1.0, math.nan, 3.0, 3.0, -1.0], [1.0, math.nan],
+                                    [math.inf, math.inf, 1.0], [2.0, 2.0], [0.0, -0.0, 1e-300],
+                                    [1.0, 3.0, math.inf, math.nan, math.inf]])
+def test_peak_is_the_running_maximum_from_zero(column):
+    """A NaN distance never sets a peak, and ties keep the first step."""
+    peak, step = 0.0, 0
+    for i, x in enumerate(column[1:], start=1):
+        d = abs(x - column[0])
+        if d > peak:
+            peak, step = d, i
+    assert numerics._peak(column) == (peak, step)
 
 
 def _hamiltonian_oracle(table, flavor, n, point, phi, y):
@@ -250,3 +285,58 @@ def test_float_prym_field_is_the_reduced_hamiltonian_field(rng, flavor, n):
         point = mumford_triple(rng, flavor, n)
         numeric = _prym_rhs([float(x) for x in point_values(point)], flavor, n, float(y))
         _assert_close(numeric, _hamiltonian_oracle(table, flavor, n, point, phi, y))
+
+
+def _frozen(traj):
+    """Every field of a trajectory, floats as float.hex, keys in order."""
+    def hexes(xs):
+        return [x.hex() for x in xs]
+    return (traj.system, hexes(traj.times), [hexes(s) for s in traj.states],
+            [(k, hexes(v)) for k, v in traj.conserved.items()],
+            [(k, v.hex()) for k, v in traj.drift.items()], list(traj.peak_step.items()),
+            traj.truncated, traj.note, traj.steps_requested)
+
+
+ORACLE_RUNS = {
+    "km-4": lambda rng: ("km", km_point(rng, 4), None, 3.0, 1e-2),
+    "km-5": lambda rng: ("km", REFERENCE, None, 2.0, 1e-3),
+    "km-6": lambda rng: ("km", km_point(rng, 6), None, 3.0, 1e-2),
+    "km-20": lambda rng: ("km", km_point(rng, 20), None, 1.0, 5e-3),
+    "km-truncating": lambda rng: ("km", KMPoint((F(-2), F(-1, 2), F(1), F(1), F(1))),
+                                  None, 8.0, 1e-2),
+    "toda-index-2": lambda rng: ("toda", toda_point(rng, 5), 2, 0.5, 1e-3),
+    "odd-mumford": lambda rng: ("mumford", mumford_triple(rng, ODD_MUMFORD, 2), 0.3, 0.3, 1e-3),
+    "even-mumford": lambda rng: ("mumford", mumford_triple(rng, EVEN_MUMFORD, 2), 0.3, 0.3, 1e-3),
+    "even-mumford-phi": lambda rng: ("mumford", morphism.phi(toda_point(rng, 3), 3).triple,
+                                     0.7, 1.0, 1e-3),
+    "odd-prym": lambda rng: ("prym", mumford_triple(rng, ODD_PRYM, 2), 0.3, 0.3, 1e-3),
+    "even-prym": lambda rng: ("prym", mumford_triple(rng, EVEN_PRYM, 1), -0.4, 0.3, 1e-3),
+}
+
+
+@pytest.mark.parametrize("run", ORACLE_RUNS)
+def test_trajectory_matches_the_dict_loop_bit_for_bit(rng, run):
+    """times, states, integrals (names and order), drifts, peak steps,
+    truncation and note agree with the per-step dict loop under float.hex."""
+    args = ORACLE_RUNS[run](rng)
+    traj = integrate(*args)
+    assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
+    assert traj.truncated == (run == "km-truncating")
+    assert len(traj.times) == len(traj.states) == len(next(iter(traj.conserved.values())))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_char_coeffs_zero_b_skip_is_bit_identical(rng, n):
+    """Skipping the b-pass at b_k == 0 changes no bit, signs of zero
+    included, also where exact cancellations leave zero coefficients."""
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice((1.0, -1.0, 2.0, 0.5, -0.5))
+        return rng.choice((-1, 1)) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-3, 3)
+
+    for _ in range(30):
+        a = [draw() for _ in range(n)]
+        for b in ([0.0] * n, [-0.0] * n,
+                  [rng.choice((0.0, -0.0, draw())) for _ in range(n)]):
+            got = [c.hex() for c in char_coeffs(a, b, 0.0)]
+            assert got == [c.hex() for c in char_coeffs_unskipped(a, b, 0.0)]
