@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -89,7 +88,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
+        while cs and _exact_zero(cs[-1]):
             # a trimmed Fraction zero keeps an int remainder over Q, so that
             # products stay Fraction-typed (see _rational_product)
             if type(cs.pop()) is Fraction and _scalar_kind(cs) == _INT:
@@ -166,9 +165,7 @@ class Poly:
                 return Poly(_rational_product(self.coeffs, other.coeffs, all_int=kind == _INT))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                # skip exact zeros only: a series known to vanish just
-                # through its window still bounds the product's window
-                if a == 0 and (type(a) is not LaurentSeries or a.hi is None):
+                if _exact_zero(a):
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
@@ -253,6 +250,12 @@ class Poly:
             return ",".join(str(c) for c in self.coeffs)
 
 
+def _exact_zero(c) -> bool:
+    """c == 0, except that a series known to vanish only through its window
+    is not an exact zero: it still bounds the window of what it meets."""
+    return c == 0 and (type(c) is not LaurentSeries or c.hi is None)
+
+
 _INT, _RATIONAL, _OTHER = 0, 1, 2
 
 
@@ -275,13 +278,6 @@ def integer_numerators(values) -> tuple[list[int], int]:
     values and numerators[i] = values[i] * d."""
     d = lcm(*[c.denominator for c in values])
     return [c.numerator * (d // c.denominator) for c in values], d
-
-
-def rational_dot(a: list, b: list) -> Fraction:
-    """sum a_i b_i of two Fraction/int lists, built as a single Fraction."""
-    na, da = integer_numerators(a)
-    nb, db = integer_numerators(b)
-    return Fraction(sum(map(mul, na, nb)), da * db)
 
 
 def _rational_product(a: list, b: list, width: int | None = None,
@@ -750,29 +746,34 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.lo, tuple(self.coeffs), self.hi))
 
-    def __add__(self, other):
-        other = LaurentSeries._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _combine(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
+        """self + sign * other on integer numerators over one denominator;
+        int plus int stays int, otherwise each output is one Fraction."""
         if self.known_zero() and self.hi is None:
-            return other
+            return other if sign > 0 else -other
         if other.known_zero() and other.hi is None:
             return self
         if self.hi is None and other.hi is None:
             hi = None
             top = max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - 1
         else:
-            his = [h for h in (self.hi, other.hi) if h is not None]
-            hi = min(his)
-            top = hi
+            hi = top = min(h for h in (self.hi, other.hi) if h is not None)
         lo = min(self.lo if self.coeffs else top, other.lo if other.coeffs else top)
-        coeffs = [self._get(e) + other._get(e) for e in range(lo, top + 1)]
-        return LaurentSeries(lo, coeffs, hi)
+        a = self.coeffs[:max(0, top + 1 - self.lo)]
+        b = other.coeffs[:max(0, top + 1 - other.lo)]
+        nums, den = integer_numerators(a + b)
+        out = [0] * (top - lo + 1)
+        for i, x in enumerate(nums[:len(a)], self.lo - lo):
+            out[i] = x
+        for i, x in enumerate(nums[len(a):], other.lo - lo):
+            out[i] += sign * x
+        if _scalar_kind(a + b) != _INT:
+            out = [Fraction(c, den) for c in out]
+        return LaurentSeries(lo, out, hi)
 
-    def _get(self, e: int):
-        if self.lo <= e < self.lo + len(self.coeffs):
-            return self.coeffs[e - self.lo]
-        return 0
+    def __add__(self, other):
+        other = LaurentSeries._coerce(other)
+        return NotImplemented if other is None else self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -781,15 +782,11 @@ class LaurentSeries:
 
     def __sub__(self, other):
         other = LaurentSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self._combine(other, -1)
 
     def __rsub__(self, other):
         other = LaurentSeries._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other._combine(self, -1)
 
     def __mul__(self, other):
         other = LaurentSeries._coerce(other)
@@ -818,7 +815,9 @@ class LaurentSeries:
 
     def derivative(self) -> "LaurentSeries":
         hi = None if self.hi is None else self.hi - 1
-        coeffs = [Fraction(e) * c for e, c in zip(range(self.lo, self.lo + len(self.coeffs)), self.coeffs)]
+        coeffs = [e * c for e, c in enumerate(self.coeffs, self.lo)]
+        if _scalar_kind(self.coeffs) == _RATIONAL:  # ints beside Fractions become Fractions
+            coeffs = [Fraction(c) if type(c) is int else c for c in coeffs]
         return LaurentSeries(self.lo - 1, coeffs, hi)
 
     def shift(self, k: int) -> "LaurentSeries":
@@ -829,8 +828,7 @@ class LaurentSeries:
     def truncate(self, hi: int) -> "LaurentSeries":
         if self.hi is not None and hi > self.hi:
             raise TruncationError("cannot extend validity by truncation")
-        coeffs = [self._get(e) for e in range(self.lo, hi + 1)]
-        return LaurentSeries(self.lo, coeffs, hi)
+        return LaurentSeries(self.lo, self.coeffs[:max(0, hi + 1 - self.lo)], hi)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse; leading coefficient must be nonzero.

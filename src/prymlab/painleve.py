@@ -27,16 +27,18 @@ the spectrum is integral and the count of non-negative eigenvalues is
 n - #A/2, the number of free parameters of the Laurent family.  Every
 report proves its spectrum by exact determinants (check_spectrum).
 Free parameters enter the recursion exactly at the non-pivot columns of
-M - k I and are addressed by slot names "a<i>.<k>".
+M - k I and are addressed by slot names "a<i>.<k>".  Each order is solved
+on the integer rows [k Id - M | rhs] (symbolic.solve_affine).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .algebra import LaurentSeries, format_rational, rational_dot
+from .algebra import LaurentSeries, format_rational, integer_numerators
 from .errors import InvariantError, ResonanceError
 from .symbolic import pivot_columns, shifted_determinants, solve_affine
 
@@ -333,21 +335,20 @@ def slot_name(i: int, k: int) -> str:
 
 
 def _shifted_systems(balance: Balance, through_order: int):
-    """k Id - M for k = 1..through_order; the integral entries (all of them
-    for a balance from make_balance) as ints."""
-    M = [[c.numerator if c.denominator == 1 else c for c in row]
-         for row in kowalevski_matrix(balance)]
+    """(k, D (k Id - M), D) for k = 1..through_order, with D the common
+    denominator of M (1 for a balance from make_balance): int rows."""
+    n = balance.n
+    M, D = integer_numerators([c for row in kowalevski_matrix(balance) for c in row])
     for k in range(1, through_order + 1):
-        yield k, [[(k if i == j else 0) - c for j, c in enumerate(row)]
-                  for i, row in enumerate(M)]
+        yield k, [[k * D * (i == j) - M[i * n + j] for j in range(n)] for i in range(n)], D
 
 
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     """Names of the free coefficients the recursion leaves open, in order:
     the non-pivot columns of each k Id - M."""
     names = []
-    for k, system in _shifted_systems(balance, through_order):
-        pivots = pivot_columns(system)
+    for k, rows, _ in _shifted_systems(balance, through_order):
+        pivots = pivot_columns(rows)
         names.extend(slot_name(c + 1, k) for c in range(n) if c not in pivots)
     return names
 
@@ -360,39 +361,52 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     non-pivot column of M - k I; supplying the wrong set of slots raises,
     as does an inconsistent resonance.  The returned series satisfy the
     Volterra equations exactly through their validity window.
+
+    Each order a^(k) is kept as integer numerators over one denominator in
+    lowest terms; one Fraction per output coefficient is built at the end.
     """
     if balance.n != n:
         raise InvariantError("size", "balance does not match n")
     if order < 0:
         raise InvariantError("order", "the Laurent order must be >= 0")
     params = {k: Fraction(v) for k, v in free_params.items()}
-    alpha = balance.alpha  # a^(0)
-    # columns[i] = [a_i^(0), a_i^(1), ...]; diffs[i][m] = a_{i-1}^(m) - a_{i+1}^(m),
-    # the m-th coefficient of the bracket in da_i/dt = a_i (a_{i-1} - a_{i+1})
-    columns = [[c] for c in alpha]
-    diffs = [[alpha[i - 1] - alpha[(i + 1) % n]] for i in range(n)]
-    for k, system in _shifted_systems(balance, order):
-        rhs = [rational_dot(columns[i][1:k], diffs[i][k - 1:0:-1]) for i in range(n)]
-        sol = solve_affine(system, rhs)
+    # order k >= 1: numerators of a_i^(k) and a_{i-1}^(k) - a_{i+1}^(k), their denominator
+    nums, diffs, dens = [], [], []
+    for k, rows, D in _shifted_systems(balance, order):
+        # rhs_i = sum_{j=1}^{k-1} a_i^(j) diff_i^(k-j), over L = lcm_j dens_j dens_{k-j}
+        products = [dens[j] * dens[k - 2 - j] for j in range(k - 1)]
+        L = lcm(*products)
+        terms = [(L // p, a, d) for p, a, d in zip(products, nums, reversed(diffs))]
+        for i, row in enumerate(rows):
+            row.append(D * sum(w * a[i] * d[i] for w, a, d in terms))
+        sol = solve_affine(rows)
         if not sol.consistent:
             raise ResonanceError(f"inconsistent resonance at order k={k}")
-        vec = list(sol.particular)
-        for basis_vec, col in zip(sol.kernel_basis, sol.free_columns):
+        values = []
+        for col in sol.free_columns:
             name = slot_name(col + 1, k)
             if name not in params:
                 expected = free_slots(n, balance, order)
                 raise InvariantError(
                     "free-parameters",
                     f"missing value for free slot {name}; expected slots {expected}")
-            value = params.pop(name)
-            vec = [x + value * y for x, y in zip(vec, basis_vec)]
-        for i in range(n):
-            columns[i].append(vec[i])
-            diffs[i].append(vec[i - 1] - vec[(i + 1) % n])
+            values.append(params.pop(name))
+        # a^(k) = particular / (den L) + sum_f value_f kernel_f / den, over den L Q
+        Q = lcm(*[v.denominator for v in values])
+        vec = [x * Q for x in sol.particular]
+        for value, basis_vec in zip(values, sol.kernel_basis):
+            w = L * value.numerator * (Q // value.denominator)
+            vec = [x + w * y for x, y in zip(vec, basis_vec)]
+        g = gcd(sol.den * L * Q, *vec)
+        nums.append([x // g for x in vec])
+        diffs.append([nums[-1][i - 1] - nums[-1][(i + 1) % n] for i in range(n)])
+        dens.append(sol.den * L * Q // g)
     if params:
         raise InvariantError("free-parameters",
                              f"unused parameters {sorted(params)}")
-    return [LaurentSeries(-1, columns[i], hi=order - 1) for i in range(n)]
+    return [LaurentSeries(-1, [a] + [Fraction(vec[i], den) for vec, den in zip(nums, dens)],
+                          hi=order - 1)
+            for i, a in enumerate(balance.alpha)]
 
 
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:

@@ -13,10 +13,11 @@ and variable counts stay small everywhere in this package.
 
 The exact kernels keep Fraction out of their inner loops: a MultiPoly
 product convolves integer numerators over one common denominator per
-factor, `rref` eliminates on integer rows (each row scaled by the lcm of
-its denominators, kept primitive by its content gcd), and the Jacobi
-check works on integer numerators with packed exponents (_PackedTable).
-They build one Fraction per output entry at the end.
+factor, the linear algebra eliminates on integer rows kept primitive by
+their content gcd (_eliminate: ranks, determinants, and `solve_affine`,
+which returns integer numerators over one common denominator), and the
+Jacobi check works on integer numerators with packed exponents
+(_PackedTable).  Fractions are built only where a caller needs them.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact linear algebra on integer rows
 # ---------------------------------------------------------------------------
 
 def _eliminate(rows: list[list[int]], reduce_above: bool) -> tuple[list[int], int, int]:
@@ -275,21 +276,6 @@ def _eliminate(rows: list[list[int]], reduce_above: bool) -> tuple[list[int], in
     return pivots, num, den
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
-
-    Entries may be Fraction or int; every output entry is a Fraction."""
-    # each row times the lcm of its denominators
-    rows = [integer_numerators(row)[0] for row in matrix]
-    pivots, _, _ = _eliminate(rows, reduce_above=True)
-    zero = Fraction(0)
-    out = [[Fraction(c, row[col]) if c else zero for c in row]
-           for row, col in zip(rows, pivots)]
-    ncols = len(rows[0]) if rows else 0
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
-
-
 def integer_determinant(rows: list[list[int]]) -> int:
     """Exact determinant of a square int matrix; the rows are overwritten."""
     if any(len(row) != len(rows) for row in rows):
@@ -327,35 +313,37 @@ def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
 
 @dataclass
 class AffineSolution:
-    """Solution set of A x = b: x = particular + span(kernel_basis)."""
+    """Solution set of A x = b: x = (particular + span(kernel_basis)) / den,
+    every vector of integer numerators over the one positive den."""
 
     consistent: bool
-    particular: list[Fraction] | None
-    kernel_basis: list[list[Fraction]]
+    particular: list[int] | None
+    kernel_basis: list[list[int]]
     free_columns: list[int]
+    den: int
 
 
-def solve_affine(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> AffineSolution:
-    """Exact solution of a (possibly singular) linear system over Q."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(augmented)
+def solve_affine(rows: list[list[int]]) -> AffineSolution:
+    """Exact solution of A x = b over Q from the augmented integer rows
+    [A | b], which are overwritten.
+
+    One fraction-free Gauss-Jordan elimination leaves pivot p_r in row r
+    and zeros in the other pivot columns, so with den the lcm of the
+    pivots each pivot coordinate is read off row r times den / p_r."""
+    n = len(rows[0]) - 1 if rows else 0
+    pivots, _, _ = _eliminate(rows, reduce_above=True)
     if n in pivots:
-        return AffineSolution(False, None, [], [])
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    particular = [Fraction(0)] * n
-    for row_idx, col in enumerate(pivots):
-        particular[col] = reduced[row_idx][n]
-    kernel = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -reduced[row_idx][free]
-        kernel.append(vec)
-    return AffineSolution(True, particular, kernel, free_cols)
+        return AffineSolution(False, None, [], [], 1)
+    free_cols = [j for j in range(n) if j not in pivots]
+    den = lcm(*[row[col] for row, col in zip(rows, pivots)])
+    particular = [0] * n
+    kernel = [[den if j == free else 0 for j in range(n)] for free in free_cols]
+    for row, col in zip(rows, pivots):
+        s = den // row[col]
+        particular[col] = row[n] * s
+        for vec, free in zip(kernel, free_cols):
+            vec[col] = -row[free] * s
+    return AffineSolution(True, particular, kernel, free_cols, den)
 
 
 # ---------------------------------------------------------------------------

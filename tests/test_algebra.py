@@ -166,6 +166,16 @@ def test_poly_product_keeps_a_truncated_zero_factor():
     assert (Poly([_L(0, []), one]) * Poly([one])).coeffs == [0, one]
 
 
+def test_poly_keeps_a_trailing_truncated_zero():
+    """Only exact zeros are trimmed: O(t^3) is not known to vanish."""
+    one, zero3 = _L.constant(1), _L(0, [], 2)
+    assert Poly([one, zero3]).degree == 1
+    difference = Poly([one, one]) - Poly([one, _L(0, [1], 2)])  # 1 - (1 + O(t^3))
+    assert not difference.is_zero() and difference != 0
+    assert difference.degree == 1 and difference.coeffs[1].hi == 2
+    assert Poly([one, _L(0, [])]).degree == 0  # an exact zero is still trimmed
+
+
 def test_zero_poly_degree_sentinel():
     assert Poly().degree == -1
     assert Poly([F(0), F(0)]).is_zero()
@@ -450,6 +460,61 @@ def test_series_product_matches_schoolbook(a, b):
     kinds = {type(c) for c in a.coeffs + b.coeffs}
     if kinds:
         assert {type(c) for c in product.coeffs} <= (kinds if len(kinds) == 1 else {F, int})
+
+
+@st.composite
+def typed_series(draw):
+    """A series with int, Fraction or mixed coefficients, exact or known
+    through a window past its terms; possibly a known zero of either kind."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    fractions = st.one_of(st.just(F(0)), st.fractions(max_denominator=60))
+    entry = {"int": st.one_of(st.just(0), wide_ints), "fraction": fractions,
+             "mixed": st.one_of(st.just(0), wide_ints, fractions)}[kind]
+    lo = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(entry, max_size=6))
+    hi = draw(st.one_of(st.none(), st.integers(0, 3).map(lambda k: lo + len(coeffs) - 1 + k)))
+    return LaurentSeries(lo, coeffs, hi)
+
+
+def _check_series_sum(got, a, b, sign):
+    """got = a + sign b, against coefficient-wise Fraction arithmetic.  The
+    window is the smaller of the two; an exact zero operand leaves the other
+    as it is; otherwise the coefficients are int when both operands are int
+    within the window, and Fraction when not."""
+    his = [h for h in (a.hi, b.hi) if h is not None]
+    hi = min(his) if his else None
+    top = hi if his else max(a.lo + len(a.coeffs), b.lo + len(b.coeffs)) - 1
+    lo = min(a.lo, b.lo)
+    expected = LaurentSeries(lo, [F(a.coefficient(e)) + sign * F(b.coefficient(e))
+                                  for e in range(lo, top + 1)], hi)
+    assert (got.lo, got.coeffs, got.hi) == (expected.lo, expected.coeffs, expected.hi)
+    if a.known_zero() and a.hi is None:
+        assert [type(c) for c in got.coeffs] == [type(c) for c in b.coeffs]
+    elif b.known_zero() and b.hi is None:
+        assert [type(c) for c in got.coeffs] == [type(c) for c in a.coeffs]
+    else:
+        window = [s.coefficient(e) for s in (a, b)
+                  for e in range(s.lo, min(s.lo + len(s.coeffs) - 1, top) + 1)]
+        kind = int if all(type(c) is int for c in window) else F
+        assert all(type(c) is kind for c in got.coeffs)
+
+
+@given(typed_series(), typed_series(), st.one_of(wide_ints, st.fractions(max_denominator=60)))
+@settings(max_examples=200, deadline=None)
+def test_series_sums_and_derivative_match_schoolbook(a, b, scalar):
+    _check_series_sum(a + b, a, b, 1)
+    _check_series_sum(a - b, a, b, -1)
+    # a scalar is coerced to an exact Fraction constant
+    c = LaurentSeries.constant(F(scalar))
+    for got, x, y, sign in ((a + scalar, a, c, 1), (scalar + a, c, a, 1),
+                            (a - scalar, a, c, -1), (scalar - a, c, a, -1)):
+        _check_series_sum(got, x, y, sign)
+    d = a.derivative()
+    expected = LaurentSeries(a.lo - 1, [e * F(c) for e, c in enumerate(a.coeffs, a.lo)],
+                             None if a.hi is None else a.hi - 1)
+    assert (d.lo, d.coeffs, d.hi) == (expected.lo, expected.coeffs, expected.hi)
+    kind = int if all(type(c) is int for c in a.coeffs) else F
+    assert all(type(c) is kind for c in d.coeffs)
 
 
 def test_divrem_of_int_polys_stays_exact():

@@ -1,8 +1,11 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
-uses, and src/ defines nothing that nothing refers to.  The repository
-has no linter, so these tests are the guard."""
+uses, src/ defines nothing that nothing refers to, and the names that the
+benchmark spans and the README give for prymlab code exist.  The
+repository has no linter, so these tests are the guard."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,3 +175,35 @@ def test_definition_scanner_sees_dead_and_allows_used():
         "b": "from a import annotated\nannotated(None).used()\n",
     }
     assert unreferenced_definitions(sources) == ["a.dead", "a.Helper.unused"]
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether `module.attr...` names an object of the prymlab module."""
+    module, *path = dotted.split(".")
+    obj = importlib.import_module(f"prymlab.{module}")
+    for part in path:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_bench_span_targets_resolve():
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets))
+    missing = [span for span, (module, path) in targets.items()
+               if not _resolves(f"{module}.{path}")]
+    assert targets and not missing, f"bench/spans.py TARGETS not in src: {missing}"
+
+
+def test_readme_module_names_resolve():
+    modules = {path.stem for path in ROOT.glob("src/prymlab/*.py")}
+    text = (ROOT / "README.md").read_text()
+    names = {m.removeprefix("prymlab.")
+             for m in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)}
+    named = sorted(name for name in names if name.split(".")[0] in modules)
+    missing = [name for name in named if not _resolves(name)]
+    assert named and not missing, f"README names that do not resolve: {missing}"
+    assert not _resolves("painleve.no_such_name")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import fraction_rref
 
+from prymlab.algebra import integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots, in_sigma,
                               in_sigma_mask, indicial_solutions, km_residual, kowalevski,
@@ -17,6 +18,9 @@ from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_ru
 from prymlab.symbolic import solve_affine
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
+# a hand-built balance with non-integral leading coefficients (and a
+# non-integral Kowalevski matrix); it does not solve the indicial equation
+NON_INTEGRAL = Balance(4, (1, 2), (F(-1, 2), F(3, 2), F(0), F(0)), (1, 1, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,8 @@ def _solve_affine_free_slots(n, balance, through_order):
     for k in range(1, through_order + 1):
         system = [[(k if i == j else 0) - c for j, c in enumerate(row)]
                   for i, row in enumerate(M)]
-        names.extend(slot_name(c + 1, k) for c in solve_affine(system, [0] * n).free_columns)
+        rows = [integer_numerators(row + [0])[0] for row in system]
+        names.extend(slot_name(c + 1, k) for c in solve_affine(rows).free_columns)
     return names
 
 
@@ -240,9 +245,8 @@ def test_free_slots_match_a_full_solve():
     for n in range(3, 9):
         for balance in indicial_solutions(n):
             assert free_slots(n, balance, 12) == _solve_affine_free_slots(n, balance, 12)
-    # a hand-built balance with non-integral leading coefficients
-    bogus = Balance(4, (1, 2), (F(-1, 2), F(3, 2), F(0), F(0)), (1, 1, -1, 0))
-    assert free_slots(4, bogus, 6) == _solve_affine_free_slots(4, bogus, 6) == ["a4.1", "a3.2"]
+    assert free_slots(4, NON_INTEGRAL, 6) == _solve_affine_free_slots(4, NON_INTEGRAL, 6) \
+        == ["a4.1", "a3.2"]
 
 
 def test_general_n_first_consistency_ties_alphas():
@@ -315,16 +319,37 @@ def _solve_balance(balance, params, order):
     return coeffs
 
 
-def test_laurent_balance_matches_in_test_solve_on_sigma6(rng):
-    order = 9
-    for balance in indicial_solutions(6):
-        params = {name: F(rng.randint(-9, 9), rng.randint(1, 7))
-                  for name in free_slots(6, balance, order)}
-        series = laurent_balance(6, balance, params, order)
+def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(rng):
+    order = 12
+    cases = [b for n in range(3, 9) for b in indicial_solutions(n)] + [NON_INTEGRAL]
+    for balance in cases:
+        n = balance.n
+        slots = free_slots(n, balance, order)
+        params = {name: F(rng.randint(-9, 9), rng.randint(1, 9)) for name in slots}
+        series = laurent_balance(n, balance, params, order)
         expected = _solve_balance(balance, params, order)
         for i, s in enumerate(series):
+            assert s.known_through() == order - 1
             assert [s.coefficient(k - 1) for k in range(order + 1)] \
                 == [expected[k][i] for k in range(order + 1)]
             assert all(type(c) is F for c in s.coeffs)
-        for r in km_residual(series):
-            assert r.known_through() == order - 2 and r.is_zero_through(order - 2)
+        if balance is not NON_INTEGRAL:
+            for r in km_residual(series):
+                assert r.known_through() == order - 2 and r.is_zero_through(order - 2)
+                assert all(type(c) is F for c in r.coeffs)
+        # the first missing slot is named, with the full list
+        missing = rng.choice(slots)
+        with pytest.raises(InvariantError) as err:
+            laurent_balance(n, balance, {k: v for k, v in params.items() if k != missing}, order)
+        assert err.value.invariant == "free-parameters"
+        assert str(err.value) == f"missing value for free slot {missing}; expected slots {slots}"
+    for extra in (slot_name(1, order + 1), slot_name(1, 1)):  # past the order; a pivot slot
+        with pytest.raises(InvariantError) as err:
+            laurent_balance(5, make_balance(5, (1, 2)), {**PRINCIPAL_PARAMS, extra: F(1)}, order)
+        assert err.value.invariant == "free-parameters"
+        assert str(err.value) == f"unused parameters {[extra]}"
+    bogus = Balance(3, (1, 3), (F(-2), F(0), F(2)), (1, 0, 1))
+    with pytest.raises(ResonanceError) as err:
+        laurent_balance(3, bogus, {"a3.1": F(1), "a3.2": F(1)}, order)
+    assert err.value.invariant == "laurent-resonance"
+    assert str(err.value) == "inconsistent resonance at order k=2"

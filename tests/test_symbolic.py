@@ -8,8 +8,9 @@ from conftest import fraction_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prymlab.algebra import integer_numerators
 from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, matrix_rank,
-                              pivot_columns, rref, shifted_determinants, solve_affine)
+                              pivot_columns, shifted_determinants, solve_affine)
 
 
 def test_multipoly_arithmetic():
@@ -36,21 +37,28 @@ def test_multipoly_foreign_types_defer():
         x + "nope"
 
 
+def _augmented(matrix, rhs):
+    """Integer rows of [A | b]: each row times the lcm of its denominators."""
+    return [integer_numerators(list(row) + [b])[0] for row, b in zip(matrix, rhs)]
+
+
 def test_rref_and_rank():
     A = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    _, pivots = rref(A)
-    assert pivots == [0, 1]
+    assert pivot_columns(A) == [0, 1]
+    assert solve_affine(_augmented(A, [0, 0, 0])).free_columns == [2]
     assert matrix_rank(A) == 2
 
 
 def test_solve_affine():
     A = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    sol = solve_affine(A, [F(6), F(12), F(2)])
+    sol = solve_affine(_augmented(A, [F(6), F(12), F(2)]))
     assert sol.consistent and len(sol.kernel_basis) == 1
-    x = sol.particular
+    x = [F(c, sol.den) for c in sol.particular]
     assert [sum(row[j] * x[j] for j in range(3)) for row in A] == [6, 12, 2]
-    bad = solve_affine(A, [F(6), F(11), F(2)])
-    assert not bad.consistent
+    (k,) = sol.kernel_basis
+    assert [sum(row[j] * k[j] for j in range(3)) for row in A] == [0, 0, 0]
+    bad = solve_affine(_augmented(A, [F(6), F(11), F(2)]))
+    assert not bad.consistent and bad.particular is None
 
 
 def test_bracket_table_canonical_pair():
@@ -118,12 +126,34 @@ def matrices(draw):
 
 @given(matrices())
 @settings(max_examples=150, deadline=None)
-def test_rref_matches_fraction_gauss_jordan(matrix):
-    reduced, pivots = rref(matrix)
-    expected, expected_pivots = fraction_rref(matrix)
-    assert reduced == expected and pivots == expected_pivots
-    assert pivot_columns(matrix) == expected_pivots
-    assert all(type(c) is F for row in reduced for c in row)
+def test_solve_affine_matches_fraction_gauss_jordan(matrix):
+    """Each matrix is read as an augmented system [A | b].  Every entry of
+    its rref is read back from the solution: pivot columns hold Id, the
+    last column is the particular solution, and the free columns are minus
+    the pivot entries of the kernel basis."""
+    expected, pivots = fraction_rref(matrix)
+    assert pivot_columns(matrix) == pivots
+    if not matrix or not matrix[0]:
+        return
+    n = len(matrix[0]) - 1
+    sol = solve_affine([integer_numerators(row)[0] for row in matrix])
+    assert sol.consistent == (n not in pivots)
+    if not sol.consistent:
+        assert sol.particular is None and sol.kernel_basis == [] and sol.free_columns == []
+        return
+    free = [j for j in range(n) if j not in pivots]
+    assert sol.free_columns == free
+    assert sol.den > 0
+    assert all(type(c) is int for vec in [sol.particular, *sol.kernel_basis] for c in vec)
+    particular = [F(0)] * n
+    kernel = [[F(int(j == f)) for j in range(n)] for f in free]
+    for row, col in zip(expected, pivots):
+        assert row[col] == 1 and all(row[p] == 0 for p in pivots if p != col)
+        particular[col] = row[n]
+        for vec, f in zip(kernel, free):
+            vec[col] = -row[f]
+    assert [F(c, sol.den) for c in sol.particular] == particular
+    assert [[F(c, sol.den) for c in vec] for vec in sol.kernel_basis] == kernel
 
 
 def _leibniz(matrix):
