@@ -761,13 +761,15 @@ class LaurentSeries:
         lo = min(self.lo if self.coeffs else top, other.lo if other.coeffs else top)
         a = self.coeffs[:max(0, top + 1 - self.lo)]
         b = other.coeffs[:max(0, top + 1 - other.lo)]
-        nums, den = integer_numerators(a + b)
+        ab = a + b
+        rational = _scalar_kind(ab) != _INT
+        nums, den = integer_numerators(ab) if rational else (ab, 1)
         out = [0] * (top - lo + 1)
         for i, x in enumerate(nums[:len(a)], self.lo - lo):
             out[i] = x
         for i, x in enumerate(nums[len(a):], other.lo - lo):
             out[i] += sign * x
-        if _scalar_kind(a + b) != _INT:
+        if rational:
             out = [Fraction(c, den) for c in out]
         return LaurentSeries(lo, out, hi)
 

@@ -28,7 +28,10 @@ n - #A/2, the number of free parameters of the Laurent family.  Every
 report proves its spectrum by exact determinants (check_spectrum).
 Free parameters enter the recursion exactly at the non-pivot columns of
 M - k I and are addressed by slot names "a<i>.<k>".  Each order is solved
-on the integer rows [k Id - M | rhs] (symbolic.solve_affine).
+on the integer rows [k Id - M | rhs] (symbolic.solve_affine).  The check
+km_residual weighs a as 2: with D the lcm of the series' denominators,
+D^2 times the residual is B_i' - A_i (A_{i-1} - A_{i+1}) on the int
+series A_i = D a_i and B_i = D^2 a_i.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Iterable, Sequence
 
 from .algebra import LaurentSeries, format_rational, integer_numerators
 from .errors import InvariantError, ResonanceError
-from .symbolic import pivot_columns, shifted_determinants, solve_affine
+from .symbolic import _eliminate, shifted_determinants, solve_affine
 
 # The largest lattice the Painleve analysis accepts.  |Sigma_n| grows like
 # the golden ratio to the n (15 126 sets at n = 20, about 1.3e6 at n = 30,
@@ -345,10 +348,10 @@ def _shifted_systems(balance: Balance, through_order: int):
 
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     """Names of the free coefficients the recursion leaves open, in order:
-    the non-pivot columns of each k Id - M."""
+    the non-pivot columns of each k Id - M, by forward elimination of its int rows."""
     names = []
     for k, rows, _ in _shifted_systems(balance, through_order):
-        pivots = pivot_columns(rows)
+        pivots = _eliminate(rows, reduce_above=False)[0]
         names.extend(slot_name(c + 1, k) for c in range(n) if c not in pivots)
     return names
 
@@ -410,8 +413,18 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
 
 
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:
-    """da_i/dt - a_i (a_{i-1} - a_{i+1}) for a candidate solution."""
-    n = len(series)
-    return [series[i].derivative()
-            - series[i] * (series[(i - 1) % n] - series[(i + 1) % n])
-            for i in range(n)]
+    """da_i/dt - a_i (a_{i-1} - a_{i+1}) for a candidate solution.  With a of
+    weight 2 it is found scaled by D^2 on int series (module docstring) and
+    divided once; a residual is int when a_{i-1}, a_i, a_{i+1} are, otherwise
+    every coefficient is a Fraction."""
+    n, D = len(series), lcm(*[c.denominator for s in series for c in s.coeffs])
+    A = [LaurentSeries(s.lo, [c.numerator * (D // c.denominator) for c in s.coeffs], s.hi)
+         for s in series]
+    out = []
+    for i, a in enumerate(A):
+        r = (LaurentSeries(a.lo, [D * c for c in a.coeffs], a.hi).derivative()
+             - a * (A[i - 1] - A[(i + 1) % n]))
+        ints = all(type(c) is int for j in (i - 1, i, (i + 1) % n) for c in series[j].coeffs)
+        out.append(LaurentSeries(r.lo, [c // (D * D) if ints else Fraction(c, D * D)
+                                        for c in r.coeffs], r.hi))
+    return out

@@ -32,6 +32,9 @@ and the quadratic bracket
     X_i L(h) = [L(h), (L(h)^i)_+],   (sum A_j h^j)_+ = sum_{j>0} A_j h^j + su(A_0),
 
 with su() the strictly upper triangular part, and X_i = {., I_i}^1.
+toda_flow weighs a as 2 and b as 1: with d the lcm of the point's
+denominators it runs on the ints d^2 a and d b, offset k of L has weight
+k + 1, and offset k of the commutator is d^(k + i + 1) times its value.
 
 The KM phase space is the b = 0 slice; it is the fixed locus of
 (a, b) -> (a, -b), which is a Poisson involution for the quadratic bracket
@@ -415,18 +418,22 @@ def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]
 
     X_i is the {., I_i}^1 Hamiltonian field; the fields with even i are
     the ones tangent to the KM slice b = 0 (X_2 restricts to the basic
-    KM equation there)."""
+    KM equation there).  C runs on the weight-scaled ints d^2 a and d b (a
+    of weight 2, b of weight 1; module docstring), so da = C[1] / d^(i + 2)
+    and db = C[0] / d^(i + 1)."""
     n = point.n
     if not 1 <= i <= n - 1:
         raise InvariantError("hierarchy-index", f"need 1 <= i <= {n - 1}")
-    C = hierarchy_commutator(point.a, point.b, i)
+    nums, d = integer_numerators(point.a + point.b)
+    C = hierarchy_commutator([c * d for c in nums[:n]], nums[n:], i)
     # offsets 2..i+1 must cancel for the Lax shape to be preserved
-    for d, diagonal in C.items():
+    for k, diagonal in C.items():
         for r, v in enumerate(diagonal):
-            if d > 1 and v != 0:
+            if k > 1 and v != 0:
                 raise InvariantError("lax-shape", f"commutator leaks into entry "
-                                     f"({r + 1},{(r + d) % n + 1}) h^{(r + d) // n}")
-    return [Fraction(x) for x in C[1]], [Fraction(x) for x in C[0]]
+                                     f"({r + 1},{(r + k) % n + 1}) h^{(r + k) // n}")
+    scale = d ** (i + 1)
+    return [Fraction(x, scale * d) for x in C[1]], [Fraction(x, scale) for x in C[0]]
 
 
 def km_field(a) -> list[Fraction]:

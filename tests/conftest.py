@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
+
+from prymlab.algebra import LaurentSeries
 
 
 @pytest.fixture
@@ -32,3 +36,18 @@ def fraction_rref(matrix):
         if r == len(rows):
             break
     return rows, pivots
+
+
+@st.composite
+def typed_series(draw):
+    """A series with int, Fraction or mixed coefficients, exact or known
+    through a window past its terms; possibly a known zero of either kind."""
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    ints = st.integers(min_value=-10**6, max_value=10**6)
+    fractions = st.one_of(st.just(F(0)), st.fractions(max_denominator=60))
+    entry = {"int": st.one_of(st.just(0), ints), "fraction": fractions,
+             "mixed": st.one_of(st.just(0), ints, fractions)}[kind]
+    lo = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(entry, max_size=6))
+    hi = draw(st.one_of(st.none(), st.integers(0, 3).map(lambda k: lo + len(coeffs) - 1 + k)))
+    return LaurentSeries(lo, coeffs, hi)

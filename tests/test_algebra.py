@@ -4,6 +4,7 @@ minors, the monic-square splitting and truncated Laurent series."""
 from fractions import Fraction as F
 
 import pytest
+from conftest import typed_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -460,20 +461,6 @@ def test_series_product_matches_schoolbook(a, b):
     kinds = {type(c) for c in a.coeffs + b.coeffs}
     if kinds:
         assert {type(c) for c in product.coeffs} <= (kinds if len(kinds) == 1 else {F, int})
-
-
-@st.composite
-def typed_series(draw):
-    """A series with int, Fraction or mixed coefficients, exact or known
-    through a window past its terms; possibly a known zero of either kind."""
-    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
-    fractions = st.one_of(st.just(F(0)), st.fractions(max_denominator=60))
-    entry = {"int": st.one_of(st.just(0), wide_ints), "fraction": fractions,
-             "mixed": st.one_of(st.just(0), wide_ints, fractions)}[kind]
-    lo = draw(st.integers(-3, 3))
-    coeffs = draw(st.lists(entry, max_size=6))
-    hi = draw(st.one_of(st.none(), st.integers(0, 3).map(lambda k: lo + len(coeffs) - 1 + k)))
-    return LaurentSeries(lo, coeffs, hi)
 
 
 def _check_series_sum(got, a, b, sign):

@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fraction_rref
+from conftest import fraction_rref, typed_series
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prymlab.algebra import integer_numerators
+from prymlab.algebra import LaurentSeries, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots, in_sigma,
                               in_sigma_mask, indicial_solutions, km_residual, kowalevski,
@@ -220,6 +222,73 @@ def test_taylor_balance_is_initial_value_data():
         assert s.coefficient(0) == i and s.pole_order() == 0
     for r in km_residual(series):
         assert r.is_zero_through(r.known_through())
+
+
+def _generic_km_residual(series):
+    """The residual by the series' generic arithmetic: the oracle."""
+    n = len(series)
+    return [series[i].derivative() - series[i] * (series[i - 1] - series[(i + 1) % n])
+            for i in range(n)]
+
+
+def _check_km_residual(series):
+    """km_residual against the oracle: windows and values, and int
+    coefficients exactly when a_{i-1}, a_i, a_{i+1} are all int.  The oracle
+    types each sum and product by its own operands, so it stays int where
+    every Fraction of the inputs drops out (past a truncated window, or in
+    an exact-zero difference); wherever it builds a Fraction, or the three
+    inputs are int, the types agree."""
+    n = len(series)
+    for i, (got, want) in enumerate(zip(km_residual(series), _generic_km_residual(series))):
+        assert (got.lo, got.coeffs, got.hi) == (want.lo, want.coeffs, want.hi)
+        ints = all(type(c) is int for j in (i - 1, i, (i + 1) % n) for c in series[j].coeffs)
+        assert all(type(c) is (int if ints else F) for c in got.coeffs)
+        if ints or any(type(c) is F for c in want.coeffs):
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@given(st.lists(typed_series(), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_km_residual_matches_the_generic_expression(series):
+    _check_km_residual(series)
+
+
+def test_km_residual_matches_the_generic_expression_on_balances(rng):
+    # every balance for n = 3..8 at order 12, and the same series with one
+    # coefficient a_j^(e) moved by c: residual j then gains c (e + r_j) at
+    # t^(e-1), so it no longer vanishes
+    order = 12
+    for n in range(3, 9):
+        for balance in indicial_solutions(n):
+            params = {name: F(rng.randint(-9, 9), rng.randint(1, 9))
+                      for name in free_slots(n, balance, order)}
+            series = laurent_balance(n, balance, params, order)
+            _check_km_residual(series)
+            j = rng.randrange(n)
+            e = rng.choice([e for e in range(1, order) if e != -balance.r[j]])
+            series[j] = series[j] + LaurentSeries(e, [F(rng.randint(1, 5), rng.randint(1, 7))],
+                                                  order - 1)
+            _check_km_residual(series)
+            assert not km_residual(series)[j].is_zero_through(order - 2)
+
+
+def test_vanishing_km_residual_builds_no_fraction(monkeypatch):
+    cases = [laurent_balance(6, balance, {name: F(1, 3) for name in free_slots(6, balance, 12)}, 12)
+             for balance in indicial_solutions(6)]
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    residuals = [km_residual(series) for series in cases]
+    fraction_free = len(built)
+    _generic_km_residual(cases[0])  # the counter sees the generic route's Fractions
+    monkeypatch.undo()
+    assert fraction_free == 0 and len(built) > 0
+    assert all(r.is_zero_through(10) for rs in residuals for r in rs)
 
 
 def test_free_slot_count_equals_nonneg_eigenvalues():

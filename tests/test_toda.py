@@ -377,6 +377,36 @@ def test_band_commutator_matches_dense(rng, n):
                       for r in range(n)]
 
 
+def _signed_point(rng, n, a_dens, b_dens):
+    """A point with mixed signs whose a (b) entries have denominators only
+    when a_dens (b_dens); an integral a with product 1 is +-1 throughout."""
+    a = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9)) if a_dens
+         else F(rng.choice([-1, 1])) for _ in range(n - 1)]
+    prod = F(1)
+    for x in a:
+        prod *= x
+    b = [F(rng.randint(-9, 9), rng.randint(2, 9) if b_dens else 1) for _ in range(n)]
+    return TodaPoint(tuple(a + [1 / prod]), tuple(b))
+
+
+def test_flow_matches_the_fraction_commutator(rng):
+    # toda_flow runs on the weight-scaled ints d^2 a, d b; the route it
+    # replaces evaluates the commutator on the Fraction point itself
+    for n in range(2, 13):
+        for a_dens, b_dens in ((True, False), (False, True), (True, True)):
+            point = _signed_point(rng, n, a_dens, b_dens)
+            assert any(x < 0 for x in point.a + point.b)
+            for i in range(1, n):
+                C = hierarchy_commutator(point.a, point.b, i)
+                da, db = toda_flow(point, i)
+                assert (da, db) == (C[1], C[0]), (n, i)
+                assert all(type(x) is F for x in da + db)
+                if n <= 6:  # offset k of the band has weight k + 1
+                    scaled = hierarchy_commutator([9 * x for x in point.a],
+                                                  [3 * x for x in point.b], i)
+                    assert scaled == {k: [3 ** (k + i + 1) * x for x in v] for k, v in C.items()}
+
+
 def test_flow_raises_on_a_leaking_commutator(rng, monkeypatch):
     exact = toda.hierarchy_commutator
 
