@@ -15,13 +15,13 @@ import sys
 
 from .algebra import format_poly, format_rational, parse_poly, parse_rational
 from .errors import InvariantError, ParseError, PrymlabError
-from .mumford import (MUMFORD_FLAVORS, MumfordTriple, mumford_bracket_table,
-                      phase_coordinates, point_values)
+from .mumford import MumfordTriple, mumford_bracket_table, phase_coordinates, point_values
 from .morphism import phi, phi_inverse, quad_mumford_table
 from .painleve import (indicial_solutions, kowalevski, laurent_balance,
                        make_balance, sigma_enum)
 from .prym import prym_bracket_table
-from .toda import KMPoint, TodaPoint, toda_bracket_table
+from .toda import (KMPoint, TodaPoint, toda_bracket_table, toda_coordinate_names,
+                   toda_point_values)
 from . import example5, numerics, verify
 
 EXIT_OK = 0
@@ -141,15 +141,14 @@ def _cmd_bracket(args) -> dict:
         data = _load_json_arg(args.point)
         if space.startswith("toda") or space == "km":
             point = TodaPoint.from_json(data)
-            values = list(point.a) + list(point.b)
-            if space == "km":
-                values = list(point.a)
-            names = table.names if len(values) == table.dim else []
+            values = toda_point_values(point)
+            if space == "km" and not any(point.b):  # a point of the b = 0 slice
+                values = values[:point.n]
+            names = toda_coordinate_names(point.n)[:len(values)]
         else:
             triple = MumfordTriple.from_json(data)
             values = point_values(triple)
-            g = triple.g if triple.flavor in MUMFORD_FLAVORS else triple.prym_index
-            names = list(phase_coordinates(triple.flavor, g).names)
+            names = list(phase_coordinates(triple.flavor, triple.index).names)
         if names != table.names:
             raise InvariantError("point-space", "the point does not lie in this phase space")
         payload["values"] = [[format_rational(v) for v in row]

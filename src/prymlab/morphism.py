@@ -60,13 +60,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (BiPoly, Poly, TridiagSpec, divided_difference,
-                      format_poly, integer_numerators, pr_split_from,
-                      tridiag_prefix_dets)
+from .algebra import (BiPoly, Poly, TridiagSpec, format_poly, integer_numerators,
+                      pr_split_from, tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
-from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
-                      _lift_phi, _read_slots, check_table_genus, phase_coordinates,
-                      table_from_generators)
+from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
+                      _read_slots, check_table_genus, linear_generators,
+                      momentum, phase_coordinates, table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 from .toda import TodaPoint
 
@@ -258,28 +257,21 @@ def quad_bracket_generators(g: int, phi: Poly) -> dict:
     coords = phase_coordinates(EVEN_MUMFORD, g)
     nv = coords.nvars
     u, v, w = coords.u, coords.v, coords.w
-    n = g + 1
-    p, _r = pr_split_from(u * w + v * v, n)
-    phim = _lift_phi(phi, nv)
-    p_phi = p * phim
+    p, _r = pr_split_from(momentum(coords), g + 1)
+    gens = linear_generators(coords, p * _lift_phi(phi, nv))
     # A(t) = phi(alpha(2t)/2) = phi_1 t + (phi_1 (w_{g+1}-u_{g-1})/2 + phi_0)
     c = coords.alpha.coeff(0)
     a_phi = Poly([Fraction(phi.coeff(1)) * c * Fraction(1, 2)
                   + MultiPoly.const(nv, phi.coeff(0)),
                   MultiPoly.const(nv, phi.coeff(1))])
     afs = BiPoly.of_sum(a_phi)
-    alpha_sum = BiPoly.of_sum(coords.alpha)
-    return {
-        ("u", "v"): divided_difference(u, p_phi) + afs * BiPoly.outer(u, u),
-        ("u", "w"): Fraction(-2) * divided_difference(v, p_phi)
-                    - Fraction(2) * afs * BiPoly.outer(u, v),
-        ("v", "w"): divided_difference(w, p_phi) - alpha_sum * BiPoly.outer(u, p_phi)
-                    + afs * BiPoly.outer(u, w),
-        ("w", "w"): Fraction(2) * alpha_sum
-                    * (BiPoly.outer(v, p_phi) - BiPoly.outer(p_phi, v))
-                    + Fraction(2) * afs
-                    * (BiPoly.outer(w, v) - BiPoly.outer(v, w)),
-    }
+    # the linear family at p phi, plus the A(x+x') terms
+    gens[("u", "v")] = gens[("u", "v")] + afs * BiPoly.outer(u, u)
+    gens[("u", "w")] = gens[("u", "w")] - Fraction(2) * afs * BiPoly.outer(u, v)
+    gens[("v", "w")] = gens[("v", "w")] + afs * BiPoly.outer(u, w)
+    gens[("w", "w")] = gens[("w", "w")] + Fraction(2) * afs * (BiPoly.outer(w, v)
+                                                              - BiPoly.outer(v, w))
+    return gens
 
 
 # The largest genus of a quadratic-family table.  Its entries are quadratic
@@ -292,9 +284,3 @@ def quad_mumford_table(g: int, phi: Poly) -> BracketTable:
     check_table_genus(g, MAX_QUAD_GENUS, "the genus of a quadratic-family table")
     coords = phase_coordinates(EVEN_MUMFORD, g)
     return table_from_generators(coords, quad_bracket_generators(g, phi))
-
-
-def pr_symbolic(g: int) -> tuple[Poly, Poly]:
-    """(p, r) of the splitting u w + v^2 = p^2 + r with MultiPoly coefficients."""
-    coords = phase_coordinates(EVEN_MUMFORD, g)
-    return pr_split_from(coords.u * coords.w + coords.v * coords.v, g + 1)

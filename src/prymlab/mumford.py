@@ -54,6 +54,11 @@ MUMFORD_FLAVORS = (ODD_MUMFORD, EVEN_MUMFORD)
 PRYM_FLAVORS = (ODD_PRYM, EVEN_PRYM)
 FLAVORS = MUMFORD_FLAVORS + PRYM_FLAVORS
 
+# deg u and deg w of each flavor at index k (the genus g of a Mumford
+# flavor, the n of a Prym flavor) are step * k + u0 and step * k + w0
+_DEGREES = {ODD_MUMFORD: (1, 0, 1), EVEN_MUMFORD: (1, 0, 2),
+            ODD_PRYM: (2, 0, 2), EVEN_PRYM: (2, 1, 3)}
+
 # The largest genus a Mumford bracket table accepts; a table has up to
 # (3g + 2)^2 polynomial entries.
 MAX_GENUS = 24
@@ -71,6 +76,14 @@ def _require(cond: bool, invariant: str, message: str) -> None:
         raise InvariantError(invariant, message)
 
 
+def degrees(flavor: str, k: int) -> tuple[int, int]:
+    """(deg u, deg w) on the phase space of a flavor at index k."""
+    if flavor not in _DEGREES:
+        raise InvariantError("flavor", f"unknown flavor {flavor!r}")
+    step, u0, w0 = _DEGREES[flavor]
+    return step * k + u0, step * k + w0
+
+
 @dataclass(frozen=True)
 class MumfordTriple:
     """A point of one of the four phase spaces, validated on construction."""
@@ -86,28 +99,15 @@ class MumfordTriple:
         u, v, w = self.u, self.v, self.w
         _require(u.is_monic(), "u-monic", "u must be monic")
         _require(w.is_monic(), "w-monic", "w must be monic")
-        if self.flavor == ODD_MUMFORD:
-            g = u.degree
-            _require(v.degree < g, "v-degree", f"deg v must be < {g}")
-            _require(w.degree == g + 1, "w-degree", f"deg w must be {g + 1}")
-        elif self.flavor == EVEN_MUMFORD:
-            g = u.degree
-            _require(v.degree < g, "v-degree", f"deg v must be < {g}")
-            _require(w.degree == g + 2, "w-degree", f"deg w must be {g + 2}")
-        elif self.flavor == ODD_PRYM:
-            n = self.prym_index
-            _require(u.degree == 2 * n, "u-degree", "deg u must be even")
-            _require(v.degree < 2 * n, "v-degree", f"deg v must be < {2 * n}")
-            _require(w.degree == 2 * n + 2, "w-degree", f"deg w must be {2 * n + 2}")
-            _require(u.is_even() and w.is_even() and v.is_odd(), "parity",
-                     "odd-prym triples need u, w even and v odd")
-        else:
-            n = self.prym_index
-            _require(u.degree == 2 * n + 1, "u-degree", "deg u must be odd")
-            _require(v.degree < 2 * n + 1, "v-degree", f"deg v must be < {2 * n + 1}")
-            _require(w.degree == 2 * n + 3, "w-degree", f"deg w must be {2 * n + 3}")
-            _require(u.is_odd() and w.is_odd() and v.is_even(), "parity",
-                     "even-prym triples need u, w odd and v even")
+        deg_u, deg_w = degrees(self.flavor, self.index)
+        _require(u.degree == deg_u, "u-degree", f"deg u must be {deg_u}")
+        _require(v.degree < deg_u, "v-degree", f"deg v must be < {deg_u}")
+        _require(w.degree == deg_w, "w-degree", f"deg w must be {deg_w}")
+        if self.flavor in PRYM_FLAVORS:  # u, w of the parity of deg u, v of the other
+            same, other = ("even", "odd") if deg_u % 2 == 0 else ("odd", "even")
+            has = {"even": Poly.is_even, "odd": Poly.is_odd}
+            _require(has[same](u) and has[same](w) and has[other](v), "parity",
+                     f"{self.flavor} triples need u, w {same} and v {other}")
 
     @property
     def g(self) -> int:
@@ -115,12 +115,10 @@ class MumfordTriple:
         return self.u.degree
 
     @property
-    def prym_index(self) -> int:
-        if self.flavor == ODD_PRYM:
-            return self.u.degree // 2
-        if self.flavor == EVEN_PRYM:
-            return (self.u.degree - 1) // 2
-        raise InvariantError("flavor", "prym_index is only defined for prym flavors")
+    def index(self) -> int:
+        """The index of the phase space: g = deg u on Mumford flavors, n =
+        deg u // 2 on Prym flavors."""
+        return self.u.degree // _DEGREES[self.flavor][0]
 
     def ambient(self) -> "MumfordTriple":
         """Forget parity constraints: the same point in the even Mumford space."""
@@ -171,18 +169,13 @@ class CoordSystem:
 
 @lru_cache(maxsize=128)
 def _coord_layout(flavor: str, g: int) -> tuple[range, range, range]:
-    """Coefficient exponents that are free coordinates, per family."""
-    if flavor == ODD_MUMFORD:
-        return range(g), range(g), range(g + 1)
-    if flavor == EVEN_MUMFORD:
-        return range(g), range(g), range(g + 2)
-    if flavor == ODD_PRYM:
-        n = g
-        return range(0, 2 * n, 2), range(1, 2 * n, 2), range(0, 2 * n + 2, 2)
-    if flavor == EVEN_PRYM:
-        n = g
-        return range(1, 2 * n + 1, 2), range(0, 2 * n + 1, 2), range(1, 2 * n + 3, 2)
-    raise InvariantError("flavor", f"unknown flavor {flavor!r}")
+    """Coefficient exponents that are free coordinates, per family; on Prym
+    spaces u and w keep the parity of deg u, and v takes the other."""
+    deg_u, deg_w = degrees(flavor, g)
+    if flavor in MUMFORD_FLAVORS:
+        return range(deg_u), range(deg_u), range(deg_w)
+    p = deg_u % 2
+    return range(p, deg_u, 2), range(1 - p, deg_u, 2), range(p, deg_w, 2)
 
 
 @lru_cache(maxsize=128)
@@ -198,8 +191,7 @@ def _slot_codec(flavor: str, g: int):
     if g < 0:
         raise InvariantError("genus", f"the genus (or prym index) must be >= 0, got {g}")
     layout = _coord_layout(flavor, g)
-    deg_u, deg_w = {ODD_MUMFORD: (g, g + 1), EVEN_MUMFORD: (g, g + 2),
-                    ODD_PRYM: (2 * g, 2 * g + 2), EVEN_PRYM: (2 * g + 1, 2 * g + 3)}[flavor]
+    deg_u, deg_w = degrees(flavor, g)
     sizes = [len(slots) for slots in layout]
     count = sum(sizes)
     su, sv, sw = (slice(s.start, s.stop, s.step) for s in layout)
@@ -259,8 +251,7 @@ def phase_coordinates(flavor: str, g: int) -> CoordSystem:
 
 def point_values(triple: MumfordTriple) -> list[Fraction]:
     """Coordinate values of a triple, aligned with phase_coordinates."""
-    g = triple.g if triple.flavor in MUMFORD_FLAVORS else triple.prym_index
-    return [Fraction(c) for c in _read_slots(triple.flavor, g, triple.u.coeffs,
+    return [Fraction(c) for c in _read_slots(triple.flavor, triple.index, triple.u.coeffs,
                                              triple.v.coeffs, triple.w.coeffs)]
 
 
@@ -291,7 +282,12 @@ def bracket_generators(flavor: str, g: int, phi: Poly) -> dict:
     if phi.degree > g:
         raise InvariantError("phi-degree", f"deg phi must be <= {g}")
     coords = phase_coordinates(flavor, g)
-    phim = _lift_phi(phi, coords.nvars)
+    return linear_generators(coords, _lift_phi(phi, coords.nvars))
+
+
+def linear_generators(coords: CoordSystem, phim: Poly) -> dict:
+    """The four generators of the linear family (module docstring) at a
+    polynomial phim with MultiPoly coefficients, which may be phase-dependent."""
     alpha_sum = BiPoly.of_sum(coords.alpha)
     return {
         ("u", "v"): divided_difference(coords.u, phim),
@@ -366,13 +362,10 @@ def mumford_bracket_table(flavor: str, g: int, phi: Poly) -> BracketTable:
 # momentum map and flows
 # ---------------------------------------------------------------------------
 
-def momentum(triple: MumfordTriple) -> Poly:
-    """H(x) = u w + v^2 = -det L(x).  Even in x on prym flavors."""
+def momentum(triple: MumfordTriple | CoordSystem) -> Poly:
+    """H(x) = u w + v^2 = -det L(x), at a point or in the coordinates of a
+    CoordSystem.  Even in x on prym flavors."""
     return triple.u * triple.w + triple.v * triple.v
-
-
-def momentum_symbolic(coords: CoordSystem) -> Poly:
-    return coords.u * coords.w + coords.v * coords.v
 
 
 def _padded(p: list, n: int) -> list:

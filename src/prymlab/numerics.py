@@ -30,7 +30,7 @@ from .algebra import Poly
 from .errors import InvariantError
 from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
 from .prym import prym_tangent
-from .toda import KMPoint, TodaPoint, char_coeffs, hierarchy_commutator
+from .toda import KMPoint, TodaPoint, char_coeffs, hierarchy_commutator, km_field
 
 BLOWUP_GUARD = 1e12
 MAX_STEPS = 100_000  # every state is kept, so this also bounds the memory of a run
@@ -84,11 +84,6 @@ def _rk4_step(f, x, h):
 # ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------
-
-def km_rhs(a):
-    n = len(a)
-    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
-
 
 def _toda_rhs(state, n, index):
     """X_index at the float state a + b (see toda.hierarchy_commutator)."""
@@ -175,7 +170,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
             point = KMPoint(tuple(point))
         n = point.n
         state = [float(x) for x in point.a]
-        rhs = km_rhs
+        rhs = km_field
         invariants = lambda s: _lattice_invariants(s, n, km=True)
         names = _lattice_names(n, km=True)
     elif system == "toda":
@@ -191,7 +186,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         if not isinstance(point, MumfordTriple):
             raise InvariantError("point-type", "flow needs a MumfordTriple")
         flavor = point.flavor
-        g = point.g if flavor in MUMFORD_FLAVORS else point.prym_index
+        g = point.index
         y = float(selector)
         state = [float(x) for x in point_values(point)]
         if system == "prym":

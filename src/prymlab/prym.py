@@ -38,9 +38,9 @@ from fractions import Fraction
 
 from .algebra import BiPoly, Poly, exact_divide_x2_minus_xp2, horner
 from .errors import InvariantError
-from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, MumfordTriple,
-                      _lift_phi, _padded, check_table_genus, flow_values,
-                      mumford_bracket_table, phase_coordinates)
+from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
+                      MumfordTriple, _lift_phi, _padded, check_table_genus, degrees,
+                      flow_values, mumford_bracket_table, phase_coordinates)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -127,14 +127,11 @@ def dirac_reduce(table: BracketTable, signs: list[int]) -> BracketTable:
 
 def reduce_mumford_table(flavor: str, n: int, phi: Poly) -> BracketTable:
     """Generic route: reduce the ambient even Mumford table through j / -j."""
-    if flavor == ODD_PRYM:
-        g, sign = 2 * n, 1
-    elif flavor == EVEN_PRYM:
-        g, sign = 2 * n + 1, -1
-    else:
+    if flavor not in PRYM_FLAVORS:
         raise InvariantError("flavor", "expected a prym flavor")
+    g = degrees(flavor, n)[0]  # j on even ambient genus, -j on odd
     ambient = mumford_bracket_table(EVEN_MUMFORD, g, phi)
-    return dirac_reduce(ambient, involution_signs(g, sign))
+    return dirac_reduce(ambient, involution_signs(g, -1 if g % 2 else 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +153,7 @@ def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
     of phi differs (even on odd-prym, odd on even-prym).
     """
     coords = phase_coordinates(flavor, n)
-    ambient_g = 2 * n if flavor == ODD_PRYM else 2 * n + 1
+    ambient_g = degrees(flavor, n)[0]
     if phi.is_zero():
         raise InvariantError("phi", "phi must be nonzero")
     if phi.degree > ambient_g:
@@ -243,7 +240,7 @@ def _exact_prym_tangent(u: list, v: list, w: list, y) -> tuple[Poly, Poly, Poly]
 
 def prym_flow(triple: MumfordTriple, y: Fraction) -> tuple[Poly, Poly, Poly]:
     """Tangent of the reduced field X_y at a prym point (see prym_tangent)."""
-    if triple.flavor not in (ODD_PRYM, EVEN_PRYM):
+    if triple.flavor not in PRYM_FLAVORS:
         raise InvariantError("flavor", "prym_flow needs a prym point")
     return _exact_prym_tangent(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs, y)
 

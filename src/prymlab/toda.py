@@ -282,87 +282,66 @@ def _d(i: int, j: int, n: int) -> bool:
     return (i - j) % n == 0
 
 
+# the coordinate pairs on which each lattice bracket is defined
+_BRACKET_PAIRS = {"linear": ("aa", "ab", "bb"), "quadratic": ("aa", "ab", "bb"), "km": ("aa",)}
+
+
+def _bracket_pairs(kind: str) -> tuple:
+    if kind not in _BRACKET_PAIRS:
+        raise InvariantError("bracket-kind", f"unknown bracket kind {kind!r}")
+    return _BRACKET_PAIRS[kind]
+
+
+def _bracket_entry(kind: str, which: str, i: int, j: int, a, b, zero):
+    """{x_i, y_j} of a lattice bracket, x/y named by `which` (aa|ab|bb), over
+    any scalar ring: a and b hold values or MultiPoly variables (indices
+    cyclic, 1-based), and a term is added only where its delta is 1."""
+    n = len(a)
+    plus, minus = _d(i, j, n) if which == "ab" else _d(i, j + 1, n), _d(i + 1, j, n)
+    if (kind == "linear" and which != "ab") or not (plus or minus):
+        return zero
+    ai, aj = a[(i - 1) % n], a[(j - 1) % n]
+    if which == "bb":  # a_j d_{i,j+1} - a_i d_{i+1,j}
+        up, down = aj, ai
+    else:  # a_i a_j (d_{i,j+1} - d_{i+1,j}), a_i (b_j) (d_{ij} - d_{i+1,j})
+        up = down = ai * aj if which == "aa" else ai if kind == "linear" else ai * b[(j - 1) % n]
+    out = zero
+    if plus:
+        out = out + up
+    if minus:
+        out = out - down
+    return out
+
+
 def toda_bracket(kind: str, i: int, j: int, which: str, point: TodaPoint | KMPoint) -> Fraction:
     """Exact value of {x_i, y_j} at a point, x/y named by `which` (aa|ab|bb)."""
+    if which not in _bracket_pairs(kind):
+        raise InvariantError("bracket-kind", f"the {kind} bracket has no {which!r} entries")
     if isinstance(point, KMPoint):
         point = point.embed()
-    n = point.n
-    a, b = point.a, point.b
-    ai, aj = a[(i - 1) % n], a[(j - 1) % n]
-    bj = b[(j - 1) % n]
-    if which == "ab":
-        if kind == "linear":
-            return ai * ((1 if _d(i, j, n) else 0) - (1 if _d(i + 1, j, n) else 0))
-        if kind == "quadratic":
-            return ai * bj * ((1 if _d(i, j, n) else 0) - (1 if _d(i + 1, j, n) else 0))
-        if kind == "km":
-            raise InvariantError("bracket-kind", "the km bracket has no b coordinates")
-    if which == "aa":
-        if kind == "linear":
-            return Fraction(0)
-        return ai * aj * ((1 if _d(i, j + 1, n) else 0) - (1 if _d(i + 1, j, n) else 0))
-    if which == "bb":
-        if kind == "linear":
-            return Fraction(0)
-        if kind == "quadratic":
-            return aj * (1 if _d(i, j + 1, n) else 0) - ai * (1 if _d(i + 1, j, n) else 0)
-        raise InvariantError("bracket-kind", "the km bracket has no b coordinates")
-    raise InvariantError("bracket-kind", f"unknown bracket request {kind}/{which}")
+    return _bracket_entry(kind, which, i, j, point.a, point.b, Fraction(0))
 
 
 def toda_bracket_table(kind: str, n: int) -> BracketTable:
-    """Symbolic coordinate table of a lattice bracket, for 1 <= n <= MAX_N."""
+    """Symbolic coordinate table of a lattice bracket, for 1 <= n <= MAX_N;
+    the km table is the a-a block over the n variables a_i."""
     if not 1 <= n <= MAX_N:
         raise InvariantError("size",
                              f"a lattice bracket table needs 1 <= n <= {MAX_N}, got n = {n}")
-    if kind == "km":
-        names = [f"a{i}" for i in range(1, n + 1)]
-        a = MultiPoly.variables(n)
-        zero = MultiPoly(n)
-        entries = [[zero for _ in range(n)] for _ in range(n)]
+    pairs = _bracket_pairs(kind)
+    nv = n if kind == "km" else 2 * n
+    x, zero = MultiPoly.variables(nv), MultiPoly(nv)
+    a, b = x[:n], x[n:]
+    entries = [[zero for _ in range(nv)] for _ in range(nv)]
+    for which in pairs:
+        row, col = {"aa": (0, 0), "ab": (0, n), "bb": (n, n)}[which]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                val = zero
-                if _d(i, j + 1, n):
-                    val = val + a[i - 1] * a[j - 1]
-                if _d(i + 1, j, n):
-                    val = val - a[i - 1] * a[j - 1]
-                entries[i - 1][j - 1] = val
-        return BracketTable(names, entries)
-    if kind not in ("linear", "quadratic"):
-        raise InvariantError("bracket-kind", f"unknown bracket kind {kind!r}")
-    names = toda_coordinate_names(n)
-    nv = 2 * n
-    a = [MultiPoly.var(nv, i) for i in range(n)]
-    b = [MultiPoly.var(nv, n + i) for i in range(n)]
-    zero = MultiPoly(nv)
-    entries = [[zero for _ in range(nv)] for _ in range(nv)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ai, aj, bj = a[i - 1], a[j - 1], b[j - 1]
-            # {a_i, a_j} and {b_i, b_j}
-            if kind == "quadratic":
-                aa = zero
-                if _d(i, j + 1, n):
-                    aa = aa + ai * aj
-                if _d(i + 1, j, n):
-                    aa = aa - ai * aj
-                entries[i - 1][j - 1] = aa
-                bb = zero
-                if _d(i, j + 1, n):
-                    bb = bb + aj
-                if _d(i + 1, j, n):
-                    bb = bb - ai
-                entries[n + i - 1][n + j - 1] = bb
-            # {a_i, b_j}
-            ab = zero
-            if _d(i, j, n):
-                ab = ab + (ai if kind == "linear" else ai * bj)
-            if _d(i + 1, j, n):
-                ab = ab - (ai if kind == "linear" else ai * bj)
-            entries[i - 1][n + j - 1] = ab
-            entries[n + j - 1][i - 1] = -ab
-    return BracketTable(names, entries)
+                val = _bracket_entry(kind, which, i, j, a, b, zero)
+                entries[row + i - 1][col + j - 1] = val
+                if which == "ab":
+                    entries[n + j - 1][i - 1] = -val
+    return BracketTable(toda_coordinate_names(n)[:nv], entries)
 
 
 def toda_pencil_table(phi: Poly, n: int) -> BracketTable:
@@ -436,16 +415,15 @@ def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]
     return [Fraction(x, scale * d) for x in C[1]], [Fraction(x, scale) for x in C[0]]
 
 
-def km_field(a) -> list[Fraction]:
-    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1})."""
-    seq = [Fraction(x) for x in a]
-    n = len(seq)
-    return [seq[i] * (seq[(i - 1) % n] - seq[(i + 1) % n]) for i in range(n)]
+def km_field(a) -> list:
+    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1}), over the
+    scalar ring of its input (Fraction, float or MultiPoly)."""
+    n = len(a)
+    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
 
 
 def km_field_symbolic(n: int) -> list[MultiPoly]:
-    a = MultiPoly.variables(n)
-    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
+    return km_field(MultiPoly.variables(n))
 
 
 def km_even_split(point: KMPoint) -> tuple[Fraction, Fraction]:

@@ -13,7 +13,7 @@ library.  The peak step of each drift is recorded when a new peak is set.
 import math
 
 from prymlab.algebra import Poly
-from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS, ODD_MUMFORD, ODD_PRYM,
+from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM,
                              MumfordTriple, _coord_layout, mumford_tangent, point_values)
 from prymlab.numerics import BLOWUP_GUARD, MAX_STEPS, Trajectory
 from prymlab.prym import prym_tangent
@@ -136,7 +136,7 @@ def integrate(system, point, selector, t_end, step) -> Trajectory:
     else:
         assert isinstance(point, MumfordTriple)
         flavor = point.flavor
-        g = point.g if flavor in MUMFORD_FLAVORS else point.prym_index
+        g = point.index
         y = float(selector)
         state = [float(x) for x in point_values(point)]
         if system == "prym":

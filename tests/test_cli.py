@@ -350,6 +350,7 @@ def test_bracket_size_bound_exits_invariant(capsys, argv, invariant):
      '{"flavor":"odd-mumford","u":"1","v":"","w":"0,1"}'),
     ("--space", "odd-mumford", "--g", "2", "--point",
      '{"flavor":"odd-prym","u":"1,0,1","v":"0,1","w":"1,0,2,0,1"}'),
+    ("--space", "km", "--n", "3", "--point", '{"n":3,"a":["2","1/2","1"],"b":["5","0","0"]}'),
 ])
 def test_bracket_point_outside_the_space_exits_invariant(capsys, argv):
     code, out = run_cli(capsys, "bracket", *argv)

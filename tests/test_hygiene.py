@@ -102,8 +102,6 @@ TEST_ONLY = {
     "example5.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
     "example5.curve_point": "point-on-curve oracle in test_example5",
     "morphism.phi_symbolic": "symbolic oracle for phi in test_morphism",
-    "morphism.pr_symbolic": "symbolic oracle for pr_split in test_morphism",
-    "mumford.momentum_symbolic": "symbolic momentum map for the involution and field tests",
     "mumford.mumford_flow_symbolic": "symbolic field oracle in test_mumford",
     "painleve.c_block": "documents the run block; test_painleve checks its spectra",
     "prym.is_fixed_point": "involution oracle in test_prym",
@@ -112,7 +110,6 @@ TEST_ONLY = {
     "symbolic.matrix_rank": "the rank counts of the divisor and prymdim suites will call it",
     "symbolic.BracketTable.poisson_bracket": "bracket of two polynomials in the involution tests",
     "symbolic.BracketTable.hamiltonian_field": "Hamiltonian-field oracle for every flow",
-    "toda.toda_point_values": "Toda coordinate vector in the phi pull-back tests",
     "toda.toda_integrals_symbolic": "symbolic Toda integrals for the involution tests",
 }
 

@@ -5,11 +5,10 @@ from fractions import Fraction as F
 import pytest
 from dense_lax import toda_tridiag
 
-from prymlab.algebra import (BiPoly, Poly, divided_difference, parse_poly,
+from prymlab.algebra import (BiPoly, Poly, divided_difference, parse_poly, pr_split,
                              tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
-from prymlab.morphism import (PhiImage, phi, phi_inverse, phi_symbolic,
-                              pr_symbolic, quad_mumford_table)
+from prymlab.morphism import PhiImage, phi, phi_inverse, phi_symbolic, quad_mumford_table
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              _lift_phi, flow_values, mumford_flow,
                              phase_coordinates, point_values)
@@ -20,6 +19,12 @@ from prymlab.toda import KMPoint, char_poly, toda_pencil_table, toda_point_value
 
 def _as_mp(value, nvars):
     return value if isinstance(value, MultiPoly) else MultiPoly.const(nvars, value)
+
+
+def _pr_symbolic(g):
+    """(p, r) of u w + v^2 = p^2 + r in the coordinates of M'_g."""
+    coords = phase_coordinates(EVEN_MUMFORD, g)
+    return pr_split(coords.u, coords.v, coords.w, g + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def test_quad_bracket_with_p_displayed_formula():
     g = 2
     coords = phase_coordinates(EVEN_MUMFORD, g)
     nv = coords.nvars
-    p_sym, _ = pr_symbolic(g)
+    p_sym, _ = _pr_symbolic(g)
     phi_poly = parse_poly("1,2")
     table = quad_mumford_table(g, phi_poly)
     dd_uv = divided_difference(coords.u, coords.v)
@@ -258,7 +263,7 @@ def test_r_coefficients_are_casimirs():
     g = 2
     coords = phase_coordinates(EVEN_MUMFORD, g)
     nv = coords.nvars
-    _, r_sym = pr_symbolic(g)
+    _, r_sym = _pr_symbolic(g)
     table = quad_mumford_table(g, parse_poly("1,2"))
     for j in range(r_sym.degree + 1):
         rj = _as_mp(r_sym.coeff(j), nv)
@@ -273,7 +278,7 @@ def test_lax_field_is_quad_hamiltonian(rng):
     point = mumford_triple(rng, EVEN_MUMFORD, g)
     values = point_values(point)
     coords = phase_coordinates(EVEN_MUMFORD, g)
-    p_sym, _ = pr_symbolic(g)
+    p_sym, _ = _pr_symbolic(g)
     y = F(3, 2)
     two_p_y = 2 * p_sym.evaluate(y)
     table = quad_mumford_table(g, Poly([F(1)]))
@@ -320,7 +325,7 @@ def test_phi_maps_flows_up_to_sign(rng):
     y = F(2)
     # 2 p(y) as a function on the lattice, via the symbolic image coordinates
     coords = phase_coordinates(EVEN_MUMFORD, n - 1)
-    p_sym, _ = pr_symbolic(n - 1)
+    p_sym, _ = _pr_symbolic(n - 1)
     two_p_y = 2 * p_sym.evaluate(y)
     hamiltonian = _as_mp(two_p_y, coords.nvars).subs(image_coords)
     t_table = toda_pencil_table(Poly([F(1)]), n)

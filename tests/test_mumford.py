@@ -8,7 +8,7 @@ from prymlab.algebra import BiPoly, Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              ODD_MUMFORD, ODD_PRYM, MumfordTriple,
-                             bracket_generators, flow_values, momentum, momentum_symbolic,
+                             bracket_generators, flow_values, momentum,
                              mumford_bracket_table, mumford_flow,
                              mumford_flow_symbolic, phase_coordinates,
                              point_values, triple_from_values)
@@ -37,10 +37,69 @@ def test_triple_validation():
                       ODD_PRYM)  # u not even
 
 
+# one valid triple per flavor: (u, v, w) as ascending coefficient text
+_VALID_TRIPLES = {
+    ODD_MUMFORD: ("1,2,1", "3", "0,0,0,1"),
+    EVEN_MUMFORD: ("1,2,1", "3,1", "0,0,0,0,1"),
+    ODD_PRYM: ("-1,0,1", "0,1", "4,0,-5,0,1"),
+    EVEN_PRYM: ("0,2,0,1", "1,0,3", "0,1,0,0,0,1"),
+}
+
+# (flavor, replaced components, the invariant the triple breaks first, or
+# None for a valid triple); the last five break two invariants each and pin
+# the order of the checks
+_TRIPLE_CASES = [(flavor, {}, None) for flavor in _VALID_TRIPLES] + [
+    ("no-such-flavor", {}, "flavor"),
+    (ODD_MUMFORD, {"u": "1,2,2"}, "u-monic"),
+    (ODD_MUMFORD, {"w": "0,0,0,2"}, "w-monic"),
+    (ODD_MUMFORD, {"v": "3,0,1"}, "v-degree"),
+    (ODD_MUMFORD, {"w": "0,0,0,0,1"}, "w-degree"),
+    (EVEN_MUMFORD, {"u": "1,2,-1"}, "u-monic"),
+    (EVEN_MUMFORD, {"w": "0,0,0,0,3"}, "w-monic"),
+    (EVEN_MUMFORD, {"v": "3,1,1"}, "v-degree"),
+    (EVEN_MUMFORD, {"w": "0,0,0,1"}, "w-degree"),
+    (ODD_PRYM, {"u": "-1,0,2"}, "u-monic"),
+    (ODD_PRYM, {"w": "4,0,-5,0,2"}, "w-monic"),
+    (ODD_PRYM, {"u": "0,1,0,1"}, "u-degree"),
+    (ODD_PRYM, {"v": "0,1,0,1"}, "v-degree"),
+    (ODD_PRYM, {"w": "1,0,0,0,0,0,1"}, "w-degree"),
+    (ODD_PRYM, {"u": "-1,1,1"}, "parity"),
+    (ODD_PRYM, {"v": "1,1"}, "parity"),
+    (ODD_PRYM, {"w": "4,1,-5,0,1"}, "parity"),
+    (EVEN_PRYM, {"u": "0,2,0,5"}, "u-monic"),
+    (EVEN_PRYM, {"w": "0,1,0,0,0,-1"}, "w-monic"),
+    (EVEN_PRYM, {"u": "1,0,1"}, "u-degree"),
+    (EVEN_PRYM, {"v": "1,0,3,0,1"}, "v-degree"),
+    (EVEN_PRYM, {"w": "0,1,0,1"}, "w-degree"),
+    (EVEN_PRYM, {"u": "1,2,0,1"}, "parity"),
+    (EVEN_PRYM, {"v": "1,1,3"}, "parity"),
+    (EVEN_PRYM, {"w": "0,1,1,0,0,1"}, "parity"),
+    (ODD_MUMFORD, {"u": "2", "w": "0,2"}, "u-monic"),
+    (ODD_MUMFORD, {"v": "3,0,1", "w": "0,0,0,0,2"}, "w-monic"),
+    (ODD_MUMFORD, {"v": "3,0,1", "w": "0,0,0,0,1"}, "v-degree"),
+    (ODD_PRYM, {"u": "0,1,0,1", "v": "0,1,0,1"}, "u-degree"),
+    (ODD_PRYM, {"u": "-1,1,1", "w": "1,0,0,0,0,0,1"}, "w-degree"),
+]
+
+
+@pytest.mark.parametrize("flavor, replaced, invariant", _TRIPLE_CASES)
+def test_triple_validation_names_the_broken_invariant(flavor, replaced, invariant):
+    text = dict(zip("uvw", _VALID_TRIPLES.get(flavor, _VALID_TRIPLES[ODD_MUMFORD])))
+    text.update(replaced)
+    u, v, w = (parse_poly(text[k]) for k in "uvw")
+    if invariant is None:
+        triple = MumfordTriple(u, v, w, flavor)
+        assert (triple.u, triple.v, triple.w) == (u, v, w)
+        return
+    with pytest.raises(InvariantError) as err:
+        MumfordTriple(u, v, w, flavor)
+    assert err.value.invariant == invariant
+
+
 def test_prym_flavors_and_json():
     t = MumfordTriple(parse_poly("-1,0,1"), Poly(), parse_poly("4,0,-5,0,1"),
                       ODD_PRYM)
-    assert t.prym_index == 1 and t.g == 2
+    assert t.index == 1 and t.g == 2
     assert t.ambient().flavor == EVEN_MUMFORD
     assert MumfordTriple.from_json(t.to_json()) == t
 
@@ -149,7 +208,7 @@ def test_momentum_involution_symbolic():
     for flavor in MUMFORD_FLAVORS:
         for g, phis in ((1, ("1", "0,1")), (2, ("0,0,1",))):
             coords = phase_coordinates(flavor, g)
-            H = momentum_symbolic(coords)
+            H = momentum(coords)
             for phi_text in phis:
                 table = mumford_bracket_table(flavor, g, parse_poly(phi_text))
                 for a in range(H.degree + 1):
@@ -175,7 +234,7 @@ def test_flow_is_hamiltonian_for_the_family(rng):
     point = mumford_triple(rng, flavor, g)
     values = point_values(point)
     coords = phase_coordinates(flavor, g)
-    H = momentum_symbolic(coords)
+    H = momentum(coords)
     y = F(3, 2)
     du, dv, dw = mumford_flow(point, y)
     lax = [F(c) for c in flow_values(flavor, g, du, dv, dw)]

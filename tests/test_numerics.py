@@ -12,10 +12,10 @@ from prymlab import morphism, numerics
 from prymlab.algebra import Poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
-                             momentum_symbolic, mumford_bracket_table, mumford_flow,
+                             momentum, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
 from prymlab.numerics import (_lattice_invariants, _mumford_rhs, _prym_rhs, _toda_rhs,
-                              integrate, km_rhs)
+                              integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
 from prymlab.toda import KMPoint, TodaPoint, char_coeffs, char_poly, km_field, toda_flow
@@ -32,7 +32,7 @@ def test_fixed_point_trajectory():
 def test_km_field_matches_exact(rng):
     point = km_point(rng, 6)
     exact = [float(x) for x in km_field(point.a)]
-    numeric = km_rhs([float(x) for x in point.a])
+    numeric = km_field([float(x) for x in point.a])
     assert max(abs(a - b) for a, b in zip(exact, numeric)) < 1e-13
 
 
@@ -206,7 +206,7 @@ def test_step_count_capped(monkeypatch):
 
 
 def test_nan_state_truncates(monkeypatch):
-    monkeypatch.setattr(numerics, "km_rhs", lambda a: [math.nan] * len(a))
+    monkeypatch.setattr(numerics, "km_field", lambda a: [math.nan] * len(a))
     traj = integrate("km", REFERENCE, None, 1.0, 0.1)
     assert traj.truncated and traj.note == "state became NaN at step 1"
     assert len(traj.times) == 1
@@ -256,7 +256,7 @@ def test_peak_is_the_running_maximum_from_zero(column):
 
 def _hamiltonian_oracle(table, flavor, n, point, phi, y):
     """X_y from the bracket table: the Hamiltonian field of H(y), over phi(y)."""
-    H = momentum_symbolic(phase_coordinates(flavor, n))
+    H = momentum(phase_coordinates(flavor, n))
     field = table.hamiltonian_field(H.evaluate(y), point_values(point))
     return [float(x / phi.evaluate(y)) for x in field]
 

@@ -7,7 +7,7 @@ import pytest
 from prymlab.algebra import Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
-                             flow_values, momentum, momentum_symbolic,
+                             flow_values, momentum,
                              mumford_bracket_table, phase_coordinates,
                              point_values)
 from prymlab.prym import (dirac_reduce, involution_j, involution_signs,
@@ -138,7 +138,7 @@ def test_prym_flow_is_reduced_hamiltonian_field(rng):
         point = mumford_triple(rng, flavor, n)
         values = point_values(point)
         coords = phase_coordinates(flavor, n)
-        H = momentum_symbolic(coords)
+        H = momentum(coords)
         y = F(5, 3)
         phi = Poly([F(1)]) if flavor == ODD_PRYM else parse_poly("0,1")
         table = prym_bracket_table(flavor, n, phi)

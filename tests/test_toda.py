@@ -208,6 +208,33 @@ def test_bracket_values(rng):
     assert toda_bracket("km", 2, 1, "aa", p) == p.a[0] * p.a[1]
     with pytest.raises(InvariantError):
         toda_bracket("km", 1, 1, "ab", p)
+    for which in ("aa", "ab", "bb"):  # an unknown kind is not read as quadratic
+        with pytest.raises(InvariantError) as err:
+            toda_bracket("foo", 1, 2, which, p)
+        assert err.value.invariant == "bracket-kind"
+
+
+# the entry of a lattice table that toda_bracket(kind, i, j, which, .) reads
+_BLOCKS = {"aa": (0, 0), "ab": (0, 1), "bb": (1, 1)}
+_WHICH = {"linear": ("aa", "ab", "bb"), "quadratic": ("aa", "ab", "bb"), "km": ("aa",)}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("kind", ["linear", "quadratic", "km"])
+def test_bracket_matches_every_table_entry(rng, kind, n):
+    point = km_point(rng, n) if kind == "km" else toda_point(rng, n)
+    values = list(point.a) if kind == "km" else list(point.a) + list(point.b)
+    matrix = toda_bracket_table(kind, n).at(values)
+    for which, (row_block, col_block) in _BLOCKS.items():
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if which not in _WHICH[kind]:
+                    with pytest.raises(InvariantError) as err:
+                        toda_bracket(kind, i, j, which, point)
+                    assert err.value.invariant == "bracket-kind"
+                    continue
+                entry = matrix[row_block * n + i - 1][col_block * n + j - 1]
+                assert toda_bracket(kind, i, j, which, point) == entry, (kind, n, which, i, j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
