@@ -10,9 +10,8 @@ conservation laws are checked with zero tolerance, and Laurent solutions
 carry explicit validity windows.  A floating-point lane (numerics) adds
 fixed-step integration with conservation monitoring."""
 
-from .algebra import (BiPoly, ExactScalar, LaurentSeries, Poly, TridiagSpec,
-                      divided_difference, parity_project, parse_poly,
-                      pr_split, tridiag_minor_det)
+from .algebra import (ExactScalar, LaurentSeries, Poly, TridiagSpec, divided_difference,
+                      parse_poly, pr_split, tridiag_minor_det)
 from .errors import InvariantError, NotInImageError, ParseError, ResonanceError
 from .example5 import (ProjectivePoint9, balance_limit, divisor_points,
                        example5_report, incidence_data, quotient_curves,
@@ -31,7 +30,7 @@ from .toda import (KMPoint, TodaPoint, char_poly, km_even_split, km_field,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Balance", "BiPoly", "BracketTable", "ExactScalar", "InvariantError",
+    "Balance", "BracketTable", "ExactScalar", "InvariantError",
     "KMPoint", "KowalevskiReport", "LaurentSeries", "MultiPoly",
     "MumfordTriple", "NotInImageError", "ParseError", "PhiImage", "Poly",
     "ProjectivePoint9", "ResonanceError", "TodaPoint", "Trajectory",
@@ -40,7 +39,7 @@ __all__ = [
     "incidence_data", "indicial_solutions", "integrate", "involution_j",
     "km_even_split", "km_field", "kowalevski", "laurent_balance",
     "make_balance", "momentum", "mumford_bracket_table",
-    "mumford_flow", "parity_project", "parse_poly", "phi", "phi_inverse",
+    "mumford_flow", "parse_poly", "phi", "phi_inverse",
     "pr_split", "prym_bracket_table", "prym_flow", "quad_mumford_table",
     "quotient_curves", "sigma_enum", "spectral_data_5", "toda_bracket",
     "toda_flow", "toda_integrals", "tridiag_minor_det", "z_embedding",

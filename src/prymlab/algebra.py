@@ -1,4 +1,4 @@
-"""Exact univariate and bivariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the rationals.
 
 Everything in this package ultimately reduces to computations in Q[x],
 Q[x,x'] and truncated Laurent series rings with exact rational coefficients.
@@ -6,19 +6,25 @@ This module provides those substrates:
 
     ExactScalar    alias for fractions.Fraction (always reduced, exact)
     Poly           dense univariate polynomials, coefficients ascending
-    BiPoly         dense bivariate polynomials, grid indexed (x-deg, x'-deg)
     LaurentSeries  truncated Laurent series with an explicit validity window
     TridiagSpec    tridiagonal matrices with polynomial diagonal entries
 
 plus the structural operations the rest of the package consumes:
-divided differences, parity projections, tridiagonal minor determinants and
-the monic-square splitting f = p^2 + r.
+divided differences, tridiagonal minor determinants and the monic-square
+splitting f = p^2 + r.
 
-Coefficient slots are duck typed: the same Poly/BiPoly code is reused with
+Coefficient slots are duck typed: the same Poly code is reused with
 MultiPoly (symbolic.py) or LaurentSeries coefficients whenever an identity
 has to hold symbolically or along a formal solution.  The generic additive
 zero is the plain int 0, which coerces correctly against every coefficient
 type used here.
+
+A bivariate polynomial F(x, x') is a Poly in x whose coefficients are Polys
+in x' (Q[x, x'] = (Q[x'])[x]): bicoeff(F, i, j) reads x^i x'^j, and outer,
+of_sum, divided_difference and exact_divide_x2_minus_xp2 build the
+generating functions.  A factor that depends on x' alone must be lifted to
+Poly([q]) before it multiplies such an F: a bare Poly q is read as a
+polynomial in x.
 
 Text format for rational polynomials: comma-separated coefficients in
 ascending degree, each an integer or `p/q`, e.g. `-4,0,9,0,-6,0,1` is
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -334,144 +340,30 @@ def deflate(p: Poly, y) -> tuple[Poly, object]:
 
 
 # ---------------------------------------------------------------------------
-# dense bivariate polynomials
+# bivariate generating functions: a Poly in x over Polys in x'
 # ---------------------------------------------------------------------------
 
-class BiPoly:
-    """Dense bivariate polynomial; grid[i][j] multiplies x^i x'^j."""
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid: Sequence[Sequence] = ()):
-        self.grid = [list(row) for row in grid]
-        self._trim()
-
-    def _trim(self) -> None:
-        while self.grid and all(c == 0 for c in self.grid[-1]):
-            self.grid.pop()
-        if self.grid:
-            width = max(len(row) for row in self.grid)
-            for row in self.grid:
-                row.extend([0] * (width - len(row)))
-            while width and all(row[width - 1] == 0 for row in self.grid):
-                for row in self.grid:
-                    row.pop()
-                width -= 1
-            if width == 0:
-                self.grid = []
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls()
-
-    @classmethod
-    def outer(cls, p: Poly, q: Poly) -> "BiPoly":
-        """p(x) * q(x')."""
-        return cls([[a * b for b in q.coeffs] for a in p.coeffs])
-
-    @classmethod
-    def of_sum(cls, p: Poly) -> "BiPoly":
-        """p(x + x') expanded through the binomial theorem."""
-        result = cls.zero()
-        deg = p.degree
-        if deg < 0:
-            return result
-        binom = [[1]]
-        for k in range(1, deg + 1):
-            row = [1]
-            for j in range(1, k):
-                row.append(binom[-1][j - 1] + binom[-1][j])
-            row.append(1)
-            binom.append(row)
-        grid = [[0] * (deg + 1) for _ in range(deg + 1)]
-        for k, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            for j in range(k + 1):
-                grid[j][k - j] = grid[j][k - j] + c * binom[k][j]
-        return cls(grid)
-
-    def coeff(self, i: int, j: int):
-        if 0 <= i < len(self.grid) and 0 <= j < len(self.grid[i]):
-            return self.grid[i][j]
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.grid
-
-    def degrees(self) -> tuple[int, int]:
-        if not self.grid:
-            return (-1, -1)
-        return (len(self.grid) - 1, len(self.grid[0]) - 1)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return (self - other).is_zero()
-        if other == 0:
-            return self.is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.grid))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        dx = max(len(self.grid), len(other.grid))
-        dy = max(len(self.grid[0]) if self.grid else 0,
-                 len(other.grid[0]) if other.grid else 0)
-        grid = [[self.coeff(i, j) + other.coeff(i, j) for j in range(dy)]
-                for i in range(dx)]
-        return BiPoly(grid)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([[-c for c in row] for row in self.grid])
-
-    def __mul__(self, other):
-        if isinstance(other, BiPoly):
-            if self.is_zero() or other.is_zero():
-                return BiPoly.zero()
-            nx = len(self.grid) + len(other.grid) - 1
-            ny = len(self.grid[0]) + len(other.grid[0]) - 1
-            grid = [[0] * ny for _ in range(nx)]
-            for i, row in enumerate(self.grid):
-                for j, a in enumerate(row):
-                    if a == 0:
-                        continue
-                    for k, orow in enumerate(other.grid):
-                        for l, b in enumerate(orow):
-                            if b == 0:
-                                continue
-                            grid[i + k][j + l] = grid[i + k][j + l] + a * b
-            return BiPoly(grid)
-        return BiPoly([[c * other for c in row] for row in self.grid])
-
-    def __rmul__(self, other):
-        return BiPoly([[other * c for c in row] for row in self.grid])
-
-    def evaluate(self, x, xp):
-        acc = 0
-        for i, row in enumerate(self.grid):
-            inner = 0
-            for c in reversed(row):
-                inner = inner * xp + c
-            acc = acc + inner * x ** i
-        return acc
-
-    def reflect_x(self) -> "BiPoly":
-        return BiPoly([[-c if i & 1 else c for c in row]
-                       for i, row in enumerate(self.grid)])
-
-    def reflect_xp(self) -> "BiPoly":
-        return BiPoly([[-c if j & 1 else c for j, c in enumerate(row)]
-                       for row in self.grid])
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.grid!r})"
+def bicoeff(F: Poly, i: int, j: int):
+    """Coefficient of x^i x'^j in F, a Poly in x whose coefficients are Polys
+    in x'.  The generic product loop leaves an int 0 in a row it never
+    reaches; such a row reads as empty."""
+    row = F.coeff(i)
+    return 0 if row == 0 else row.coeff(j)
 
 
-def divided_difference(p: Poly, phi: Poly) -> BiPoly:
+def outer(p: Poly, q: Poly) -> Poly:
+    """p(x) q(x')."""
+    return Poly([Poly([a * b for b in q.coeffs]) for a in p.coeffs])
+
+
+def of_sum(p: Poly) -> Poly:
+    """p(x + x') expanded through the binomial theorem."""
+    d = p.degree
+    return Poly([Poly([p.coeffs[i + j] * comb(i + j, i) for j in range(d + 1 - i)])
+                 for i in range(d + 1)])
+
+
+def divided_difference(p: Poly, phi: Poly) -> Poly:
     """(p(x) phi(x') - p(x') phi(x)) / (x - x'), always a polynomial.
 
     Expanded monomial by monomial:
@@ -480,13 +372,13 @@ def divided_difference(p: Poly, phi: Poly) -> BiPoly:
     """
     d = max(p.degree, phi.degree)
     if d < 1:
-        return BiPoly.zero()
+        return Poly()
     grid = [[0] * d for _ in range(d)]
     for i, a in enumerate(p.coeffs):
-        if a == 0:
+        if _exact_zero(a):
             continue
         for j, b in enumerate(phi.coeffs):
-            if b == 0:
+            if _exact_zero(b):
                 continue
             c = a * b
             if i > j:
@@ -495,51 +387,24 @@ def divided_difference(p: Poly, phi: Poly) -> BiPoly:
             elif i < j:
                 for s in range(j - i):
                     grid[i + s][j - 1 - s] = grid[i + s][j - 1 - s] - c
-    return BiPoly(grid)
+    return Poly([Poly(row) for row in grid])
 
 
-_PARITY = {"even": 0, "odd": 1}
+_XP2 = Poly([0, 0, 1])
 
 
-def parity_project(F: BiPoly, parity_x: str, parity_xp: str) -> BiPoly:
-    """Keep exactly the monomials of F with the requested parities.
+def exact_divide_x2_minus_xp2(F: Poly) -> Poly:
+    """Divide F(x, x') by (x^2 - x'^2), insisting on exactness.
 
-    Equivalent to the reflection average
-    (F(x,x') +- F(-x,x') -+ F(x,-x') - F(-x,-x'))/4 for each parity choice.
-    """
-    px = _PARITY[parity_x]
-    pxp = _PARITY[parity_xp]
-    grid = [[c if (i % 2 == px and j % 2 == pxp) else 0
-             for j, c in enumerate(row)]
-            for i, row in enumerate(F.grid)]
-    return BiPoly(grid)
-
-
-def exact_divide_x2_minus_xp2(F: BiPoly) -> BiPoly:
-    """Divide F(x,x') by (x^2 - x'^2), insisting on exactness.
-
-    Treats F as a polynomial in x whose coefficients are polynomials in x';
-    divides by x^2 - c with c = x'^2 from the top coefficient down.
-    """
-    dx, dy = F.degrees()
-    if dx < 0:
-        return BiPoly.zero()
-    rows = [list(r) for r in F.grid]  # rows[i] = coefficient of x^i (poly in x')
-    width = dy + 1
-    quot = [[0] * width for _ in range(max(0, dx - 1))]
-    for i in range(dx, 1, -1):
-        q = rows[i]
-        quot[i - 2] = list(q)
-        # rows[i-2] += x'^2 * q
-        target = rows[i - 2]
-        target.extend([0] * (len(q) + 2 - len(target)))
-        for j, c in enumerate(q):
-            target[j + 2] = target[j + 2] + c
-        rows[i] = [0] * width
-    for leftover in rows[:2]:
-        if any(c != 0 for c in leftover):
-            raise ValueError("bivariate polynomial is not divisible by x^2 - x'^2")
-    return BiPoly(quot)
+    Long division in x by x^2 - c with c = x'^2, from the top row down."""
+    rows = list(F.coeffs)
+    quot = [0] * max(0, len(rows) - 2)
+    for i in range(len(rows) - 1, 1, -1):
+        quot[i - 2] = rows[i]
+        rows[i - 2] = rows[i - 2] + _XP2 * rows[i]
+    if not all(row == 0 for row in rows[:2]):
+        raise ValueError("bivariate polynomial is not divisible by x^2 - x'^2")
+    return Poly(quot)
 
 
 # ---------------------------------------------------------------------------

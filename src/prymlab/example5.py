@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentSeries, Poly, format_rational
+from .algebra import LaurentSeries, Poly, format_poly, format_rational
 from .errors import InvariantError
 from .painleve import Balance, free_slots, laurent_balance, make_balance
 from .toda import KMPoint
@@ -353,7 +353,6 @@ def example5_report(k: Fraction, l: Fraction, beta: Fraction = Fraction(1),
     The balance verdicts need a rational point of a fiber, which generic
     (k, l) do not supply; they are run on the fiber through the supplied
     (beta, delta) instead (its l value is reported alongside)."""
-    from .algebra import format_poly
     k, l = Fraction(k), Fraction(l)
     curves = quotient_curves(fiber_polynomial_5(k, l), "odd")
     points, matrix = incidence_data(k, l)

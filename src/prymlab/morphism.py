@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (BiPoly, Poly, TridiagSpec, format_poly, integer_numerators,
+from .algebra import (Poly, TridiagSpec, format_poly, integer_numerators, of_sum, outer,
                       pr_split_from, tridiag_prefix_dets)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
@@ -264,13 +264,12 @@ def quad_bracket_generators(g: int, phi: Poly) -> dict:
     a_phi = Poly([Fraction(phi.coeff(1)) * c * Fraction(1, 2)
                   + MultiPoly.const(nv, phi.coeff(0)),
                   MultiPoly.const(nv, phi.coeff(1))])
-    afs = BiPoly.of_sum(a_phi)
+    afs = of_sum(a_phi)
     # the linear family at p phi, plus the A(x+x') terms
-    gens[("u", "v")] = gens[("u", "v")] + afs * BiPoly.outer(u, u)
-    gens[("u", "w")] = gens[("u", "w")] - Fraction(2) * afs * BiPoly.outer(u, v)
-    gens[("v", "w")] = gens[("v", "w")] + afs * BiPoly.outer(u, w)
-    gens[("w", "w")] = gens[("w", "w")] + Fraction(2) * afs * (BiPoly.outer(w, v)
-                                                              - BiPoly.outer(v, w))
+    gens[("u", "v")] = gens[("u", "v")] + afs * outer(u, u)
+    gens[("u", "w")] = gens[("u", "w")] - 2 * afs * outer(u, v)
+    gens[("v", "w")] = gens[("v", "w")] + afs * outer(u, w)
+    gens[("w", "w")] = gens[("w", "w")] + 2 * afs * (outer(w, v) - outer(v, w))
     return gens
 
 

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import BiPoly, Poly, divided_difference, format_poly, horner, parse_poly
+from .algebra import (Poly, bicoeff, divided_difference, format_poly, horner, of_sum, outer,
+                      parse_poly)
 from .errors import InvariantError, ParseError
 from .symbolic import BracketTable, MultiPoly
 
@@ -288,14 +289,12 @@ def bracket_generators(flavor: str, g: int, phi: Poly) -> dict:
 def linear_generators(coords: CoordSystem, phim: Poly) -> dict:
     """The four generators of the linear family (module docstring) at a
     polynomial phim with MultiPoly coefficients, which may be phase-dependent."""
-    alpha_sum = BiPoly.of_sum(coords.alpha)
+    alpha_sum = of_sum(coords.alpha)
     return {
         ("u", "v"): divided_difference(coords.u, phim),
-        ("u", "w"): Fraction(-2) * divided_difference(coords.v, phim),
-        ("v", "w"): divided_difference(coords.w, phim)
-                    - alpha_sum * BiPoly.outer(coords.u, phim),
-        ("w", "w"): Fraction(2) * alpha_sum
-                    * (BiPoly.outer(coords.v, phim) - BiPoly.outer(phim, coords.v)),
+        ("u", "w"): -2 * divided_difference(coords.v, phim),
+        ("v", "w"): divided_difference(coords.w, phim) - alpha_sum * outer(coords.u, phim),
+        ("w", "w"): 2 * alpha_sum * (outer(coords.v, phim) - outer(phim, coords.v)),
     }
 
 
@@ -303,32 +302,32 @@ def table_from_generators(coords: CoordSystem, generators: dict) -> BracketTable
     """Read coordinate brackets out of generating functions.
 
     The generating function for families (A, B) is sum {A_i, B_j} x^i x'^j,
-    so each table entry is a plain coefficient lookup.
+    a Poly in x over Polys in x', so each table entry is a coefficient
+    lookup.
     """
     nvars = coords.nvars
     zero = MultiPoly(nvars)
     entries = [[zero for _ in range(nvars)] for _ in range(nvars)]
     slot_lists = dict(zip("uvw", _coord_layout(coords.flavor, coords.g)))
 
-    def place(fam_a: str, fam_b: str, table: BiPoly) -> None:
+    def place(fam_a: str, fam_b: str, gen: Poly, upper: bool = False) -> None:
         # entries at fixed (monic) or forbidden-parity exponents must have
-        # cancelled identically, else the generating functions are wrong
-        dx, dy = table.degrees()
-        for i in range(dx + 1):
-            for j in range(dy + 1):
-                if i in slot_lists[fam_a] and j in slot_lists[fam_b]:
+        # cancelled identically, else the generating functions are wrong;
+        # `upper` places only j > i, each unordered pair of an
+        # antisymmetric generator once
+        width = max((len(row.coeffs) for row in gen.coeffs if row != 0), default=0)
+        for i in range(len(gen.coeffs)):
+            for j in range(width):
+                val = bicoeff(gen, i, j)
+                if val == 0:
                     continue
-                if not (table.coeff(i, j) == 0):
+                if i not in slot_lists[fam_a] or j not in slot_lists[fam_b]:
                     raise InvariantError(
                         "generator-slots",
                         f"{{{fam_a}(x), {fam_b}(x')}} has residue at x^{i} x'^{j}")
-        for i in slot_lists[fam_a]:
-            ia = coords.index(f"{fam_a}{i}")
-            for j in slot_lists[fam_b]:
-                jb = coords.index(f"{fam_b}{j}")
-                val = table.coeff(i, j)
-                if val == 0:
+                if upper and j <= i:
                     continue
+                ia, jb = coords.index(f"{fam_a}{i}"), coords.index(f"{fam_b}{j}")
                 entries[ia][jb] = entries[ia][jb] + val
                 if ia != jb:
                     entries[jb][ia] = entries[jb][ia] - val
@@ -336,18 +335,7 @@ def table_from_generators(coords: CoordSystem, generators: dict) -> BracketTable
     place("u", "v", generators[("u", "v")])
     place("u", "w", generators[("u", "w")])
     place("v", "w", generators[("v", "w")])
-    # {w_i, w_j}: the generator is already antisymmetric; fill the upper
-    # triangle only so each unordered pair is placed once
-    gww = generators[("w", "w")]
-    w_slots = slot_lists["w"]
-    for pos, i in enumerate(w_slots):
-        for j in w_slots[pos + 1:]:
-            ia, jb = coords.index(f"w{i}"), coords.index(f"w{j}")
-            val = gww.coeff(i, j)
-            if val == 0:
-                continue
-            entries[ia][jb] = entries[ia][jb] + val
-            entries[jb][ia] = entries[jb][ia] - val
+    place("w", "w", generators[("w", "w")], upper=True)
     return BracketTable(coords.names, entries)
 
 

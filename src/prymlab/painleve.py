@@ -412,6 +412,13 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
             for i, a in enumerate(balance.alpha)]
 
 
+def km_field(a) -> list:
+    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1}), over the
+    scalar ring of its input (Fraction, float, MultiPoly or LaurentSeries)."""
+    n = len(a)
+    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
+
+
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:
     """da_i/dt - a_i (a_{i-1} - a_{i+1}) for a candidate solution.  With a of
     weight 2 it is found scaled by D^2 on int series (module docstring) and
@@ -421,9 +428,8 @@ def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:
     A = [LaurentSeries(s.lo, [c.numerator * (D // c.denominator) for c in s.coeffs], s.hi)
          for s in series]
     out = []
-    for i, a in enumerate(A):
-        r = (LaurentSeries(a.lo, [D * c for c in a.coeffs], a.hi).derivative()
-             - a * (A[i - 1] - A[(i + 1) % n]))
+    for i, (a, f) in enumerate(zip(A, km_field(A))):
+        r = LaurentSeries(a.lo, [D * c for c in a.coeffs], a.hi).derivative() - f
         ints = all(type(c) is int for j in (i - 1, i, (i + 1) % n) for c in series[j].coeffs)
         out.append(LaurentSeries(r.lo, [c // (D * D) if ints else Fraction(c, D * D)
                                         for c in r.coeffs], r.hi))

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import BiPoly, Poly, exact_divide_x2_minus_xp2, horner
+from .algebra import Poly, exact_divide_x2_minus_xp2, horner, outer
 from .errors import InvariantError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
                       MumfordTriple, _lift_phi, _padded, check_table_genus, degrees,
-                      flow_values, mumford_bracket_table, phase_coordinates)
+                      flow_values, mumford_bracket_table, phase_coordinates,
+                      table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -138,12 +139,9 @@ def reduce_mumford_table(flavor: str, n: int, phi: Poly) -> BracketTable:
 # closed-form reduced brackets
 # ---------------------------------------------------------------------------
 
-def _shift_x(bp: BiPoly) -> BiPoly:
-    return BiPoly([[0] * len(bp.grid[0])] + [list(r) for r in bp.grid]) if bp.grid else bp
-
-
-def _shift_xp(bp: BiPoly) -> BiPoly:
-    return BiPoly([[0] + list(r) for r in bp.grid]) if bp.grid else bp
+# x and x' as Polys in x over Polys in x'
+_X = Poly([0, Poly([1])])
+_XP = Poly([Poly([0, 1])])
 
 
 def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
@@ -166,16 +164,15 @@ def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
     phim = _lift_phi(phi, coords.nvars)
     u, v, w = coords.u, coords.v, coords.w
 
-    def cross(p: Poly, q: Poly) -> BiPoly:
-        return BiPoly.outer(p, q) - BiPoly.outer(q, p)
+    def cross(p: Poly, q: Poly) -> Poly:
+        return outer(p, q) - outer(q, p)
 
-    x_cross_v = _shift_x(BiPoly.outer(v, phim)) - _shift_xp(BiPoly.outer(phim, v))
+    x_cross_v = _X * outer(v, phim) - _XP * outer(phim, v)
     return {
-        ("u", "v"): _shift_xp(exact_divide_x2_minus_xp2(cross(u, phim))),
-        ("u", "w"): Fraction(-2) * exact_divide_x2_minus_xp2(x_cross_v),
-        ("v", "w"): _shift_x(exact_divide_x2_minus_xp2(cross(w, phim)))
-                    - _shift_x(BiPoly.outer(u, phim)),
-        ("w", "w"): Fraction(2) * x_cross_v,
+        ("u", "v"): _XP * exact_divide_x2_minus_xp2(cross(u, phim)),
+        ("u", "w"): -2 * exact_divide_x2_minus_xp2(x_cross_v),
+        ("v", "w"): _X * (exact_divide_x2_minus_xp2(cross(w, phim)) - outer(u, phim)),
+        ("w", "w"): 2 * x_cross_v,
     }
 
 
@@ -187,7 +184,6 @@ MAX_PRYM_INDEX = (MAX_GENUS - 1) // 2
 def prym_bracket_table(flavor: str, n: int, phi: Poly) -> BracketTable:
     """Closed-form reduced bracket table on a prym phase space."""
     check_table_genus(n, MAX_PRYM_INDEX, "the prym index of a prym bracket table")
-    from .mumford import table_from_generators
     coords = phase_coordinates(flavor, n)
     return table_from_generators(coords, prym_bracket_generators(flavor, n, phi))
 

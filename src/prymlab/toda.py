@@ -48,10 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .algebra import Poly, format_rational, horner, integer_numerators, parse_rational
 from .errors import InvariantError, ParseError
-from .painleve import MAX_N
+from .painleve import MAX_N, km_field
 from .symbolic import BracketTable, MultiPoly, shifted_determinants
 
 # ---------------------------------------------------------------------------
@@ -415,35 +416,23 @@ def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]
     return [Fraction(x, scale * d) for x in C[1]], [Fraction(x, scale) for x in C[0]]
 
 
-def km_field(a) -> list:
-    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1}), over the
-    scalar ring of its input (Fraction, float or MultiPoly)."""
-    n = len(a)
-    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
-
-
 def km_field_symbolic(n: int) -> list[MultiPoly]:
     return km_field(MultiPoly.variables(n))
+
+
+def _alternating_products(a, one) -> tuple:
+    """(a_1 a_3 ... a_{n-1}, a_2 a_4 ... a_n) over the ring of `one`, for
+    even n only."""
+    if len(a) % 2:
+        raise InvariantError("even-n", "the alternating products need even n")
+    return prod(a[0::2], start=one), prod(a[1::2], start=one)
 
 
 def km_even_split(point: KMPoint) -> tuple[Fraction, Fraction]:
     """(a_1 a_3 ... a_{n-1}, a_2 a_4 ... a_n) for even n; both factors are
     first integrals of the KM field and multiply to 1."""
-    if point.n % 2:
-        raise InvariantError("even-n", "the alternating products need even n")
-    odd = _prod(point.a[0::2])
-    even = _prod(point.a[1::2])
-    return odd, even
+    return _alternating_products(point.a, Fraction(1))
 
 
 def km_even_split_symbolic(n: int) -> tuple[MultiPoly, MultiPoly]:
-    if n % 2:
-        raise InvariantError("even-n", "the alternating products need even n")
-    a = MultiPoly.variables(n)
-    odd = MultiPoly.const(n, 1)
-    for x in a[0::2]:
-        odd = odd * x
-    even = MultiPoly.const(n, 1)
-    for x in a[1::2]:
-        even = even * x
-    return odd, even
+    return _alternating_products(MultiPoly.variables(n), MultiPoly.const(n, 1))

@@ -8,13 +8,12 @@ from conftest import typed_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab.algebra import (BiPoly, LaurentSeries, Poly, TridiagSpec,
-                             TruncationError, deflate, divided_difference,
-                             exact_divide_x2_minus_xp2,
-                             format_poly, format_rational, parity_project,
-                             parse_poly, parse_rational, pr_split,
-                             pr_split_from, tridiag_minor_det,
-                             tridiag_prefix_dets)
+from prymlab.algebra import (LaurentSeries, Poly, TridiagSpec, TruncationError,
+                             deflate, divided_difference,
+                             exact_divide_x2_minus_xp2, format_poly,
+                             format_rational, of_sum, outer, parse_poly,
+                             parse_rational, pr_split, pr_split_from,
+                             tridiag_minor_det, tridiag_prefix_dets)
 from prymlab.symbolic import MultiPoly
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
@@ -194,58 +193,47 @@ def test_deflate():
 
 
 # ---------------------------------------------------------------------------
-# divided differences and parity projection
+# bivariate generating functions: a Poly in x over Polys in x'
 # ---------------------------------------------------------------------------
+
+X = Poly([0, Poly([1])])
+XP = Poly([Poly([0, 1])])
+
+
+def _at(F: Poly, x, xp):
+    """F(x, x') at scalars: x is a constant of the x' ring."""
+    rows = F.evaluate(Poly([x]))
+    return rows.evaluate(xp) if isinstance(rows, Poly) else rows
+
 
 def test_divided_difference_examples():
     one = Poly([F(1)])
-    assert divided_difference(parse_poly("3,1"), one) == BiPoly([[F(1)]])
+    assert divided_difference(parse_poly("3,1"), one) == Poly([Poly([F(1)])])
     p = parse_poly("1,2,3")
     assert divided_difference(p, p).is_zero()
     dd = divided_difference(parse_poly("0,0,1"), one)
-    assert dd == BiPoly([[0, 1], [1, 0]])  # x + x'
+    assert dd == X + XP
 
 
 @given(small_polys, small_polys)
 @settings(max_examples=60, deadline=None)
 def test_divided_difference_identity(p, q):
-    x_minus_xp = BiPoly([[0, -1], [1, 0]])
-    cross = BiPoly.outer(p, q) - BiPoly.outer(q, p)
-    assert divided_difference(p, q) * x_minus_xp == cross
+    cross = outer(p, q) - outer(q, p)
+    assert divided_difference(p, q) * (X - XP) == cross
 
 
-def test_parity_project_examples():
-    assert parity_project(BiPoly([[0], [1]]), "even", "even").is_zero()
-    mixed = BiPoly([[0, 0], [0, 1], [1, 0]])  # x x' + x^2
-    assert parity_project(mixed, "even", "even") == BiPoly([[0], [0], [1]])
-
-
-@given(st.lists(st.lists(small_coeffs, min_size=1, max_size=5),
-                min_size=1, max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_parity_projections_partition(grid):
-    F_bp = BiPoly([[F(c) for c in row] for row in grid])
-    total = BiPoly.zero()
-    for px in ("even", "odd"):
-        for pxp in ("even", "odd"):
-            piece = parity_project(F_bp, px, pxp)
-            total = total + piece
-            # the reflection average gives the same projection
-            sx = 1 if px == "even" else -1
-            sxp = 1 if pxp == "even" else -1
-            quarter = F(1, 4) * (F_bp + sx * F_bp.reflect_x()
-                                 + sxp * F_bp.reflect_xp()
-                                 + sx * sxp * F_bp.reflect_x().reflect_xp())
-            assert piece == quarter
-    assert total == F_bp
+@given(small_polys, st.fractions(max_denominator=9), st.fractions(max_denominator=9))
+@settings(max_examples=60, deadline=None)
+def test_of_sum_is_p_at_the_sum(p, x, xp):
+    assert _at(of_sum(p), x, xp) == p.evaluate(x + xp)
 
 
 def test_exact_divide_x2_minus_xp2():
     # (x^2 - x'^2) * (x + x') recovered exactly
-    product = BiPoly([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-    assert exact_divide_x2_minus_xp2(product) == BiPoly([[0, 1], [1, 0]])
+    product = (X * X - XP * XP) * (X + XP)
+    assert exact_divide_x2_minus_xp2(product) == X + XP
     with pytest.raises(ValueError):
-        exact_divide_x2_minus_xp2(BiPoly([[1]]))
+        exact_divide_x2_minus_xp2(Poly([Poly([1])]))
 
 
 # ---------------------------------------------------------------------------

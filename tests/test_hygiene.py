@@ -92,12 +92,9 @@ def test_scanner_sees_unused_and_allows_used():
 # src/ (test_allow_list_is_current).
 TEST_ONLY = {
     "algebra.Poly.evaluate": "the tests read polynomials at points through it",
-    "algebra.BiPoly.evaluate": "the tests check divided differences at points through it",
     "algebra.Poly.even_odd_parts": "parity oracle in test_algebra",
     "algebra.Poly.divrem": "the squarefree check of the prymdim suite will call it",
     "algebra.deflate": "synthetic-division oracle in test_algebra",
-    "algebra.BiPoly.reflect_x": "symmetry oracle in test_algebra",
-    "algebra.BiPoly.reflect_xp": "symmetry oracle in test_algebra",
     "cli._Parser.error": "argparse calls it on a usage error",
     "example5.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
     "example5.curve_point": "point-on-curve oracle in test_example5",

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from dense_lax import toda_tridiag
 
-from prymlab.algebra import (BiPoly, Poly, divided_difference, parse_poly, pr_split,
+from prymlab.algebra import (Poly, bicoeff, divided_difference, parse_poly, pr_split,
                              tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
 from prymlab.morphism import PhiImage, phi, phi_inverse, phi_symbolic, quad_mumford_table
@@ -245,8 +245,7 @@ def test_quad_bracket_with_p_displayed_formula():
     phi_poly = parse_poly("1,2")
     table = quad_mumford_table(g, phi_poly)
     dd_uv = divided_difference(coords.u, coords.v)
-    rhs_bp = dd_uv * BiPoly.outer(Poly([MultiPoly.const(nv, 1)]),
-                                  _lift_phi(phi_poly, nv))
+    rhs = dd_uv * Poly([_lift_phi(phi_poly, nv)])  # phi(x') lifted to a Poly in x
     for i in range(g):
         ui = coords.index(f"u{i}")
         for j in range(p_sym.degree + 1):
@@ -256,7 +255,7 @@ def test_quad_bracket_with_p_displayed_formula():
                 d = pj.diff(l)
                 if not d.is_zero():
                     lhs = lhs + table.entry(ui, l) * d
-            assert (lhs - _as_mp(rhs_bp.coeff(i, j), nv)).is_zero(), (i, j)
+            assert (lhs - _as_mp(bicoeff(rhs, i, j), nv)).is_zero(), (i, j)
 
 
 def test_r_coefficients_are_casimirs():

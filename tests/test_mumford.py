@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from prymlab.algebra import BiPoly, Poly, parse_poly
+from prymlab.algebra import Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              ODD_MUMFORD, ODD_PRYM, MumfordTriple,
@@ -172,11 +172,12 @@ def test_table_reassembles_generating_functions(rng):
                 if name_a in coords.names and name_b in coords.names:
                     grid[i][j] = table.entry(coords.index(name_a),
                                              coords.index(name_b)).eval(values)
-        return BiPoly(grid)
+        return Poly([Poly(row) for row in grid])
 
     for (fam_a, fam_b), gen in generators.items():
-        numeric = BiPoly([[c.eval(values) if not isinstance(c, int) else F(0)
-                           for c in row] for row in gen.grid])
+        # gen is a Poly in x over Polys in x'; an int 0 row or entry stays 0
+        numeric = Poly([Poly([c if isinstance(c, int) else c.eval(values) for c in row.coeffs])
+                        if isinstance(row, Poly) else row for row in gen.coeffs])
         assert assemble(fam_a, fam_b) == numeric, (fam_a, fam_b)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from prymlab.algebra import Poly, parse_poly
+from prymlab.algebra import Poly, bicoeff, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              flow_values, momentum,
@@ -92,8 +92,8 @@ def test_closed_form_uv_example():
     # u = x^2 + u0, phi = 1: x'(u(x) - u(x')) / (x^2 - x'^2) = x'
     generators = prym_bracket_generators(ODD_PRYM, 1, Poly([F(1)]))
     guv = generators[("u", "v")]
-    assert guv.coeff(0, 1) == 1
-    assert all(guv.coeff(i, j) == 0 or (i, j) == (0, 1)
+    assert bicoeff(guv, 0, 1) == 1
+    assert all(bicoeff(guv, i, j) == 0 or (i, j) == (0, 1)
                for i in range(3) for j in range(3))
 
 

@@ -458,8 +458,10 @@ def test_km_even_split_values():
     assert km_even_split(point) == (F(2), F(1, 2))
     ones = KMPoint((F(1),) * 4)
     assert km_even_split(ones) == (F(1), F(1))
-    with pytest.raises(InvariantError):
-        km_even_split(KMPoint((F(1),) * 5))
+    for odd_n in (lambda: km_even_split(KMPoint((F(1),) * 5)),
+                  lambda: km_even_split_symbolic(5)):
+        with pytest.raises(InvariantError):
+            odd_n()
 
 
 @pytest.mark.parametrize("n", [4, 6])
