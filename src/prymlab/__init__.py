@@ -10,22 +10,7 @@ conservation laws are checked with zero tolerance, and Laurent solutions
 carry explicit validity windows.  A floating-point lane (numerics) adds
 fixed-step integration with conservation monitoring."""
 
-from .algebra import (ExactScalar, LaurentSeries, Poly, TridiagSpec, divided_difference,
-                      parse_poly, pr_split, tridiag_minor_det)
-from .errors import InvariantError, NotInImageError, ParseError, ResonanceError
-from .example5 import (ProjectivePoint9, balance_limit, divisor_points,
-                       example5_report, incidence_data, quotient_curves,
-                       spectral_data_5, z_embedding)
-from .morphism import PhiImage, phi, phi_inverse, quad_mumford_table
-from .mumford import (MumfordTriple, momentum, mumford_bracket_table,
-                      mumford_flow)
-from .numerics import Trajectory, integrate
-from .painleve import (Balance, KowalevskiReport, indicial_solutions,
-                       kowalevski, laurent_balance, make_balance, sigma_enum)
-from .prym import dirac_reduce, involution_j, prym_bracket_table, prym_flow
-from .symbolic import BracketTable, MultiPoly
-from .toda import (KMPoint, TodaPoint, char_poly, km_even_split, km_field,
-                   toda_bracket, toda_flow, toda_integrals)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -41,6 +26,23 @@ __all__ = [
     "make_balance", "momentum", "mumford_bracket_table",
     "mumford_flow", "parse_poly", "phi", "phi_inverse",
     "pr_split", "prym_bracket_table", "prym_flow", "quad_mumford_table",
-    "quotient_curves", "sigma_enum", "spectral_data_5", "toda_bracket",
+    "quotient_curves", "sigma_enum", "toda_bracket",
     "toda_flow", "toda_integrals", "tridiag_minor_det", "z_embedding",
 ]
+
+# The modules behind __all__, lowest layer first.  Each loads on first use
+# of one of its names, so importing one module (prymlab.toda, say) loads
+# only the layers below it.  A module imports only from lower layers, so
+# the first one that binds a name is the one that defines it.
+_HOMES = ("errors", "algebra", "symbolic", "mumford", "prym", "toda", "painleve",
+          "morphism", "example5", "numerics")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        for home in _HOMES:
+            module = import_module(f"{__name__}.{home}")
+            if hasattr(module, name):
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -181,18 +181,6 @@ class Poly:
     def __rmul__(self, other):
         return Poly([other * c for c in self.coeffs])
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- structural operations ---------------------------------------------
 
     def evaluate(self, x):
@@ -202,12 +190,6 @@ class Poly:
     def reflect(self) -> "Poly":
         """Substitute x -> -x."""
         return Poly([-c if k & 1 else c for k, c in enumerate(self.coeffs)])
-
-    def even_odd_parts(self) -> tuple["Poly", "Poly"]:
-        """Split into (even, odd) parts with p = even + odd."""
-        even = [c if k % 2 == 0 else 0 for k, c in enumerate(self.coeffs)]
-        odd = [c if k % 2 == 1 else 0 for k, c in enumerate(self.coeffs)]
-        return Poly(even), Poly(odd)
 
     def is_even(self) -> bool:
         return all(c == 0 for k, c in enumerate(self.coeffs) if k % 2 == 1)
@@ -331,12 +313,6 @@ def horner(coeffs: list, y) -> tuple[list, object]:
         q[k] = acc
         acc = coeffs[k] + acc * y
     return q, acc
-
-
-def deflate(p: Poly, y) -> tuple[Poly, object]:
-    """Synthetic division: p = (x - y) q + r with r scalar."""
-    q, r = horner(p.coeffs, y)
-    return Poly(q), r
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ For n = 5 the spectral curve of the lattice reads
     h + 1/h = x^5 - K x^3 + L x,
     K = a1+a2+a3+a4+a5,   L = a1a3 + a2a4 + a3a5 + a4a1 + a5a2,
 
-and the common level set {K = k, L = l} compactifies to the Jacobian of
-the genus-two quotient curve  y^2 = (u^3 - k u^2 + l u)^2 - 4u  minus five
-translates of its theta divisor.  The nine functions
+so toda.char_poly is 2x^5 - 2K x^3 + 2L x, and the common level set
+{K = k, L = l} compactifies to the Jacobian of the genus-two quotient
+curve  y^2 = (u^3 - k u^2 + l u)^2 - 4u  minus five translates of its
+theta divisor.  The nine functions
 
     z0 = 1
     z1 = a1 a2
@@ -43,6 +44,7 @@ from fractions import Fraction
 from .algebra import LaurentSeries, Poly, format_poly, format_rational
 from .errors import InvariantError
 from .painleve import Balance, free_slots, laurent_balance, make_balance
+from .prym import quotient_curves
 from .toda import KMPoint
 
 # ---------------------------------------------------------------------------
@@ -81,54 +83,6 @@ class ProjectivePoint9:
 
     def to_json(self) -> list[str]:
         return [format_rational(c) for c in self.coords]
-
-
-# ---------------------------------------------------------------------------
-# spectral data and quotient curves
-# ---------------------------------------------------------------------------
-
-def spectral_data_5(point: KMPoint) -> tuple[Fraction, Fraction]:
-    if point.n != 5:
-        raise InvariantError("size", "this example needs n = 5")
-    a = point.a
-    k = sum(a, Fraction(0))
-    l = a[0] * a[2] + a[1] * a[3] + a[2] * a[4] + a[3] * a[0] + a[4] * a[1]
-    return k, l
-
-
-def fiber_polynomial_5(k: Fraction, l: Fraction) -> Poly:
-    """The even degree-10 polynomial f = p^2 - 4 cutting out the fiber,
-    with p(x) = x^5 - k x^3 + l x."""
-    p = Poly([Fraction(0), Fraction(l), Fraction(0), -Fraction(k), Fraction(0), Fraction(1)])
-    return p * p - Poly([Fraction(4)])
-
-
-def genus_of_hyperelliptic(d: int) -> int:
-    """Genus of y^2 = f(u) with deg f = d (squarefree)."""
-    return (d - 1) // 2
-
-
-@dataclass(frozen=True)
-class QuotientCurves:
-    """Defining polynomials of the two quotient curves: v^2 = sigma(u) and
-    v^2 = tau(u), where f(x) = g(x^2)."""
-
-    sigma: Poly
-    tau: Poly
-
-
-def quotient_curves(f: Poly, n_parity: str) -> QuotientCurves:
-    """Write f(x) = g(x^2); for odd n the quotients are v^2 = g(u) and
-    v^2 = u g(u), for even n the two equations trade places."""
-    if not f.is_even():
-        raise InvariantError("even-f", "f must be an even polynomial")
-    g = f.decimate_even()
-    ug = Poly([Fraction(0)] + [Fraction(c) for c in g.coeffs])
-    if n_parity == "odd":
-        return QuotientCurves(sigma=g, tau=ug)
-    if n_parity == "even":
-        return QuotientCurves(sigma=ug, tau=g)
-    raise InvariantError("parity", "n_parity must be 'odd' or 'even'")
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +157,6 @@ def constraint_residual(beta, delta, k, l):
     inv = (beta * delta)
     inv = inv.inverse() if isinstance(inv, LaurentSeries) else 1 / inv
     return (k - delta) * delta + beta + inv - l
-
-
-def curve_point(i: int, k: Fraction, l: Fraction, beta: Fraction,
-                delta: Fraction) -> ProjectivePoint9:
-    """Evaluate the i-th curve at finite (beta, delta) on the fiber."""
-    beta, delta = Fraction(beta), Fraction(delta)
-    if beta == 0 or delta == 0:
-        raise InvariantError("constraint", "beta delta must be nonzero")
-    if constraint_residual(beta, delta, Fraction(k), Fraction(l)) != 0:
-        raise InvariantError("constraint",
-                             "(k - delta) delta + beta + 1/(beta delta) != l")
-    return ProjectivePoint9(tuple(curve_coords(i, beta, delta, Fraction(k), Fraction(1))))
 
 
 def chart_series(chart: str, k: Fraction, l: Fraction,
@@ -354,7 +296,8 @@ def example5_report(k: Fraction, l: Fraction, beta: Fraction = Fraction(1),
     (k, l) do not supply; they are run on the fiber through the supplied
     (beta, delta) instead (its l value is reported alongside)."""
     k, l = Fraction(k), Fraction(l)
-    curves = quotient_curves(fiber_polynomial_5(k, l), "odd")
+    p = Poly([Fraction(0), l, Fraction(0), -k, Fraction(0), Fraction(1)])  # x^5 - k x^3 + l x
+    curves = quotient_curves(p * p - Poly([Fraction(4)]))
     points, matrix = incidence_data(k, l)
     verdicts = []
     for s in range(5):

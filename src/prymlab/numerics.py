@@ -30,7 +30,8 @@ from .algebra import Poly
 from .errors import InvariantError
 from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
 from .prym import prym_tangent
-from .toda import KMPoint, TodaPoint, char_coeffs, hierarchy_commutator, km_field
+from .toda import (KMPoint, TodaPoint, _alternating_products, char_coeffs,
+                   hierarchy_commutator, km_field)
 
 BLOWUP_GUARD = 1e12
 MAX_STEPS = 100_000  # every state is kept, so this also bounds the memory of a run
@@ -111,8 +112,6 @@ def _prym_rhs(state, flavor, n, y):
 
 def _lattice_names(n, km=False):
     names = [f"K{j}" for j in range(n)] + ["prod_a"]
-    if km and n == 5:
-        names += ["K", "L"]
     if km and n % 2 == 0:
         names += ["P_odd", "P_even"]
     return names
@@ -123,12 +122,8 @@ def _lattice_invariants(state, n, km=False):
     b = [0.0] * n if km else state[n:]
     out = [2.0 * c for c in char_coeffs(a, b, 0.0)[:n]]
     out.append(math.prod(a, start=1.0))
-    if km and n == 5:
-        out.append(sum(a))
-        out.append(a[0] * a[2] + a[1] * a[3] + a[2] * a[4] + a[3] * a[0] + a[4] * a[1])
     if km and n % 2 == 0:
-        out.append(math.prod(a[0::2], start=1.0))
-        out.append(math.prod(a[1::2], start=1.0))
+        out += _alternating_products(a, 1.0)
     return out
 
 

@@ -44,11 +44,7 @@ from typing import Iterable, Sequence
 from .algebra import LaurentSeries, format_rational, integer_numerators
 from .errors import InvariantError, ResonanceError
 from .symbolic import _eliminate, shifted_determinants, solve_affine
-
-# The largest lattice the Painleve analysis accepts.  |Sigma_n| grows like
-# the golden ratio to the n (15 126 sets at n = 20, about 1.3e6 at n = 30,
-# 1.7e8 at n = 40), and a balance builds an n x n Kowalevski matrix.
-MAX_N = 24
+from .toda import MAX_N, km_field
 
 
 def _check_size(n: int, least: int, what: str) -> None:
@@ -175,10 +171,6 @@ class Balance:
     A: tuple
     alpha: tuple
     r: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.A) // 2
 
     def to_json(self) -> dict:
         return {"n": self.n, "A": list(self.A),
@@ -410,13 +402,6 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     return [LaurentSeries(-1, [a] + [Fraction(vec[i], den) for vec, den in zip(nums, dens)],
                           hi=order - 1)
             for i, a in enumerate(balance.alpha)]
-
-
-def km_field(a) -> list:
-    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1}), over the
-    scalar ring of its input (Fraction, float, MultiPoly or LaurentSeries)."""
-    n = len(a)
-    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
 
 
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:

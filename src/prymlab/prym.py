@@ -30,10 +30,18 @@ The reduced integrable fields are the Lax fields
 
     X_y L(x) = [L(x), M(x,y)] / (x^2 - y^2),
     M(x,y) = [[y v(y), x w(y) + x (x^2-y^2) u(y)], [x u(y), -y v(y)]].
+
+The fibers live on spectral curves C: y^2 = f(x) with f even: f = p^2 - 4,
+p = char_poly / 2, on an n-particle lattice (deg f = 2n), and
+f = u w + v^2 (momentum) on a Prym triple.  The involutions
+(x, y) -> (-x, +-y) make C a double cover of the two quotient curves that
+quotient_curves writes down, and dim Prym = g(C) - g(C') for the quotient
+C' of larger genus.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Poly, exact_divide_x2_minus_xp2, horner, outer
@@ -67,12 +75,6 @@ def involution_j(triple: MumfordTriple, sign: int = 1) -> MumfordTriple:
     if sign == -1:
         u, v, w = -u, -v, -w
     return MumfordTriple(u, v, w, EVEN_MUMFORD)
-
-
-def is_fixed_point(triple: MumfordTriple, sign: int = 1) -> bool:
-    img = involution_j(triple.ambient(), sign)
-    amb = triple.ambient()
-    return img.u == amb.u and img.v == amb.v and img.w == amb.w
 
 
 def involution_signs(g: int, sign: int = 1) -> list[int]:
@@ -250,3 +252,33 @@ def prym_flow_symbolic(flavor: str, n: int, y: Fraction) -> list[MultiPoly]:
     coords = phase_coordinates(flavor, n)
     tangent = _exact_prym_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, y)
     return flow_values(flavor, n, *tangent)
+
+
+# ---------------------------------------------------------------------------
+# spectral curves
+# ---------------------------------------------------------------------------
+
+def genus_of_hyperelliptic(d: int) -> int:
+    """Genus of y^2 = f(u) with deg f = d (squarefree)."""
+    return (d - 1) // 2
+
+
+@dataclass(frozen=True)
+class QuotientCurves:
+    """Defining polynomials of the two quotient curves: v^2 = sigma(u) and
+    v^2 = tau(u), where f(x) = g(x^2)."""
+
+    sigma: Poly
+    tau: Poly
+
+
+def quotient_curves(f: Poly) -> QuotientCurves:
+    """Write f(x) = g(x^2) with deg g = n; for odd n the quotients are
+    v^2 = g(u) and v^2 = u g(u), for even n the two equations trade places."""
+    if not f.is_even():
+        raise InvariantError("even-f", "f must be an even polynomial")
+    g = f.decimate_even()
+    ug = Poly([Fraction(0)] + [Fraction(c) for c in g.coeffs])
+    if g.degree % 2:
+        return QuotientCurves(sigma=g, tau=ug)
+    return QuotientCurves(sigma=ug, tau=g)

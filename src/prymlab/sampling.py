@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .mumford import MumfordTriple, _coord_layout, triple_from_values
 from .toda import KMPoint, TodaPoint
@@ -30,23 +31,19 @@ def positive_rational(rng: random.Random, hi: int = 9, max_den: int = 9) -> Frac
     return Fraction(rng.randint(1, hi), rng.randint(1, max_den))
 
 
-def toda_point(rng: random.Random, n: int) -> TodaPoint:
+def _unit_product(rng: random.Random, n: int) -> tuple:
+    """n positive rationals with product 1: n - 1 drawn, the last fixed."""
     a = [positive_rational(rng) for _ in range(n - 1)]
-    prod = Fraction(1)
-    for x in a:
-        prod *= x
-    a.append(1 / prod)
-    b = [rational(rng) for _ in range(n)]
-    return TodaPoint(tuple(a), tuple(b))
+    return (*a, 1 / prod(a, start=Fraction(1)))
+
+
+def toda_point(rng: random.Random, n: int) -> TodaPoint:
+    a = _unit_product(rng, n)
+    return TodaPoint(a, tuple(rational(rng) for _ in range(n)))
 
 
 def km_point(rng: random.Random, n: int) -> KMPoint:
-    a = [positive_rational(rng) for _ in range(n - 1)]
-    prod = Fraction(1)
-    for x in a:
-        prod *= x
-    a.append(1 / prod)
-    return KMPoint(tuple(a))
+    return KMPoint(_unit_product(rng, n))
 
 
 def mumford_triple(rng: random.Random, flavor: str, g: int) -> MumfordTriple:

@@ -200,9 +200,6 @@ class MultiPoly:
             acc = acc + term
         return acc
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def to_str(self, names: Sequence[str]) -> str:
         if not self.terms:
             return "0"

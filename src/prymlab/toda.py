@@ -52,19 +52,17 @@ from math import prod
 
 from .algebra import Poly, format_rational, horner, integer_numerators, parse_rational
 from .errors import InvariantError, ParseError
-from .painleve import MAX_N, km_field
 from .symbolic import BracketTable, MultiPoly, shifted_determinants
+
+# The largest lattice the Painleve analysis and the bracket tables accept.
+# |Sigma_n| grows like the golden ratio to the n (15 126 sets at n = 20,
+# about 1.3e6 at n = 30, 1.7e8 at n = 40), and a balance builds an n x n
+# Kowalevski matrix.
+MAX_N = 24
 
 # ---------------------------------------------------------------------------
 # phase points
 # ---------------------------------------------------------------------------
-
-def _prod(values) -> Fraction:
-    acc = Fraction(1)
-    for v in values:
-        acc *= Fraction(v)
-    return acc
-
 
 @dataclass(frozen=True)
 class TodaPoint:
@@ -78,7 +76,7 @@ class TodaPoint:
             raise InvariantError("size", "a and b must have the same length")
         if any(x == 0 for x in self.a):
             raise InvariantError("a-nonzero", "all a_i must be nonzero")
-        if _prod(self.a) != 1:
+        if prod(self.a) != 1:
             raise InvariantError("a-product", "prod a_i must equal 1")
 
     @property
@@ -116,7 +114,7 @@ class KMPoint:
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         if any(x == 0 for x in self.a):
             raise InvariantError("a-nonzero", "all a_i must be nonzero")
-        if _prod(self.a) != 1:
+        if prod(self.a) != 1:
             raise InvariantError("a-product", "prod a_i must equal 1")
 
     @property
@@ -125,10 +123,6 @@ class KMPoint:
 
     def embed(self) -> TodaPoint:
         return TodaPoint(self.a, (Fraction(0),) * self.n)
-
-    def shift(self, s: int = 1) -> "KMPoint":
-        n = self.n
-        return KMPoint(tuple(self.a[(i + s) % n] for i in range(n)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "a": [format_rational(x) for x in self.a]}
@@ -414,6 +408,13 @@ def toda_flow(point: TodaPoint, i: int) -> tuple[list[Fraction], list[Fraction]]
                                      f"({r + 1},{(r + k) % n + 1}) h^{(r + k) // n}")
     scale = d ** (i + 1)
     return [Fraction(x, scale * d) for x in C[1]], [Fraction(x, scale) for x in C[0]]
+
+
+def km_field(a) -> list:
+    """The basic Volterra field da_i/dt = a_i (a_{i-1} - a_{i+1}), over the
+    scalar ring of its input (Fraction, float, MultiPoly or LaurentSeries)."""
+    n = len(a)
+    return [a[i] * (a[(i - 1) % n] - a[(i + 1) % n]) for i in range(n)]
 
 
 def km_field_symbolic(n: int) -> list[MultiPoly]:

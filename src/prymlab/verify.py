@@ -330,10 +330,10 @@ def suite_drift(seed: int = 0) -> list[CheckResult]:
         traj = numerics.integrate("km", reference, None, 10.0, 1e-3)
         if traj.truncated:
             raise AssertionError("reference trajectory blew up")
-        d = max(traj.drift["K"], traj.drift["L"])
+        d = max(traj.drift["K1"], traj.drift["K3"])
         if d > 1e-8:
             raise AssertionError(f"drift {d:.3e} exceeds 1e-8")
-        return f"K, L drift {d:.3e} over t in [0, 10], step 1e-3"
+        return f"K1, K3 drift {d:.3e} over t in [0, 10], step 1e-3"
 
     def convergence():
         ends = [numerics.integrate("km", reference, None, 10.0, h).endpoint()
@@ -345,7 +345,7 @@ def suite_drift(seed: int = 0) -> list[CheckResult]:
             raise AssertionError(f"convergence ratio {ratio:.2f} outside [12, 20]")
         return f"step-halving error ratio {ratio:.2f}"
 
-    return [_check("drift: reference run conserves K and L to 1e-8", drift),
+    return [_check("drift: reference run conserves K1 and K3 to 1e-8", drift),
             _check("drift: step halving shows fourth-order convergence", convergence)]
 
 

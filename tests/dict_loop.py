@@ -96,10 +96,6 @@ def _lattice_invariants(state, n, km=False):
     for x in a:
         prod *= x
     out["prod_a"] = prod
-    if km and n == 5:
-        out["K"] = sum(a)
-        out["L"] = (a[0] * a[2] + a[1] * a[3] + a[2] * a[4]
-                    + a[3] * a[0] + a[4] * a[1])
     if km and n % 2 == 0:
         p_odd = p_even = 1.0
         for x in a[0::2]:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymlab.algebra import (LaurentSeries, Poly, TridiagSpec, TruncationError,
-                             deflate, divided_difference,
+                             divided_difference,
                              exact_divide_x2_minus_xp2, format_poly,
-                             format_rational, of_sum, outer, parse_poly,
+                             format_rational, horner, of_sum, outer, parse_poly,
                              parse_rational, pr_split, pr_split_from,
                              tridiag_minor_det, tridiag_prefix_dets)
 from prymlab.symbolic import MultiPoly
@@ -48,11 +48,21 @@ def test_difference_of_squares():
 
 
 def test_parity_split():
-    even, odd = parse_poly("0,0,2,1").even_odd_parts()
-    assert even == parse_poly("0,0,2")
-    assert odd == parse_poly("0,0,0,1")
-    assert even + odd == parse_poly("0,0,2,1")
-    assert even.reflect() == even and odd.reflect() == -odd
+    p, even, odd = parse_poly("0,0,2,1"), parse_poly("0,0,2"), parse_poly("0,0,0,1")
+    assert even.is_even() and odd.is_odd()
+    assert not p.is_even() and not p.is_odd()
+    assert p.reflect() == even - odd
+
+
+def test_derivative_examples():
+    assert parse_poly("-4,0,9,0,-6,0,1").derivative() == parse_poly("0,18,0,-24,0,6")
+    assert parse_poly("7").derivative().is_zero() and Poly().derivative().is_zero()
+
+
+@given(small_polys, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_derivative_product_rule(p, q):
+    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
 
 
 def test_divrem_worked_example():
@@ -188,8 +198,8 @@ def test_decimate_even():
 
 
 def test_deflate():
-    q, rem = deflate(parse_poly("-6,11,-6,1"), F(1))  # roots 1, 2, 3
-    assert rem == 0 and q == parse_poly("6,-5,1")
+    q, rem = horner(parse_poly("-6,11,-6,1").coeffs, F(1))  # roots 1, 2, 3
+    assert rem == 0 and Poly(q) == parse_poly("6,-5,1")
 
 
 # ---------------------------------------------------------------------------

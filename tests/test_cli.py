@@ -111,7 +111,7 @@ def test_flow_subcommand(capsys, tmp_path):
                         "--t", "0.5", "--step", "0.001", "--csv", str(csv_path))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["drift"]["K"] <= 1e-8
+    assert payload["drift"]["K3"] <= 1e-8
     assert csv_path.read_text().splitlines()[0].startswith("t,")
     _validate(payload, "drift_summary")
 

@@ -9,13 +9,11 @@ from prymlab.algebra import LaurentSeries, Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.example5 import (ProjectivePoint9, balance_limit, chart_limit,
                               chart_series, constraint_residual, curve_coords,
-                              curve_point,
                               divisor_points, example5_report,
-                              fiber_polynomial_5, genus_of_hyperelliptic,
                               incidence_data, principal_balance_params,
-                              quotient_curves, rotate_solution,
-                              spectral_data_5, z_embedding, z_functions)
+                              rotate_solution, z_embedding, z_functions)
 from prymlab.painleve import laurent_balance
+from prymlab.prym import genus_of_hyperelliptic, quotient_curves
 from prymlab.sampling import km_point
 from prymlab.toda import KMPoint, char_poly
 
@@ -25,34 +23,35 @@ from prymlab.toda import KMPoint, char_poly
 # ---------------------------------------------------------------------------
 
 def test_spectral_data_examples():
-    assert spectral_data_5(KMPoint((1, 1, 1, 1, 1))) == (5, 5)
+    # char_poly = 2 (x^5 - K x^3 + L x)
+    assert char_poly(KMPoint((1, 1, 1, 1, 1)).embed()) == Poly([0, 10, 0, -10, 0, 2])
     point = KMPoint((F(2), F(1, 2), F(1), F(1), F(1)))
-    assert spectral_data_5(point) == (F(11, 2), F(6))
+    assert char_poly(point.embed()) == Poly([0, 12, 0, -11, 0, 2])  # K = 11/2, L = 6
 
 
 def test_spectral_data_matches_char_poly(rng):
     for _ in range(20):
-        point = km_point(rng, 5)
-        k, l = spectral_data_5(point)
-        assert char_poly(point.embed()) == Poly([0, 2 * l, 0, -2 * k, 0, 2])
+        a = km_point(rng, 5).a
+        k = sum(a)
+        l = a[0] * a[2] + a[1] * a[3] + a[2] * a[4] + a[3] * a[0] + a[4] * a[1]
+        assert char_poly(KMPoint(a).embed()) == Poly([0, 2 * l, 0, -2 * k, 0, 2])
 
 
 def test_quotient_curve_equation():
     k, l = F(3), F(7)
-    curves = quotient_curves(fiber_polynomial_5(k, l), "odd")
+    p = Poly([0, l, 0, -k, 0, 1])  # h + 1/h = x^5 - k x^3 + l x
+    curves = quotient_curves(p * p - Poly([4]))
     cubic = Poly([0, l, -k, 1])
     assert curves.tau == cubic * cubic - Poly([0, F(4)])
     assert curves.sigma.degree == 5 and curves.tau.degree == 6
     assert genus_of_hyperelliptic(curves.sigma.degree) == 2
     assert genus_of_hyperelliptic(curves.tau.degree) == 2
-    swapped = quotient_curves(fiber_polynomial_5(k, l), "even")
-    assert swapped.sigma == curves.tau and swapped.tau == curves.sigma
 
 
 def test_quotient_curve_trivial_and_errors():
-    assert quotient_curves(parse_poly("0,0,1"), "odd").sigma == parse_poly("0,1")
+    assert quotient_curves(parse_poly("0,0,1")).sigma == parse_poly("0,1")
     with pytest.raises(InvariantError):
-        quotient_curves(parse_poly("0,1"), "odd")
+        quotient_curves(parse_poly("0,1"))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +85,15 @@ def test_projective_point_semantics():
         ProjectivePoint9((0,) * 9)
 
 
+def test_projective_point_hash_is_scale_free(rng):
+    for _ in range(10):
+        coords = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(9)]
+        coords[rng.randrange(9)] = F(rng.randint(1, 5))
+        scale = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        p, q = ProjectivePoint9(coords), ProjectivePoint9([scale * c for c in coords])
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+
+
 # ---------------------------------------------------------------------------
 # divisor data
 # ---------------------------------------------------------------------------
@@ -105,10 +113,10 @@ def test_divisor_points_display():
 
 def test_curve_point_constraint():
     k = F(3)
-    point = curve_point(1, k, k + 1, F(1), F(1))
+    assert constraint_residual(F(1), F(1), k, k + 1) == 0
+    point = ProjectivePoint9(curve_coords(1, F(1), F(1), k, F(1)))
     assert point == ProjectivePoint9((0, 0, 0, 1, 0, 2, 2, 1, -1))
-    with pytest.raises(InvariantError):
-        curve_point(1, k, k + 2, F(1), F(1))
+    assert constraint_residual(F(1), F(1), k, k + 2) != 0
 
 
 def test_chart_series_solve_the_constraint():

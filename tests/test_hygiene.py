@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
-uses, src/ defines nothing that nothing refers to, and the names that the
-benchmark spans and the README give for prymlab code exist.  The
+uses, src/ defines nothing that nothing refers to, no src/ module imports
+a layer above it, and the names that the benchmark spans and the README
+give for prymlab code exist.  The
 repository has no linter, so these tests are the guard."""
 
 import ast
@@ -92,18 +93,13 @@ def test_scanner_sees_unused_and_allows_used():
 # src/ (test_allow_list_is_current).
 TEST_ONLY = {
     "algebra.Poly.evaluate": "the tests read polynomials at points through it",
-    "algebra.Poly.even_odd_parts": "parity oracle in test_algebra",
     "algebra.Poly.divrem": "the squarefree check of the prymdim suite will call it",
-    "algebra.deflate": "synthetic-division oracle in test_algebra",
     "cli._Parser.error": "argparse calls it on a usage error",
-    "example5.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
-    "example5.curve_point": "point-on-curve oracle in test_example5",
     "morphism.phi_symbolic": "symbolic oracle for phi in test_morphism",
     "mumford.mumford_flow_symbolic": "symbolic field oracle in test_mumford",
     "painleve.c_block": "documents the run block; test_painleve checks its spectra",
-    "prym.is_fixed_point": "involution oracle in test_prym",
+    "prym.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
     "sampling.mumford_triple": "seeded Mumford and Prym points for the tests",
-    "symbolic.MultiPoly.total_degree": "degree oracle in test_symbolic",
     "symbolic.matrix_rank": "the rank counts of the divisor and prymdim suites will call it",
     "symbolic.BracketTable.poisson_bracket": "bracket of two polynomials in the involution tests",
     "symbolic.BracketTable.hamiltonian_field": "Hamiltonian-field oracle for every flow",
@@ -169,6 +165,38 @@ def test_definition_scanner_sees_dead_and_allows_used():
         "b": "from a import annotated\nannotated(None).used()\n",
     }
     assert unreferenced_definitions(sources) == ["a.dead", "a.Helper.unused"]
+
+
+# The layers of src/prymlab, lowest first: a module imports only modules
+# before it (the package's __init__ and __main__ sit above all of them).
+LAYERS = ("errors", "algebra", "symbolic", "mumford", "prym", "toda", "painleve",
+          "morphism", "example5", "numerics", "sampling", "verify", "cli")
+
+
+def upward_imports(module: str, source: str) -> list[str]:
+    """The package modules that `module` imports but that are not below it
+    in LAYERS, as `module -> imported`."""
+    below = LAYERS[:LAYERS.index(module)]
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            imported |= {name.split(".")[0] for name in names}
+    return [f"{module} -> {name}" for name in sorted(imported) if name not in below]
+
+
+def test_modules_import_only_lower_layers():
+    sources = {name: text for name, text in _src_sources().items()
+               if name not in ("__init__", "__main__")}
+    assert sorted(sources) == sorted(LAYERS)
+    found = [edge for module, text in sources.items() for edge in upward_imports(module, text)]
+    assert not found, "imports against the layer order:\n" + "\n".join(found)
+
+
+def test_layer_scanner_sees_upward_imports():
+    source = "from .toda import MAX_N\nfrom . import errors, symbolic\nfrom math import prod\n"
+    assert upward_imports("painleve", source) == []
+    assert upward_imports("algebra", source) == ["algebra -> symbolic", "algebra -> toda"]
 
 
 def _resolves(dotted: str) -> bool:

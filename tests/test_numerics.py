@@ -69,8 +69,8 @@ def test_prym_field_matches_exact(rng):
 def test_reference_run_drift():
     traj = integrate("km", REFERENCE, None, 10.0, 1e-3)
     assert not traj.truncated
-    assert traj.drift["K"] <= 1e-8
-    assert traj.drift["L"] <= 1e-8
+    assert traj.drift["K1"] <= 1e-8  # 2L at n = 5
+    assert traj.drift["K3"] <= 1e-8  # -2K at n = 5
     assert traj.drift["prod_a"] <= 1e-8
 
 

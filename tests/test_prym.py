@@ -4,24 +4,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from prymlab.algebra import Poly, bicoeff, parse_poly
+from prymlab.algebra import Poly, bicoeff, outer, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              flow_values, momentum,
                              mumford_bracket_table, phase_coordinates,
-                             point_values)
-from prymlab.prym import (dirac_reduce, involution_j, involution_signs,
-                          is_fixed_point, is_poisson_involution,
+                             point_values, table_from_generators)
+from prymlab.prym import (dirac_reduce, genus_of_hyperelliptic, involution_j,
+                          involution_signs, is_poisson_involution,
                           prym_bracket_generators, prym_bracket_table,
                           prym_flow, prym_flow_symbolic, prym_tangent,
-                          reduce_mumford_table, tables_equal)
-from prymlab.sampling import mumford_triple
+                          quotient_curves, reduce_mumford_table, tables_equal)
+from prymlab.sampling import km_point, mumford_triple
+from prymlab.symbolic import MultiPoly
+from prymlab.toda import char_poly
 
 
 def test_involution_examples(rng):
     fixed = MumfordTriple(parse_poly("-1,0,1"), Poly(), parse_poly("4,0,-5,0,1"),
                           ODD_PRYM)
-    assert is_fixed_point(fixed, 1)
+    assert involution_j(fixed.ambient(), 1) == fixed.ambient()
     for _ in range(4):
         p = mumford_triple(rng, EVEN_MUMFORD, 2)
         q = involution_j(involution_j(p, 1), 1)
@@ -42,14 +44,14 @@ def test_fixed_point_characterization(rng):
     # fixed by j exactly when the forbidden-parity coefficients vanish
     for _ in range(4):
         prym_point = mumford_triple(rng, ODD_PRYM, 1).ambient()
-        assert is_fixed_point(prym_point, 1)
+        assert involution_j(prym_point, 1) == prym_point
         generic = mumford_triple(rng, EVEN_MUMFORD, 2)
         forbidden = ([generic.u.coeff(k) for k in (1,)]
                      + [generic.v.coeff(k) for k in (0,)]
                      + [generic.w.coeff(k) for k in (1, 3)])
-        assert is_fixed_point(generic, 1) == all(c == 0 for c in forbidden)
+        assert (involution_j(generic, 1) == generic) == all(c == 0 for c in forbidden)
         eprym = mumford_triple(rng, EVEN_PRYM, 1).ambient()
-        assert is_fixed_point(eprym, -1)
+        assert involution_j(eprym, -1) == eprym
 
 
 def test_involution_is_poisson_for_matching_parity(rng):
@@ -95,6 +97,18 @@ def test_closed_form_uv_example():
     assert bicoeff(guv, 0, 1) == 1
     assert all(bicoeff(guv, i, j) == 0 or (i, j) == (0, 1)
                for i in range(3) for j in range(3))
+
+
+def test_generator_residue_at_a_forbidden_slot_is_refused():
+    # u1 is not a coordinate on odd-prym (u = x^2 + u0), so an x^1 x'^0
+    # term in {u(x), v(x')} must be reported, not dropped
+    coords = phase_coordinates(ODD_PRYM, 1)
+    generators = prym_bracket_generators(ODD_PRYM, 1, Poly([F(1)]))
+    one = MultiPoly.const(coords.nvars, 1)
+    generators[("u", "v")] = generators[("u", "v")] + outer(Poly([0, one]), Poly([one]))
+    with pytest.raises(InvariantError, match="residue at x\\^1 x'\\^0") as err:
+        table_from_generators(coords, generators)
+    assert err.value.invariant == "generator-slots"
 
 
 def test_reduced_uu_entry_is_zero():
@@ -176,3 +190,32 @@ def test_prym_kernel_remainders_vanish_on_the_parity_locus(rng):
         with pytest.raises(InvariantError) as caught:
             prym_flow(bad, F(5, 3))
         assert caught.value.invariant == "tangent-shape"
+
+
+# ---------------------------------------------------------------------------
+# spectral curves
+# ---------------------------------------------------------------------------
+
+def _prym_dimension(f: Poly) -> int:
+    """g(C) - g(C') for C: y^2 = f(x) and C' its quotient of larger genus."""
+    curves = quotient_curves(f)
+    return genus_of_hyperelliptic(f.degree) - max(
+        genus_of_hyperelliptic(curves.sigma.degree), genus_of_hyperelliptic(curves.tau.degree))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_quotient_curves_at_every_n(rng, n):
+    p = char_poly(km_point(rng, n).embed()) * F(1, 2)  # h + 1/h = p(x)
+    f = p * p - Poly([4])
+    g = f.decimate_even()
+    curves = quotient_curves(f)
+    odd_n, even_n = (g, Poly([0, 1]) * g), (Poly([0, 1]) * g, g)
+    assert (curves.sigma, curves.tau) == (odd_n if n % 2 else even_n)
+    assert curves.sigma.degree % 2 == 1  # one branch point at infinity
+    assert _prym_dimension(f) == (n - 1) // 2  # the KM fiber dimension
+
+
+@pytest.mark.parametrize("flavor", [ODD_PRYM, EVEN_PRYM])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prym_momentum_curve_has_prym_dimension_n(rng, flavor, n):
+    assert _prym_dimension(momentum(mumford_triple(rng, flavor, n))) == n

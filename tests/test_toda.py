@@ -8,7 +8,7 @@ from dense_lax import (HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace,
 
 from prymlab.algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
-from prymlab.sampling import km_point, toda_point
+from prymlab.sampling import km_point, rng_from_seed, toda_point
 from prymlab.symbolic import MultiPoly
 from prymlab import toda
 from prymlab.toda import (KMPoint, TodaPoint, char_poly, hierarchy_commutator,
@@ -30,6 +30,13 @@ def test_point_validation():
         KMPoint((F(0), F(1), F(1)))  # zero entry
     with pytest.raises(ParseError):
         KMPoint.from_json({"n": 3, "a": ["1", "1", "1"], "b": ["1", "0", "0"]})
+
+
+def test_seeded_points_are_pinned():
+    # the verify suites and the benchmark replay these draws from their seeds
+    rng = rng_from_seed(7)
+    assert toda_point(rng, 3) == TodaPoint((2, 7, F(1, 14)), (F(-7, 9), -1, 9))
+    assert km_point(rng, 4) == KMPoint((F(9, 4), F(1, 2), 1, F(8, 9)))
 
 
 def test_json_round_trip(rng):
