@@ -19,7 +19,7 @@ __all__ = [
     "KMPoint", "KowalevskiReport", "LaurentSeries", "MultiPoly",
     "MumfordTriple", "NotInImageError", "ParseError", "PhiImage", "Poly",
     "ProjectivePoint9", "ResonanceError", "TodaPoint", "Trajectory",
-    "TridiagSpec", "balance_limit", "char_poly", "dirac_reduce",
+    "balance_limit", "char_poly", "dirac_reduce",
     "divided_difference", "divisor_points", "example5_report",
     "incidence_data", "indicial_solutions", "integrate", "involution_j",
     "km_even_split", "km_field", "kowalevski", "laurent_balance",

@@ -7,10 +7,9 @@ This module provides those substrates:
     ExactScalar    alias for fractions.Fraction (always reduced, exact)
     Poly           dense univariate polynomials, coefficients ascending
     LaurentSeries  truncated Laurent series with an explicit validity window
-    TridiagSpec    tridiagonal matrices with polynomial diagonal entries
 
 plus the structural operations the rest of the package consumes:
-divided differences, tridiagonal minor determinants and the monic-square
+divided differences, the tridiagonal minor recurrence and the monic-square
 splitting f = p^2 + r.
 
 Coefficient slots are duck typed: the same Poly code is reused with
@@ -33,7 +32,6 @@ x^6 - 6x^4 + 9x^2 - 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Sequence
@@ -387,49 +385,50 @@ def exact_divide_x2_minus_xp2(F: Poly) -> Poly:
 # tridiagonal minors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TridiagSpec:
-    """Tridiagonal n x n matrix: diag[i] on the diagonal, sup[i] at (i, i+1),
-    sub[i] at (i+1, i), zero elsewhere (0-based storage, 1-based indices in
-    the minor API).  Diagonal entries are Poly, band entries scalars."""
+def tridiag_run(b: Sequence, c: Sequence, zero) -> list[list]:
+    """Every prefix determinant of a tridiagonal run, as ascending
+    coefficient lists over the ring of `zero`: entry k is D_k, the
+    determinant of the leading k x k block, and D_0 = [1].
 
-    n: int
-    diag: tuple
-    sup: tuple
-    sub: tuple
+    The block has x - b_k on the diagonal, and c_k = sup_k sub_k is the
+    product of the two band entries that couple positions k and k + 1
+    (0-based); nothing else in the recurrence
+    D_k = (x - b_k) D_{k-1} - c_{k-1} D_{k-2} depends on sup and sub
+    separately.  It runs in place on coefficient lists.
 
-    def __post_init__(self):
-        if len(self.diag) != self.n or len(self.sup) != self.n - 1 or len(self.sub) != self.n - 1:
-            raise ValueError("band lengths inconsistent with matrix size")
-
-    @classmethod
-    def build(cls, diag: Sequence[Poly], sup: Sequence, sub: Sequence) -> "TridiagSpec":
-        return cls(len(diag), tuple(diag), tuple(sup), tuple(sub))
-
-
-def tridiag_prefix_dets(spec: TridiagSpec, lo: int, hi: int) -> list[Poly]:
-    """Every prefix determinant of the block on 1-based indices lo..hi:
-    entry k - lo + 1 is det(lo..k), and entry 0 is the empty determinant 1.
-
-    One pass of the three-term recursion
-    det(lo..k) = diag_k det(lo..k-1) - sup_{k-1} sub_{k-1} det(lo..k-2)."""
-    dets = [Poly([1])]
-    for k in range(lo, hi + 1):
-        cur = spec.diag[k - 1] * dets[-1]
-        if k > lo:
-            cur = cur - (spec.sup[k - 2] * spec.sub[k - 2]) * dets[-2]
+    The b_k D_{k-1} pass is skipped when b_k is an exact zero (the KM
+    slice): a series that vanishes only through its window still bounds the
+    window of what it meets (_exact_zero).  The skip is exact over
+    Fraction, and bit-identical over float while the coefficients are
+    finite: no coefficient is ever -0.0 (the lists start from +0.0 and 1,
+    and x - y is -0.0 only for x = -0.0), and subtracting a zero product
+    from anything but -0.0 leaves it as it is."""
+    prev2, prev = [], [zero + 1]
+    dets = [prev]
+    for k, bk in enumerate(b):
+        cur = [zero] + prev
+        # not _exact_zero(bk), without a call on the float lane's zeros
+        if bk != 0 or type(bk) is LaurentSeries and not _exact_zero(bk):
+            for j, p in enumerate(prev):
+                cur[j] -= bk * p
+        if prev2:
+            ck = c[k - 1]
+            for j, p in enumerate(prev2):
+                cur[j] -= ck * p
+        prev2, prev = prev, cur
         dets.append(cur)
     return dets
 
 
-def tridiag_minor_det(spec: TridiagSpec, removed: Iterable[int] = ()) -> Poly:
-    """Determinant of the minor obtained by deleting rows and columns
+def tridiag_minor_det(b: Sequence, c: Sequence, removed: Iterable[int] = ()) -> Poly:
+    """Determinant of the minor of the n x n band (diagonal x - b_i, band
+    products c_i, as in tridiag_run) obtained by deleting rows and columns
     `removed` (1-based, reduced mod n).  The empty 0x0 minor is 1.
 
     Deleting an index decouples the band, so the minor determinant is the
     product of the determinants of the maximal surviving consecutive blocks.
     """
-    n = spec.n
+    n = len(b)
     removed_set = set()
     for idx in removed:
         norm = (idx - 1) % n + 1
@@ -444,7 +443,8 @@ def tridiag_minor_det(spec: TridiagSpec, removed: Iterable[int] = ()) -> Poly:
         if run_start is None:
             run_start = i
         elif i is None or i != prev + 1:
-            result = result * tridiag_prefix_dets(spec, run_start, prev)[-1]
+            run = tridiag_run(b[run_start - 1:prev], c[run_start - 1:prev - 1], 0)
+            result = result * Poly(run[-1])
             run_start = i
         prev = i
     return result

@@ -207,22 +207,18 @@ def series_limit(zs: list[LaurentSeries]) -> ProjectivePoint9:
     return ProjectivePoint9(tuple(coords))
 
 
-def chart_limit(i: int, chart: str, k: Fraction, l: Fraction,
-                order: int = 6) -> ProjectivePoint9:
-    beta, delta = chart_series(chart, k, l, order)
-    one = LaurentSeries.constant(Fraction(1))
-    return series_limit(curve_coords(i, beta, delta, Fraction(k), one))
-
-
 def incidence_data(k: Fraction, l: Fraction, order: int = 6):
     """For each curve, which of the five special points its three boundary
     charts reach; returns (points, matrix) with matrix[i][j] = True when
-    p_{j+1} lies on G_{i+1}."""
+    p_{j+1} lies on G_{i+1}.  Each chart's series is solved once and read
+    by all five curves."""
     points = divisor_points(k)
+    series = {chart: chart_series(chart, k, l, order) for chart in ("a", "b", "c")}
+    one = LaurentSeries.constant(Fraction(1))
     matrix = [[False] * 5 for _ in range(5)]
     for i in range(1, 6):
-        for chart in ("a", "b", "c"):
-            limit = chart_limit(i, chart, k, l, order)
+        for chart, (beta, delta) in series.items():
+            limit = series_limit(curve_coords(i, beta, delta, Fraction(k), one))
             hits = [j for j, p in enumerate(points) if p == limit]
             if len(hits) != 1:
                 raise InvariantError("incidence",

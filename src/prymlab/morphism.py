@@ -21,13 +21,13 @@ a plus sign there.
 Integer evaluation.  The formulas are weighted-homogeneous: x and b_i
 have weight 1 and a_i has weight 2.  With D the lcm of the denominators
 of all a_i and b_i, `phi` runs the minor recursion on integers in y = D x:
-diagonal y - D b_i, super-diagonal -D^2 a_i, sub-diagonal -1, and the
-a-list D^2 a_i.  A minor of size k then comes out as D^k times itself at
-x = y / D, so the recursion returns U = D^{n-1} u(y/D), V = D^n v(y/D),
-W = D^{n+1} w(y/D) and P = D^n p(y/D), and coefficient j of u is
-U_j / D^{n-1-j} (likewise for v, w, p with their weights): one Fraction
-per output coefficient.  `phi_symbolic` feeds MultiPolys to the same
-recursion (`_phi_polys`).
+diagonal y - D b_i and band products D^2 a_i (super-diagonal -D^2 a_i
+times sub-diagonal -1), which are also the a-list.  A minor of size k
+then comes out as D^k times itself at x = y / D, so the recursion returns
+U = D^{n-1} u(y/D), V = D^n v(y/D), W = D^{n+1} w(y/D) and
+P = D^n p(y/D), and coefficient j of u is U_j / D^{n-1-j} (likewise for
+v, w, p with their weights): one Fraction per output coefficient.
+`phi_symbolic` feeds MultiPolys to the same recursion (`_phi_polys`).
 
 On the Mumford side, splitting u w + v^2 = p^2 + r (p monic of degree n)
 defines for each phi of degree <= 1 a quadratic bracket family
@@ -60,14 +60,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Poly, TridiagSpec, format_poly, integer_numerators, of_sum, outer,
-                      pr_split_from, tridiag_prefix_dets)
+from .algebra import Poly, format_poly, integer_numerators, of_sum, outer, pr_split_from
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
                       _read_slots, check_table_genus, linear_generators,
                       momentum, phase_coordinates, table_from_generators)
 from .symbolic import BracketTable, MultiPoly
-from .toda import TodaPoint
+from .toda import TodaPoint, lax_minors
 
 # ---------------------------------------------------------------------------
 # the forward map
@@ -103,28 +102,27 @@ class PhiImage:
         return payload
 
 
-def _phi_polys(spec, a):
+def _phi_polys(a, b, zero):
     """The (u, v, w, p) polynomials of the index-n image; generic over the
-    scalar ring.
+    scalar ring of a, b and zero.
 
     With n in the last slot every minor is a prefix determinant of one of
-    two runs: Delta_n, Delta_{n-1,n} and the full determinant are
-    det(1..n-1), det(1..n-2) and det(1..n); Delta_{n,n+1} = Delta_{1,n} and
-    Delta_{n-1,n,n+1} are det(2..n-1) and det(2..n-2).
+    the two runs of toda.lax_minors: Delta_n, Delta_{n-1,n} and the full
+    determinant are det(1..n-1), det(1..n-2) and det(1..n);
+    Delta_{n,n+1} = Delta_{1,n} and Delta_{n-1,n,n+1} are det(2..n-1) and
+    det(2..n-2); and p = K/2.
     """
-    n = spec.n
-    head = tridiag_prefix_dets(spec, 1, n)
-    inner = tridiag_prefix_dets(spec, 2, n - 1)
-    d_m, d_prev, full = head[n - 1], head[n - 2], head[n]
-    d_next, d_both = inner[n - 2], inner[n - 3]
+    n = len(a)
+    head, inner, p = lax_minors(a, b, zero)
+    d_m, d_prev = Poly(head[n - 1]), Poly(head[n - 2])
+    d_next, d_both = Poly(inner[n - 2]), Poly(inner[n - 3])
     am, am1 = a[n - 1], a[n - 2]
-    x_minus_bm = spec.diag[n - 1]
+    x_minus_bm = Poly([-b[n - 1], zero + 1])
     u = d_m
     v = am1 * d_prev - am * d_next
     w = x_minus_bm * (x_minus_bm * d_m - 2 * (am1 * d_prev + am * d_next)) \
         + (4 * (am * am1)) * d_both
-    p = full - am * d_next
-    return u, v, w, p
+    return u, v, w, Poly(p)
 
 
 def _descale(q: Poly, d: int, weight: int) -> Poly:
@@ -151,9 +149,8 @@ def phi(point: TodaPoint, m: int) -> PhiImage:
     s = m % n
     a = [c * d for c in nums[s:n] + nums[:s]]
     b = nums[n + s:] + nums[n:n + s]
-    spec = TridiagSpec.build([Poly([-bi, 1]) for bi in b], [-ai for ai in a[:-1]], [-1] * (n - 1))
     u, v, w, p = (_descale(q, d, weight)
-                  for q, weight in zip(_phi_polys(spec, a), (n - 1, n, n + 1, n)))
+                  for q, weight in zip(_phi_polys(a, b, 0), (n - 1, n, n + 1, n)))
     if all(x == 0 for x in point.b):
         flavor = ODD_PRYM if n % 2 == 1 else EVEN_PRYM
     else:
@@ -167,10 +164,7 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     nv = 2 * n
     a = [MultiPoly.var(nv, (i + m) % n) for i in range(n)]
     b = [MultiPoly.var(nv, n + (i + m) % n) for i in range(n)]
-    x = Poly([MultiPoly(nv), MultiPoly.const(nv, 1)])
-    diag = [x - Poly([bi]) for bi in b]
-    spec = TridiagSpec.build(diag, [-ai for ai in a[:-1]], [MultiPoly.const(nv, -1)] * (n - 1))
-    u, v, w, _p = _phi_polys(spec, a)
+    u, v, w, _p = _phi_polys(a, b, MultiPoly(nv))
     values = _read_slots(EVEN_MUMFORD, n - 1, u.coeffs, v.coeffs, w.coeffs)
     return [MultiPoly(nv) if isinstance(c, int) else c for c in values]
 

@@ -259,7 +259,9 @@ def prym_flow_symbolic(flavor: str, n: int, y: Fraction) -> list[MultiPoly]:
 # ---------------------------------------------------------------------------
 
 def genus_of_hyperelliptic(d: int) -> int:
-    """Genus of y^2 = f(u) with deg f = d (squarefree)."""
+    """Genus of y^2 = f(u) with deg f = d >= 1 (squarefree)."""
+    if d < 1:
+        raise InvariantError("curve-degree", f"y^2 = f needs deg f >= 1, got {d}")
     return (d - 1) // 2
 
 
@@ -275,6 +277,8 @@ class QuotientCurves:
 def quotient_curves(f: Poly) -> QuotientCurves:
     """Write f(x) = g(x^2) with deg g = n; for odd n the quotients are
     v^2 = g(u) and v^2 = u g(u), for even n the two equations trade places."""
+    if f.degree < 1:
+        raise InvariantError("curve-degree", "f must be nonconstant")
     if not f.is_even():
         raise InvariantError("even-f", "f must be an even polynomial")
     g = f.decimate_even()

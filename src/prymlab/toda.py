@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .algebra import Poly, format_rational, horner, integer_numerators, parse_rational
+from .algebra import (Poly, format_rational, horner, integer_numerators, parse_rational,
+                      tridiag_run)
 from .errors import InvariantError, ParseError
 from .symbolic import BracketTable, MultiPoly, shifted_determinants
 
@@ -194,44 +195,28 @@ def toda_integrals_symbolic(n: int) -> list[MultiPoly]:
     return [tr.get(0, zero) * Fraction(1, k) for k, tr in enumerate(traces, start=1)]
 
 
-def char_coeffs(a, b, zero) -> list:
-    """Ascending coefficients of K(x)/2 = Delta - a_n Delta_{1,n} over any
-    scalar ring with the given zero (Fraction, float).
-
-    Each minor comes from the three-term recurrence
-    D_k = (x - b_k) D_{k-1} - a_{k-1} D_{k-2}, run in place on coefficient
-    lists; at n = 1 both h corners share the one entry and the a_n term,
-    which has no permutation, is dropped.
-
-    The b_k D_{k-1} pass is skipped when b_k == 0 (the KM slice).  That is
-    exact over Fraction, and bit-identical over float while the
-    coefficients are finite: no coefficient is ever -0.0 (the lists start
-    from +0.0 and 1, and x - y is -0.0 only for x = -0.0), and subtracting
-    a zero product from anything but -0.0 leaves it as it is."""
+def lax_minors(a, b, zero) -> tuple[list, list, list]:
+    """The prefix determinants of x Id - L(h) with its h corners stripped,
+    on the runs 1..n and 2..n-1 (tridiag_run: diagonal shifts b, band
+    products a), and the ascending coefficients of
+    K(x)/2 = Delta - a_n Delta_{1,n} read off their last entries; over any
+    scalar ring with the given zero (Fraction, int, MultiPoly, float,
+    LaurentSeries).  At n = 1 both h corners share the one entry and the
+    a_n term, which has no permutation, is dropped."""
     n = len(a)
-    one = zero + 1
-
-    def minor(lo, hi):  # determinant on 0-based indices lo..hi-1
-        prev2, prev = [], [one]
-        for k in range(lo, hi):
-            cur = [zero] + prev
-            bk = b[k]
-            if bk != 0:
-                for j, c in enumerate(prev):
-                    cur[j] -= bk * c
-            if prev2:
-                ak = a[k - 1]
-                for j, c in enumerate(prev2):
-                    cur[j] -= ak * c
-            prev2, prev = prev, cur
-        return prev
-
-    out = minor(0, n)
+    head = tridiag_run(b, a, zero)
+    inner = tridiag_run(b[1:n - 1], a[1:], zero)
+    half_k = head[n][:]
     if n > 1:
         an = a[n - 1]
-        for j, c in enumerate(minor(1, n - 1)):
-            out[j] -= an * c
-    return out
+        for j, c in enumerate(inner[-1]):
+            half_k[j] -= an * c
+    return head, inner, half_k
+
+
+def char_coeffs(a, b, zero) -> list:
+    """Ascending coefficients of K(x)/2 (lax_minors)."""
+    return lax_minors(a, b, zero)[2]
 
 
 def _lax_at(point: TodaPoint, h) -> list[list[Fraction]]:

@@ -14,8 +14,7 @@ from math import prod
 from operator import mul
 
 from . import example5, morphism, mumford, numerics, painleve, prym, sampling, toda
-from .algebra import (Poly, TridiagSpec, integer_numerators, parse_poly,
-                      tridiag_prefix_dets)
+from .algebra import Poly, integer_numerators, parse_poly, tridiag_run
 from .errors import InvariantError
 from .symbolic import MultiPoly
 
@@ -96,15 +95,15 @@ def suite_detlemma(seed: int = 0) -> list[CheckResult]:
     matrices of size 2..8 with diagonal x + r_i, checked on integers.
 
     With d the lcm of the denominators of all r_i, sup_i and sub_i, the
-    matrix is rebuilt in y = d x: diagonal y + d r_i, super-diagonal
-    d sup_i, sub-diagonal d sub_i.  A block of size k then comes out as d^k
+    matrix is rebuilt in y = d x: diagonal y + d r_i, so shifts -d r_i, and
+    band products d^2 sup_i sub_i.  A block of size k then comes out as d^k
     times its determinant at x = y / d (the `morphism` docstring,
-    "Integer evaluation"), and every minor is a prefix of one of two runs:
-    D = det(1..n) and Dn = det(1..n-1) from the run on 1..n, D1 = det(2..n)
-    and D1n = det(2..n-1) from the run on 2..n (empty at n = 2).  Both
-    sides of the scaled identity carry d^(2n-2), and y -> y / d is
-    invertible, so it holds over the integers exactly when the rational
-    lemma holds."""
+    "Integer evaluation"), and every minor is a prefix of one of two runs
+    (algebra.tridiag_run): D = det(1..n) and Dn = det(1..n-1) from the run
+    on 1..n, D1 = det(2..n) and D1n = det(2..n-1) from the run on 2..n
+    (empty at n = 2).  Both sides of the scaled identity carry d^(2n-2),
+    and y -> y / d is invertible, so it holds over the integers exactly
+    when the rational lemma holds."""
     rng = sampling.rng_from_seed(seed + 2)
 
     def run():
@@ -114,12 +113,12 @@ def suite_detlemma(seed: int = 0) -> list[CheckResult]:
             sup = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
             sub = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
             nums, _ = integer_numerators(r + sup + sub)
-            spec = TridiagSpec.build([Poly([c, 1]) for c in nums[:n]],
-                                     nums[n:2 * n - 1], nums[2 * n - 1:])
-            head = tridiag_prefix_dets(spec, 1, n)
-            tail = tridiag_prefix_dets(spec, 2, n)
-            lhs = tail[n - 1] * head[n - 1] - head[n] * tail[n - 2]
-            if lhs != Poly([prod(map(mul, spec.sup, spec.sub))]):
+            shifts = [-c for c in nums[:n]]
+            bands = list(map(mul, nums[n:2 * n - 1], nums[2 * n - 1:]))
+            head = tridiag_run(shifts, bands, 0)
+            tail = tridiag_run(shifts[1:], bands[1:], 0)
+            lhs = Poly(tail[n - 1]) * Poly(head[n - 1]) - Poly(head[n]) * Poly(tail[n - 2])
+            if lhs != Poly([prod(bands)]):
                 raise AssertionError(f"determinant lemma failed, trial {trial}")
         return "500 trials, sizes 2..8, exact"
 
@@ -362,13 +361,10 @@ def suite_parity(seed: int = 0) -> list[CheckResult]:
             for _ in range(quota):
                 point = sampling.km_point(rng, n)
                 for m in range(1, n + 1):
-                    t = morphism.phi(point.embed(), m).triple
-                    even_uw = n % 2 == 1
-                    ok_u = t.u.is_even() if even_uw else t.u.is_odd()
-                    ok_w = t.w.is_even() if even_uw else t.w.is_odd()
-                    ok_v = t.v.is_odd() if even_uw else t.v.is_even()
-                    if not (ok_u and ok_v and ok_w):
-                        raise AssertionError(f"parity broke at n={n}, m={m}")
+                    # a Prym flavor means MumfordTriple checked the parities
+                    flavor = morphism.phi(point.embed(), m).triple.flavor
+                    if flavor != (mumford.ODD_PRYM if n % 2 else mumford.EVEN_PRYM):
+                        raise AssertionError(f"parity broke at n={n}, m={m}: {flavor}")
                 count += 1
         return f"{count} KM points, n in 3..5, every m"
 

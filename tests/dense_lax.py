@@ -10,7 +10,6 @@ stored as an n x n list of HLaurent entries and multiplied entry by entry.
 
 from fractions import Fraction
 
-from prymlab.algebra import Poly, TridiagSpec
 from prymlab.toda import KMPoint
 
 
@@ -140,10 +139,10 @@ def dense_traces(L) -> list[HLaurent]:
     return out
 
 
-def toda_tridiag(point) -> TridiagSpec:
-    """x Id - L(h) with the two h corners removed, over Fraction."""
-    x = Poly([Fraction(0), Fraction(1)])
-    diag = [x - Poly([bi]) for bi in point.b]
+def toda_tridiag(point) -> tuple[list, list]:
+    """x Id - L(h) with the two h corners removed, over Fraction, as the
+    diagonal shifts b_i and the band products sup_i sub_i that
+    prymlab.algebra.tridiag_minor_det takes."""
     sup = [-ai for ai in point.a[:-1]]
     sub = [Fraction(-1)] * (point.n - 1)
-    return TridiagSpec.build(diag, sup, sub)
+    return list(point.b), [s * t for s, t in zip(sup, sub)]

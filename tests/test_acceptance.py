@@ -8,14 +8,11 @@ conservation drift, [12, 20] for the step-halving ratio, and the stated
 runtime ceilings for the heavyweight suites.
 """
 
-from fractions import Fraction as F
-
 import pytest
 
-from prymlab import sampling, verify
-from prymlab.algebra import (Poly, TridiagSpec, integer_numerators, tridiag_minor_det,
-                             tridiag_prefix_dets)
-from prymlab.morphism import _descale
+from prymlab import morphism, sampling, verify
+from prymlab.algebra import Poly, integer_numerators, tridiag_minor_det, tridiag_run
+from prymlab.morphism import PhiImage, _descale
 
 
 def _run(suite_name, budget=None):
@@ -99,15 +96,16 @@ def test_criterion_12_even_splitting():
 
 def _record_runs(monkeypatch):
     """Route verify's prefix runs through a recorder; returns its log of
-    (spec, lo, hi, dets), two entries per trial (the run on 1..n, then 2..n)."""
+    (shifts, band products, dets), two entries per trial (the run on 1..n,
+    then 2..n)."""
     log = []
 
-    def recording(spec, lo, hi):
-        dets = tridiag_prefix_dets(spec, lo, hi)
-        log.append((spec, lo, hi, dets))
+    def recording(b, c, zero):
+        dets = tridiag_run(b, c, zero)
+        log.append((b, c, dets))
         return dets
 
-    monkeypatch.setattr(verify, "tridiag_prefix_dets", recording)
+    monkeypatch.setattr(verify, "tridiag_run", recording)
     return log
 
 
@@ -123,18 +121,20 @@ def test_detlemma_runs_are_scaled_minors_of_the_drawn_matrices(monkeypatch):
         r = [sampling.rational(rng) for _ in range(n)]
         sup = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
         sub = [sampling.rational(rng, nonzero=True) for _ in range(n - 1)]
-        spec = TridiagSpec.build([Poly([c, F(1)]) for c in r], sup, sub)
-        (scaled, lo_h, hi_h, head), (scaled_t, lo_t, hi_t, tail) = log[2 * trial:2 * trial + 2]
-        assert scaled is scaled_t and (lo_h, hi_h, lo_t, hi_t) == (1, n, 2, n)
+        # the rational matrix has diagonal x + r_i: shifts -r_i
+        shifts, bands = [-c for c in r], [s * t for s, t in zip(sup, sub)]
+        (scaled_b, scaled_c, head), (tail_b, tail_c, tail) = log[2 * trial:2 * trial + 2]
+        assert (tail_b, tail_c) == (scaled_b[1:], scaled_c[1:])
         _, d = integer_numerators(r + sup + sub)
-        assert scaled.diag == tuple(Poly([c * d, 1]) for c in r)
-        assert scaled.sup == tuple(c * d for c in sup)
-        assert scaled.sub == tuple(c * d for c in sub)
-        assert all(type(c) is int for q in head + tail for c in q.coeffs)
+        assert scaled_b == [c * d for c in shifts]
+        assert scaled_c == [c * d * d for c in bands]
+        assert all(type(c) is int for c in scaled_b + scaled_c)
+        assert all(type(c) is int for q in head + tail for c in q)
         pairs = ((head[n], []), (head[n - 1], [n]), (tail[n - 1], [1]), (tail[n - 2], [1, n]))
         for run, removed in pairs:
             size = n - len(removed)
-            assert _descale(run, d, size) == tridiag_minor_det(spec, removed), (trial, removed)
+            assert _descale(Poly(run), d, size) == tridiag_minor_det(shifts, bands, removed), \
+                (trial, removed)
         sizes.append(n)
     # every size, n = 2 (where D1n is the empty determinant) included
     assert set(sizes) == set(range(2, 9))
@@ -142,18 +142,35 @@ def test_detlemma_runs_are_scaled_minors_of_the_drawn_matrices(monkeypatch):
 
 @pytest.mark.parametrize("breaker", ["constant", "band-sign"])
 def test_detlemma_suite_fails_on_a_broken_lemma(monkeypatch, breaker):
-    def broken(spec, lo, hi):
+    calls = []
+
+    def broken(b, c, zero):
+        calls.append(b)
         if breaker == "band-sign":
-            spec = TridiagSpec.build(spec.diag, spec.sup, [-c for c in spec.sub])
-        dets = tridiag_prefix_dets(spec, lo, hi)
-        if breaker == "constant" and lo == 2:  # D1 off by one
-            last = dets[-1].coeffs
-            dets[-1] = Poly([last[0] + 1] + last[1:])
+            c = [-x for x in c]
+        dets = tridiag_run(b, c, zero)
+        if breaker == "constant" and len(calls) % 2 == 0:  # D1 (the run on 2..n) off by one
+            last = dets[-1]
+            dets[-1] = [last[0] + 1] + last[1:]
         return dets
 
-    monkeypatch.setattr(verify, "tridiag_prefix_dets", broken)
+    monkeypatch.setattr(verify, "tridiag_run", broken)
     (result,) = verify.suite_detlemma(0)
     assert not result.passed
     assert "determinant lemma failed, trial " in result.detail
     if breaker == "constant":
         assert result.detail.endswith("trial 0")
+
+
+def test_parity_suite_fails_on_an_even_mumford_image(monkeypatch):
+    # an image whose constructor skipped the parity check must not pass
+    exact = morphism.phi
+
+    def unchecked(point, m):
+        image = exact(point, m)
+        return PhiImage(image.triple.ambient(), image.m, image.p)
+
+    monkeypatch.setattr(morphism, "phi", unchecked)
+    images, tangents = verify.suite_parity(0)
+    assert not images.passed and tangents.passed
+    assert "parity broke at n=3, m=1: even-mumford" in images.detail

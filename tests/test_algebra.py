@@ -8,12 +8,12 @@ from conftest import typed_series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab.algebra import (LaurentSeries, Poly, TridiagSpec, TruncationError,
+from prymlab.algebra import (LaurentSeries, Poly, TruncationError,
                              divided_difference,
                              exact_divide_x2_minus_xp2, format_poly,
                              format_rational, horner, of_sum, outer, parse_poly,
                              parse_rational, pr_split, pr_split_from,
-                             tridiag_minor_det, tridiag_prefix_dets)
+                             tridiag_minor_det, tridiag_run)
 from prymlab.symbolic import MultiPoly
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
@@ -254,19 +254,26 @@ def _x_minus(b):
     return Poly([-F(b), F(1)])
 
 
-def _dense_minor_det(spec, removed):
-    """Independent oracle: dense Laplace expansion over Poly entries."""
-    keep = [i for i in range(1, spec.n + 1) if i not in set(removed)]
+def _products(sup, sub):
+    """The band products c_i = sup_i sub_i that tridiag_run takes."""
+    return [s * t for s, t in zip(sup, sub)]
+
+
+def _dense_minor_det(b, sup, sub, removed):
+    """Independent oracle: dense Laplace expansion over Poly entries of the
+    full matrix with x - b_i on the diagonal, sup_i at (i, i+1) and sub_i at
+    (i+1, i)."""
+    keep = [i for i in range(1, len(b) + 1) if i not in set(removed)]
     size = len(keep)
 
     def entry(i, j):
         gi, gj = keep[i], keep[j]
         if gi == gj:
-            return spec.diag[gi - 1]
+            return _x_minus(b[gi - 1])
         if gj == gi + 1:
-            return Poly([spec.sup[gi - 1]])
+            return Poly([sup[gi - 1]])
         if gj == gi - 1:
-            return Poly([spec.sub[gj - 1]])
+            return Poly([sub[gj - 1]])
         return Poly()
 
     def det(rows, cols):
@@ -286,58 +293,69 @@ def _dense_minor_det(spec, removed):
     return det(list(range(size)), list(range(size)))
 
 
+def _random_band(rng, n, shift_den=5, sup_den=1):
+    b = [F(rng.randint(-5, 5), rng.randint(1, shift_den)) for _ in range(n)]
+    sup = [F(rng.randint(-5, 5), rng.randint(1, sup_den)) for _ in range(n - 1)]
+    sub = [F(rng.randint(-5, 5)) for _ in range(n - 1)]
+    return b, sup, sub
+
+
 def test_tridiag_examples():
     b1, b2, a1 = F(2), F(3), F(5)
-    spec = TridiagSpec.build([_x_minus(b1), _x_minus(b2)], [-a1], [F(-1)])
-    assert tridiag_minor_det(spec) == _x_minus(b1) * _x_minus(b2) - Poly([a1])
-    assert tridiag_minor_det(spec, [1]) == _x_minus(b2)
-    assert tridiag_minor_det(spec, [1, 2]) == Poly([F(1)])
-    lemma = (tridiag_minor_det(spec, [1]) * tridiag_minor_det(spec, [2])
-             - tridiag_minor_det(spec) * tridiag_minor_det(spec, [1, 2]))
+    b, c = [b1, b2], _products([-a1], [F(-1)])
+    assert tridiag_minor_det(b, c) == _x_minus(b1) * _x_minus(b2) - Poly([a1])
+    assert tridiag_minor_det(b, c, [1]) == _x_minus(b2)
+    assert tridiag_minor_det(b, c, [1, 2]) == Poly([F(1)])
+    lemma = (tridiag_minor_det(b, c, [1]) * tridiag_minor_det(b, c, [2])
+             - tridiag_minor_det(b, c) * tridiag_minor_det(b, c, [1, 2]))
     assert lemma == Poly([a1])
 
 
 def test_tridiag_km_example():
-    spec = TridiagSpec.build([_x_minus(0)] * 3, [F(-1)] * 2, [F(-1)] * 2)
-    assert tridiag_minor_det(spec) == parse_poly("0,-2,0,1")
-    assert tridiag_minor_det(spec, [3]) == parse_poly("-1,0,1")
+    b, c = [F(0)] * 3, _products([F(-1)] * 2, [F(-1)] * 2)
+    assert tridiag_minor_det(b, c) == parse_poly("0,-2,0,1")
+    assert tridiag_minor_det(b, c, [3]) == parse_poly("-1,0,1")
 
 
 def test_tridiag_wrap_around_and_duplicates():
-    spec = TridiagSpec.build([_x_minus(i) for i in range(4)],
-                             [F(-2), F(-3), F(-4)], [F(-1)] * 3)
+    b, sup, sub = [F(i) for i in range(4)], [F(-2), F(-3), F(-4)], [F(-1)] * 3
     # {4, 1} wraps to the interior block on 2..3
-    inner = tridiag_minor_det(spec, [4, 1])
-    assert inner == _dense_minor_det(spec, [1, 4])
+    inner = tridiag_minor_det(b, _products(sup, sub), [4, 1])
+    assert inner == _dense_minor_det(b, sup, sub, [1, 4])
     with pytest.raises(ValueError):
-        tridiag_minor_det(spec, [1, 5])  # 5 = 1 mod 4
+        tridiag_minor_det(b, _products(sup, sub), [1, 5])  # 5 = 1 mod 4
 
 
 def test_tridiag_vs_dense_oracle(rng):
     for _ in range(25):
         n = rng.randint(2, 8)
-        spec = TridiagSpec.build(
-            [_x_minus(F(rng.randint(-5, 5), rng.randint(1, 5))) for _ in range(n)],
-            [F(rng.randint(-5, 5)) for _ in range(n - 1)],
-            [F(rng.randint(-5, 5)) for _ in range(n - 1)])
+        b, sup, sub = _random_band(rng, n)
         removed = [i for i in range(1, n + 1) if rng.random() < 0.3]
-        assert tridiag_minor_det(spec, removed) == _dense_minor_det(spec, removed)
+        assert (tridiag_minor_det(b, _products(sup, sub), removed)
+                == _dense_minor_det(b, sup, sub, removed))
 
 
 def test_prefix_dets_vs_dense_oracle(rng):
     for _ in range(15):
         n = rng.randint(1, 7)
-        spec = TridiagSpec.build(
-            [_x_minus(F(rng.randint(-5, 5), rng.randint(1, 5))) for _ in range(n)],
-            [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n - 1)],
-            [F(rng.randint(-5, 5)) for _ in range(n - 1)])
+        b, sup, sub = _random_band(rng, n, sup_den=3)
         lo = rng.randint(1, n)
         hi = rng.randint(lo - 1, n)
-        dets = tridiag_prefix_dets(spec, lo, hi)
+        dets = tridiag_run(b[lo - 1:hi], _products(sup, sub)[lo - 1:], F(0))
         assert len(dets) == hi - lo + 2
         for k in range(lo - 1, hi + 1):  # k = lo - 1 is the empty block
             outside = [i for i in range(1, n + 1) if not lo <= i <= k]
-            assert dets[k - lo + 1] == _dense_minor_det(spec, outside)
+            assert Poly(dets[k - lo + 1]) == _dense_minor_det(b, sup, sub, outside)
+
+
+def test_tridiag_run_skips_only_an_exact_zero_shift():
+    # a shift that vanishes only through its window still bounds the window
+    # of the coefficient it meets; an exact zero shift is skipped
+    windowed, exact = LaurentSeries(0, [], hi=3), LaurentSeries(0, [])
+    (empty, (c0, one)) = tridiag_run([windowed], [], 0)
+    assert empty == [1] and one == 1
+    assert type(c0) is LaurentSeries and c0.known_zero() and c0.known_through() == 3
+    assert tridiag_run([exact], [], 0)[1] == [0, 1]
 
 
 def test_det_form_identity(rng):
@@ -345,10 +363,9 @@ def test_det_form_identity(rng):
         n = rng.randint(2, 8)
         sup = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n - 1)]
         sub = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n - 1)]
-        spec = TridiagSpec.build(
-            [_x_minus(F(rng.randint(-5, 5))) for _ in range(n)], sup, sub)
-        lhs = (tridiag_minor_det(spec, [1]) * tridiag_minor_det(spec, [n])
-               - tridiag_minor_det(spec) * tridiag_minor_det(spec, [1, n]))
+        b, c = [F(rng.randint(-5, 5)) for _ in range(n)], _products(sup, sub)
+        lhs = (tridiag_minor_det(b, c, [1]) * tridiag_minor_det(b, c, [n])
+               - tridiag_minor_det(b, c) * tridiag_minor_det(b, c, [1, n]))
         prod = F(1)
         for s, t in zip(sup, sub):
             prod *= s * t

@@ -7,11 +7,12 @@ import pytest
 
 from prymlab.algebra import LaurentSeries, Poly, parse_poly
 from prymlab.errors import InvariantError
-from prymlab.example5 import (ProjectivePoint9, balance_limit, chart_limit,
-                              chart_series, constraint_residual, curve_coords,
-                              divisor_points, example5_report,
-                              incidence_data, principal_balance_params,
-                              rotate_solution, z_embedding, z_functions)
+from prymlab import example5
+from prymlab.example5 import (ProjectivePoint9, balance_limit, chart_series,
+                              constraint_residual, curve_coords, divisor_points,
+                              example5_report, incidence_data,
+                              principal_balance_params, rotate_solution,
+                              series_limit, z_embedding, z_functions)
 from prymlab.painleve import laurent_balance
 from prymlab.prym import genus_of_hyperelliptic, quotient_curves
 from prymlab.sampling import km_point
@@ -146,10 +147,28 @@ def test_incidence_is_5_3(rng):
 def test_chart_limits_examples():
     k, l = F(3), F(7)
     points = divisor_points(k)
-    assert chart_limit(1, "a", k, l) == points[4]
-    assert chart_limit(1, "b", k, l) == points[1]
-    assert chart_limit(1, "c", k, l) == points[0]
-    assert chart_limit(3, "c", k, l) == points[2]
+    one = LaurentSeries.constant(F(1))
+
+    def chart_limit(i, chart):
+        beta, delta = chart_series(chart, k, l)
+        return series_limit(curve_coords(i, beta, delta, k, one))
+
+    assert chart_limit(1, "a") == points[4]
+    assert chart_limit(1, "b") == points[1]
+    assert chart_limit(1, "c") == points[0]
+    assert chart_limit(3, "c") == points[2]
+
+
+def test_incidence_solves_each_chart_once(monkeypatch):
+    calls = []
+
+    def counting(chart, k, l, order=6):
+        calls.append(chart)
+        return chart_series(chart, k, l, order)
+
+    monkeypatch.setattr(example5, "chart_series", counting)
+    incidence_data(F(3), F(7))
+    assert sorted(calls) == ["a", "b", "c"]
 
 
 # ---------------------------------------------------------------------------

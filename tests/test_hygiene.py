@@ -1,13 +1,15 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
 uses, src/ defines nothing that nothing refers to, no src/ module imports
-a layer above it, and the names that the benchmark spans and the README
-give for prymlab code exist.  The
-repository has no linter, so these tests are the guard."""
+a layer above it, and the names that the benchmark spans, the README and
+the package's __all__ give for prymlab code exist.  The repository has no
+linter, so these tests are the guard."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -229,3 +231,17 @@ def test_readme_module_names_resolve():
     missing = [name for name in named if not _resolves(name)]
     assert named and not missing, f"README names that do not resolve: {missing}"
     assert not _resolves("painleve.no_such_name")
+
+
+def test_package_exports_resolve():
+    # every name in prymlab.__all__ is found by the package's lazy __getattr__
+    package = importlib.import_module("prymlab")
+    missing = []
+    for name in package.__all__:
+        try:
+            package.__getattr__(name)
+        except AttributeError:
+            missing.append(name)
+    assert package.__all__ and not missing, f"prymlab.__all__ names that resolve nowhere: {missing}"
+    with pytest.raises(AttributeError):
+        package.__getattr__("no_such_name")

@@ -55,8 +55,8 @@ def _phi_by_minors(point, m):
     point relabeled so that m sits in the last slot."""
     n = point.n
     shifted = point.shift(m % n)
-    spec = toda_tridiag(shifted)
-    minor = lambda *removed: tridiag_minor_det(spec, removed)
+    b, c = toda_tridiag(shifted)
+    minor = lambda *removed: tridiag_minor_det(b, c, removed)
     am, am1 = Poly([shifted.a[n - 1]]), Poly([shifted.a[n - 2]])
     x_minus_bm = Poly([-shifted.b[n - 1], F(1)])
     d_m, d_prev = minor(n), minor(n - 1, n)

@@ -219,3 +219,25 @@ def test_lattice_quotient_curves_at_every_n(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_prym_momentum_curve_has_prym_dimension_n(rng, flavor, n):
     assert _prym_dimension(momentum(mumford_triple(rng, flavor, n))) == n
+
+
+@pytest.mark.parametrize("f", [Poly(), Poly([F(5)])], ids=["zero", "constant"])
+def test_quotient_curves_refuse_a_degenerate_f(f):
+    with pytest.raises(InvariantError) as caught:
+        quotient_curves(f)
+    assert caught.value.invariant == "curve-degree"
+
+
+def test_quotient_curves_at_degree_two():
+    # f = x^2 - 3 = g(x^2) with g = u - 3 of odd degree 1: sigma = g, tau = u g
+    curves = quotient_curves(Poly([F(-3), 0, F(1)]))
+    assert (curves.sigma, curves.tau) == (Poly([F(-3), F(1)]), Poly([0, F(-3), F(1)]))
+    assert [genus_of_hyperelliptic(q.degree) for q in (curves.sigma, curves.tau)] == [0, 0]
+
+
+def test_genus_refuses_a_degree_below_one():
+    assert genus_of_hyperelliptic(1) == 0
+    for d in (0, -1):
+        with pytest.raises(InvariantError) as caught:
+            genus_of_hyperelliptic(d)
+        assert caught.value.invariant == "curve-degree"

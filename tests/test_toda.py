@@ -6,7 +6,7 @@ import pytest
 from dense_lax import (HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace,
                        toda_tridiag)
 
-from prymlab.algebra import Poly, TridiagSpec, parse_poly, tridiag_minor_det
+from prymlab.algebra import Poly, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
 from prymlab.sampling import km_point, rng_from_seed, toda_point
 from prymlab.symbolic import MultiPoly
@@ -274,12 +274,9 @@ def test_detL_is_quadratic_casimir():
     nv = 2 * n
     a = [MultiPoly.var(nv, i) for i in range(n)]
     b = [MultiPoly.var(nv, n + i) for i in range(n)]
-    x = Poly([MultiPoly(nv), MultiPoly.const(nv, 1)])
-    spec = TridiagSpec.build([x - Poly([bi]) for bi in b],
-                             [-ai for ai in a[:-1]],
-                             [MultiPoly.const(nv, -1)] * (n - 1))
-    k0 = (tridiag_minor_det(spec).coeff(0)
-          - a[-1] * tridiag_minor_det(spec, [1, n]).coeff(0))
+    bands = [-ai * MultiPoly.const(nv, -1) for ai in a[:-1]]  # sup_i sub_i
+    k0 = (tridiag_minor_det(b, bands).coeff(0)
+          - a[-1] * tridiag_minor_det(b, bands, [1, n]).coeff(0))
     table = toda_bracket_table("quadratic", n)
     for c in range(2 * n):
         assert table.poisson_bracket(k0, MultiPoly.var(nv, c)).is_zero()
@@ -340,11 +337,8 @@ def test_flow_preserves_constraint_and_spectrum(rng):
     nv = 2 * n
     a = [MultiPoly.var(nv, i) for i in range(n)]
     b = [MultiPoly.var(nv, n + i) for i in range(n)]
-    x = Poly([MultiPoly(nv), MultiPoly.const(nv, 1)])
-    spec = TridiagSpec.build([x - Poly([bi]) for bi in b],
-                             [-ai for ai in a[:-1]],
-                             [MultiPoly.const(nv, -1)] * (n - 1))
-    k_sym = tridiag_minor_det(spec) - Poly([a[-1]]) * tridiag_minor_det(spec, [1, n])
+    bands = [-ai * MultiPoly.const(nv, -1) for ai in a[:-1]]  # sup_i sub_i
+    k_sym = tridiag_minor_det(b, bands) - Poly([a[-1]]) * tridiag_minor_det(b, bands, [1, n])
     for i in range(1, n):
         da, db = toda_flow(point, i)
         tangent = da + db
@@ -492,8 +486,8 @@ def _full_product(n):
 
 def test_toda_tridiag_matches_names(rng):
     p = toda_point(rng, 3)
-    spec = toda_tridiag(p)
-    assert tridiag_minor_det(spec, [1, 2, 3]) == Poly([F(1)])
+    b, c = toda_tridiag(p)
+    assert tridiag_minor_det(b, c, [1, 2, 3]) == Poly([F(1)])
     assert toda_coordinate_names(2) == ["a1", "a2", "b1", "b2"]
 
 
