@@ -51,6 +51,8 @@ class TruncationError(ArithmeticError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse `p/q` or an integer literal into a Fraction."""
+    if not isinstance(text, str):
+        raise ParseError(f"malformed rational {text!r}: not a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -66,6 +68,8 @@ def format_rational(value: Fraction) -> str:
 
 def parse_poly(text: str) -> "Poly":
     """Parse the comma-separated ascending-coefficient text format."""
+    if not isinstance(text, str):
+        raise ParseError(f"malformed polynomial {text!r}: not a string")
     text = text.strip()
     if not text:
         return Poly()
@@ -662,11 +666,6 @@ class LaurentSeries:
         if _scalar_kind(self.coeffs) == _RATIONAL:  # ints beside Fractions become Fractions
             coeffs = [Fraction(c) if type(c) is int else c for c in coeffs]
         return LaurentSeries(self.lo - 1, coeffs, hi)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k."""
-        hi = None if self.hi is None else self.hi + k
-        return LaurentSeries(self.lo + k, list(self.coeffs), hi)
 
     def truncate(self, hi: int) -> "LaurentSeries":
         if self.hi is not None and hi > self.hi:

@@ -167,7 +167,7 @@ def _cmd_flow(args) -> dict:
         point = MumfordTriple.from_json(data)
         if args.y is None:
             raise ParseError("--y is required for mumford/prym flows")
-        selector = float(parse_rational(args.y))
+        selector = parse_rational(args.y)
     trajectory = numerics.integrate(args.system, point, selector, args.t, args.step)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

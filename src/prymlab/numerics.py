@@ -1,7 +1,8 @@
 """Floating-point integration of the implemented flows, with first
 integrals monitored along every trajectory.
 
-All exact data is converted to floats once, at trajectory start; the
+All exact data is converted to floats once, at trajectory start (a value
+beyond the float range violates "float-range"); the
 conservation baselines are the float values at t = 0, so reported drift
 isolates integrator error from representation error.  The integrator is
 the classical fixed-step fourth-order one-step method; runs are short and
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from operator import indexOf
 
@@ -71,6 +73,21 @@ class Trajectory:
                 "steps_requested": self.steps_requested,
                 "truncated": self.truncated, "note": self.note,
                 "drift": dict(self.drift), "peak": peak}
+
+
+def _floats(values) -> list[float]:
+    """The exact values as floats; one beyond the float range raises
+    InvariantError("float-range") with its value to 6 digits."""
+    out = []
+    for x in values:
+        try:
+            out.append(float(x))
+        except OverflowError:
+            q = Fraction(x)
+            e = int(math.log10(abs(q.numerator)) - math.log10(q.denominator))
+            raise InvariantError("float-range", f"{float(q / 10 ** e):.6g}e{e:+d} is beyond"
+                                 " the float range") from None
+    return out
 
 
 def _rk4_step(f, x, h):
@@ -164,7 +181,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         if not isinstance(point, KMPoint):
             point = KMPoint(tuple(point))
         n = point.n
-        state = [float(x) for x in point.a]
+        state = _floats(point.a)
         rhs = km_field
         invariants = lambda s: _lattice_invariants(s, n, km=True)
         names = _lattice_names(n, km=True)
@@ -173,7 +190,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
             raise InvariantError("point-type", "toda integration needs a TodaPoint")
         n = point.n
         index = 0 if selector is None else int(selector)
-        state = [float(x) for x in point.a] + [float(x) for x in point.b]
+        state = _floats(chain(point.a, point.b))
         rhs = lambda s: _toda_rhs(s, n, index)
         invariants = lambda s: _lattice_invariants(s, n)
         names = _lattice_names(n)
@@ -182,8 +199,8 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
             raise InvariantError("point-type", "flow needs a MumfordTriple")
         flavor = point.flavor
         g = point.index
-        y = float(selector)
-        state = [float(x) for x in point_values(point)]
+        y, = _floats([selector])
+        state = _floats(point_values(point))
         if system == "prym":
             if flavor not in ("odd-prym", "even-prym"):
                 raise InvariantError("flavor", "prym integration needs a prym point")

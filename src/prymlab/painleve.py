@@ -6,13 +6,17 @@ simple).  The leading coefficients alpha_i = a_i^(0) obey the indicial
 equation -alpha_i = alpha_i (alpha_{i-1} - alpha_{i+1}); its solutions are
 indexed by the set
 
-    Sigma_n = { A subset Z/n : every maximal cyclic run of A has even length }
+    Sigma_n = { A subset Z/n : every maximal cyclic run of A has even length },
 
-via: on a run of length 2l the leading coefficients are the unique pattern
-(-l, 1, 1-l, 2, ..., -1, l), zero off A.  The full circle A = Z/n (even n)
-belongs to Sigma_n but supports no Laurent solution (the all-poles linear
-system is inconsistent), so indicial_solutions excludes it while
-sigma_enum keeps it.  Pole orders are r_i = alpha_{i+1} - alpha_{i-1}.
+the cell sets of the matchings of the n-cycle (a run splits into dominoes
+{i, i+1} from its start; the full circle at even n has two matchings), so
+#Sigma_n = L_n - [n even] with L_n the Lucas numbers 2, 1, 3, 4, 7, 11, ...
+The n principal balances are the single dominoes.  On a run of length 2l
+the leading coefficients are the unique pattern (-l, 1, 1-l, 2, ..., -1, l),
+zero off A.  The full circle A = Z/n (even n) belongs to Sigma_n but
+supports no Laurent solution (the all-poles linear system is
+inconsistent), so indicial_solutions excludes it while sigma_enum keeps
+it.  Pole orders are r_i = alpha_{i+1} - alpha_{i-1}.
 
 Higher coefficients solve (M - k I) a^(k) = (lower-order data), where M is
 the Kowalevski matrix  M_ij = dF_i/da_j(alpha) + delta_ij:
@@ -38,8 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebra import LaurentSeries, format_rational, integer_numerators
 from .errors import InvariantError, ResonanceError
@@ -77,12 +82,8 @@ def cyclic_runs(A: Iterable[int], n: int) -> list[list[int]]:
     return runs
 
 
-def in_sigma(A: Iterable[int], n: int) -> bool:
-    return all(len(run) % 2 == 0 for run in cyclic_runs(A, n))
-
-
 def in_sigma_mask(mask: int, n: int) -> bool:
-    """in_sigma for the subset {i + 1 : bit i of mask set}, by bit arithmetic.
+    """Whether the subset {i + 1 : bit i of mask set} is in Sigma_n, by bit arithmetic.
 
     The full circle is one run of length n.  Otherwise the mask is rotated
     so that its lowest empty cell becomes the top bit: no run then wraps.
@@ -109,53 +110,24 @@ def sigma_enum_brute(n: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def _even_run_line_subsets(m: int) -> list[tuple[int, ...]]:
-    """Subsets of the line 1..m whose maximal runs all have even length."""
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def gen(k: int) -> list[tuple[int, ...]]:
-        if k <= 0:
-            return [()]
-        if k in memo:
-            return memo[k]
-        out = list(gen(k - 1))  # cell k empty
-        for l in range(2, k, 2):  # run k-l+1..k, gap at k-l
-            tail = tuple(range(k - l + 1, k + 1))
-            out.extend(s + tail for s in gen(k - l - 1))
-        if k % 2 == 0:
-            out.append(tuple(range(1, k + 1)))  # run covers the whole line
-        memo[k] = out
-        return out
-
-    return gen(m)
-
-
 def sigma_enum(n: int) -> list[tuple[int, ...]]:
-    """All of Sigma_n, built constructively from even-run placements.
+    """All of Sigma_n, as the cell sets of the matchings of the n-cycle.
 
-    Proper nonempty subsets are enumerated once each by the position g of
-    their largest missing cell: cells g+1..n all belong to A (possibly
-    wrapping into a head 1..j), and the rest of A lives on the line
-    strictly between the wrap run and g.
+    A matching of the path first..last leaves `first` out or pairs it with
+    first + 1; a matching of the cycle omits the edge {n, 1} (a matching of
+    the path 1..n) or uses it.  Only the full circle at even n (and n = 2)
+    arises twice.
     """
     _check_size(n, 2, "Sigma_n")
-    out: list[tuple[int, ...]] = [()]
-    if n % 2 == 0:
-        out.append(tuple(range(1, n + 1)))
-    # g = n: no wrap; nonempty even-run subsets of the line 1..n-1
-    out.extend(s for s in _even_run_line_subsets(n - 1) if s)
-    # g < n: wrap run (g+1..n) + (1..j), gap at j+1 <= g, middle on j+2..g-1
-    for g in range(1, n):
-        tail = tuple(range(g + 1, n + 1))
-        for j in range(0, g):
-            if (n - g + j) % 2:
-                continue
-            head = tuple(range(1, j + 1))
-            mid_len = g - j - 2
-            for s in _even_run_line_subsets(mid_len) if mid_len > 0 else [()]:
-                shifted = tuple(c + j + 1 for c in s)
-                out.append(tuple(sorted(head + shifted + tail)))
-    return sorted(set(out), key=lambda s: (len(s), s))
+
+    @cache
+    def path(first: int, last: int) -> list[tuple[int, ...]]:
+        if last <= first:
+            return [()]
+        return path(first + 1, last) + [(first, first + 1) + m for m in path(first + 2, last)]
+
+    cycle = path(1, n) + [(1,) + m + (n,) for m in path(2, n - 1)]
+    return sorted(set(cycle), key=lambda s: (len(s), s))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +150,11 @@ class Balance:
                 "r": list(self.r)}
 
 
-def _alpha_for(A: Sequence[int], n: int) -> list[int]:
+def _alpha_for(A: tuple, n: int) -> list[int]:
     alpha = [0] * (n + 1)  # 1-based
     for run in cyclic_runs(A, n):
         if len(run) % 2:
-            raise InvariantError("sigma", f"run {run} has odd length")
+            raise InvariantError("sigma", f"{A} is not in Sigma_{n}")
         l = len(run) // 2
         for pos, cell in enumerate(run, start=1):
             alpha[cell] = (pos - 1) // 2 - l if pos % 2 else pos // 2
@@ -193,12 +165,10 @@ def make_balance(n: int, A: Iterable[int]) -> Balance:
     """Balance for an admissible pole set; validates the indicial equation."""
     _check_size(n, 2, "a balance")
     A = tuple(sorted({(i - 1) % n + 1 for i in A}))
-    if not in_sigma(A, n):
-        raise InvariantError("sigma", f"{A} is not in Sigma_{n}")
+    alpha = _alpha_for(A, n)
     if len(A) == n:
         raise InvariantError("all-poles",
                              "the all-poles set supports no Laurent solution")
-    alpha = _alpha_for(A, n)
     for i in range(n):
         lhs = -alpha[i]
         rhs = alpha[i] * (alpha[(i - 1) % n] - alpha[(i + 1) % n])
@@ -211,12 +181,7 @@ def make_balance(n: int, A: Iterable[int]) -> Balance:
 def indicial_solutions(n: int) -> list[Balance]:
     """One balance per admissible A in Sigma_n (the full circle excluded)."""
     _check_size(n, 3, "indicial analysis")
-    out = []
-    for A in sigma_enum(n):
-        if len(A) == n:
-            continue
-        out.append(make_balance(n, A))
-    return out
+    return [make_balance(n, A) for A in sigma_enum(n) if len(A) < n]
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +190,7 @@ def indicial_solutions(n: int) -> list[Balance]:
 
 @dataclass(frozen=True)
 class KowalevskiReport:
-    n: int
-    A: tuple
-    alpha: tuple            # leading coefficients of the balance
-    r: tuple                # pole orders
+    balance: Balance
     matrix: tuple           # exact entries, natural indexing
     run_cells: tuple        # the C_i blocks, as cell lists
     gap_entries: tuple      # diagonal entries 1 - r_j on the gap cells
@@ -239,9 +201,7 @@ class KowalevskiReport:
         check_spectrum(self.matrix, self.spectrum)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "A": list(self.A),
-                "alpha": [format_rational(x) for x in self.alpha],
-                "r": list(self.r),
+        return {**self.balance.to_json(),
                 "spectrum": list(self.spectrum),
                 "nonneg_count": self.nonneg_count,
                 "runs": [list(r) for r in self.run_cells],
@@ -299,17 +259,11 @@ def kowalevski(n: int, A: Iterable[int]) -> KowalevskiReport:
         l = len(run) // 2
         spectrum.extend(range(-l, 0))
         spectrum.extend(range(1, l + 1))
-    gap_entries = []
-    in_A = set(balance.A)
-    for j in range(1, n + 1):
-        if j not in in_A:
-            entry = 1 - balance.r[j - 1]
-            gap_entries.append(entry)
-            spectrum.append(entry)
+    gap_entries = [1 - r for j, r in enumerate(balance.r, start=1) if j not in balance.A]
+    spectrum.extend(gap_entries)
     spectrum.sort()
     nonneg = sum(1 for e in spectrum if e >= 0)
-    return KowalevskiReport(n, balance.A, balance.alpha, balance.r,
-                            tuple(tuple(row) for row in M),
+    return KowalevskiReport(balance, tuple(tuple(row) for row in M),
                             tuple(tuple(r) for r in runs), tuple(gap_entries),
                             tuple(spectrum), nonneg)
 

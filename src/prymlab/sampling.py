@@ -2,8 +2,8 @@
 
 All randomness in the verification suites flows through one
 random.Random(seed), so identical (config, seed) pairs reproduce byte
-for byte.  Numerators and denominators stay small (well under the 100
-bound) to keep exact arithmetic fast."""
+for byte.  Numerators lie in -BOUND..BOUND and denominators in
+1..MAX_DEN, small to keep exact arithmetic fast."""
 
 from __future__ import annotations
 
@@ -19,16 +19,19 @@ def rng_from_seed(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def rational(rng: random.Random, lo: int = -9, hi: int = 9,
-             max_den: int = 9, nonzero: bool = False) -> Fraction:
+BOUND = 9
+MAX_DEN = 9
+
+
+def rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
-        value = Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+        value = Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, MAX_DEN))
         if value != 0 or not nonzero:
             return value
 
 
-def positive_rational(rng: random.Random, hi: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(1, hi), rng.randint(1, max_den))
+def positive_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, BOUND), rng.randint(1, MAX_DEN))
 
 
 def _unit_product(rng: random.Random, n: int) -> tuple:

@@ -226,6 +226,33 @@ def test_flow_rejects_bad_runs(capsys, argv, code, error):
     assert {k: payload[k] for k in error} == error
 
 
+MUMFORD1 = '{"flavor":"odd-mumford","u":"2,1","v":"3","w":"1,0,1"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi-inverse", "--triple", '{"flavor":"even-mumford","u":1,"v":"0","w":"1"}', "--n", "3"),
+    ("bracket", "--space", "odd-mumford", "--g", "1", "--point",
+     '{"flavor":"odd-mumford","u":"0,1","v":[],"w":"0,0,1"}'),
+    ("flow", "--system", "mumford", "--point",
+     '{"flavor":"odd-mumford","u":"2,1","v":3,"w":"1,0,1"}', "--y", "1", "--t", "1",
+     "--step", "0.1")])
+def test_non_string_polynomial_exits_input(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input" and "not a string" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--system", "mumford", "--point", MUMFORD1, "--y", "1e400"),
+    ("--system", "km", "--point", '{"n":3,"a":["1e400","1e-400","1"]}')])
+def test_values_beyond_the_float_range_exit_invariant(capsys, argv):
+    code, out = run_cli(capsys, "flow", *argv, "--t", "1", "--step", "0.1")
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "float-range" and error["message"].startswith("1e+400 ")
+
+
 def test_flow_summary_reports_steps_and_note(capsys):
     code, out = run_cli(capsys, "flow", "--system", "toda", "--index", "2",
                         "--point", LATTICE3, "--t", "0.5", "--step", "0.01")
@@ -374,7 +401,8 @@ _lattice_json = st.fixed_dictionaries(
     optional={"b": st.lists(_rational_text, max_size=4)})
 _triple_json = st.fixed_dictionaries(
     {"flavor": st.one_of(st.sampled_from(FLAVORS), _rational_text),
-     "u": _poly_text, "v": _poly_text, "w": _poly_text})
+     "u": st.one_of(_poly_text, _json_scalar), "v": st.one_of(_poly_text, _json_scalar),
+     "w": st.one_of(_poly_text, _json_scalar)})
 # well-formed points of several spaces and sizes, so that --point also
 # reaches the evaluation of a table at a point
 _valid_points = st.sampled_from([
@@ -404,7 +432,7 @@ _flow_argv = st.tuples(
     st.just(["flow"]),
     st.sampled_from(["km", "toda", "mumford", "prym"]).map(lambda s: ["--system", s]),
     st.one_of(_lattice_json.map(json.dumps), _point).map(lambda p: ["--point", p]),
-    _option("--index", _sizes), _option("--y", _rational_text),
+    _option("--index", _sizes), _option("--y", st.one_of(_rational_text, st.just("1e400"))),
     st.one_of(st.floats(-1, 1), st.sampled_from([0.0, math.nan, math.inf])).map(
         lambda t: ["--t", repr(t)]),
     st.one_of(st.floats(0.05, 1), st.sampled_from([0.0, -0.1, math.nan, math.inf])).map(

@@ -99,6 +99,7 @@ TEST_ONLY = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "morphism.phi_symbolic": "symbolic oracle for phi in test_morphism",
     "mumford.mumford_flow_symbolic": "symbolic field oracle in test_mumford",
+    "mumford.MumfordTriple.ambient": "the tests move Prym points into the even Mumford space",
     "painleve.c_block": "documents the run block; test_painleve checks its spectra",
     "prym.genus_of_hyperelliptic": "the prymdim suite's genus count will call it",
     "sampling.mumford_triple": "seeded Mumford and Prym points for the tests",
@@ -106,37 +107,41 @@ TEST_ONLY = {
     "symbolic.BracketTable.poisson_bracket": "bracket of two polynomials in the involution tests",
     "symbolic.BracketTable.hamiltonian_field": "Hamiltonian-field oracle for every flow",
     "toda.toda_integrals_symbolic": "symbolic Toda integrals for the involution tests",
+    "toda.TodaPoint.shift": "cyclic-symmetry oracle for the Toda integrals and phi",
 }
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """module.name or module.Class.method of every top-level function,
-    class or method in `sources` (module name -> source) whose name no
-    source reads as a name or attribute, imports, exports in __all__ or
-    writes in a string annotation.  Dunder hooks (__init__,
-    __post_init__, ...) are exempt.  Names are matched without regard to
-    the object they belong to, so a method counts as used when any
-    attribute of that name is read."""
-    referenced, defined = set(), []
+    class or method in `sources` (module name -> source) that nothing
+    uses.  A top-level name is used when some source reads it as a name
+    or attribute, imports it, exports it in __all__ or writes it in a
+    string annotation; a method only when some source reads it as an
+    attribute, so a local variable of the same name does not hide it.
+    Dunder hooks (__init__, __post_init__, ...) are exempt.  Names are
+    matched without regard to the object they belong to, so a method
+    counts as used when any attribute of that name is read."""
+    names, attributes, defined = set(), set(), []
     for module, source in sources.items():
         tree = ast.parse(source)
-        referenced |= _exported(tree) | _annotation_names(tree)
+        names |= _exported(tree) | _annotation_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                referenced |= {alias.name for alias in node.names}
+                names |= {alias.name for alias in node.names}
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{module}.{node.name}", node.name))
+                defined.append((f"{module}.{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
-                defined += [(f"{module}.{node.name}.{item.name}", item.name)
+                defined += [(f"{module}.{node.name}.{item.name}", item.name, True)
                             for item in node.body
                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    return [qualified for qualified, name in defined
-            if name not in referenced and not (name.startswith("__") and name.endswith("__"))]
+    return [qualified for qualified, name, method in defined
+            if name not in attributes and (method or name not in names)
+            and not (name.startswith("__") and name.endswith("__"))]
 
 
 def _src_sources() -> dict[str, str]:
@@ -167,6 +172,24 @@ def test_definition_scanner_sees_dead_and_allows_used():
         "b": "from a import annotated\nannotated(None).used()\n",
     }
     assert unreferenced_definitions(sources) == ["a.dead", "a.Helper.unused"]
+
+
+def test_definition_scanner_sees_a_method_hidden_by_a_local():
+    # a local variable or parameter named like a method is no use of it;
+    # an attribute read is, and so is a bare name for a top-level function
+    sources = {
+        "a": ("__all__ = ['caller']\n"
+              "class Point:\n"
+              "    def shift(self): pass\n"
+              "    def ambient(self): pass\n"
+              "    def used(self): pass\n"
+              "def helper(shift, ambient=0):\n"
+              "    used = shift + ambient\n"
+              "    return used.used\n"
+              "def caller(): return helper(Point())\n"
+              "def dead(): pass\n"),
+    }
+    assert unreferenced_definitions(sources) == ["a.Point.shift", "a.Point.ambient", "a.dead"]
 
 
 # The layers of src/prymlab, lowest first: a module imports only modules

@@ -11,8 +11,8 @@ from dict_loop import integrate as dict_loop_integrate
 from prymlab import morphism, numerics
 from prymlab.algebra import Poly
 from prymlab.errors import InvariantError
-from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, flow_values,
-                             momentum, mumford_bracket_table, mumford_flow,
+from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
+                             flow_values, momentum, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
 from prymlab.numerics import (_lattice_invariants, _mumford_rhs, _prym_rhs, _toda_rhs,
                               integrate)
@@ -177,6 +177,28 @@ def test_char_coeffs_float_match_exact_char_poly(rng, n):
         assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
         invariants = _lattice_invariants(state, n)  # K0..K{n-1}, then prod_a
         assert invariants[:n] == numeric[:n]
+
+
+BIG = F(10) ** 400
+ODD_MUMFORD_POINT = {"flavor": ODD_MUMFORD, "u": "2,1", "v": "3", "w": "1,0,1"}
+ODD_PRYM_POINT = {"flavor": ODD_PRYM, "u": "1,0,1", "v": "0,1", "w": "1,0,2,0,1"}
+
+
+@pytest.mark.parametrize("system, point, selector, value", [
+    ("km", KMPoint((BIG, 1 / BIG, F(1))), None, "1e+400"),
+    ("toda", TodaPoint((F(1), F(1)), (-BIG, F(0))), 1, "-1e+400"),
+    ("mumford", {**ODD_MUMFORD_POINT, "u": "-1e400,1"}, 1, "-1e+400"),
+    ("prym", {**ODD_PRYM_POINT, "u": "1e400,0,1"}, 1, "1e+400"),
+    ("mumford", ODD_MUMFORD_POINT, BIG, "1e+400"),
+    ("prym", ODD_PRYM_POINT, -BIG, "-1e+400")])
+def test_values_beyond_the_float_range_are_named(system, point, selector, value):
+    # the start state of each system, then the Lax parameter y
+    if isinstance(point, dict):
+        point = MumfordTriple.from_json(point)
+    with pytest.raises(InvariantError) as err:
+        integrate(system, point, selector, 1.0, 0.1)
+    assert err.value.invariant == "float-range"
+    assert str(err.value) == f"{value} is beyond the float range"
 
 
 @pytest.mark.parametrize("index", [0, 3, None])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from prymlab.algebra import LaurentSeries, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
-from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots, in_sigma,
+from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots,
                               in_sigma_mask, indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance,
                               sigma_enum, sigma_enum_brute, slot_name)
@@ -63,10 +63,12 @@ def test_sigma_counts_are_lucas_numbers():
 
 
 def test_sigma_bit_test_matches_cyclic_runs():
+    # the definition: every maximal cyclic run has even length
     for n in range(1, 13):
         for mask in range(1 << n):
             subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
-            assert in_sigma_mask(mask, n) == in_sigma(subset, n), (n, subset)
+            even = all(len(run) % 2 == 0 for run in cyclic_runs(subset, n))
+            assert in_sigma_mask(mask, n) == even, (n, subset)
 
 
 @pytest.mark.parametrize("call", [
@@ -88,7 +90,7 @@ def test_cyclic_runs():
     assert cyclic_runs((5, 1, 2), 5) == [[5, 1, 2]]
     assert cyclic_runs((1, 2, 4, 5), 6) == [[1, 2], [4, 5]]
     assert cyclic_runs(range(1, 5), 4) == [[1, 2, 3, 4]]
-    assert in_sigma((1, 2), 5) and not in_sigma((1, 2, 3), 5)
+    assert cyclic_runs((1, 2), 5) == [[1, 2]] and cyclic_runs((1, 2, 3), 5) == [[1, 2, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +184,16 @@ def test_kowalevski_counts_sweep():
 
 
 def test_kowalevski_rejects_bad_sets():
-    with pytest.raises(InvariantError):
-        kowalevski(5, (1, 2, 3))
-    with pytest.raises(InvariantError):
-        kowalevski(4, (1, 2, 3, 4))
+    all_poles = "the all-poles set supports no Laurent solution"
+    cases = [(5, (1, 2, 3), "sigma", "(1, 2, 3) is not in Sigma_5"),
+             (5, range(1, 6), "sigma", "(1, 2, 3, 4, 5) is not in Sigma_5"),
+             (4, range(1, 5), "all-poles", all_poles),
+             (6, range(1, 7), "all-poles", all_poles)]
+    for build in (make_balance, kowalevski):
+        for n, A, invariant, message in cases:
+            with pytest.raises(InvariantError) as err:
+                build(n, A)
+            assert (err.value.invariant, str(err.value)) == (invariant, message)
 
 
 # ---------------------------------------------------------------------------
