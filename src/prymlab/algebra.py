@@ -32,11 +32,12 @@ x^6 - 6x^4 + 9x^2 - 4.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, log10
 from typing import Iterable, Sequence
 
-from .errors import ParseError
+from .errors import InvariantError, ParseError
 
 ExactScalar = Fraction
 
@@ -60,10 +61,20 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
+    """`p/q`, or `p` for an integer.  A numerator or denominator with more
+    digits than the interpreter converts to text raises
+    InvariantError("digit-limit"), sized from its bit length."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+        raise InvariantError("digit-limit", f"a rational of {bits} bits (about"
+                             f" {int(bits * log10(2)) + 1} digits) is beyond the"
+                             f" {sys.get_int_max_str_digits()}-digit limit of int to"
+                             " text conversion") from None
 
 
 def parse_poly(text: str) -> "Poly":
@@ -171,13 +182,7 @@ class Poly:
                 kind = max(kind, _scalar_kind(other.coeffs))
             if kind != _OTHER:
                 return Poly(_rational_product(self.coeffs, other.coeffs, all_int=kind == _INT))
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if _exact_zero(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            return Poly(_product(self.coeffs, other.coeffs))
         return Poly([c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -247,6 +252,21 @@ def _exact_zero(c) -> bool:
 
 
 _INT, _RATIONAL, _OTHER = 0, 1, 2
+
+
+def _product(a: list, b: list) -> list:
+    """Coefficients of the product of two coefficient lists over any ring,
+    by the schoolbook loop of Poly.__mul__: a row a_i that is an exact zero
+    is skipped, and each slot starts from the int 0 and adds a_i b_j in the
+    order of i, then j (a slot that no row reaches stays the int 0).  The
+    result is not trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if _exact_zero(x):
+            continue
+        for k, y in enumerate(b, i):
+            out[k] = out[k] + x * y
+    return out
 
 
 def _scalar_kind(coeffs: list) -> int:
@@ -406,19 +426,38 @@ def tridiag_run(b: Sequence, c: Sequence, zero) -> list[list]:
     Fraction, and bit-identical over float while the coefficients are
     finite: no coefficient is ever -0.0 (the lists start from +0.0 and 1,
     and x - y is -0.0 only for x = -0.0), and subtracting a zero product
-    from anything but -0.0 leaves it as it is."""
+    from anything but -0.0 leaves it as it is.
+
+    Parity stride: while `zero` and every shift so far are exact zeros,
+    D_k(-x) = (-1)^k D_k(x), so D_k vanishes in every slot of the other
+    parity, and the c-pass of D_k touches only the slots of D_{k-2} of
+    parity k, every second one.  A skipped slot keeps the `zero` it was
+    shifted in with, the value the pass would leave there: +0.0 - c (+0.0)
+    is +0.0 over float for finite c; c 0 is 0 over int, Fraction and
+    MultiPoly; and a LaurentSeries c times an exact zero is the exact zero
+    series (which the pass would store in place of an int or Fraction
+    `zero`, an equal value of another type).  The first shift that is not
+    an exact zero, a windowed zero series included, turns the stride off
+    for the rest of the run."""
     prev2, prev = [], [zero + 1]
     dets = [prev]
+    stride = _exact_zero(zero)
     for k, bk in enumerate(b):
         cur = [zero] + prev
         # not _exact_zero(bk), without a call on the float lane's zeros
         if bk != 0 or type(bk) is LaurentSeries and not _exact_zero(bk):
+            stride = False
             for j, p in enumerate(prev):
                 cur[j] -= bk * p
         if prev2:
             ck = c[k - 1]
-            for j, p in enumerate(prev2):
-                cur[j] -= ck * p
+            if stride:
+                # cur is D_{k+1} and prev2 is D_{k-1}: its slots of parity k - 1
+                for j in range(1 - k % 2, k, 2):
+                    cur[j] -= ck * prev2[j]
+            else:
+                for j, p in enumerate(prev2):
+                    cur[j] -= ck * p
         prev2, prev = prev, cur
         dets.append(cur)
     return dets

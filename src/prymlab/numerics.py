@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import indexOf
 
-from .algebra import Poly
+from .algebra import _product
 from .errors import InvariantError
 from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
 from .prym import prym_tangent
@@ -109,17 +109,18 @@ def _toda_rhs(state, n, index):
     return C[1] + C[0]
 
 
-def _mumford_rhs(state, flavor, g, y):
-    """X_y at the float state (see mumford.mumford_tangent)."""
+def _mumford_rhs(flavor, g, y):
+    """X_y on float states (see mumford.mumford_tangent), with the layout of
+    the phase space resolved once."""
     lists, read = _slot_codec(flavor, g)
-    return read(*mumford_tangent(*lists(state, 0.0, 1.0), y))
+    return lambda state: read(*mumford_tangent(*lists(state, 0.0, 1.0), y))
 
 
-def _prym_rhs(state, flavor, n, y):
-    """Reduced X_y at the float state (see prym.prym_tangent); the
-    remainders, zero up to rounding, are not checked."""
+def _prym_rhs(flavor, n, y):
+    """Reduced X_y on float states (see prym.prym_tangent), with the layout
+    resolved once; the remainders, zero up to rounding, are not checked."""
     lists, read = _slot_codec(flavor, n)
-    return read(*prym_tangent(*lists(state, 0.0, 1.0), y)[0])
+    return lambda state: read(*prym_tangent(*lists(state, 0.0, 1.0), y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +135,41 @@ def _lattice_names(n, km=False):
     return names
 
 
-def _lattice_invariants(state, n, km=False):
-    a = state[:n]
-    b = [0.0] * n if km else state[n:]
-    out = [2.0 * c for c in char_coeffs(a, b, 0.0)[:n]]
-    out.append(math.prod(a, start=1.0))
-    if km and n % 2 == 0:
-        out += _alternating_products(a, 1.0)
-    return out
+def _lattice_invariants(n, km=False):
+    """The monitor of a lattice run, on the state a + b of a Toda lattice or
+    a of the KM slice, whose zero shifts b are built here once per run."""
+    zeros = [0.0] * n
+
+    def invariants(state):
+        a, b = (state, zeros) if km else (state[:n], state[n:])
+        out = [2.0 * c for c in char_coeffs(a, b, 0.0)[:n]]
+        out.append(math.prod(a, start=1.0))
+        if km and n % 2 == 0:
+            out += _alternating_products(a, 1.0)
+        return out
+    return invariants
+
+
+def _trimmed(coeffs: list) -> list:
+    """coeffs without its trailing zeros, as Poly.__init__ trims a float list."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
 def _momentum_invariants(u, v, w):
-    """The coefficients H0, H1, ... of u w + v^2 from coefficient lists."""
-    u, v, w = Poly(u), Poly(v), Poly(w)
-    return [float(c) for c in (u * w + v * v).coeffs]
+    """The coefficients H0, H1, ... of u w + v^2 from float coefficient
+    lists, bit for bit those of Poly(u) * Poly(w) + Poly(v) * Poly(v): the
+    same products (algebra._product) and sum, with the same trimming of
+    trailing zeros, and no Poly built."""
+    v = _trimmed(v)
+    uw = _trimmed(_product(_trimmed(u), _trimmed(w)))
+    vv = _trimmed(_product(v, v))
+    if len(uw) < len(vv):
+        uw, vv = vv, uw
+    for i, c in enumerate(vv):
+        uw[i] = uw[i] + c
+    return [float(c) for c in _trimmed(uw)]
 
 
 def _peak(column) -> tuple:
@@ -183,7 +205,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         n = point.n
         state = _floats(point.a)
         rhs = km_field
-        invariants = lambda s: _lattice_invariants(s, n, km=True)
+        invariants = _lattice_invariants(n, km=True)
         names = _lattice_names(n, km=True)
     elif system == "toda":
         if not isinstance(point, TodaPoint):
@@ -192,7 +214,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         index = 0 if selector is None else int(selector)
         state = _floats(chain(point.a, point.b))
         rhs = lambda s: _toda_rhs(s, n, index)
-        invariants = lambda s: _lattice_invariants(s, n)
+        invariants = _lattice_invariants(n)
         names = _lattice_names(n)
     elif system in ("mumford", "prym"):
         if not isinstance(point, MumfordTriple):
@@ -204,13 +226,13 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         if system == "prym":
             if flavor not in ("odd-prym", "even-prym"):
                 raise InvariantError("flavor", "prym integration needs a prym point")
-            rhs = lambda s: _prym_rhs(s, flavor, g, y)
+            rhs = _prym_rhs(flavor, g, y)
         else:
             if flavor not in MUMFORD_FLAVORS:
                 raise InvariantError(
                     "flavor", "the ambient flow is not tangent to the parity"
                     " locus; use system='prym' for prym points")
-            rhs = lambda s: _mumford_rhs(s, flavor, g, y)
+            rhs = _mumford_rhs(flavor, g, y)
         lists = _slot_codec(flavor, g)[0]
         invariants = lambda s: _momentum_invariants(*lists(s, 0.0, 1.0))
         names = [f"H{j}" for j in range(point.u.degree + point.w.degree + 1)]

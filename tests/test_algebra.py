@@ -366,6 +366,80 @@ def test_tridiag_run_skips_only_an_exact_zero_shift():
     assert tridiag_run([exact], [], 0)[1] == [0, 1]
 
 
+def _tridiag_run_unstrided(b, c, zero):
+    """tridiag_run without its parity stride: every c-pass runs over all of
+    D_{k-2}.  The oracle for the stride."""
+    prev2, prev = [], [zero + 1]
+    dets = [prev]
+    for k, bk in enumerate(b):
+        cur = [zero] + prev
+        if bk != 0 or type(bk) is LaurentSeries and bk.hi is not None:
+            for j, p in enumerate(prev):
+                cur[j] -= bk * p
+        if prev2:
+            for j, p in enumerate(prev2):
+                cur[j] -= c[k - 1] * p
+        prev2, prev = prev, cur
+        dets.append(cur)
+    return dets
+
+
+def _float_run(rng, n):
+    def draw():
+        if rng.random() < 0.4:
+            return rng.choice((1.0, -1.0, 2.0, 0.5, -0.5))
+        return rng.choice((-1, 1)) * rng.uniform(0.1, 10) * 10.0 ** rng.randint(-3, 3)
+
+    shifts = rng.choice(([0.0] * n, [-0.0] * n, [rng.choice((0.0, -0.0, draw())) for _ in range(n)]))
+    return shifts, [draw() for _ in range(n)], 0.0
+
+
+def _int_run(rng, n):
+    shifts = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+    return shifts, [rng.randint(-6, 6) for _ in range(n)], 0
+
+
+def _fraction_run(rng, n):
+    frac = lambda: F(rng.randint(-6, 6), rng.randint(1, 4))
+    shifts = [rng.choice((F(0), F(0), frac())) for _ in range(n)]
+    return shifts, [frac() for _ in range(n)], F(0)
+
+
+def _multipoly_run(rng, n):
+    x, zero = MultiPoly.variables(n), MultiPoly(n)
+    shifts = [rng.choice((zero, zero, x[i])) for i in range(n)]
+    return shifts, [x[i] * x[(i + 1) % n] for i in range(n)], zero
+
+
+def _laurent_run(rng, n):
+    """Shifts are exact zeros, or also zeros known only through their window
+    (which turn the stride off) and series; the band products are windowed,
+    and so is the zero of some runs."""
+    def series():
+        lo = rng.randint(-2, 1)
+        return LaurentSeries(lo, [rng.randint(-3, 3) for _ in range(3)], lo + rng.randint(2, 5))
+
+    exact = LaurentSeries(0, [])
+    shifts = rng.choice(([exact] * n, [rng.choice((exact, LaurentSeries(0, [], rng.randint(0, 4)),
+                                                   series())) for _ in range(n)]))
+    zero = rng.choice((exact, LaurentSeries(0, [], 6)))
+    return shifts, [series() for _ in range(n)], zero
+
+
+@pytest.mark.parametrize("draw, frozen", [
+    (_float_run, float.hex), (_int_run, lambda c: (type(c), c)),
+    (_fraction_run, lambda c: (type(c), c)), (_multipoly_run, lambda c: c),
+    (_laurent_run, lambda c: (c.lo, c.coeffs, c.hi))])
+def test_tridiag_run_stride_matches_the_unstrided_loop(rng, draw, frozen):
+    """Every prefix determinant agrees with the loop that runs every c-pass
+    over all of D_{k-2}: bit for bit over float, value and type over int
+    and Fraction, term for term over MultiPoly and LaurentSeries."""
+    for _ in range(40):
+        b, c, zero = draw(rng, rng.randint(1, 9))
+        got, want = tridiag_run(b, c, zero), _tridiag_run_unstrided(b, c, zero)
+        assert [[frozen(x) for x in d] for d in got] == [[frozen(x) for x in d] for d in want]
+
+
 def test_det_form_identity(rng):
     for _ in range(30):
         n = rng.randint(2, 8)

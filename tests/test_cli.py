@@ -253,6 +253,14 @@ def test_values_beyond_the_float_range_exit_invariant(capsys, argv):
     assert error["invariant"] == "float-range" and error["message"].startswith("1e+400 ")
 
 
+def test_an_output_past_the_digit_limit_exits_invariant(capsys):
+    code, out = run_cli(capsys, "phi", "--point",
+                        '{"n":3,"a":["1e5000","1","1e-5000"],"b":["0","0","0"]}', "--m", "3")
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "digit-limit" and "about 5001 digits" in error["message"]
+
+
 def test_flow_summary_reports_steps_and_note(capsys):
     code, out = run_cli(capsys, "flow", "--system", "toda", "--index", "2",
                         "--point", LATTICE3, "--t", "0.5", "--step", "0.01")
@@ -390,7 +398,7 @@ def test_bracket_point_outside_the_space_exits_invariant(capsys, argv):
 # ---------------------------------------------------------------------------
 
 _sizes = st.integers(-2, 3)
-_rational_text = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "x", ""])
+_rational_text = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "x", "", "1e5000"])
 _json_scalar = st.one_of(st.none(), st.booleans(), _sizes, st.floats(), _rational_text)
 _json_value = st.recursive(_json_scalar, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.dictionaries(_rational_text, inner, max_size=3)),
@@ -442,10 +450,13 @@ _painleve_sizes = st.one_of(st.integers(-2, 9), st.just(MAX_N + 1)).map(lambda n
 _cells = st.lists(st.integers(-1, 10), max_size=4).map(lambda A: ["--A", ",".join(map(str, A))])
 _sigma_argv = st.tuples(st.sampled_from([["sigma"], ["indicial"]]), _painleve_sizes)
 _kowalevski_argv = st.tuples(st.just(["kowalevski"]), _painleve_sizes, _cells)
+# example5 computes for seconds with a 5000-digit parameter before its
+# output meets the digit limit, so its parameters stay small
+_example5_text = _rational_text.filter(lambda text: text != "1e5000")
 _example5_argv = st.tuples(
-    st.just(["example5"]), _rational_text.map(lambda k: ["--k", k]),
-    _rational_text.map(lambda l: ["--l", l]), _option("--beta", _rational_text),
-    _option("--delta", _rational_text), _option("--order", st.integers(-1, 3)))
+    st.just(["example5"]), _example5_text.map(lambda k: ["--k", k]),
+    _example5_text.map(lambda l: ["--l", l]), _option("--beta", _example5_text),
+    _option("--delta", _example5_text), _option("--order", st.integers(-1, 3)))
 
 # the morphism commands: lattice points of a few sizes (n < 3 is refused),
 # triples that phi-inverse reconstructs at n = 3, 4, 5, generated and

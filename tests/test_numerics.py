@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 from dict_loop import char_coeffs_unskipped
 from dict_loop import integrate as dict_loop_integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prymlab import morphism, numerics
 from prymlab.algebra import Poly
@@ -14,8 +16,8 @@ from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
                              flow_values, momentum, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
-from prymlab.numerics import (_lattice_invariants, _mumford_rhs, _prym_rhs, _toda_rhs,
-                              integrate)
+from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs, _prym_rhs,
+                              _toda_rhs, integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
 from prymlab.toda import KMPoint, TodaPoint, char_coeffs, char_poly, km_field, toda_flow
@@ -51,8 +53,7 @@ def test_mumford_field_matches_exact(rng):
     y = F(7, 10)
     du, dv, dw = mumford_flow(point, y)
     exact = [float(x) for x in flow_values(EVEN_MUMFORD, 2, du, dv, dw)]
-    numeric = _mumford_rhs([float(x) for x in point_values(point)],
-                           EVEN_MUMFORD, 2, float(y))
+    numeric = _mumford_rhs(EVEN_MUMFORD, 2, float(y))([float(x) for x in point_values(point)])
     assert max(abs(a - b) for a, b in zip(exact, numeric)) < 1e-8
 
 
@@ -61,8 +62,7 @@ def test_prym_field_matches_exact(rng):
     y = F(7, 10)
     du, dv, dw = prym_flow(point, y)
     exact = [float(x) for x in flow_values(ODD_PRYM, 2, du, dv, dw)]
-    numeric = _prym_rhs([float(x) for x in point_values(point)],
-                        ODD_PRYM, 2, float(y))
+    numeric = _prym_rhs(ODD_PRYM, 2, float(y))([float(x) for x in point_values(point)])
     assert max(abs(a - b) for a, b in zip(exact, numeric)) < 1e-8
 
 
@@ -175,7 +175,7 @@ def test_char_coeffs_float_match_exact_char_poly(rng, n):
         assert all(type(c) is float for c in numeric)
         scale = max(abs(c) for c in exact)
         assert max(abs(a - b) for a, b in zip(exact, numeric)) <= 1e-12 * scale
-        invariants = _lattice_invariants(state, n)  # K0..K{n-1}, then prod_a
+        invariants = _lattice_invariants(n)(state)  # K0..K{n-1}, then prod_a
         assert invariants[:n] == numeric[:n]
 
 
@@ -295,7 +295,7 @@ def test_float_mumford_field_is_the_hamiltonian_field(rng, flavor, g):
     table = mumford_bracket_table(flavor, g, phi)
     for y in (F(7, 10), F(-3, 2)):
         point = mumford_triple(rng, flavor, g)
-        numeric = _mumford_rhs([float(x) for x in point_values(point)], flavor, g, float(y))
+        numeric = _mumford_rhs(flavor, g, float(y))([float(x) for x in point_values(point)])
         _assert_close(numeric, _hamiltonian_oracle(table, flavor, g, point, phi, y))
 
 
@@ -305,7 +305,7 @@ def test_float_prym_field_is_the_reduced_hamiltonian_field(rng, flavor, n):
     table = prym_bracket_table(flavor, n, phi)
     for y in (F(7, 10), F(-3, 2)):
         point = mumford_triple(rng, flavor, n)
-        numeric = _prym_rhs([float(x) for x in point_values(point)], flavor, n, float(y))
+        numeric = _prym_rhs(flavor, n, float(y))([float(x) for x in point_values(point)])
         _assert_close(numeric, _hamiltonian_oracle(table, flavor, n, point, phi, y))
 
 
@@ -362,3 +362,33 @@ def test_char_coeffs_zero_b_skip_is_bit_identical(rng, n):
                   [rng.choice((0.0, -0.0, draw())) for _ in range(n)]):
             got = [c.hex() for c in char_coeffs(a, b, 0.0)]
             assert got == [c.hex() for c in char_coeffs_unskipped(a, b, 0.0)]
+
+
+_coeffs = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats()), max_size=6)
+
+
+@given(_coeffs, _coeffs, _coeffs)
+@example([1.0], [1.0], [-1.0])  # the sum cancels at the top
+@example([1.0, math.inf], [], [1.0, 0.0])  # inf times a trimmed zero would be nan
+@example([1.0], [math.inf, -0.0], [1.0])
+@settings(max_examples=300, deadline=None)
+def test_momentum_invariants_are_the_poly_expression_bit_for_bit(u, v, w):
+    """The list monitor gives the floats of Poly(u) * Poly(w) + Poly(v) *
+    Poly(v), trimmed zeros and signs of zero included, and leaves its
+    arguments as they were."""
+    want = [float(c) for c in (Poly(u) * Poly(w) + Poly(v) * Poly(v)).coeffs]
+    before = [u[:], v[:], w[:]]
+    assert [c.hex() for c in _momentum_invariants(u, v, w)] == [c.hex() for c in want]
+    assert [u, v, w] == before
+
+
+@pytest.mark.parametrize("system, flavor, g", [("mumford", EVEN_MUMFORD, 2), ("prym", ODD_PRYM, 2)])
+def test_momentum_runs_build_no_poly(rng, monkeypatch, system, flavor, g):
+    """The step loop of a Mumford or Prym run builds no Poly: the fields and
+    the momentum monitor work on coefficient lists."""
+    point = mumford_triple(rng, flavor, g)
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    traj = integrate(system, point, 0.3, 0.05, 1e-3)
+    assert len(traj.times) == 51 and not built
