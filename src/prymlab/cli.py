@@ -4,7 +4,8 @@ output suitable for scripting and regression baselines.
 Exit codes: 0 success, 2 violated invariant (the offending invariant is
 named in the diagnostic JSON), 3 malformed input.  All output JSON is
 emitted with sorted keys, so identical (arguments, seed) pairs produce
-byte-identical artifacts.
+byte-identical artifacts, except for the seconds each verify check took
+(its "elapsed" field).
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def _cmd_verify(args) -> dict:
         sys.stderr.write(result.line() + "\n")
     payload = {"suite": args.suite, "seed": args.seed,
                "passed": all(r.passed for r in results),
-               "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                          for r in results]}
+               "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail,
+                           "elapsed": r.elapsed} for r in results]}
     if not payload["passed"]:
         raise InvariantError("verification", json.dumps(payload, sort_keys=True))
     return payload

@@ -36,3 +36,12 @@ class ResonanceError(InvariantError):
 
     def __init__(self, message: str):
         super().__init__("laurent-resonance", message)
+
+
+class BlowUpError(InvariantError):
+    """A float trajectory left the overflow guard or turned NaN.  `note`
+    says how and at which step; the message adds the run's step size."""
+
+    def __init__(self, note: str, step: float):
+        self.note = note
+        super().__init__("blow-up", f"{note} of the run with step size {step!r}")

@@ -290,27 +290,28 @@ def example5_report(k: Fraction, l: Fraction, beta: Fraction = Fraction(1),
 
     The balance verdicts need a rational point of a fiber, which generic
     (k, l) do not supply; they are run on the fiber through the supplied
-    (beta, delta) instead (its l value is reported alongside)."""
-    k, l = Fraction(k), Fraction(l)
+    (beta, delta) instead (its l value is reported alongside).  The report
+    echoes k, l, beta and delta, so they are formatted first: one past the
+    digit limit raises InvariantError("digit-limit") before any series is
+    built."""
+    k, l, beta, delta = map(Fraction, (k, l, beta, delta))
+    k_text, l_text, beta_text, delta_text = map(format_rational, (k, l, beta, delta))
     p = Poly([Fraction(0), l, Fraction(0), -k, Fraction(0), Fraction(1)])  # x^5 - k x^3 + l x
     curves = quotient_curves(p * p - Poly([Fraction(4)]))
     points, matrix = incidence_data(k, l)
     verdicts = []
     for s in range(5):
         limit, l_used = balance_limit(k, beta, delta, s, order)
-        expected = ProjectivePoint9(
-            tuple(curve_coords(1 + s, Fraction(beta), Fraction(delta), k, Fraction(1))))
+        expected = ProjectivePoint9(tuple(curve_coords(1 + s, beta, delta, k, Fraction(1))))
         verdicts.append({"shift": s, "curve": 1 + s,
                          "l_used": format_rational(l_used),
                          "on_curve": bool(limit == expected)})
     return {
-        "k": format_rational(k),
-        "l": format_rational(l),
+        "k": k_text,
+        "l": l_text,
         "curve_sigma": format_poly(curves.sigma),
         "curve_tau": format_poly(curves.tau),
         "points": [p.to_json() for p in points],
         "incidence": [[int(x) for x in row] for row in matrix],
-        "balance_checks": {"beta": format_rational(Fraction(beta)),
-                           "delta": format_rational(Fraction(delta)),
-                           "verdicts": verdicts},
+        "balance_checks": {"beta": beta_text, "delta": delta_text, "verdicts": verdicts},
     }

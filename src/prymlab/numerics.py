@@ -7,17 +7,21 @@ conservation baselines are the float values at t = 0, so reported drift
 isolates integrator error from representation error.  The integrator is
 the classical fixed-step fourth-order one-step method; runs are short and
 deterministic reproducibility of the drift numbers matters more than
-adaptivity.  Trajectories that leave the overflow guard or turn NaN are
-truncated and flagged (expected behaviour near the Painleve poles of the
-lattice fields).
+adaptivity.  integrate and endpoint share the argument checks, the set-up
+of each system and one stepping loop, which stops at the first state that
+leaves the overflow guard or turns NaN (expected behaviour near the
+Painleve poles of the lattice fields): integrate truncates and flags the
+trajectory there, and endpoint, which returns the final state alone,
+raises BlowUpError ("blow-up").
 
-The first integrals are sampled after every step.  Their names are fixed
-once per run, each monitor returns its values as a list in that order,
-and the step loop appends them to one column per integral.  Once the run
-ends, each column gives its integral's drift (the largest distance from
-its value at t = 0) and the first step at which the drift peaked.
-Trajectory.drift_summary() reports, per integral, the drift, the step
-and time of its peak, and the relative drift d / max(1, |value at t = 0|).
+integrate keeps every state and samples the first integrals after every
+step.  Their names are fixed once per run, each monitor returns its
+values as a list in that order, and the step loop appends them to one
+column per integral.  Once the run ends, each column gives its
+integral's drift (the largest distance from its value at t = 0) and the
+first step at which the drift peaked.  Trajectory.drift_summary()
+reports, per integral, the drift, the step and time of its peak, and the
+relative drift d / max(1, |value at t = 0|).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import chain
 from operator import indexOf
 
 from .algebra import _product
-from .errors import InvariantError
+from .errors import BlowUpError, InvariantError
 from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
 from .prym import prym_tangent
 from .toda import (KMPoint, TodaPoint, _alternating_products, char_coeffs,
@@ -185,16 +189,9 @@ def _peak(column) -> tuple:
 # driver
 # ---------------------------------------------------------------------------
 
-def integrate(system: str, point, selector, t_end: float, step: float) -> Trajectory:
-    """Integrate a named flow with the classical fourth-order method.
-
-    system: "km" (basic Volterra field; selector ignored), "toda"
-    (selector = hierarchy index), "mumford" or "prym" (selector = the Lax
-    parameter y).  Conserved quantities are sampled at every step and the
-    drift against t = 0 is reported per integral.  t_end and step must be
-    positive and finite ("integration"), t_end / step at most MAX_STEPS
-    ("step-count"), and a lattice needs n >= 1 ("size").
-    """
+def _flow(system: str, point, selector, t_end: float, step: float):
+    """(start state, field, step count, monitor, integral names) of a run:
+    the argument checks and the set-up that integrate and endpoint share."""
     if not (0 < step < math.inf and 0 < t_end < math.inf):
         raise InvariantError("integration", "step and t_end must be positive and finite")
     if t_end / step > MAX_STEPS:
@@ -242,25 +239,59 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
         raise InvariantError("size", "a lattice needs n >= 1")
     if system == "toda" and not 1 <= index <= n - 1:
         raise InvariantError("hierarchy-index", f"need 1 <= index <= {n - 1}")
+    return state, rhs, int(round(t_end / step)), invariants, names
 
-    traj = Trajectory(system=system)
-    columns = [[value] for value in invariants(state)]
-    states = [state]
+
+def _steps(rhs, state, step: float, nsteps: int):
+    """The state after each of nsteps steps.  The first state that leaves
+    the overflow guard or turns NaN raises BlowUpError instead."""
     inside = BLOWUP_GUARD.__ge__
-    nsteps = traj.steps_requested = int(round(t_end / step))
     for i in range(1, nsteps + 1):
         state = _rk4_step(rhs, state, step)
         if not all(map(inside, map(abs, state))):  # also true for NaN
-            traj.truncated = True
             reason = "became NaN" if any(map(math.isnan, state)) else "exceeded overflow guard"
-            traj.note = f"state {reason} at step {i}"
-            break
-        states.append(list(state))  # exact size: a comprehension's list is over-allocated
-        for column, value in zip(columns, invariants(state)):
-            column.append(value)
+            raise BlowUpError(f"state {reason} at step {i}", step)
+        yield state
+
+
+def integrate(system: str, point, selector, t_end: float, step: float) -> Trajectory:
+    """Integrate a named flow with the classical fourth-order method.
+
+    system: "km" (basic Volterra field; selector ignored), "toda"
+    (selector = hierarchy index), "mumford" or "prym" (selector = the Lax
+    parameter y).  Conserved quantities are sampled at every step and the
+    drift against t = 0 is reported per integral.  t_end and step must be
+    positive and finite ("integration"), t_end / step at most MAX_STEPS
+    ("step-count"), and a lattice needs n >= 1 ("size").  A run that
+    leaves the overflow guard or turns NaN is truncated at the last good
+    state, with a note that says why.
+    """
+    state, rhs, nsteps, invariants, names = _flow(system, point, selector, t_end, step)
+    traj = Trajectory(system=system, steps_requested=nsteps)
+    columns = [[value] for value in invariants(state)]
+    states = [state]
+    try:
+        for state in _steps(rhs, state, step, nsteps):
+            states.append(list(state))  # exact size: a comprehension's list is over-allocated
+            for column, value in zip(columns, invariants(state)):
+                column.append(value)
+    except BlowUpError as exc:
+        traj.truncated, traj.note = True, exc.note
     traj.states = states
     traj.times = [i * step for i in range(len(states))]
     for name, column in zip(names, columns, strict=True):
         traj.conserved[name] = column
         traj.drift[name], traj.peak_step[name] = _peak(column)
     return traj
+
+
+def endpoint(system: str, point, selector, t_end: float, step: float) -> list:
+    """The state at t_end of integrate's run, bit for bit, with no integral
+    sampled and no state kept.  The arguments are checked as integrate
+    checks them; a run that integrate would truncate raises BlowUpError
+    (invariant "blow-up"), naming the step at which it left the guard and
+    the step size."""
+    state, rhs, nsteps, _, _ = _flow(system, point, selector, t_end, step)
+    for state in _steps(rhs, state, step, nsteps):
+        pass
+    return state

@@ -16,7 +16,10 @@ the leading coefficients are the unique pattern (-l, 1, 1-l, 2, ..., -1, l),
 zero off A.  The full circle A = Z/n (even n) belongs to Sigma_n but
 supports no Laurent solution (the all-poles linear system is
 inconsistent), so indicial_solutions excludes it while sigma_enum keeps
-it.  Pole orders are r_i = alpha_{i+1} - alpha_{i-1}.
+it.  Pole orders are r_i = alpha_{i+1} - alpha_{i-1}.  The test oracle
+sigma_enum_brute checks the definition on all 2^n subsets at once:
+sigma_bits tests every subset's bit mask in parallel, as the bits of
+2^n-bit ints, in O(n^2) big-int operations.
 
 Higher coefficients solve (M - k I) a^(k) = (lower-order data), where M is
 the Kowalevski matrix  M_ij = dF_i/da_j(alpha) + delta_ij:
@@ -82,31 +85,43 @@ def cyclic_runs(A: Iterable[int], n: int) -> list[list[int]]:
     return runs
 
 
-def in_sigma_mask(mask: int, n: int) -> bool:
-    """Whether the subset {i + 1 : bit i of mask set} is in Sigma_n, by bit arithmetic.
+def sigma_bits(n: int) -> int:
+    """The 2^n-bit int whose bit m is set iff the subset {i + 1 : bit i of m
+    set} is in Sigma_n, with every mask tested at once.
 
-    The full circle is one run of length n.  Otherwise the mask is rotated
-    so that its lowest empty cell becomes the top bit: no run then wraps.
-    With s = x & ~(x << 1) the run starts, adding a start bit to x carries
-    through its run and lands on end + 1, which is an empty cell; the run
-    is even iff that cell has the start's parity."""
-    full = (1 << n) - 1
-    if mask == full:
-        return n % 2 == 0
-    z = (~mask & (mask + 1)).bit_length()  # lowest empty cell, plus one
-    x = (mask >> z) | ((mask & ((1 << z) - 1)) << (n - z))
-    starts = x & ~(x << 1)
-    even = ((1 << (n + n % 2)) - 1) // 3  # bits 0, 2, 4, ... below n
-    odd = full ^ even
-    return (((x + (starts & even)) & ~x & odd) == 0
-            and ((x + (starts & odd)) & ~x & even) == 0)
+    Bit m of X_i is bit i of m: blocks of 2^i zeros and 2^i ones, one pair
+    doubled until it fills 2^n bits.  An AND of X's and their complements
+    tests one pattern of cells on every mask.  A mask other than the full
+    one fails iff some empty cell i is followed cyclically by d - 1 set
+    cells and an empty cell i + d with d even (d = n: i is the only empty
+    cell); the full mask, one run of length n, is in Sigma_n iff n is
+    even.  That is O(n^2) operations on 2^n-bit ints."""
+    size = 1 << n
+    every = (1 << size) - 1
+    X = []
+    for i in range(n):
+        x, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            x, width = x | x << width, 2 * width
+        X.append(x)
+    empty = [every ^ x for x in X]
+    failing = 0
+    for i in range(n):
+        run = empty[i]
+        for d in range(1, n + 1):  # run: cell i empty, cells i + 1 .. i + d - 1 set
+            if d % 2 == 0:
+                failing |= run & empty[(i + d) % n]
+            run &= X[(i + d) % n]
+    return every ^ failing ^ (n % 2 << (size - 1))
 
 
 def sigma_enum_brute(n: int) -> list[tuple[int, ...]]:
-    """Filter all 2^n subsets by the bit test; the test oracle route,
-    independent of the constructive enumeration."""
+    """Read Sigma_n off sigma_bits: the test oracle route, a test of every
+    subset independent of the constructive enumeration.  The set bits are
+    found in one pass over the binary text, lowest mask first."""
+    text = bin(sigma_bits(n))[:1:-1]
     out = [tuple(i + 1 for i in range(n) if mask >> i & 1)
-           for mask in range(1 << n) if in_sigma_mask(mask, n)]
+           for mask, bit in enumerate(text) if bit == "1"]
     return sorted(out, key=lambda s: (len(s), s))
 
 

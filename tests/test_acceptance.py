@@ -8,9 +8,11 @@ conservation drift, [12, 20] for the step-halving ratio, and the stated
 runtime ceilings for the heavyweight suites.
 """
 
+import math
+
 import pytest
 
-from prymlab import morphism, sampling, verify
+from prymlab import morphism, numerics, sampling, verify
 from prymlab.algebra import Poly, integer_numerators, tridiag_minor_det, tridiag_run
 from prymlab.morphism import PhiImage, _descale
 
@@ -174,3 +176,21 @@ def test_parity_suite_fails_on_an_even_mumford_image(monkeypatch):
     images, tangents = verify.suite_parity(0)
     assert not images.passed and tangents.passed
     assert "parity broke at n=3, m=1: even-mumford" in images.detail
+
+
+def test_drift_convergence_fails_on_a_run_that_blows_up(monkeypatch):
+    # only the run with step 1e-2 gets a field that leaves the overflow
+    # guard; the check must name that run instead of reading its state
+    flow = numerics._flow
+
+    def one_run_blows_up(system, point, selector, t_end, step):
+        state, rhs, *rest = flow(system, point, selector, t_end, step)
+        if step == 1e-2:
+            rhs = lambda s: [math.inf] * len(s)
+        return (state, rhs, *rest)
+
+    monkeypatch.setattr(numerics, "_flow", one_run_blows_up)
+    drift, convergence = verify.suite_drift(0)
+    assert drift.passed and not convergence.passed
+    assert convergence.detail == ("BlowUpError: state exceeded overflow guard at step 1"
+                                  " of the run with step size 0.01")

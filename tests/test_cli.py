@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import prymlab
-from prymlab.algebra import Poly
+from prymlab.algebra import LaurentSeries, Poly
 from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, main
 from prymlab.errors import InvariantError
 from prymlab.morphism import MAX_QUAD_GENUS, quad_mumford_table
@@ -130,6 +130,7 @@ def test_verify_subcommand_quick(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["passed"]
+    assert all(check["elapsed"] >= 0 for check in payload["checks"])
     _validate(payload, "verify_report")
 
 
@@ -257,6 +258,17 @@ def test_an_output_past_the_digit_limit_exits_invariant(capsys):
     code, out = run_cli(capsys, "phi", "--point",
                         '{"n":3,"a":["1e5000","1","1e-5000"],"b":["0","0","0"]}', "--m", "3")
     assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "digit-limit" and "about 5001 digits" in error["message"]
+
+
+def test_an_example5_parameter_past_the_digit_limit_exits_before_any_series(capsys, monkeypatch):
+    built = []
+    init = LaurentSeries.__init__
+    monkeypatch.setattr(LaurentSeries, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    code, out = run_cli(capsys, "example5", "--k", "2", "--l", "1", "--beta", "1e5000")
+    assert code == EXIT_INVARIANT and not built
     error = json.loads(out)["error"]
     assert error["invariant"] == "digit-limit" and "about 5001 digits" in error["message"]
 
@@ -450,13 +462,10 @@ _painleve_sizes = st.one_of(st.integers(-2, 9), st.just(MAX_N + 1)).map(lambda n
 _cells = st.lists(st.integers(-1, 10), max_size=4).map(lambda A: ["--A", ",".join(map(str, A))])
 _sigma_argv = st.tuples(st.sampled_from([["sigma"], ["indicial"]]), _painleve_sizes)
 _kowalevski_argv = st.tuples(st.just(["kowalevski"]), _painleve_sizes, _cells)
-# example5 computes for seconds with a 5000-digit parameter before its
-# output meets the digit limit, so its parameters stay small
-_example5_text = _rational_text.filter(lambda text: text != "1e5000")
 _example5_argv = st.tuples(
-    st.just(["example5"]), _example5_text.map(lambda k: ["--k", k]),
-    _example5_text.map(lambda l: ["--l", l]), _option("--beta", _example5_text),
-    _option("--delta", _example5_text), _option("--order", st.integers(-1, 3)))
+    st.just(["example5"]), _rational_text.map(lambda k: ["--k", k]),
+    _rational_text.map(lambda l: ["--l", l]), _option("--beta", _rational_text),
+    _option("--delta", _rational_text), _option("--order", st.integers(-1, 3)))
 
 # the morphism commands: lattice points of a few sizes (n < 3 is refused),
 # triples that phi-inverse reconstructs at n = 3, 4, 5, generated and

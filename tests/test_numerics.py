@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from prymlab import morphism, numerics
 from prymlab.algebra import Poly
-from prymlab.errors import InvariantError
+from prymlab.errors import BlowUpError, InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
                              flow_values, momentum, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
 from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs, _prym_rhs,
-                              _toda_rhs, integrate)
+                              _toda_rhs, endpoint, integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
 from prymlab.toda import KMPoint, TodaPoint, char_coeffs, char_poly, km_field, toda_flow
@@ -345,6 +345,51 @@ def test_trajectory_matches_the_dict_loop_bit_for_bit(rng, run):
     assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
     assert traj.truncated == (run == "km-truncating")
     assert len(traj.times) == len(traj.states) == len(next(iter(traj.conserved.values())))
+
+
+@pytest.mark.parametrize("run", [run for run in ORACLE_RUNS if run != "km-truncating"])
+def test_endpoint_is_the_last_state_of_integrate_bit_for_bit(rng, run):
+    args = ORACLE_RUNS[run](rng)
+    want = integrate(*args).endpoint()
+    assert [x.hex() for x in endpoint(*args)] == [x.hex() for x in want]
+
+
+def test_endpoint_samples_no_integral(rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an integral was sampled")
+
+    monkeypatch.setattr(numerics, "char_coeffs", refuse)
+    monkeypatch.setattr(numerics, "_momentum_invariants", refuse)
+    for run in ("km-5", "toda-index-2", "even-mumford", "odd-prym"):
+        endpoint(*ORACLE_RUNS[run](rng))
+
+
+@pytest.mark.parametrize("field, note", [
+    (None, "state exceeded overflow guard at step "),
+    (lambda a: [math.nan] * len(a), "state became NaN at step 1")])
+def test_endpoint_raises_where_integrate_truncates(monkeypatch, field, note):
+    if field is not None:
+        monkeypatch.setattr(numerics, "km_field", field)
+    args = ("km", KMPoint((F(-2), F(-1, 2), F(1), F(1), F(1))), None, 8.0, 1e-2)
+    traj = integrate(*args)
+    assert traj.truncated and traj.note.startswith(note)
+    with pytest.raises(BlowUpError) as err:
+        endpoint(*args)
+    assert err.value.invariant == "blow-up" and err.value.note == traj.note
+    assert str(err.value) == f"{traj.note} of the run with step size 0.01"
+
+
+@pytest.mark.parametrize("args", [
+    ("km", REFERENCE, None, math.nan, 0.1), ("km", REFERENCE, None, 1e9, 1e-9),
+    ("nonsense", REFERENCE, None, 1.0, 0.1), ("km", KMPoint(()), None, 1.0, 0.1),
+    ("toda", TodaPoint((F(2), F(1, 2), F(1)), (F(0), F(1), F(0))), 3, 1.0, 0.1),
+    ("prym", MumfordTriple.from_json(ODD_PRYM_POINT), -BIG, 1.0, 0.1)])
+def test_endpoint_checks_its_arguments_as_integrate_does(args):
+    with pytest.raises(InvariantError) as want:
+        integrate(*args)
+    with pytest.raises(InvariantError) as got:
+        endpoint(*args)
+    assert (got.value.invariant, str(got.value)) == (want.value.invariant, str(want.value))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
