@@ -538,7 +538,8 @@ class LaurentSeries:
     coeffs[i], an int or Fraction, multiplies t^(lo+i); every coefficient above `hi` is unknown
     (truncated) and every one below lo is zero.  hi=None marks an exact
     series (a Laurent polynomial) whose higher coefficients are all zero.
-    Arithmetic tracks how far results remain valid, so "equals zero through
+    The constructor strips zeros from both ends of coeffs, so a series with
+    any coefficient has nonzero first and last ones.  Arithmetic tracks how far results remain valid, so "equals zero through
     the truncation order" is a meaningful exact statement.
     """
 
@@ -546,17 +547,16 @@ class LaurentSeries:
 
     def __init__(self, lo: int, coeffs: Iterable = (), hi: int | None = None):
         cs = list(coeffs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lo += 1
-        if hi is None:
-            while cs and cs[-1] == 0:
-                cs.pop()
-        else:
-            if cs and lo + len(cs) - 1 > hi:
-                raise ValueError("coefficients extend beyond the validity window")
-            while cs and cs[-1] == 0:
-                cs.pop()
+        first = 0
+        while first < len(cs) and cs[first] == 0:
+            first += 1
+        if first:
+            del cs[:first]
+            lo += first
+        if hi is not None and cs and lo + len(cs) - 1 > hi:
+            raise ValueError("coefficients extend beyond the validity window")
+        while cs and cs[-1] == 0:
+            cs.pop()
         if not cs:
             lo = 0 if hi is None else hi + 1
         self.lo = lo
@@ -612,8 +612,7 @@ class LaurentSeries:
     def is_zero_through(self, e: int) -> bool:
         if self.hi is not None and e > self.hi:
             raise TruncationError(f"window ends at t^{self.hi}, asked through t^{e}")
-        return all(self.coefficient(k) == 0
-                   for k in range(self.lo, min(e, self.lo + len(self.coeffs) - 1) + 1))
+        return not self.coeffs or e < self.lo  # coeffs[0], at t^lo, is nonzero
 
     # -- arithmetic --------------------------------------------------------------
 

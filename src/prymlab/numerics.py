@@ -2,17 +2,19 @@
 integrals monitored along every trajectory.
 
 All exact data is converted to floats once, at trajectory start (a value
-beyond the float range violates "float-range"); the
-conservation baselines are the float values at t = 0, so reported drift
-isolates integrator error from representation error.  The integrator is
-the classical fixed-step fourth-order one-step method; runs are short and
+beyond the float range violates "float-range"); the conservation
+baselines are the float values at t = 0, so reported drift isolates
+integrator error from representation error.  The integrator is the
+classical fixed-step fourth-order one-step method; runs are short and
 deterministic reproducibility of the drift numbers matters more than
-adaptivity.  integrate and endpoint share the argument checks, the set-up
-of each system and one stepping loop, which stops at the first state that
-leaves the overflow guard or turns NaN (expected behaviour near the
-Painleve poles of the lattice fields): integrate truncates and flags the
-trajectory there, and endpoint, which returns the final state alone,
-raises BlowUpError ("blow-up").
+adaptivity.  Mumford and Prym runs share one field, mumford.mumford_tangent
+read on the coordinate slots of the phase space (on a Prym space that
+reading is the reduced field).  integrate and endpoint share the argument
+checks, the set-up of each system and one stepping loop, which stops at
+the first state that leaves the overflow guard or turns NaN (expected
+behaviour near the Painleve poles of the lattice fields): integrate
+truncates and flags the trajectory there, and endpoint, which returns the
+final state alone, raises BlowUpError ("blow-up").
 
 integrate keeps every state and samples the first integrals after every
 step.  Their names are fixed once per run, each monitor returns its
@@ -34,8 +36,8 @@ from operator import indexOf
 
 from .algebra import _product
 from .errors import BlowUpError, InvariantError
-from .mumford import MUMFORD_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent, point_values
-from .prym import prym_tangent
+from .mumford import (MUMFORD_FLAVORS, PRYM_FLAVORS, MumfordTriple, _slot_codec, mumford_tangent,
+                      point_values)
 from .toda import (KMPoint, TodaPoint, _alternating_products, char_coeffs,
                    hierarchy_commutator, km_field)
 
@@ -115,16 +117,10 @@ def _toda_rhs(state, n, index):
 
 def _mumford_rhs(flavor, g, y):
     """X_y on float states (see mumford.mumford_tangent), with the layout of
-    the phase space resolved once."""
+    the phase space resolved once.  On a Prym flavor the slots read are the
+    Prym ones, which gives the reduced field (see prym.prym_flow)."""
     lists, read = _slot_codec(flavor, g)
     return lambda state: read(*mumford_tangent(*lists(state, 0.0, 1.0), y))
-
-
-def _prym_rhs(flavor, n, y):
-    """Reduced X_y on float states (see prym.prym_tangent), with the layout
-    resolved once; the remainders, zero up to rounding, are not checked."""
-    lists, read = _slot_codec(flavor, n)
-    return lambda state: read(*prym_tangent(*lists(state, 0.0, 1.0), y)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +216,13 @@ def _flow(system: str, point, selector, t_end: float, step: float):
         g = point.index
         y, = _floats([selector])
         state = _floats(point_values(point))
-        if system == "prym":
-            if flavor not in ("odd-prym", "even-prym"):
-                raise InvariantError("flavor", "prym integration needs a prym point")
-            rhs = _prym_rhs(flavor, g, y)
-        else:
-            if flavor not in MUMFORD_FLAVORS:
-                raise InvariantError(
-                    "flavor", "the ambient flow is not tangent to the parity"
-                    " locus; use system='prym' for prym points")
-            rhs = _mumford_rhs(flavor, g, y)
+        if system == "prym" and flavor not in PRYM_FLAVORS:
+            raise InvariantError("flavor", "prym integration needs a prym point")
+        if system == "mumford" and flavor not in MUMFORD_FLAVORS:
+            raise InvariantError(
+                "flavor", "the ambient flow is not tangent to the parity"
+                " locus; use system='prym' for prym points")
+        rhs = _mumford_rhs(flavor, g, y)
         lists = _slot_codec(flavor, g)[0]
         invariants = lambda s: _momentum_invariants(*lists(s, 0.0, 1.0))
         names = [f"H{j}" for j in range(point.u.degree + point.w.degree + 1)]

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable
 
@@ -128,20 +127,18 @@ def sigma_enum_brute(n: int) -> list[tuple[int, ...]]:
 def sigma_enum(n: int) -> list[tuple[int, ...]]:
     """All of Sigma_n, as the cell sets of the matchings of the n-cycle.
 
-    A matching of the path first..last leaves `first` out or pairs it with
-    first + 1; a matching of the cycle omits the edge {n, 1} (a matching of
-    the path 1..n) or uses it.  Only the full circle at even n (and n = 2)
-    arises twice.
+    A matching of the path 1..k leaves k out (a matching of 1..k-1) or
+    pairs it with k - 1 (a matching of 1..k-2 plus that pair), so the path
+    matchings are built bottom-up in k.  A matching of the cycle omits the
+    edge {n, 1} (a matching of the path 1..n) or uses it (a matching of
+    2..n-1, the path 1..n-2 shifted by one).  Only the full circle at even
+    n (and n = 2) arises twice.
     """
     _check_size(n, 2, "Sigma_n")
-
-    @cache
-    def path(first: int, last: int) -> list[tuple[int, ...]]:
-        if last <= first:
-            return [()]
-        return path(first + 1, last) + [(first, first + 1) + m for m in path(first + 2, last)]
-
-    cycle = path(1, n) + [(1,) + m + (n,) for m in path(2, n - 1)]
+    paths = [[()], [()]]  # paths[k]: the matchings of the path 1..k
+    for k in range(2, n + 1):
+        paths.append(paths[k - 1] + [m + (k - 1, k) for m in paths[k - 2]])
+    cycle = paths[n] + [(1, *map((1).__add__, m), n) for m in paths[n - 2]]
     return sorted(set(cycle), key=lambda s: (len(s), s))
 
 

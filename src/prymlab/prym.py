@@ -26,10 +26,18 @@ Both routes to the reduced brackets are implemented and compared:
     which are formally the same for both flavors (phi even on odd-prym,
     phi odd on even-prym).
 
-The reduced integrable fields are the Lax fields
+On the fixed locus the Mumford fields of the ambient space satisfy
+X_{-y} = j_* X_y, with j_*(du, dv, dw)(x) = (du(-x), -dv(-x), dw(-x)).
+Their projection to the locus, 1/2 (X_y + X_{-y}) on odd-prym and
+1/2 (X_y - X_{-y}) on even-prym, is therefore X_y read on the Prym
+coordinate slots, and by 1/(x^2 - y^2) = (1/2y)(1/(x-y) - 1/(x+y)) it is
+the reduced Lax field
 
     X_y L(x) = [L(x), M(x,y)] / (x^2 - y^2),
     M(x,y) = [[y v(y), x w(y) + x (x^2-y^2) u(y)], [x u(y), -y v(y)]].
+
+prym_flow and prym_flow_symbolic compute it as that reading of
+mumford.mumford_tangent; the Prym systems keep no field kernel of their own.
 
 The fibers live on spectral curves C: y^2 = f(x) with f even: f = p^2 - 4,
 p = char_poly / 2, on an n-particle lattice (deg f = 2n), and
@@ -44,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, exact_divide_x2_minus_xp2, horner, outer
+from .algebra import Poly, exact_divide_x2_minus_xp2, outer
 from .errors import InvariantError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
-                      MumfordTriple, _lift_phi, _padded, check_table_genus, degrees,
-                      flow_values, mumford_bracket_table, phase_coordinates,
+                      MumfordTriple, _lift_phi, _slot_codec, check_table_genus, degrees,
+                      mumford_bracket_table, mumford_tangent, phase_coordinates,
                       table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 
@@ -200,58 +208,22 @@ def tables_equal(a: BracketTable, b: BracketTable) -> bool:
 # reduced Lax flows
 # ---------------------------------------------------------------------------
 
-def prym_tangent(u: list, v: list, w: list, y) -> tuple[tuple, tuple]:
-    """Tangent (du, dv, dw) of the reduced field X_y at (u, v, w), as
-    ascending coefficient lists over any scalar ring, and the three
-    remainders of the divisions by x + y.
-
-    From the Lax form, with D_p = (p(x) - p(y)) / (x - y) from one Horner
-    pass each and D_xv = (x v(x) - y v(y)) / (x - y) = v + y D_v:
-        du = 2 (y v(y) D_u - u(y) D_xv) / (x + y)
-        dv = x (u(y) D_w - w(y) D_u) / (x + y) - x u(y) u
-        dw = 2 (w(y) D_xv - y v(y) D_w) / (x + y) + 2 x u(y) v
-    The remainders vanish identically on the parity locus.
-    """
-    Du, uy = horner(u, y)
-    Dv, vy = horner(v, y)
-    Dw, wy = horner(w, y)
-    n = len(Du)  # deg u; deg w = n + 2
-    v = _padded(v, n)
-    Dxv = [p + y * b for p, b in zip(v, _padded(Dv, n))]
-    yvy = y * vy
-    qu, ru = horner([yvy * a - uy * e for a, e in zip(Du, Dxv)], -y)
-    qv, rv = horner([0] + [uy * d - wy * a for d, a in zip(Dw, _padded(Du, n + 2))], -y)
-    qw, rw = horner([wy * e - yvy * d for e, d in zip(_padded(Dxv, n + 2), Dw)], -y)
-    du = [2 * c for c in qu]
-    dv = [q - uy * p for q, p in zip(qv, [0] + u)]
-    dw = [2 * (q + uy * p) for q, p in zip(qw, [0] + v)]
-    return (du, dv, dw), (ru, rv, rw)
-
-
-def _exact_prym_tangent(u: list, v: list, w: list, y) -> tuple[Poly, Poly, Poly]:
-    """prym_tangent at a rational y, insisting that every remainder is 0."""
-    tangent, residues = prym_tangent(u, v, w, Fraction(y))
-    if not all(r == 0 for r in residues):
-        raise InvariantError("tangent-shape", "the reduced field needs a point of prym parity")
-    return tuple(Poly(p) for p in tangent)
-
-
 def prym_flow(triple: MumfordTriple, y: Fraction) -> tuple[Poly, Poly, Poly]:
-    """Tangent of the reduced field X_y at a prym point (see prym_tangent)."""
+    """Tangent of the reduced field X_y at a prym point: the Mumford field
+    (mumford.mumford_tangent) read on the Prym slots, every other slot 0."""
     if triple.flavor not in PRYM_FLAVORS:
         raise InvariantError("flavor", "prym_flow needs a prym point")
-    return _exact_prym_tangent(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs, y)
+    lists, read = _slot_codec(triple.flavor, triple.index)
+    tangent = mumford_tangent(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs, Fraction(y))
+    return tuple(Poly(p) for p in lists(read(*tangent), 0, 0))
 
 
 def prym_flow_symbolic(flavor: str, n: int, y: Fraction) -> list[MultiPoly]:
-    """Components of the reduced X_y as polynomials in the prym coordinates.
-
-    Raises InvariantError("tangent-shape") if any forbidden-parity or fixed
-    coefficient of the tangent fails to vanish identically.
-    """
+    """Components of the reduced X_y as polynomials in the prym coordinates:
+    the symbolic Mumford field read on the Prym slots."""
     coords = phase_coordinates(flavor, n)
-    tangent = _exact_prym_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, y)
-    return flow_values(flavor, n, *tangent)
+    tangent = mumford_tangent(coords.u.coeffs, coords.v.coeffs, coords.w.coeffs, Fraction(y))
+    return _slot_codec(flavor, n)[1](*tangent)
 
 
 # ---------------------------------------------------------------------------

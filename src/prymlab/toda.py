@@ -97,11 +97,13 @@ class TodaPoint:
     @classmethod
     def from_json(cls, payload: dict) -> "TodaPoint":
         try:
-            n = int(payload["n"])
+            n = payload["n"]
             a = [parse_rational(str(x)) for x in payload["a"]]
             b = [parse_rational(str(x)) for x in payload.get("b", ["0"] * len(a))]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed lattice point: {exc}") from exc
+        if type(n) is not int:  # a JSON integer; not a bool, a float or a string
+            raise ParseError(f"malformed lattice point: n must be an integer, got {n!r}")
         if len(a) != n or len(b) != n:
             raise ParseError("sequence lengths disagree with n")
         return cls(tuple(a), tuple(b))

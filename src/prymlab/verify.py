@@ -368,15 +368,26 @@ def suite_parity(seed: int = 0) -> list[CheckResult]:
                 count += 1
         return f"{count} KM points, n in 3..5, every m"
 
-    def tangents():
-        for flavor in ("odd-prym", "even-prym"):
+    def reflection():
+        # X_{-y} = j_* X_y makes the Prym-slot reading of X_y its projection
+        # 1/2 (X_y + eps X_{-y}) to the locus, eps = +1 for j and -1 for -j
+        for flavor, eps in ((mumford.ODD_PRYM, 1), (mumford.EVEN_PRYM, -1)):
             for n in (1, 2):
-                prym.prym_flow_symbolic(flavor, n, Fraction(3, 2))
-                prym.prym_flow_symbolic(flavor, n, Fraction(-2))
-        return "symbolic tangents keep forbidden coefficients at 0, n <= 2"
+                coords = mumford.phase_coordinates(flavor, n)
+                u, v, w = coords.u.coeffs, coords.v.coeffs, coords.w.coeffs
+                for y in (Fraction(3, 2), Fraction(-2)):
+                    du, dv, dw = (Poly(p) for p in mumford.mumford_tangent(u, v, w, y))
+                    back = [Poly(p) for p in mumford.mumford_tangent(u, v, w, -y)]
+                    if back != [du.reflect(), -dv.reflect(), dw.reflect()]:
+                        raise AssertionError(f"X_(-y) != j_* X_y on {coords.flavor},"
+                                             f" index {coords.g}, y = {y}")
+                    half = [(p + eps * q) * Fraction(1, 2) for p, q in zip((du, dv, dw), back)]
+                    if prym.prym_flow_symbolic(flavor, n, y) != mumford.flow_values(flavor, n, *half):
+                        raise AssertionError(f"{flavor} field is not the projection at n={n}, y={y}")
+        return "X_(-y) = j_* X_y and the prym field is 1/2 (X_y +- X_(-y)), n <= 2"
 
     return [_check("parity: Phi images satisfy the parity constraints", images),
-            _check("parity: prym flow preserves the parity locus", tangents)]
+            _check("parity: j_* X_y = X_(-y) on the prym locus", reflection)]
 
 
 # ---------------------------------------------------------------------------

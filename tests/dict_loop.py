@@ -5,9 +5,10 @@ Here every monitor builds a dict of named integrals at every step, the
 loop folds each entry into its column and its running drift, the
 characteristic polynomial runs every b-pass of its minor recurrence (even
 for b = 0), and the Mumford/Prym coordinate layout is rebuilt on every
-call.  Only the shared tangent kernels (toda.hierarchy_commutator,
-mumford.mumford_tangent, prym.prym_tangent) and Poly come from the
-library.  The peak step of each drift is recorded when a new peak is set.
+call.  Only the shared tangent kernels (toda.hierarchy_commutator, and
+mumford.mumford_tangent for Mumford and Prym runs alike, whose reading on
+the Prym slots is the reduced field) and Poly come from the library.
+The peak step of each drift is recorded when a new peak is set.
 """
 
 import math
@@ -16,7 +17,6 @@ from prymlab.algebra import Poly
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM,
                              MumfordTriple, _coord_layout, mumford_tangent, point_values)
 from prymlab.numerics import BLOWUP_GUARD, MAX_STEPS, Trajectory
-from prymlab.prym import prym_tangent
 from prymlab.toda import TodaPoint, hierarchy_commutator
 
 
@@ -135,14 +135,10 @@ def integrate(system, point, selector, t_end, step) -> Trajectory:
         g = point.index
         y = float(selector)
         state = [float(x) for x in point_values(point)]
-        if system == "prym":
-            tangent = lambda u, v, w: prym_tangent(u, v, w, y)[0]
-        else:
-            tangent = lambda u, v, w: mumford_tangent(u, v, w, y)
 
         def rhs(s):
             u, v, w = _coefficient_lists(flavor, g, s, 0.0, 1.0)
-            return _read_slots(flavor, g, *tangent(u, v, w))
+            return _read_slots(flavor, g, *mumford_tangent(u, v, w, y))
         invariants = lambda s: _momentum_invariants(s, flavor, g)
 
     traj = Trajectory(system=system)

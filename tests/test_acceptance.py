@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from prymlab import morphism, numerics, sampling, verify
+from prymlab import morphism, mumford, numerics, sampling, verify
 from prymlab.algebra import Poly, integer_numerators, tridiag_minor_det, tridiag_run
 from prymlab.morphism import PhiImage, _descale
 
@@ -82,8 +82,8 @@ def test_criterion_10_numerical_conservation():
 
 
 def test_criterion_11_parity():
-    # 100 KM points (n = 3, 4, 5): image parity exact; prym tangents
-    # symbolic for n <= 2
+    # 100 KM points (n = 3, 4, 5): image parity exact; X_(-y) = j_* X_y
+    # and the prym field as its projection, symbolic for n <= 2
     _run("parity")
 
 
@@ -176,6 +176,17 @@ def test_parity_suite_fails_on_an_even_mumford_image(monkeypatch):
     images, tangents = verify.suite_parity(0)
     assert not images.passed and tangents.passed
     assert "parity broke at n=3, m=1: even-mumford" in images.detail
+
+
+def test_parity_reflection_check_fails_off_the_prym_locus(monkeypatch):
+    # on even-Mumford g = 2 coordinates alpha(t) = t + w3 - u1, and the
+    # Mumford field is no longer carried to X_(-y) by j
+    exact = mumford.phase_coordinates
+    monkeypatch.setattr(mumford, "phase_coordinates",
+                        lambda flavor, n: exact(mumford.EVEN_MUMFORD, 2))
+    images, reflection = verify.suite_parity(0)
+    assert images.passed and not reflection.passed
+    assert reflection.detail == "AssertionError: X_(-y) != j_* X_y on even-mumford, index 2, y = 3/2"
 
 
 def test_drift_convergence_fails_on_a_run_that_blows_up(monkeypatch):

@@ -521,6 +521,25 @@ def test_series_shift_truncate_zero():
     assert zero.known_zero() and zero == 0
 
 
+@pytest.mark.parametrize("coeffs", [[], [0, 0], [F(2)], [0, 0, F(1, 3), 0, -1, 0, 0],
+                                    [0, 5, 0], [F(0), F(-7, 2), F(0)]])
+@pytest.mark.parametrize("lo", [-3, 0, 2])
+@pytest.mark.parametrize("slack", [None, 0, 2])
+def test_series_is_zero_through_reads_each_coefficient(coeffs, lo, slack):
+    hi = None if slack is None else lo + len(coeffs) - 1 + slack
+    s = LaurentSeries(lo, coeffs, hi)
+    assert not s.coeffs or (s.coeffs[0] != 0 and s.coeffs[-1] != 0)
+    top = lo + len(coeffs) + 2 if hi is None else hi
+    for e in range(lo - 3, top + 1):
+        assert s.is_zero_through(e) == all(s.coefficient(k) == 0 for k in range(lo - 3, e + 1))
+
+
+def test_series_trailing_zero_past_the_window_is_refused():
+    with pytest.raises(ValueError, match="beyond the validity window"):
+        LaurentSeries(0, [0, F(1), 0], hi=1)
+    assert LaurentSeries(0, [0, F(1), 0], hi=2).coeffs == [F(1)]
+
+
 @st.composite
 def series(draw):
     """A Laurent series, exact or known through a window past its terms."""

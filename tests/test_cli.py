@@ -325,10 +325,20 @@ def test_flow_on_empty_lattice_exits_invariant(capsys, system):
     assert json.loads(out)["error"]["invariant"] == "size"
 
 
-@pytest.mark.parametrize("n", ["Infinity", "1e300"])
-def test_lattice_size_that_is_not_an_integer_exits_input(capsys, n):
-    code, out = run_cli(capsys, "flow", "--system", "km", "--point", f'{{"n":{n},"a":["1"]}}',
-                        "--t", "1", "--step", "0.1")
+_KM_FLOW = ("flow", "--system", "km", "--t", "1", "--step", "0.1", "--point")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(_KM_FLOW + ('{"n":Infinity,"a":["1"]}',), id="Infinity"),
+    pytest.param(_KM_FLOW + ('{"n":1e300,"a":["1"]}',), id="1e300"),
+    pytest.param(("phi", "--m", "3", "--point", '{"n":3.5,"a":["1","1","1"],"b":["0","0","0"]}'),
+                 id="3.5"),
+    pytest.param(_KM_FLOW + ('{"n":true,"a":["1"]}',), id="true"),
+    pytest.param(("phi", "--m", "3", "--point", '{"n":"3","a":["1","1","1"],"b":["0","0","0"]}'),
+                 id="string"),
+])
+def test_lattice_size_that_is_not_an_integer_exits_input(capsys, args):
+    code, out = run_cli(capsys, *args)
     assert code == EXIT_INPUT
     assert json.loads(out)["error"]["kind"] == "input"
 

@@ -16,7 +16,7 @@ from prymlab.errors import BlowUpError, InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
                              flow_values, momentum, mumford_bracket_table, mumford_flow,
                              phase_coordinates, point_values, triple_from_values)
-from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs, _prym_rhs,
+from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs,
                               _toda_rhs, endpoint, integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
 from prymlab.sampling import km_point, mumford_triple, toda_point
@@ -62,7 +62,7 @@ def test_prym_field_matches_exact(rng):
     y = F(7, 10)
     du, dv, dw = prym_flow(point, y)
     exact = [float(x) for x in flow_values(ODD_PRYM, 2, du, dv, dw)]
-    numeric = _prym_rhs(ODD_PRYM, 2, float(y))([float(x) for x in point_values(point)])
+    numeric = _mumford_rhs(ODD_PRYM, 2, float(y))([float(x) for x in point_values(point)])
     assert max(abs(a - b) for a, b in zip(exact, numeric)) < 1e-8
 
 
@@ -305,7 +305,7 @@ def test_float_prym_field_is_the_reduced_hamiltonian_field(rng, flavor, n):
     table = prym_bracket_table(flavor, n, phi)
     for y in (F(7, 10), F(-3, 2)):
         point = mumford_triple(rng, flavor, n)
-        numeric = _prym_rhs(flavor, n, float(y))([float(x) for x in point_values(point)])
+        numeric = _mumford_rhs(flavor, n, float(y))([float(x) for x in point_values(point)])
         _assert_close(numeric, _hamiltonian_oracle(table, flavor, n, point, phi, y))
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,16 @@ def test_sigma_small_counts():
 @pytest.mark.parametrize("n", list(range(2, 17)))
 def test_sigma_matches_brute_force(n):
     assert sigma_enum(n) == sigma_enum_brute(n)
+
+
+def test_sigma_enum_leaves_no_garbage_for_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        sigma_enum(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _lucas(n):

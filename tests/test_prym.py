@@ -12,8 +12,7 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              point_values, table_from_generators)
 from prymlab.prym import (dirac_reduce, genus_of_hyperelliptic, involution_j,
                           involution_signs, is_poisson_involution,
-                          prym_bracket_generators, prym_bracket_table,
-                          prym_flow, prym_flow_symbolic, prym_tangent,
+                          prym_bracket_generators, prym_bracket_table, prym_flow,
                           quotient_curves, reduce_mumford_table, tables_equal)
 from prymlab.sampling import km_point, mumford_triple
 from prymlab.symbolic import MultiPoly
@@ -141,12 +140,6 @@ def test_prym_flow_conserves_and_keeps_parity(rng):
             assert du.is_odd() and dv.is_even() and dw.is_odd()
 
 
-def test_prym_flow_symbolic_tangent_shape():
-    for flavor in (ODD_PRYM, EVEN_PRYM):
-        for n in (1, 2):
-            prym_flow_symbolic(flavor, n, F(3, 2))  # raises on any violation
-
-
 def test_prym_flow_is_reduced_hamiltonian_field(rng):
     for flavor, n in ((ODD_PRYM, 2), (EVEN_PRYM, 1)):
         point = mumford_triple(rng, flavor, n)
@@ -169,27 +162,34 @@ def test_even_prym_reducibility_signal(rng):
         assert momentum(point).coeff(0) == point.v.coeff(0) ** 2
 
 
-def _unchecked_triple(u, v, w, flavor):
-    """A triple that skips MumfordTriple's validation, to reach the flows
-    with a point off the parity locus."""
-    triple = object.__new__(MumfordTriple)
-    for name, value in (("u", u), ("v", v), ("w", w), ("flavor", flavor)):
-        object.__setattr__(triple, name, value)
-    return triple
+def _lax_field(point, y):
+    """(du, dv, dw) read off [L(x), M(x, y)] / (x^2 - y^2), L = [[v, w], [u, -v]]
+    and M as in the prym docstring, from 2x2 Poly products and Poly.divrem;
+    every remainder must vanish."""
+    u, v, w = point.u, point.v, point.w
+    uy, vy, wy = (Poly([p.evaluate(y)]) for p in (u, v, w))
+    x, d = Poly([0, 1]), Poly([-y * y, 0, 1])
+    L = [[v, w], [u, -v]]
+    M = [[y * vy, x * wy + x * d * uy], [x * uy, -y * vy]]
+
+    def product(A, B):
+        return [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)] for i in range(2)]
+
+    LM, ML = product(L, M), product(M, L)
+    out = []
+    for i, j in ((1, 0), (0, 0), (0, 1)):  # the entries holding u, v, w
+        quotient, remainder = (LM[i][j] - ML[i][j]).divrem(d)
+        assert remainder.is_zero()
+        out.append(quotient)
+    return tuple(out)
 
 
-def test_prym_kernel_remainders_vanish_on_the_parity_locus(rng):
-    for flavor, n in ((ODD_PRYM, 1), (ODD_PRYM, 2), (EVEN_PRYM, 1)):
+@pytest.mark.parametrize("flavor", [ODD_PRYM, EVEN_PRYM])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_prym_flow_is_the_reduced_lax_field(rng, flavor, n):
+    for y in (F(5, 3), F(-2, 7), F(4)):
         point = mumford_triple(rng, flavor, n)
-        _, residues = prym_tangent(point.u.coeffs, point.v.coeffs, point.w.coeffs, F(5, 3))
-        assert residues == (0, 0, 0)
-        wrong_parity = parse_poly("2") if flavor == EVEN_PRYM else parse_poly("0,2")
-        bad = _unchecked_triple(point.u + wrong_parity, point.v, point.w, flavor)
-        _, residues = prym_tangent(bad.u.coeffs, bad.v.coeffs, bad.w.coeffs, F(5, 3))
-        assert any(r != 0 for r in residues)
-        with pytest.raises(InvariantError) as caught:
-            prym_flow(bad, F(5, 3))
-        assert caught.value.invariant == "tangent-shape"
+        assert prym_flow(point, y) == _lax_field(point, y)
 
 
 # ---------------------------------------------------------------------------
