@@ -24,6 +24,26 @@ integral's drift (the largest distance from its value at t = 0) and the
 first step at which the drift peaked.  Trajectory.drift_summary()
 reports, per integral, the drift, the step and time of its peak, and the
 relative drift d / max(1, |value at t = 0|).
+
+The step, and integrate's monitor where it allows, run as straight-line
+code.  Once per run the function is traced: run once on recorders
+(_Recorder), a scalar type that records each +, -, *, / and negation it
+meets and refuses to read a value (a comparison, truth, abs, float(),
+hashing), so no branch on a value can be baked in.  The recording is
+emitted as one Python function over generated names (a few dozen
+locals, each taken again once its value is dead) and compiled; its
+constants (y, h, the 0.0 and 1.0 of the coefficient lists, the int 0 and
+2 of the kernels, inf, nan and -0.0 alike) reach it as objects in its
+namespace, never as text.  It runs the kernel's float operations on the
+same operands in the same order, so every state and integral is bit for
+bit the kernel's, and the field keeps its one implementation: the
+recorder is one more scalar type run through mumford.mumford_tangent,
+toda.km_field and toda.hierarchy_commutator.  The KM monitor traces (its
+zero shifts are constants).  The Toda monitor (tridiag_run tests the
+traced b_k against 0) and the momentum monitor (the exact-zero row skip
+of algebra._product, and _trimmed) compare values, so they stay on the
+kernel, as does a field that branches on a value and any trace past
+MAX_TRACE_OPS operations.
 """
 
 from __future__ import annotations
@@ -31,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from operator import indexOf
 
 from .algebra import _product
@@ -103,6 +123,136 @@ def _rk4_step(f, x, h):
     k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
     return [xi + h / 6.0 * (a + 2 * b + 2 * c + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+# ---------------------------------------------------------------------------
+# straight-line code: a function of the state, recorded once and compiled
+# ---------------------------------------------------------------------------
+
+MAX_TRACE_OPS = 10_000  # compiling takes some 7 us per operation; a longer trace is given up
+
+
+class _Refused(Exception):
+    """The traced code asked for a value, or the trace grew past MAX_TRACE_OPS."""
+
+
+def _recording(op: str, reflected: bool = False):
+    """_Recorder's method for one binary operator (reflected: the other
+    operand stands on the left)."""
+    def method(self, other):
+        if type(other) not in (_Recorder, float, int):
+            return NotImplemented
+        return self.tape.record(other, op, self) if reflected else self.tape.record(self, op, other)
+    return method
+
+
+def _refuse(self, *args):
+    raise _Refused(f"the traced code reads value {self.index}")
+
+
+class _Recorder:
+    """A float yet to come, value `index` of its tape: arithmetic on it
+    appends an operation to the tape and gives the recorder of the result.
+    Anything that reads the value (a comparison, truth, abs, float(),
+    hashing) raises _Refused, so no branch on a value can be baked into a
+    trace."""
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape, index):
+        self.tape, self.index = tape, index
+
+    def __neg__(self):
+        return self.tape.record(None, "-", self)
+
+    __add__, __radd__ = _recording("+"), _recording("+", True)
+    __sub__, __rsub__ = _recording("-"), _recording("-", True)
+    __mul__, __rmul__ = _recording("*"), _recording("*", True)
+    __truediv__, __rtruediv__ = _recording("/"), _recording("/", True)
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+    __bool__ = __abs__ = __float__ = __hash__ = _refuse
+
+
+class _Tape:
+    """One trace: `ops` holds (left, op, right) per recorded operation, in
+    order, with a value as its index (the inputs come first, then one value
+    per operation) and a constant as its generated name c<k>.  The constant
+    itself goes into `constants`, to reach the compiled code as a global,
+    never as text."""
+
+    def __init__(self):
+        self.ops, self.constants, self._named, self.values = [], {}, {}, 0
+
+    def value(self) -> _Recorder:
+        self.values += 1
+        return _Recorder(self, self.values - 1)
+
+    def operand(self, x):
+        if type(x) is _Recorder:
+            return x.index
+        name = self._named.get(id(x))  # constants stays alive, so ids are not reused
+        if name is None:
+            name = self._named[id(x)] = f"c{len(self.constants)}"
+            self.constants[name] = x
+        return name
+
+    def record(self, left, op, right) -> _Recorder:
+        if len(self.ops) == MAX_TRACE_OPS:
+            raise _Refused(f"the trace passes {MAX_TRACE_OPS} operations")
+        self.ops.append((None if left is None else self.operand(left), op, self.operand(right)))
+        return self.value()
+
+
+def _emit(fn, width: int):
+    """(source, constants) of fn traced on a state of `width` floats: one
+    function `traced(s)` that unpacks s, runs every recorded operation in
+    its order, one per line, and returns fn's outputs as a list.  Operations
+    between two constants ran while tracing, as fn runs them on every call.
+    The values live in locals r<k>, and a local is taken again once the
+    value it held has been read for the last time, so that a call sets up
+    and clears a few dozen locals, not one per operation.  Raises _Refused,
+    or whatever else fn raised on the recorders."""
+    tape = _Tape()
+    inputs = [tape.value() for _ in range(width)]
+    outputs = [tape.operand(y) for y in fn(inputs)]
+    ops = tape.ops
+    last = [-1] * tape.values  # the line that reads each value last
+    for line, (left, _, right) in enumerate(ops):
+        for x in (left, right):
+            if type(x) is int:
+                last[x] = line
+    for x in outputs:
+        if type(x) is int:
+            last[x] = len(ops)
+    local, free, fresh = [], [], (f"r{k}" for k in count())
+
+    def store(line):  # the local of the next value, which `line` writes
+        local.append(free.pop() if free else next(fresh))
+        if last[len(local) - 1] <= line:  # never read
+            free.append(local[-1])
+        return local[-1]
+
+    text = lambda x: x if type(x) is str else local[x]
+    body = [f"[{', '.join(store(-1) for _ in inputs)}] = s"]
+    for line, (left, op, right) in enumerate(ops):
+        expr = f"{op} {text(right)}" if left is None else f"{text(left)} {op} {text(right)}"
+        free += [local[x] for x in dict.fromkeys((left, right)) if type(x) is int and last[x] == line]
+        body.append(f"{store(line)} = {expr}")
+    body.append(f"return [{', '.join(map(text, outputs))}]")
+    return "def traced(s):\n    " + "\n    ".join(body) + "\n", tape.constants
+
+
+def _traced(fn, width: int):
+    """fn on a list of `width` floats as compiled straight-line code, bit
+    for bit fn's floats (the same operations on the same operands in the
+    same order); None where the trace gave up.  Whatever stops a trace, the
+    caller keeps fn itself, which raises what the run would raise."""
+    try:
+        source, namespace = _emit(fn, width)
+    except Exception:
+        return None
+    exec(source, namespace)
+    return namespace["traced"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +388,11 @@ def _flow(system: str, point, selector, t_end: float, step: float):
 def _steps(rhs, state, step: float, nsteps: int):
     """The state after each of nsteps steps.  The first state that leaves
     the overflow guard or turns NaN raises BlowUpError instead."""
+    advance = lambda x: _rk4_step(rhs, x, step)
+    advance = _traced(advance, len(state)) or advance
     inside = BLOWUP_GUARD.__ge__
     for i in range(1, nsteps + 1):
-        state = _rk4_step(rhs, state, step)
+        state = advance(state)
         if not all(map(inside, map(abs, state))):  # also true for NaN
             reason = "became NaN" if any(map(math.isnan, state)) else "exceeded overflow guard"
             raise BlowUpError(f"state {reason} at step {i}", step)
@@ -261,6 +413,7 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
     """
     state, rhs, nsteps, invariants, names = _flow(system, point, selector, t_end, step)
     traj = Trajectory(system=system, steps_requested=nsteps)
+    invariants = _traced(invariants, len(state)) or invariants
     columns = [[value] for value in invariants(state)]
     states = [state]
     try:

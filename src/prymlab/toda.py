@@ -97,9 +97,12 @@ class TodaPoint:
     @classmethod
     def from_json(cls, payload: dict) -> "TodaPoint":
         try:
-            n = payload["n"]
-            a = [parse_rational(str(x)) for x in payload["a"]]
-            b = [parse_rational(str(x)) for x in payload.get("b", ["0"] * len(a))]
+            n, a = payload["n"], payload["a"]
+            b = payload.get("b", ["0"] * len(a)) if type(a) is list else None
+            if type(b) is not list:  # a JSON string would be read one character at a time
+                raise TypeError("a and b must be arrays")
+            a = [parse_rational(str(x)) for x in a]
+            b = [parse_rational(str(x)) for x in b]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed lattice point: {exc}") from exc
         if type(n) is not int:  # a JSON integer; not a bool, a float or a string

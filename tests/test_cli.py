@@ -343,6 +343,25 @@ def test_lattice_size_that_is_not_an_integer_exits_input(capsys, args):
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+_PHI = ("phi", "--m", "3", "--point")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(_PHI + ('{"n":3,"a":"111","b":"000"}',), id="string-a-and-b"),
+    pytest.param(_PHI + ('{"n":3,"a":["1","1","1"],"b":"000"}',), id="string-b"),
+    pytest.param(_PHI + ('{"n":1,"a":{"1":"1"},"b":["0"]}',), id="object-a"),
+    pytest.param(_PHI + ('{"n":1,"a":["1"],"b":{"0":"0"}}',), id="object-b"),
+    pytest.param(_KM_FLOW + ('{"n":3,"a":"111"}',), id="km-string-a"),
+    pytest.param(_KM_FLOW + ('{"n":1,"a":{"1":"1"}}',), id="km-object-a"),
+])
+def test_lattice_sequence_that_is_not_an_array_exits_input(capsys, args):
+    """A string is not read one character at a time, nor an object by its keys."""
+    code, out = run_cli(capsys, *args)
+    assert code == EXIT_INPUT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input" and "must be arrays" in error["message"]
+
+
 def test_lattice_size_is_checked_before_any_allocation(capsys):
     tracemalloc.start()
     try:

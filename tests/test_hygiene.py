@@ -268,3 +268,72 @@ def test_package_exports_resolve():
     assert package.__all__ and not missing, f"prymlab.__all__ names that resolve nowhere: {missing}"
     with pytest.raises(AttributeError):
         package.__getattr__("no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# generated code: one emitter, and only generated names in what it compiles
+# ---------------------------------------------------------------------------
+
+CODE_RUNNERS = {"exec", "eval", "compile", "__import__", "builtins"}
+
+
+def code_runners(module: str, source: str) -> list[str]:
+    """module.function (module.<module> at top level) of every bare use of
+    exec, eval, compile or __import__, and of every reference to builtins,
+    through which they could be reached as attributes."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names = {sub.id}
+            elif isinstance(sub, ast.Import):
+                names = {alias.name.split(".")[0] for alias in sub.names}
+            elif isinstance(sub, ast.ImportFrom):
+                names = {sub.module} | {alias.name for alias in sub.names}
+            else:
+                continue
+            if names & CODE_RUNNERS:
+                found.append(f"{module}.{where}")
+    return found
+
+
+def test_only_the_emitter_runs_generated_code():
+    found = [where for module, text in _src_sources().items()
+             for where in code_runners(module, text)]
+    assert found == ["numerics._traced"]
+
+
+def test_code_runner_scanner_sees_each_form():
+    source = ("import builtins\n"
+              "def f(x): return eval(x)\n"
+              "def h(): from builtins import getattr as get\n"
+              "class C:\n"
+              "    def m(self, s): exec(s)\n"
+              "def g(p): return p.eval(1)\n")
+    assert code_runners("a", source) == ["a.<module>", "a.f", "a.h", "a.C"]
+
+
+def test_generated_source_holds_only_generated_names():
+    """The source that the emitter compiles for a Prym step names only the
+    generated function, its argument s, the generated locals r<k> and the
+    generated constants c<k>; no literal, call or attribute, so no text of a run's
+    input (here a Lax parameter that prints as nan) reaches exec."""
+    from prymlab.mumford import EVEN_PRYM
+    from prymlab.numerics import _emit, _mumford_rhs, _rk4_step
+
+    rhs = _mumford_rhs(EVEN_PRYM, 1, float("nan"))
+    source, constants = _emit(lambda x: _rk4_step(rhs, x, 1e-3), 5)
+    tree = ast.parse(source)
+    (func,) = tree.body
+    assert isinstance(func, ast.FunctionDef) and func.name == "traced"
+    assert [a.arg for a in func.args.args] == ["s"] and not func.decorator_list
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    generated = re.compile(r"[rc][0-9]+")
+    assert names - {"s"} and all(generated.fullmatch(name) for name in names - {"s"})
+    assert {name for name in names if name.startswith("c")} == set(constants)
+    allowed = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Name,
+               ast.List, ast.BinOp, ast.UnaryOp, ast.Return, ast.Load, ast.Store,
+               ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub)
+    assert all(isinstance(node, allowed) for node in ast.walk(tree))

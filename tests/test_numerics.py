@@ -2,6 +2,7 @@
 conservation drift, convergence order, blow-up handling."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -437,3 +438,112 @@ def test_momentum_runs_build_no_poly(rng, monkeypatch, system, flavor, g):
     monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(1) or init(self, *args))
     traj = integrate(system, point, 0.3, 0.05, 1e-3)
     assert len(traj.times) == 51 and not built
+
+
+# ---------------------------------------------------------------------------
+# the traced lane: the step and the monitor as compiled straight-line code
+# ---------------------------------------------------------------------------
+
+def _watch_traces(monkeypatch) -> list:
+    """What each numerics._traced call of the runs that follow returns, in
+    call order (integrate traces its monitor, then the step); None where
+    the trace gave up and the run stays on the kernel."""
+    got, traced = [], numerics._traced
+    monkeypatch.setattr(numerics, "_traced", lambda fn, width: got.append(traced(fn, width))
+                        or got[-1])
+    return got
+
+
+def test_a_field_that_branches_on_a_value_falls_back(rng, monkeypatch):
+    def branching(a):  # the KM field, through a branch on each value (NaN takes the else)
+        return [d if abs(d) >= 0 else d for d in km_field(a)]
+
+    monkeypatch.setattr(numerics, "km_field", branching)
+    args = ORACLE_RUNS["km-6"](rng)
+    traces = _watch_traces(monkeypatch)
+    traj = integrate(*args)
+    assert traces[0] is not None and traces[1] is None  # the monitor traced, the step did not
+    assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
+    assert [x.hex() for x in endpoint(*args)] == [x.hex() for x in traj.endpoint()]
+
+
+@pytest.mark.parametrize("y", [-0.0, 5e-324, 1e300])
+@pytest.mark.parametrize("system, flavor, g", [
+    ("mumford", ODD_MUMFORD, 2), ("mumford", EVEN_MUMFORD, 2),
+    ("prym", ODD_PRYM, 2), ("prym", EVEN_PRYM, 1)])
+def test_traced_momentum_runs_match_the_dict_loop_at_extreme_y(rng, monkeypatch,
+                                                               system, flavor, g, y):
+    """y reaches the compiled step as an object, so its sign and its
+    subnormal or huge magnitude survive; at y = 1e300 both runs leave the
+    guard at the same step."""
+    args = (system, mumford_triple(rng, flavor, g), y, 0.05, 1e-3)
+    traces = _watch_traces(monkeypatch)
+    traj = integrate(*args)
+    assert traces[0] is None and traces[1] is not None  # the momentum monitor compares values
+    assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
+    assert traj.truncated == (y == 1e300)
+
+
+def test_a_nan_field_runs_traced(monkeypatch):
+    """The NaN field of test_endpoint_raises_where_integrate_truncates runs
+    as compiled code: its constant outputs reach the step as objects."""
+    monkeypatch.setattr(numerics, "km_field", lambda a: [math.nan] * len(a))
+    traces = _watch_traces(monkeypatch)
+    with pytest.raises(BlowUpError) as err:
+        endpoint("km", REFERENCE, None, 1.0, 0.1)
+    assert traces[0] is not None and err.value.note == "state became NaN at step 1"
+
+
+def test_a_trace_past_the_cap_falls_back(rng, monkeypatch):
+    point = toda_point(rng, 12)
+    rhs = lambda s: numerics._toda_rhs(s, 12, 11)
+    with pytest.raises(numerics._Refused, match=f"passes {numerics.MAX_TRACE_OPS} operations"):
+        numerics._emit(lambda x: numerics._rk4_step(rhs, x, 1e-3), 24)
+    args = ("toda", point, 11, 0.005, 1e-3)
+    traces = _watch_traces(monkeypatch)
+    traj = integrate(*args)
+    assert traces == [None, None]  # the Toda monitor compares b with 0
+    assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
+
+
+@pytest.mark.parametrize("read", [
+    lambda x: x == 1.0, lambda x: 1.0 != x, lambda x: x < 1.0, lambda x: 0 >= x,
+    bool, abs, float, hash], ids=["==", "!=", "<", ">=", "bool", "abs", "float", "hash"])
+def test_the_recorder_refuses_to_read_a_value(read):
+    x = numerics._Tape().value()
+    with pytest.raises(numerics._Refused):
+        read(x)
+
+
+def test_recorded_operations_keep_their_operands_and_order():
+    """Reflected operations keep the constant on the left, an operation on
+    two constants runs while tracing, and the compiled code gives the
+    bits of the function run on floats, signed zeros, infinities and NaN
+    included; a constant of another type is not recorded."""
+    def fn(s):
+        x, y = s
+        return [1.0 - x, x / 2, -y, 0.0 * x, (0.5 * 3.0) * y, x + y * x, 2.0]
+
+    source, constants = numerics._emit(fn, 2)
+    assert source.splitlines()[1:3] == ["    [r0, r1] = s", "    r2 = c0 - r0"]
+    assert list(map(repr, constants.values())) == ["1.0", "2", "0.0", "1.5", "2.0"]
+    compiled = numerics._traced(fn, 2)
+    for s in ([-0.0, 0.0], [math.inf, -math.inf], [math.nan, 5e-324], [1e308, -3.0]):
+        assert [v.hex() for v in compiled(s)] == [v.hex() for v in fn(s)]
+    with pytest.raises(TypeError):
+        numerics._Tape().value() + F(1)
+
+
+def test_a_local_is_taken_again_once_its_value_is_read_for_the_last_time():
+    """A chain of 50 additions runs in one local, and each kept state value in its own."""
+    def chain(s):
+        x = s[0]
+        for _ in range(50):
+            x = x + 1.0
+        return [x]
+
+    source, _ = numerics._emit(chain, 1)
+    assert set(re.findall(r"r[0-9]+", source)) == {"r0"} and source.count("r0 = r0 + c") == 50
+    source, _ = numerics._emit(lambda s: [s[0] * s[1], s[1], s[0]], 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    r2 = r0 * r1",
+                                       "    return [r2, r1, r0]"]
