@@ -8,9 +8,9 @@ This module provides those substrates:
     Poly           dense univariate polynomials, coefficients ascending
     LaurentSeries  truncated Laurent series with an explicit validity window
 
-plus the structural operations the rest of the package consumes:
-divided differences, the tridiagonal minor recurrence and the monic-square
-splitting f = p^2 + r.
+plus the structural operations the rest of the package consumes: the
+one long division (Poly.divrem), divided differences, the tridiagonal
+minor recurrence and the monic-square splitting f = p^2 + r.
 
 Coefficient slots are duck typed: the same Poly code is reused with
 MultiPoly (symbolic.py) or LaurentSeries coefficients whenever an identity
@@ -19,11 +19,11 @@ zero is the plain int 0, which coerces correctly against every coefficient
 type used here.
 
 A bivariate polynomial F(x, x') is a Poly in x whose coefficients are Polys
-in x' (Q[x, x'] = (Q[x'])[x]): bicoeff(F, i, j) reads x^i x'^j, and outer,
-of_sum, divided_difference and exact_divide_x2_minus_xp2 build the
-generating functions.  A factor that depends on x' alone must be lifted to
-Poly([q]) before it multiplies such an F: a bare Poly q is read as a
-polynomial in x.
+in x' (Q[x, x'] = (Q[x'])[x]): bicoeff(F, i, j) reads x^i x'^j, outer,
+of_sum and divided_difference build the generating functions, and
+Poly.divrem divides them by a polynomial monic in x, such as x^2 - x'^2.
+A factor that depends on x' alone must be lifted to Poly([q]) before it
+multiplies such an F: a bare Poly q is read as a polynomial in x.
 
 Text format for rational polynomials: comma-separated coefficients in
 ascending degree, each an integer or `p/q`, e.g. `-4,0,9,0,-6,0,1` is
@@ -214,23 +214,33 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact long division over a field of coefficients."""
+        """(q, r) with self = q divisor + r and deg r < deg divisor.
+
+        A monic divisor needs no division, so any coefficient ring serves
+        (MultiPoly, Polys in x'); otherwise the ring must be a field, and
+        ints are divided as Fractions.  Exact-zero divisor coefficients are
+        skipped, and so is the leading slot, which is never read again."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         dd = divisor.degree
         lead = divisor.coeffs[-1]
+        monic = lead == 1
+        # negated, so that an int 0 slot of rem takes a Poly by +
+        body = [(j, -b) for j, b in enumerate(divisor.coeffs[:dd]) if not _exact_zero(b)]
         quot = [0] * max(0, len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
+            q = rem[k]
+            if q == 0:
                 continue
-            if type(c) is int and type(lead) is int:
-                c = Fraction(c)
-            q = c / lead if isinstance(c, Fraction) or isinstance(lead, Fraction) else c * (1 / lead)
+            if not monic:
+                if type(q) is int and type(lead) is int:
+                    q = Fraction(q)
+                exact = isinstance(q, Fraction) or isinstance(lead, Fraction)
+                q = q / lead if exact else q * (1 / lead)
             quot[k - dd] = q
-            for j, b in enumerate(divisor.coeffs):
-                rem[k - dd + j] = rem[k - dd + j] - q * b
+            for j, b in body:
+                rem[k - dd + j] = rem[k - dd + j] + b * q
         return Poly(quot), Poly(rem[:dd])
 
     def __repr__(self) -> str:
@@ -386,23 +396,6 @@ def divided_difference(p: Poly, phi: Poly) -> Poly:
                 for s in range(j - i):
                     grid[i + s][j - 1 - s] = grid[i + s][j - 1 - s] - c
     return Poly([Poly(row) for row in grid])
-
-
-_XP2 = Poly([0, 0, 1])
-
-
-def exact_divide_x2_minus_xp2(F: Poly) -> Poly:
-    """Divide F(x, x') by (x^2 - x'^2), insisting on exactness.
-
-    Long division in x by x^2 - c with c = x'^2, from the top row down."""
-    rows = list(F.coeffs)
-    quot = [0] * max(0, len(rows) - 2)
-    for i in range(len(rows) - 1, 1, -1):
-        quot[i - 2] = rows[i]
-        rows[i - 2] = rows[i - 2] + _XP2 * rows[i]
-    if not all(row == 0 for row in rows[:2]):
-        raise ValueError("bivariate polynomial is not divisible by x^2 - x'^2")
-    return Poly(quot)
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,6 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
 # inverse reconstruction
 # ---------------------------------------------------------------------------
 
-def _subleading_sum(s: Poly) -> Fraction:
-    """For monic S of degree d, return sum of the b's it encodes,
-    i.e. -coefficient of x^{d-1}."""
-    return -Fraction(s.coeff(s.degree - 1)) if s.degree >= 1 else Fraction(0)
-
-
 def _monic_separation(product: Poly, expected_degree: int, label: str):
     """Split c * S with S monic of expected_degree into (c, S)."""
     if product.degree != expected_degree:
@@ -191,18 +185,20 @@ def _monic_separation(product: Poly, expected_degree: int, label: str):
 def phi_inverse(triple: MumfordTriple, n: int) -> TodaPoint:
     """Invert the m = n map: reconstruct the unique Toda preimage.
 
-    Proceeds by induction on the trailing minors S_j = Delta_{j..n}
-    (monic of degree j-1) using the three-term recursion
-    S_{j+1} = (x - b_j) S_j - a_{j-1} S_{j-1}; each step separates the
-    scalar a_{j-1} from the monic S_{j-1} and reads b off subleading
-    coefficients.  Raises NotInImageError when any separation fails.
+    Euclid's algorithm on the trailing minors S_j = Delta_{j..n}, monic of
+    degree j-1 with S_n = u: p divided by u leaves x - b_n and -s, and, by
+    S_{j+1} = (x - b_j) S_j - a_{j-1} S_{j-1}, S_{j+1} divided by S_j
+    leaves x - b_j and -a_{j-1} S_{j-1}; S_2 = x - b_1.  s and v are the
+    sum and difference of a_{n-1} Delta_{n-1,n} and a_n Delta_{1,n}.
+    Raises NotInImageError when a scalar times a minor has the wrong degree.
     """
+    if n < 3:
+        raise InvariantError("size", "the morphism needs n >= 3")
     u, v, w = triple.u, triple.v, triple.w
     if u.degree != n - 1:
         raise NotInImageError(f"deg u = {u.degree}, expected {n - 1}")
-    f = u * w + v * v
     try:
-        p, r = pr_split_from(f, n)
+        p, r = pr_split_from(u * w + v * v, n)
     except ValueError as exc:
         raise NotInImageError(str(exc)) from exc
     if r != Poly([Fraction(-4)]):
@@ -210,27 +206,20 @@ def phi_inverse(triple: MumfordTriple, n: int) -> TodaPoint:
 
     b = [Fraction(0)] * (n + 1)  # 1-based
     a = [Fraction(0)] * (n + 1)
-    sum_all = -Fraction(p.coeff(n - 1))
-    sigma_n = _subleading_sum(u)  # b_1 + ... + b_{n-1}
-    b[n] = sum_all - sigma_n
-
-    # split a_{n-1} Delta_{n-1,n} and a_n Delta_{1,n} out of the linear system
-    s = Poly([-b[n], Fraction(1)]) * u - p
-    a_n1_prod = Fraction(1, 2) * (s + v)
-    a_n_prod = Fraction(1, 2) * (s - v)
-    a[n - 1], s_prev = _monic_separation(a_n1_prod, n - 2, "a_{n-1} Delta_{n-1,n}")
-    a[n], _ = _monic_separation(a_n_prod, n - 2, "a_n Delta_{1,n}")
+    q, rem = p.divrem(u)
+    b[n], s = -q.coeff(0), -rem
+    # split a_{n-1} Delta_{n-1,n} and a_n Delta_{1,n} out of s and v
+    a[n - 1], s_prev = _monic_separation(Fraction(1, 2) * (s + v), n - 2, "a_{n-1} Delta_{n-1,n}")
+    a[n], _ = _monic_separation(Fraction(1, 2) * (s - v), n - 2, "a_n Delta_{1,n}")
 
     s_cur = u  # S_n
-    # downward induction: j = n-1 .. 2 yields a_{j-1}, S_{j-1}, b_j
+    # downward induction: j = n-1 .. 2 yields b_j, a_{j-1} and S_{j-1}
     for j in range(n - 1, 1, -1):
-        b[j] = _subleading_sum(s_cur) - _subleading_sum(s_prev)
-        prod = Poly([-b[j], Fraction(1)]) * s_prev - s_cur
-        a[j - 1], s_next = _monic_separation(prod, j - 2, f"a_{j - 1} Delta_{j - 1}..n")
+        q, rem = s_cur.divrem(s_prev)
+        b[j] = -q.coeff(0)
+        a[j - 1], s_next = _monic_separation(-rem, j - 2, f"a_{j - 1} Delta_{j - 1}..n")
         s_cur, s_prev = s_prev, s_next
-    if s_prev != Poly([Fraction(1)]):
-        raise NotInImageError("trailing minor did not terminate at 1")
-    b[1] = _subleading_sum(s_cur)
+    b[1] = -s_cur.coeff(0)  # S_2 = x - b_1
 
     try:
         return TodaPoint(tuple(a[1:]), tuple(b[1:]))

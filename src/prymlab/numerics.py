@@ -344,7 +344,7 @@ def _flow(system: str, point, selector, t_end: float, step: float):
         raise InvariantError("step-count", f"t_end / step exceeds {MAX_STEPS} steps")
     if system == "km":
         if not isinstance(point, KMPoint):
-            point = KMPoint(tuple(point))
+            raise InvariantError("point-type", "km integration needs a KMPoint")
         n = point.n
         state = _floats(point.a)
         rhs = km_field

@@ -53,6 +53,11 @@ from .errors import InvariantError, ResonanceError
 from .symbolic import _eliminate, shifted_determinants, solve_affine
 from .toda import MAX_N, km_field
 
+# The largest Laurent order laurent_balance accepts.  On one Intel Xeon core
+# the balance on cells {1, 2} at n = MAX_N, free parameters in 1..3, takes
+# 8 ms at order 20 (the most any suite uses), 0.4 s at 200, 5.1 s at 400.
+MAX_ORDER = 200
+
 
 def _check_size(n: int, least: int, what: str) -> None:
     if not least <= n <= MAX_N:
@@ -318,18 +323,19 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
                     order: int) -> list[LaurentSeries]:
     """Laurent solution attached to a balance, coefficients through t^(order-1).
 
-    free_params maps slot names "a<i>.<k>" to exact rationals, one per
-    non-pivot column of M - k I; supplying the wrong set of slots raises,
-    as does an inconsistent resonance.  The returned series satisfy the
-    Volterra equations exactly through their validity window.
+    The order must lie in 0..MAX_ORDER (InvariantError("order"), before
+    any work).  free_params maps slot names "a<i>.<k>" to exact rationals,
+    one per non-pivot column of M - k I; supplying the wrong set of slots
+    raises, as does an inconsistent resonance.  The returned series satisfy
+    the Volterra equations exactly through their validity window.
 
     Each order a^(k) is kept as integer numerators over one denominator in
     lowest terms; one Fraction per output coefficient is built at the end.
     """
     if balance.n != n:
         raise InvariantError("size", "balance does not match n")
-    if order < 0:
-        raise InvariantError("order", "the Laurent order must be >= 0")
+    if not 0 <= order <= MAX_ORDER:
+        raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
     params = {k: Fraction(v) for k, v in free_params.items()}
     # order k >= 1: numerators of a_i^(k) and a_{i-1}^(k) - a_{i+1}^(k), their denominator
     nums, diffs, dens = [], [], []

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Poly, exact_divide_x2_minus_xp2, outer
+from .algebra import Poly, outer
 from .errors import InvariantError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
                       MumfordTriple, _lift_phi, _slot_codec, check_table_genus, degrees,
@@ -149,9 +149,18 @@ def reduce_mumford_table(flavor: str, n: int, phi: Poly) -> BracketTable:
 # closed-form reduced brackets
 # ---------------------------------------------------------------------------
 
-# x and x' as Polys in x over Polys in x'
+# x, x' and x^2 - x'^2 (monic: its top row is the int 1) as Polys in x over Polys in x'
 _X = Poly([0, Poly([1])])
 _XP = Poly([Poly([0, 1])])
+_X2_MINUS_XP2 = Poly([Poly([0, 0, -1]), 0, 1])
+
+
+def _exact_divide_x2_minus_xp2(F: Poly) -> Poly:
+    """Divide F(x, x') by x^2 - x'^2, insisting on exactness."""
+    quot, rem = F.divrem(_X2_MINUS_XP2)
+    if not rem.is_zero():
+        raise ValueError("bivariate polynomial is not divisible by x^2 - x'^2")
+    return quot
 
 
 def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
@@ -179,9 +188,9 @@ def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
 
     x_cross_v = _X * outer(v, phim) - _XP * outer(phim, v)
     return {
-        ("u", "v"): _XP * exact_divide_x2_minus_xp2(cross(u, phim)),
-        ("u", "w"): -2 * exact_divide_x2_minus_xp2(x_cross_v),
-        ("v", "w"): _X * (exact_divide_x2_minus_xp2(cross(w, phim)) - outer(u, phim)),
+        ("u", "v"): _XP * _exact_divide_x2_minus_xp2(cross(u, phim)),
+        ("u", "w"): -2 * _exact_divide_x2_minus_xp2(x_cross_v),
+        ("v", "w"): _X * (_exact_divide_x2_minus_xp2(cross(w, phim)) - outer(u, phim)),
         ("w", "w"): 2 * x_cross_v,
     }
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymlab.algebra import (LaurentSeries, Poly, TruncationError,
-                             divided_difference,
-                             exact_divide_x2_minus_xp2, format_poly,
+                             divided_difference, format_poly,
                              format_rational, horner, of_sum, outer, parse_poly,
                              parse_rational, pr_split, pr_split_from,
                              tridiag_minor_det, tridiag_run)
 from prymlab.errors import ParseError
+from prymlab.prym import _exact_divide_x2_minus_xp2
 from prymlab.symbolic import MultiPoly
 
 small_coeffs = st.integers(min_value=-9, max_value=9)
@@ -88,6 +88,32 @@ def test_divrem_reexpansion(p, d):
         with pytest.raises(ZeroDivisionError):
             p.divrem(d)
         return
+    q, r = p.divrem(d)
+    assert q * d + r == p
+    assert r.degree < d.degree
+
+
+def test_divrem_by_a_monic_divisor_over_any_ring():
+    """A monic divisor divides without inverting a coefficient, so the
+    coefficients may be MultiPolys or Polys in x' (the bivariate layout)."""
+    x, y = MultiPoly.variables(2)
+    p = Poly([x * y, y - x, F(1, 2) * x, y * y, x, MultiPoly.const(2, 3)])
+    for d in (Poly([y, x * x, 1]), Poly([x, 0, y, MultiPoly.const(2, 1)])):
+        q, r = p.divrem(d)
+        assert q * d + r == p and r.degree < d.degree
+    p = outer(parse_poly("1,-2,0,3,1"), parse_poly("2,1,1/2")) + X * XP
+    # a Poly in x over Polys in x' is monic when its top row is the int 1
+    for d in (Poly([Poly([0, 0, -1]), 0, 1]), Poly([Poly([0, -1]), 1]),
+              Poly([Poly([-2]), Poly([0, 1]), 0, 1])):
+        q, r = p.divrem(d)
+        assert q * d + r == p and r.degree < d.degree
+
+
+@given(small_polys, st.lists(small_coeffs, min_size=1, max_size=3), st.integers(1, 3),
+       st.sampled_from([0, F(0)]), st.sampled_from([1, F(1), F(3), F(-1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_divrem_skips_exact_zero_divisor_coefficients(p, low, gap, zero, lead):
+    d = Poly([F(c) for c in low] + [zero] * gap + [lead])
     q, r = p.divrem(d)
     assert q * d + r == p
     assert r.degree < d.degree
@@ -249,9 +275,9 @@ def test_of_sum_is_p_at_the_sum(p, x, xp):
 def test_exact_divide_x2_minus_xp2():
     # (x^2 - x'^2) * (x + x') recovered exactly
     product = (X * X - XP * XP) * (X + XP)
-    assert exact_divide_x2_minus_xp2(product) == X + XP
+    assert _exact_divide_x2_minus_xp2(product) == X + XP
     with pytest.raises(ValueError):
-        exact_divide_x2_minus_xp2(Poly([Poly([1])]))
+        _exact_divide_x2_minus_xp2(Poly([Poly([1])]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from prymlab.cli import _BRACKET_SPACES, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, ma
 from prymlab.errors import InvariantError
 from prymlab.morphism import MAX_QUAD_GENUS, quad_mumford_table
 from prymlab.mumford import EVEN_MUMFORD, FLAVORS, MAX_GENUS, mumford_bracket_table
-from prymlab.painleve import MAX_N
+from prymlab.painleve import MAX_N, MAX_ORDER
 from prymlab.prym import MAX_PRYM_INDEX, prym_bracket_table
 from prymlab.toda import toda_bracket_table, toda_pencil_table
 
@@ -201,6 +201,27 @@ def test_out_of_domain_sizes_exit_invariant(capsys, argv, invariant):
     assert code == EXIT_INVARIANT
     error = json.loads(out)["error"]
     assert error["kind"] == "invariant" and error["invariant"] == invariant
+
+
+@pytest.mark.parametrize("argv", [
+    ("balance", "5", "--A", "1,2", "--params",
+     '{"a2.1":"1","a4.1":"1/6","a3.2":"3","a5.2":"2"}', "--order", str(MAX_ORDER + 1)),
+    ("example5", "--k", "1", "--l", "1", "--order", str(MAX_ORDER + 1))])
+def test_laurent_order_bound_exits_invariant(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "order"
+    assert error["message"] == f"the Laurent order must lie in 0..{MAX_ORDER}, got {MAX_ORDER + 1}"
+
+
+@pytest.mark.parametrize("flavor", ["even-mumford", "odd-prym"])
+def test_phi_inverse_below_three_exits_invariant(capsys, flavor):
+    triple = json.dumps({"flavor": flavor, "u": "1", "v": "", "w": "-4,0,1"})
+    code, out = run_cli(capsys, "phi-inverse", "--triple", triple, "--n", "1")
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "size" and error["message"] == "the morphism needs n >= 3"
 
 
 LATTICE3 = '{"n":3,"a":["2","1/2","1"],"b":["0","0","0"]}'
@@ -469,6 +490,8 @@ def _option(name, values):
     return st.one_of(st.just([]), values.map(lambda value: [name, str(value)]))
 
 
+# Laurent orders: small ones, and one just above the bound
+_orders = st.one_of(st.integers(-1, 3), st.just(MAX_ORDER + 1))
 _bracket_argv = st.tuples(
     st.just(["bracket"]), st.sampled_from(_BRACKET_SPACES).map(lambda s: ["--space", s]),
     _option("--phi", _poly_text), _option("--g", _sizes), _option("--n", _sizes),
@@ -476,7 +499,7 @@ _bracket_argv = st.tuples(
 _balance_argv = st.tuples(
     st.just(["balance"]), _sizes.map(lambda n: [str(n)]),
     st.lists(st.integers(-1, 4), max_size=3).map(lambda A: ["--A", ",".join(map(str, A))]),
-    _option("--params", _json_value.map(json.dumps)), _option("--order", st.integers(-1, 3)))
+    _option("--params", _json_value.map(json.dumps)), _option("--order", _orders))
 _flow_argv = st.tuples(
     st.just(["flow"]),
     st.sampled_from(["km", "toda", "mumford", "prym"]).map(lambda s: ["--system", s]),
@@ -494,11 +517,12 @@ _kowalevski_argv = st.tuples(st.just(["kowalevski"]), _painleve_sizes, _cells)
 _example5_argv = st.tuples(
     st.just(["example5"]), _rational_text.map(lambda k: ["--k", k]),
     _rational_text.map(lambda l: ["--l", l]), _option("--beta", _rational_text),
-    _option("--delta", _rational_text), _option("--order", st.integers(-1, 3)))
+    _option("--delta", _rational_text), _option("--order", _orders))
 
 # the morphism commands: lattice points of a few sizes (n < 3 is refused),
-# triples that phi-inverse reconstructs at n = 3, 4, 5, generated and
-# malformed JSON; --m and --n may be missing, which argparse refuses
+# triples that phi-inverse reconstructs at n = 3, 4, 5, one that only n < 3
+# would fit, generated and malformed JSON; --m and --n may be missing,
+# which argparse refuses
 _lattice_points = st.sampled_from([
     LATTICE3, '{"n":3,"a":["1","1","1"],"b":["0","0","0"]}',
     '{"n":4,"a":["1","2","1/2","1"],"b":["0","1/3","-1","2"]}',
@@ -509,7 +533,8 @@ _image_triples = st.sampled_from([
     '{"flavor":"even-mumford","u":"-1,-10/3,2/3,1","v":"11/6,-5/6,-1/2",'
     '"w":"-16,1/3,20,-5,-10/3,1"}',
     '{"flavor":"odd-prym","u":"1,0,-13/3,0,1","v":"0,-22/3,0,3/2",'
-    '"w":"-4,0,67/3,0,-28/3,0,1"}'])
+    '"w":"-4,0,67/3,0,-28/3,0,1"}',
+    '{"flavor":"even-mumford","u":"1","v":"","w":"-4,0,1"}'])
 _malformed_json = st.sampled_from(["", "{", "[1,", "@"])
 _phi_argv = st.tuples(
     st.just(["phi"]),

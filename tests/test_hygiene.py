@@ -95,7 +95,6 @@ def test_scanner_sees_unused_and_allows_used():
 # src/ (test_allow_list_is_current).
 TEST_ONLY = {
     "algebra.Poly.evaluate": "the tests read polynomials at points through it",
-    "algebra.Poly.divrem": "the squarefree check of the prymdim suite will call it",
     "cli._Parser.error": "argparse calls it on a usage error",
     "morphism.phi_symbolic": "symbolic oracle for phi in test_morphism",
     "mumford.mumford_flow_symbolic": "symbolic field oracle in test_mumford",

@@ -209,6 +209,46 @@ def test_inverse_bn_extraction(rng):
     assert sum_all - sum_head == point.b[3]
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_round_trip_at_every_size(rng, n):
+    # generic points, and a point of the KM slice (b = 0, a prym flavor)
+    for point in (toda_point(rng, n), toda_point(rng, n), km_point(rng, n).embed()):
+        assert phi_inverse(phi(point, n).triple, n) == point
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_inverse_refuses_small_lattices(n):
+    triple = MumfordTriple(Poly([F(1)]), Poly(), parse_poly("-4,0,1"), EVEN_MUMFORD)
+    with pytest.raises(InvariantError) as err:
+        phi_inverse(triple, n)
+    assert err.value.invariant == "size"
+    assert str(err.value) == "the morphism needs n >= 3"
+
+
+def _triple_from_split(u, X, Y, b_n):
+    """The even Mumford triple with p = (x - b_n) u - (X + Y) and v = X - Y,
+    where X and Y stand for a_{n-1} Delta_{n-1,n} and a_n Delta_{1,n}; it
+    lies on the fiber u w + v^2 = p^2 - 4 because X Y = 1 mod u."""
+    p = Poly([-b_n, F(1)]) * u - (X + Y)
+    v = X - Y
+    w, rem = (p * p - Poly([F(4)]) - v * v).divrem(u)
+    assert rem.is_zero()
+    return MumfordTriple(u, v, w, EVEN_MUMFORD)
+
+
+@pytest.mark.parametrize("u, X, Y, message", [
+    ("0,0,1", "-1", "-1", "a_{n-1} Delta_{n-1,n}: expected degree 1, got 0"),
+    ("-1,0,0,1", "0,0,1", "0,1", "a_n Delta_{1,n}: expected degree 2, got 1"),
+    ("-2,-2,-2,-2,1", "-1,1,1,1", "-109/187,-3/187,2/187,4/187",
+     "a_3 Delta_3..n: expected degree 2, got 1"),
+])
+def test_inverse_names_the_step_that_fails(u, X, Y, message):
+    u, X, Y = map(parse_poly, (u, X, Y))
+    with pytest.raises(NotInImageError) as err:
+        phi_inverse(_triple_from_split(u, X, Y, F(1, 3)), u.degree + 1)
+    assert str(err.value) == message
+
+
 def test_not_in_image_errors():
     with pytest.raises(NotInImageError):
         phi_inverse(MumfordTriple(parse_poly("0,0,1"), Poly(),

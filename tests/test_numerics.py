@@ -150,6 +150,14 @@ def test_integrate_guards():
         integrate("mumford", __prym_point(), 0.5, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("run", [integrate, endpoint])
+@pytest.mark.parametrize("point", [REFERENCE.embed(), REFERENCE.a])
+def test_km_runs_need_a_km_point(run, point):
+    with pytest.raises(InvariantError) as err:
+        run("km", point, None, 0.1, 0.01)
+    assert err.value.invariant == "point-type"
+
+
 def __prym_point():
     from prymlab.mumford import triple_from_values, _coord_layout
     u_s, v_s, w_s = _coord_layout(ODD_PRYM, 1)

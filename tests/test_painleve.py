@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from prymlab.algebra import LaurentSeries, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
-from prymlab.painleve import (MAX_N, Balance, c_block, check_spectrum, cyclic_runs, free_slots,
-                              indicial_solutions, km_residual, kowalevski, kowalevski_matrix,
-                              laurent_balance, make_balance, sigma_bits, sigma_enum,
-                              sigma_enum_brute, slot_name)
+from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum, cyclic_runs,
+                              free_slots, indicial_solutions, km_residual, kowalevski,
+                              kowalevski_matrix, laurent_balance, make_balance, sigma_bits,
+                              sigma_enum, sigma_enum_brute, slot_name)
 from prymlab.symbolic import solve_affine
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
@@ -440,3 +440,15 @@ def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(rng):
         laurent_balance(3, bogus, {"a3.1": F(1), "a3.2": F(1)}, order)
     assert err.value.invariant == "laurent-resonance"
     assert str(err.value) == "inconsistent resonance at order k=2"
+
+
+def test_laurent_order_is_bounded():
+    balance = make_balance(5, (1, 2))
+    series = laurent_balance(5, balance, PRINCIPAL_PARAMS, MAX_ORDER)
+    assert [s.known_through() for s in series] == [MAX_ORDER - 1] * 5
+    # refused before any work: the missing free parameters are never asked for
+    for order in (MAX_ORDER + 1, -1):
+        with pytest.raises(InvariantError) as err:
+            laurent_balance(5, balance, {}, order)
+        assert err.value.invariant == "order"
+        assert str(err.value) == f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}"
