@@ -140,14 +140,17 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal coefficient lists; a scalar c is the constant polynomial c,
+        so a nested Poly([1]) == 1 (is_monic and divrem read it so)."""
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if other == 0:
             return not self.coeffs
-        return NotImplemented
+        return len(self.coeffs) == 1 and self.coeffs[0] == other
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
+    def __hash__(self):  # a constant polynomial hashes as the scalar it equals
+        cs = self.coeffs
+        return hash(cs[0]) if len(cs) == 1 else hash(tuple(cs)) if cs else hash(0)
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -165,6 +168,11 @@ class Poly:
     def __radd__(self, other) -> "Poly":
         if isinstance(other, int) and other == 0:
             return self
+        return NotImplemented
+
+    def __rsub__(self, other) -> "Poly":
+        if isinstance(other, int) and other == 0:
+            return -self
         return NotImplemented
 
     def __sub__(self, other: "Poly") -> "Poly":
@@ -264,16 +272,19 @@ def _exact_zero(c) -> bool:
 _INT, _RATIONAL, _OTHER = 0, 1, 2
 
 
-def _product(a: list, b: list) -> list:
+def _product(a: list, b: list, rows: Iterable[int] | None = None) -> list:
     """Coefficients of the product of two coefficient lists over any ring,
-    by the schoolbook loop of Poly.__mul__: a row a_i that is an exact zero
-    is skipped, and each slot starts from the int 0 and adds a_i b_j in the
-    order of i, then j (a slot that no row reaches stays the int 0).  The
-    result is not trimmed."""
+    by the schoolbook loop of Poly.__mul__: only the rows a_i with i in
+    `rows` run (by default every row that is not an exact zero), and each
+    slot starts from the int 0 and adds a_i b_j in the order of i, then j
+    (a slot that no row reaches stays the int 0).  A caller that knows
+    which rows vanish from the shape of its lists passes them, so that no
+    coefficient is compared with anything.  The result is not trimmed."""
     out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if _exact_zero(x):
-            continue
+    if rows is None:
+        rows = [i for i, x in enumerate(a) if not _exact_zero(x)]
+    for i in rows:
+        x = a[i]
         for k, y in enumerate(b, i):
             out[k] = out[k] + x * y
     return out

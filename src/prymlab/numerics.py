@@ -39,11 +39,12 @@ same operands in the same order, so every state and integral is bit for
 bit the kernel's, and the field keeps its one implementation: the
 recorder is one more scalar type run through mumford.mumford_tangent,
 toda.km_field and toda.hierarchy_commutator.  The KM monitor traces (its
-zero shifts are constants).  The Toda monitor (tridiag_run tests the
-traced b_k against 0) and the momentum monitor (the exact-zero row skip
-of algebra._product, and _trimmed) compare values, so they stay on the
-kernel, as does a field that branches on a value and any trace past
-MAX_TRACE_OPS operations.
+zero shifts are constants), and so does the momentum monitor of Mumford
+and Prym runs, which trims and skips rows by the shape of the phase
+space, read once per run, so those runs are straight-line code end to
+end.  The Toda monitor (tridiag_run tests the traced b_k against 0)
+compares values, so it stays on the kernel, as does a field that
+branches on a value and any trace past MAX_TRACE_OPS operations.
 """
 
 from __future__ import annotations
@@ -300,26 +301,44 @@ def _lattice_invariants(n, km=False):
     return invariants
 
 
-def _trimmed(coeffs: list) -> list:
-    """coeffs without its trailing zeros, as Poly.__init__ trims a float list."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
+def _momentum_invariants(flavor: str, g: int, width: int):
+    """The monitor of a Mumford or Prym run: H0, ..., H{deg u + deg w}, the
+    coefficients of u w + v^2, on a state of `width` coordinates.
 
+    Its trim and its row skip are read off the shape of the phase space
+    once, never off a value: the lists of _slot_codec hold the constant
+    zero in every slot that is not a coordinate and one at the tops of u
+    and w, so u, v and w drop their trailing constant zeros, and the
+    products of algebra._product run the rows of u and of v that are not
+    constant zeros.  No value is compared with anything, so the monitor
+    traces.  Every slot of u w is reached, so every value is a float: the
+    lowest row of u that runs (u_0, or u_1 on an even Prym space, where
+    v_0^2 reaches slot 0) reaches each slot from its own up to deg w, and
+    the top row of u each slot from deg u up.
 
-def _momentum_invariants(u, v, w):
-    """The coefficients H0, H1, ... of u w + v^2 from float coefficient
-    lists, bit for bit those of Poly(u) * Poly(w) + Poly(v) * Poly(v): the
-    same products (algebra._product) and sum, with the same trimming of
-    trailing zeros, and no Poly built."""
-    v = _trimmed(v)
-    uw = _trimmed(_product(_trimmed(u), _trimmed(w)))
-    vv = _trimmed(_product(v, v))
-    if len(uw) < len(vv):
-        uw, vv = vv, uw
-    for i, c in enumerate(vv):
-        uw[i] = uw[i] + c
-    return [float(c) for c in _trimmed(uw)]
+    On a finite state it gives the bits of Poly(u) * Poly(w) + Poly(v) *
+    Poly(v), which trims v by value and skips the rows that equal 0, and
+    integrate passes it no other state (the start from _floats, every later
+    state inside BLOWUP_GUARD):
+      - a state slot that is exactly +-0.0 adds 0.0 y = +-0.0 to a sum;
+      - a sum starts from the int 0, so it is never -0.0, and adding +-0.0
+        changes no bit of it (an inf or nan stays what it is);
+      - an untrimmed zero top of v only adds +0.0 to slots of u w;
+      - the top of u w is one times one, and v^2 is shorter than u w
+        (deg w > deg u), so nothing is trimmed there and the length is
+        fixed."""
+    lists = _slot_codec(flavor, g)[0]
+    shape = [[k for k, m in enumerate(c) if m] for c in lists([1] * width, 0, 1)]
+    ends = [rows[-1] + 1 if rows else 0 for rows in shape]
+    u_rows, v_rows, _ = shape
+
+    def invariants(state):
+        u, v, w = (c[:end] for c, end in zip(lists(state, 0.0, 1.0), ends))
+        out = _product(u, w, u_rows)
+        for k, c in enumerate(_product(v, v, v_rows)):
+            out[k] = out[k] + c
+        return out
+    return invariants
 
 
 def _peak(column) -> tuple:
@@ -373,8 +392,7 @@ def _flow(system: str, point, selector, t_end: float, step: float):
                 "flavor", "the ambient flow is not tangent to the parity"
                 " locus; use system='prym' for prym points")
         rhs = _mumford_rhs(flavor, g, y)
-        lists = _slot_codec(flavor, g)[0]
-        invariants = lambda s: _momentum_invariants(*lists(s, 0.0, 1.0))
+        invariants = _momentum_invariants(flavor, g, len(state))
         names = [f"H{j}" for j in range(point.u.degree + point.w.degree + 1)]
     else:
         raise InvariantError("system", f"unknown system {system!r}")
@@ -409,12 +427,16 @@ def integrate(system: str, point, selector, t_end: float, step: float) -> Trajec
     positive and finite ("integration"), t_end / step at most MAX_STEPS
     ("step-count"), and a lattice needs n >= 1 ("size").  A run that
     leaves the overflow guard or turns NaN is truncated at the last good
-    state, with a note that says why.
+    state, with a note that says why.  The monitor must give one value per
+    integral name at t = 0 ("monitor").
     """
     state, rhs, nsteps, invariants, names = _flow(system, point, selector, t_end, step)
     traj = Trajectory(system=system, steps_requested=nsteps)
     invariants = _traced(invariants, len(state)) or invariants
     columns = [[value] for value in invariants(state)]
+    if len(columns) != len(names):  # checked once: the step loop zips values to columns
+        raise InvariantError("monitor", f"the monitor gave {len(columns)} values for"
+                             f" {len(names)} integrals")
     states = [state]
     try:
         for state in _steps(rhs, state, step, nsteps):

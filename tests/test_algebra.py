@@ -280,6 +280,39 @@ def test_exact_divide_x2_minus_xp2():
         _exact_divide_x2_minus_xp2(Poly([Poly([1])]))
 
 
+def test_divrem_by_a_nested_one_top_row():
+    """x^2 - x'^2 spelled X * X - XP * XP has the top row Poly([1]), which
+    equals 1, so divrem takes the monic branch as for the int 1 top row."""
+    F_ = outer(parse_poly("1,-2,0,3,1"), parse_poly("2,1,1/2")) + X * XP * XP
+    products = X * X - XP * XP
+    assert products.coeffs[-1] == Poly([1]) and products.is_monic()
+    written = Poly([Poly([0, 0, -1]), 0, 1])
+    q, r = F_.divrem(products)
+    assert (q, r) == F_.divrem(written)
+    assert q * written + r == F_ and r.degree < 2
+
+
+def test_a_poly_equals_the_constant_scalar():
+    assert Poly([F(3)]) == 3 and 3 == Poly([F(3)]) and Poly([Poly([1])]) == 1
+    assert Poly([1, 1]) != 1 and Poly([2]) != 1 and Poly() == 0 and Poly([1]) != 0
+    # equal objects hash alike
+    for p, c in ((Poly([F(3)]), 3), (Poly([Poly([F(1, 2)])]), F(1, 2)), (Poly(), 0)):
+        assert hash(p) == hash(c)
+    assert hash(Poly([Poly([1]), 2])) == hash(Poly([1, Poly([2])])) == hash(Poly([1, 2]))
+
+
+def test_zero_minus_a_nested_poly():
+    """0 - p mirrors 0 + p: the int 0 that _product leaves in a row no
+    product reaches takes a Poly on either side."""
+    p = Poly([Poly([1]), XP.coeffs[0]])
+    assert 0 - p == -p == Poly([Poly([-1]), Poly([0, -1])])
+    assert 0 + p == p and 0 - Poly([1]) == Poly([-1])
+    row = (X * X).coeffs[0]  # an int 0 left by the product loop
+    assert row == 0 and type(row) is int and row - XP.coeffs[0] == -XP.coeffs[0]
+    with pytest.raises(TypeError):
+        1 - p
+
+
 # ---------------------------------------------------------------------------
 # tridiagonal minors
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from prymlab import morphism, numerics
 from prymlab.algebra import Poly
 from prymlab.errors import BlowUpError, InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
-                             flow_values, momentum, mumford_bracket_table, mumford_flow,
-                             phase_coordinates, point_values, triple_from_values)
+                             _coefficient_lists, _read_slots, degrees, flow_values, momentum,
+                             mumford_bracket_table, mumford_flow, phase_coordinates,
+                             point_values, triple_from_values)
 from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs,
                               _toda_rhs, endpoint, integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
@@ -368,7 +369,7 @@ def test_endpoint_samples_no_integral(rng, monkeypatch):
         raise AssertionError("an integral was sampled")
 
     monkeypatch.setattr(numerics, "char_coeffs", refuse)
-    monkeypatch.setattr(numerics, "_momentum_invariants", refuse)
+    monkeypatch.setattr(numerics, "_product", refuse)  # the momentum monitor's products
     for run in ("km-5", "toda-index-2", "even-mumford", "odd-prym"):
         endpoint(*ORACLE_RUNS[run](rng))
 
@@ -418,22 +419,76 @@ def test_char_coeffs_zero_b_skip_is_bit_identical(rng, n):
             assert got == [c.hex() for c in char_coeffs_unskipped(a, b, 0.0)]
 
 
-_coeffs = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats()), max_size=6)
+FLAVORS = (ODD_MUMFORD, EVEN_MUMFORD, ODD_PRYM, EVEN_PRYM)
+# integrate passes the monitor any finite state: the start state is any
+# finite float vector, and every later state lies inside BLOWUP_GUARD
+_specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300]
+_finite = st.one_of(st.sampled_from(_specials), st.floats(allow_nan=False, allow_infinity=False))
 
 
-@given(_coeffs, _coeffs, _coeffs)
-@example([1.0], [1.0], [-1.0])  # the sum cancels at the top
-@example([1.0, math.inf], [], [1.0, 0.0])  # inf times a trimmed zero would be nan
-@example([1.0], [math.inf, -0.0], [1.0])
+def _width(flavor, g):
+    return len(phase_coordinates(flavor, g).names)
+
+
+@st.composite
+def _codec_states(draw):
+    flavor, g = draw(st.sampled_from(FLAVORS)), draw(st.integers(0, 4))
+    width = _width(flavor, g)
+    return flavor, g, draw(st.lists(_finite, min_size=width, max_size=width))
+
+
+def _poly_momentum(flavor, g, state):
+    """Poly(u) * Poly(w) + Poly(v) * Poly(v) on the lists of a state, as floats."""
+    u, v, w = map(Poly, _coefficient_lists(flavor, g, state, 0.0, 1.0))
+    return [float(c) for c in (u * w + v * v).coeffs]
+
+
+def _hexes(values):
+    assert all(type(c) is float for c in values)
+    return [c.hex() for c in values]
+
+
+@given(_codec_states())
+@example((ODD_MUMFORD, 1, [1.0, 1.0, -1.0, 0.0]))  # u0 w0 + v0^2 cancels exactly
+@example((EVEN_MUMFORD, 1, [1e300, -0.0, 1e300, -1e300, 0.0]))  # inf beside a -0.0 top of v
+@example((ODD_MUMFORD, 2, [0.0, -0.0, 1e300, -0.0, 5e-324, 1.0, -1e300]))
+@example((ODD_PRYM, 1, [-0.0, -0.0, 5e-324, 1e300]))
 @settings(max_examples=300, deadline=None)
-def test_momentum_invariants_are_the_poly_expression_bit_for_bit(u, v, w):
-    """The list monitor gives the floats of Poly(u) * Poly(w) + Poly(v) *
-    Poly(v), trimmed zeros and signs of zero included, and leaves its
-    arguments as they were."""
-    want = [float(c) for c in (Poly(u) * Poly(w) + Poly(v) * Poly(v)).coeffs]
-    before = [u[:], v[:], w[:]]
-    assert [c.hex() for c in _momentum_invariants(u, v, w)] == [c.hex() for c in want]
-    assert [u, v, w] == before
+def test_momentum_invariants_are_the_poly_expression_bit_for_bit(case):
+    """The shape monitor gives the floats of Poly(u) * Poly(w) + Poly(v) *
+    Poly(v), which trims and skips zeros by value, signs of zero included,
+    run as it is and traced, and leaves the state as it was."""
+    flavor, g, state = case
+    monitor = _momentum_invariants(flavor, g, len(state))
+    before = state[:]
+    want = _hexes(_poly_momentum(flavor, g, state))
+    assert _hexes(monitor(state)) == want
+    assert _hexes(numerics._traced(monitor, len(state))(state)) == want
+    assert state == before
+
+
+@pytest.mark.parametrize("g", range(5))
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_shape_monitor_is_the_poly_expression_on_every_phase_space(rng, flavor, g):
+    """One value per name H0..H{deg u + deg w}, bit for bit the Poly
+    expression, untraced and traced, on states with signed zeros (at the
+    top of v too), subnormals, overflowing products and, from draws of
+    +-1 and +-2, exact cancellations."""
+    width = _width(flavor, g)
+    monitor = _momentum_invariants(flavor, g, width)
+    traced = numerics._traced(monitor, width)
+    deg_u, deg_w = degrees(flavor, g)
+    states = [[-0.0] * width, [5e-324] * width, [-1e300] * width]
+    u, v, w = _coefficient_lists(flavor, g, [1.0] * width, 0.0, 1.0)
+    if v:
+        states.append(_read_slots(flavor, g, u, v[:-1] + [-0.0], w))  # a -0.0 top of v
+    draws = _specials + [2.0, -2.0]
+    states += [[rng.choice(draws) if rng.random() < 0.7 else rng.uniform(-3, 3)
+                for _ in range(width)] for _ in range(60)]
+    for state in states:
+        want = _hexes(_poly_momentum(flavor, g, state))
+        assert len(want) == deg_u + deg_w + 1
+        assert _hexes(monitor(state)) == _hexes(traced(state)) == want
 
 
 @pytest.mark.parametrize("system, flavor, g", [("mumford", EVEN_MUMFORD, 2), ("prym", ODD_PRYM, 2)])
@@ -487,9 +542,51 @@ def test_traced_momentum_runs_match_the_dict_loop_at_extreme_y(rng, monkeypatch,
     args = (system, mumford_triple(rng, flavor, g), y, 0.05, 1e-3)
     traces = _watch_traces(monkeypatch)
     traj = integrate(*args)
-    assert traces[0] is None and traces[1] is not None  # the momentum monitor compares values
+    assert traces[0] is not None and traces[1] is not None  # the monitor and the step trace
     assert _frozen(traj) == _frozen(dict_loop_integrate(*args))
     assert traj.truncated == (y == 1e300)
+
+
+TRACED_RUNS = ([("km", None, n) for n in (1, 5, 20)]
+               + [("prym" if flavor in (ODD_PRYM, EVEN_PRYM) else "mumford", flavor, g)
+                  for flavor in FLAVORS for g in range(5)])
+
+
+@pytest.mark.parametrize("system, flavor, size", TRACED_RUNS)
+def test_steps_and_monitors_trace(rng, monkeypatch, system, flavor, size):
+    """The KM runs and every Mumford and Prym run compile both their
+    monitor and their step: a value comparison that sends either back to
+    the kernel fails here, not only as a slower benchmark."""
+    if system == "km":
+        args = ("km", km_point(rng, size), None, 2e-3, 1e-3)
+    else:
+        args = (system, mumford_triple(rng, flavor, size), 0.3, 2e-3, 1e-3)
+    traces = _watch_traces(monkeypatch)
+    integrate(*args)
+    assert len(traces) == 2 and None not in traces
+
+
+@pytest.mark.parametrize("system, monitor", [("km", "_lattice_invariants"),
+                                             ("prym", "_momentum_invariants")])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_monitor_gives_one_value_per_name(rng, monkeypatch, system, monitor, change):
+    """integrate checks once, at t = 0, that the monitor gives exactly one
+    value per integral name, so no column is dropped or left unnamed."""
+    point = REFERENCE if system == "km" else mumford_triple(rng, ODD_PRYM, 2)
+    args = (system, point, 0.3, 0.01, 1e-3)
+    names = len(integrate(*args).conserved)
+    build = getattr(numerics, monitor)
+
+    def resized(*spec, **options):
+        invariants = build(*spec, **options)
+        return lambda s: (invariants(s) + [s[0]])[:names + change]
+
+    monkeypatch.setattr(numerics, monitor, resized)
+    with pytest.raises(InvariantError) as err:
+        integrate(*args)
+    assert err.value.invariant == "monitor"
+    assert str(err.value) == f"the monitor gave {names + change} values for {names} integrals"
+    endpoint(*args)  # samples no integral
 
 
 def test_a_nan_field_runs_traced(monkeypatch):
