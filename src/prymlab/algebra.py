@@ -10,7 +10,9 @@ This module provides those substrates:
 
 plus the structural operations the rest of the package consumes: the
 one long division (Poly.divrem), divided differences, the tridiagonal
-minor recurrence and the monic-square splitting f = p^2 + r.
+minor recurrence, the monic-square splitting f = p^2 + r, and the one
+evaluation at x = 2^k (at_two_power) that decides an int polynomial
+identity whose coefficients are bounded.
 
 Coefficient slots are duck typed: the same Poly code is reused with
 MultiPoly (symbolic.py) or LaurentSeries coefficients whenever an identity
@@ -309,6 +311,31 @@ def integer_numerators(values) -> tuple[list[int], int]:
     values and numerators[i] = values[i] * d."""
     d = lcm(*[c.denominator for c in values])
     return [c.numerator * (d // c.denominator) for c in values], d
+
+
+def at_two_power(coeffs: Sequence[int], k: int) -> int:
+    """q(2^k) for the ascending int coefficient list q, by shifts
+    (Kronecker substitution).
+
+    Lemma: if |q_j| < 2^k for every j, then q(2^k) = 0 exactly when q = 0,
+    and otherwise lowest_power(q(2^k), k) is the lowest j with q_j != 0.
+    Proof: with j0 that lowest slot, q(2^k) = 2^(k j0) (q_j0 + 2^k R) for
+    an int R; as 0 < |q_j0| < 2^k, 2^k does not divide q_j0, so
+    q_j0 + 2^k R is nonzero and has 2-adic valuation v_2(q_j0) < k.
+
+    So an exact identity between int polynomials is one evaluation of the
+    difference of its two sides, with k = B.bit_length() for a bound
+    B >= |q_j| on every coefficient of that difference (then 2^k > B)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << k) + c
+    return value
+
+
+def lowest_power(value: int, k: int) -> int:
+    """The lowest nonzero slot of q, read off value = q(2^k) != 0 under the
+    bound of at_two_power: the 2-adic valuation of value, divided by k."""
+    return ((value & -value).bit_length() - 1) // k
 
 
 def _rational_product(a: list, b: list, width: int | None = None,

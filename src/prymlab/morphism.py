@@ -59,8 +59,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .algebra import Poly, format_poly, integer_numerators, of_sum, outer, pr_split_from
+from .algebra import (Poly, at_two_power, format_poly, integer_numerators, lowest_power, of_sum,
+                      outer, pr_split_from)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
                       _read_slots, check_table_genus, linear_generators,
@@ -77,10 +79,20 @@ class PhiImage:
     """Image point plus the source index m and the half spectral polynomial;
     carries the exact fiber identity u w + v^2 = p^2 - 4.
 
-    The identity is checked fraction-free: with u = N_u / d_u and so on
-    (integer numerator polynomials over one denominator each), it reads
-    N_u N_w d_v^2 d_p^2 + N_v^2 d_u d_w d_p^2 = (N_p^2 - 4 d_p^2) d_u d_w d_v^2
-    over the integers."""
+    The identity is checked fraction-free: with d the common denominator
+    of all coefficients of u, v, w and p, and N_u = d u and so on their
+    integer numerator polynomials, it reads
+    q = N_u N_w + N_v^2 - N_p^2 + 4 d^2 = 0 over the integers.  A
+    coefficient of a product is at most the product of the factors' l1
+    norms, so every coefficient of q obeys
+
+        |q_j| <= B = |N_u|_1 |N_w|_1 + |N_v|_1^2 + |N_p|_1^2 + 4 d^2,
+
+    and q = 0 is decided by the one value q(2^k), 2^k > B
+    (algebra.at_two_power); a failure names the lowest power of x at which
+    the identity fails.  One common d keeps k small: the denominators of a
+    `phi` image are powers of one D, so d is the largest of them, where
+    four separate denominators would scale each term by a product of four."""
 
     triple: MumfordTriple
     m: int
@@ -88,13 +100,17 @@ class PhiImage:
 
     def __post_init__(self):
         t = self.triple
-        (nu, du), (nv, dv), (nw, dw), (np_, dp) = (
-            integer_numerators(q.coeffs) for q in (t.u, t.v, t.w, self.p))
-        nu, nv, nw, np_ = Poly(nu), Poly(nv), Poly(nw), Poly(np_)
-        lhs = nu * nw * (dv * dv * dp * dp) + nv * nv * (du * dw * dp * dp)
-        rhs = (np_ * np_ - Poly([4 * dp * dp])) * (du * dw * dv * dv)
-        if lhs != rhs:
-            raise InvariantError("fiber-identity", "u w + v^2 != p^2 - 4")
+        parts = (t.u.coeffs, t.v.coeffs, t.w.coeffs, self.p.coeffs)
+        nums, d = integer_numerators([c for q in parts for c in q])
+        rest = iter(nums)
+        nu, nv, nw, np_ = (list(islice(rest, len(q))) for q in parts)
+        norm_u, norm_v, norm_w, norm_p = (sum(map(abs, q)) for q in (nu, nv, nw, np_))
+        k = (norm_u * norm_w + norm_v * norm_v + norm_p * norm_p + 4 * d * d).bit_length()
+        eu, ev, ew, ep = (at_two_power(q, k) for q in (nu, nv, nw, np_))
+        value = eu * ew + ev * ev - ep * ep + 4 * d * d
+        if value:
+            raise InvariantError("fiber-identity", f"u w + v^2 != p^2 - 4 "
+                                 f"(first at x^{lowest_power(value, k)})")
 
     def to_json(self) -> dict:
         payload = self.triple.to_json()

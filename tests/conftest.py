@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import strategies as st
 
-from prymlab.algebra import LaurentSeries
+from prymlab.algebra import LaurentSeries, Poly
+from prymlab.toda import TodaPoint
 
 
 @pytest.fixture
@@ -51,3 +52,36 @@ def typed_series(draw):
     coeffs = draw(st.lists(entry, max_size=6))
     hi = draw(st.one_of(st.none(), st.integers(0, 3).map(lambda k: lo + len(coeffs) - 1 + k)))
     return LaurentSeries(lo, coeffs, hi)
+
+
+def grid_polynomial(values):
+    """Ascending Fraction coefficients of the polynomial of degree
+    < len(values) that takes values[x] at x = 0, 1, ...: the grid oracle
+    for a determinant known only by its values.  Newton's forward
+    differences, then the Newton form expanded by Horner's rule."""
+    diffs = [F(v) for v in values]
+    for level in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / level
+    poly = Poly()
+    for i in range(len(diffs) - 1, -1, -1):
+        poly = poly * Poly([F(-i), F(1)]) + Poly([diffs[i]])
+    return poly.coeffs
+
+
+def wide_rational(rng, nonzero=False, top=10**30):
+    """A rational whose numerator and denominator reach `top`; drawn like
+    sampling.rational, which it can replace."""
+    while True:
+        value = F(rng.randint(-top, top), rng.randint(1, top))
+        if value or not nonzero:
+            return value
+
+
+def wide_toda_point(rng, n):
+    """A lattice point whose numerators and denominators reach 10^30."""
+    a = [abs(wide_rational(rng, nonzero=True)) for _ in range(n - 1)]
+    last = F(1)
+    for x in a:
+        last /= x
+    return TodaPoint(tuple(a + [last]), tuple(wide_rational(rng) for _ in range(n)))

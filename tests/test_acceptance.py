@@ -11,6 +11,7 @@ runtime ceilings for the heavyweight suites.
 import math
 
 import pytest
+from conftest import wide_rational
 
 from prymlab import morphism, mumford, numerics, sampling, verify
 from prymlab.algebra import Poly, integer_numerators, tridiag_minor_det, tridiag_run
@@ -162,6 +163,71 @@ def test_detlemma_suite_fails_on_a_broken_lemma(monkeypatch, breaker):
     assert "determinant lemma failed, trial " in result.detail
     if breaker == "constant":
         assert result.detail.endswith("trial 0")
+
+
+class _Enough(Exception):
+    pass
+
+
+@pytest.mark.parametrize("draw, trials", [("suite", 500), ("wide", 100)])
+def test_detlemma_k_bounds_both_sides(monkeypatch, draw, trials):
+    """Both sides of D1 Dn = D D1n + prod(bands), by Poly products of the
+    recorded runs, have every coefficient below 2^k for the k each trial
+    picks: on the suite's 500 draws, and on the first 100 trials with
+    entries up to 10^30."""
+    if draw == "wide":
+        monkeypatch.setattr(sampling, "rational", wide_rational)
+    log = _record_runs(monkeypatch)
+    recording_run = verify.tridiag_run
+
+    def bounded_run(b, c, zero):
+        if len(log) == 2 * trials:
+            raise _Enough
+        return recording_run(b, c, zero)
+
+    monkeypatch.setattr(verify, "tridiag_run", bounded_run)
+    ks = []
+    exact = verify.at_two_power
+
+    def recording(coeffs, k):
+        ks.append(k)
+        return exact(coeffs, k)
+
+    monkeypatch.setattr(verify, "at_two_power", recording)
+    (result,) = verify.suite_detlemma(0)
+    assert result.passed == (trials == 500)
+    assert len(log) == 2 * trials and len(ks) == 4 * trials
+    for trial in range(trials):
+        (_, bands, head), (_, _, tail) = log[2 * trial:2 * trial + 2]
+        n = len(head) - 1
+        k = ks[4 * trial]
+        assert ks[4 * trial:4 * trial + 4] == [k] * 4
+        lhs = Poly(tail[n - 1]) * Poly(head[n - 1])
+        rhs = Poly(head[n]) * Poly(tail[n - 2]) + Poly([math.prod(bands)])
+        width = max(len(lhs.coeffs), len(rhs.coeffs))
+        assert all(abs(lhs.coeff(j)) + abs(rhs.coeff(j)) < 1 << k for j in range(width))
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_detlemma_names_the_lowest_failing_power(monkeypatch, j):
+    # D1 + y^j moves D1 Dn - D D1n - prod(bands) by y^j Dn: first at the
+    # power j + (the lowest power of Dn) of trial 0
+    runs = []
+
+    def moved(b, c, zero):
+        dets = tridiag_run(b, c, zero)
+        runs.append(dets)
+        if len(runs) % 2 == 0:  # the run on 2..n: its last entry is D1
+            dets[-1][j] += 1
+        return dets
+
+    monkeypatch.setattr(verify, "tridiag_run", moved)
+    (result,) = verify.suite_detlemma(0)
+    head = runs[0]
+    dn = head[len(head) - 2]
+    low = next(i for i, c in enumerate(dn) if c)
+    assert result.detail == ("AssertionError: (first at x^%d) determinant lemma failed, trial 0"
+                             % (j + low))
 
 
 def test_parity_suite_fails_on_an_even_mumford_image(monkeypatch):

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import typed_series
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prymlab.algebra import (LaurentSeries, Poly, TruncationError,
+from prymlab.algebra import (LaurentSeries, Poly, TruncationError, at_two_power,
                              divided_difference, format_poly,
-                             format_rational, horner, of_sum, outer, parse_poly,
+                             format_rational, horner, lowest_power, of_sum, outer, parse_poly,
                              parse_rational, pr_split, pr_split_from,
                              tridiag_minor_det, tridiag_run)
 from prymlab.errors import ParseError
@@ -234,6 +234,53 @@ def test_decimate_even():
 def test_deflate():
     q, rem = horner(parse_poly("-6,11,-6,1").coeffs, F(1))  # roots 1, 2, 3
     assert rem == 0 and Poly(q) == parse_poly("6,-5,1")
+
+
+# ---------------------------------------------------------------------------
+# one evaluation at x = 2^k decides a bounded int identity
+# ---------------------------------------------------------------------------
+
+int_lists = st.lists(st.integers(-10**12, 10**12), max_size=8)
+
+
+def _l1(coeffs):
+    return sum(map(abs, coeffs))
+
+
+# a b = [-1, -1, 1, 1]; each c below moves one slot of a b - c by +-1, at
+# the lowest slot, at the highest, or at both
+@given(int_lists, int_lists, int_lists)
+@example([-1, 0, 1], [1, 1], [-1, -1, 1, 1])
+@example([-1, 0, 1], [1, 1], [0, -1, 1, 1])
+@example([-1, 0, 1], [1, 1], [-2, -1, 1, 1])
+@example([-1, 0, 1], [1, 1], [-1, -1, 1, 0])
+@example([-1, 0, 1], [1, 1], [-1, -1, 1, 2])
+@example([-1, 0, 1], [1, 1], [0, -1, 1, 2])
+@example([], [], [0, 0, -1])
+@settings(max_examples=200, deadline=None)
+def test_at_two_power_decides_a_product_identity(a, b, c):
+    """a b - c is zero exactly when its value at 2^k is, for 2^k above the
+    l1 bound, and the value's 2-adic valuation names its lowest slot."""
+    q = Poly(a) * Poly(b) - Poly(c)
+    k = (_l1(a) * _l1(b) + _l1(c)).bit_length()
+    assert all(abs(x) < 1 << k for x in q.coeffs)
+    value = at_two_power(a, k) * at_two_power(b, k) - at_two_power(c, k)
+    assert value == at_two_power(q.coeffs, k)
+    assert (value == 0) == q.is_zero()
+    if value:
+        assert lowest_power(value, k) == next(j for j, x in enumerate(q.coeffs) if x)
+
+
+def test_at_two_power_needs_the_bound():
+    # x - 2^k is not zero but vanishes at 2^k: its constant is not below
+    # 2^k, so k must come from a bound on the coefficients
+    for k in (1, 5, 64):
+        q = [-(1 << k), 1]
+        assert at_two_power(q, k) == 0
+        bound_k = _l1(q).bit_length()
+        assert bound_k > k
+        value = at_two_power(q, bound_k)
+        assert value != 0 and lowest_power(value, bound_k) == 0
 
 
 # ---------------------------------------------------------------------------

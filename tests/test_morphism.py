@@ -1,10 +1,13 @@
 """The lattice-to-Mumford morphism, its inverse, and the quadratic family."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from conftest import wide_toda_point
 from dense_lax import toda_tridiag
 
+from prymlab import morphism
 from prymlab.algebra import (Poly, bicoeff, divided_difference, parse_poly, pr_split,
                              tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
@@ -146,6 +149,66 @@ def test_fiber_check_builds_no_fraction(rng, monkeypatch):
         PhiImage(bad, image.m, image.p)
     monkeypatch.undo()
     assert not calls
+
+
+def test_fiber_check_k_bounds_both_sides(monkeypatch, rng):
+    """Every coefficient of both fraction-free sides, found by Poly
+    products, is below 2^k for the k PhiImage picks: on random points, on
+    n = 24, on entries up to 10^30, and on images that fail the check."""
+    ks = []
+    exact = morphism.at_two_power
+
+    def recording(coeffs, k):
+        ks.append(k)
+        return exact(coeffs, k)
+
+    monkeypatch.setattr(morphism, "at_two_power", recording)
+    images = [phi(toda_point(rng, n), m) for n in (3, 5, 8) for m in (1, 2, n)]
+    images += [phi(km_point(rng, n).embed(), m) for n in (3, 4, 7) for m in (1, n)]
+    images += [phi(wide_toda_point(rng, n), m) for n in (3, 6) for m in (1, 2, n)]
+    images += [phi(toda_point(rng, 24), m) for m in (1, 24)] + [phi(wide_toda_point(rng, 24), 1)]
+    # u = x^2, v = 0, w = x^4 against p = x^3: every norm is 1, so only the
+    # 4 d^2 term of the bound covers the constant -4 of p^2 - 4
+    monomials = MumfordTriple(Poly([0, 0, 1]), Poly(), Poly([0, 0, 0, 0, 1]), ODD_PRYM)
+    cases = [(monomials, Poly([0, 0, 0, 1]))]
+    for image in images:
+        t = image.triple
+        # p, v or w far off the fiber: only its own norm covers its term
+        cases += [(t, image.p), (t, image.p + Poly([10**30]))]
+        if t.flavor == EVEN_MUMFORD:
+            cases += [(MumfordTriple(t.u, t.v + Poly([10**30]), t.w, t.flavor), image.p),
+                      (MumfordTriple(t.u, t.v, t.w + Poly([10**30]), t.flavor), image.p)]
+        for j in (t.w.degree - 2, t.w.degree - 4):  # slots of the parity of w's top
+            w = _perturbed(t.w, j, F(1, 10**30 + 7))
+            cases.append((MumfordTriple(t.u, t.v, w, t.flavor), image.p))
+    for t, p in cases:
+        ks.clear()
+        try:
+            PhiImage(t, 1, p)
+        except InvariantError:
+            pass
+        assert len(ks) == 4 and len(set(ks)) == 1
+        d = lcm(*(F(c).denominator for q in (t.u, t.v, t.w, p) for c in q.coeffs))
+        nu, nv, nw, np_ = (Poly([int(c * d) for c in q.coeffs]) for q in (t.u, t.v, t.w, p))
+        lhs = nu * nw + nv * nv
+        rhs = np_ * np_ - Poly([4 * d * d])
+        width = max(len(lhs.coeffs), len(rhs.coeffs))
+        assert all(abs(lhs.coeff(j)) + abs(rhs.coeff(j)) < 1 << ks[0] for j in range(width))
+
+
+def test_fiber_check_names_the_lowest_failing_power(rng):
+    # w + c x^j moves u w + v^2 - p^2 + 4 by c x^j u, first nonzero at
+    # x^(j + the lowest power of u)
+    for n in (3, 5, 8):
+        image = phi(toda_point(rng, n), 2)
+        t = image.triple
+        low_u = next(i for i, c in enumerate(t.u.coeffs) if c)
+        for j in range(t.w.degree):
+            w = _perturbed(t.w, j, F(-1, 3))
+            with pytest.raises(InvariantError) as err:
+                PhiImage(MumfordTriple(t.u, t.v, w, t.flavor), image.m, image.p)
+            assert err.value.invariant == "fiber-identity"
+            assert str(err.value).endswith(f"(first at x^{j + low_u})")
 
 
 def test_km_images_have_prym_flavors(rng):

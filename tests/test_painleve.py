@@ -4,21 +4,23 @@ from fractions import Fraction as F
 
 import dataclasses
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fraction_rref, typed_series
+from conftest import fraction_rref, grid_polynomial, typed_series, wide_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab.algebra import LaurentSeries, integer_numerators
+from prymlab import painleve
+from prymlab.algebra import LaurentSeries, Poly, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum, cyclic_runs,
                               free_slots, indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance, sigma_bits,
                               sigma_enum, sigma_enum_brute, slot_name)
-from prymlab.symbolic import solve_affine
+from prymlab.symbolic import integer_determinant, solve_affine
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
 # a hand-built balance with non-integral leading coefficients (and a
@@ -207,6 +209,79 @@ def test_kowalevski_rejects_bad_sets():
             with pytest.raises(InvariantError) as err:
                 build(n, A)
             assert (err.value.invariant, str(err.value)) == (invariant, message)
+
+
+def _spectrum_cases(rng):
+    """(matrix, spectrum) pairs, right and wrong: balances at n <= 10 and
+    n = 24, the run blocks up to l = 5, a non-integral matrix, zero
+    matrices, and random matrices and rational spectra with entries up to
+    10^30."""
+    cases = []
+    for n, count in ((3, 3), (7, 4), (10, 3), (24, 1)):
+        for A in rng.sample([A for A in sigma_enum(n) if len(A) < n], count):
+            report = kowalevski(n, A)
+            cases.append((report.matrix, report.spectrum))
+    for l in range(1, 6):
+        spectrum = list(range(-l, 0)) + list(range(1, l + 1))
+        cases += [(c_block(l), spectrum), (c_block(l), spectrum[:-1] + [l + 1])]
+    cases.append((kowalevski_matrix(NON_INTEGRAL), [F(1, 2), 1, 2, -1]))
+    # zero rows: only the shift's own term bounds the top coefficient
+    cases += [([[F(0)] * n for _ in range(n)], [0] * n) for n in (1, 3)]
+    for n in (1, 2, 4, 6):
+        matrix = [[wide_rational(rng) for _ in range(n)] for _ in range(n)]
+        cases.append((matrix, [rng.randint(-10**30, 10**30) for _ in range(n)]))
+        cases.append((matrix, [wide_rational(rng) for _ in range(n)]))
+    return cases
+
+
+def test_spectrum_check_k_bounds_both_sides(monkeypatch, rng):
+    """Both sides of E^n det(diag(d) (M - lam Id)) = P prod(f_i - E lam),
+    the determinant by today's grid of lam = 0..n and interpolation, have
+    every coefficient below 2^k for the k that check_spectrum picks."""
+    shifts = []
+    exact = painleve.shifted_determinant
+
+    def recording(rows, diagonal):
+        shifts.append(diagonal)
+        return exact(rows, diagonal)
+
+    monkeypatch.setattr(painleve, "shifted_determinant", recording)
+    for matrix, spectrum in _spectrum_cases(rng):
+        shifts.clear()
+        try:
+            check_spectrum(matrix, spectrum)
+        except InvariantError as exc:
+            assert exc.invariant == "kowalevski-spectrum"
+        n = len(matrix)
+        rows, dens = zip(*(integer_numerators(row) for row in matrix))
+        f, E = integer_numerators(spectrum)
+        (diagonal,) = shifts
+        k = (-diagonal[0] // dens[0]).bit_length() - 1
+        assert list(diagonal) == [-d << k for d in dens]
+        dets = [integer_determinant([[c - d * lam * (i == j) for j, c in enumerate(row)]
+                                     for i, (d, row) in enumerate(zip(dens, rows))])
+                for lam in range(n + 1)]
+        lhs = Poly(grid_polynomial(dets)) * E ** n
+        rhs = Poly([math.prod(dens)])
+        for c in f:
+            rhs = rhs * Poly([c, -E])
+        assert all(abs(lhs.coeff(j)) + abs(rhs.coeff(j)) < 1 << k for j in range(n + 1))
+
+
+def test_spectrum_check_names_the_lowest_failing_power():
+    # (-1 - lam)(2 - lam) against (-2 - lam)(1 - lam) differ by -2 lam, and
+    # the rest of the run block's spectrum has no zero: first at lam^1
+    trade = [{-1: -2, 2: 1}.get(e, e) for e in (-2, -1, 1, 2)]
+    # moving the top eigenvalue changes det(M): first at lam^0
+    moved = [-2, -1, 1, 3]
+    # det(diag(0, 0, 5) - lam Id) = 5 lam^2 - lam^3 against -lam^3
+    cases = [(c_block(2), trade, 1), (c_block(2), moved, 0),
+             ([[F(0)] * 3, [F(0)] * 3, [F(0), F(0), F(5)]], [0, 0, 0], 2)]
+    for matrix, spectrum, power in cases:
+        with pytest.raises(InvariantError) as err:
+            check_spectrum(matrix, spectrum)
+        assert err.value.invariant == "kowalevski-spectrum"
+        assert str(err.value).endswith(f"(first at lam^{power})")
 
 
 # ---------------------------------------------------------------------------

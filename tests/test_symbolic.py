@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import lcm
 
 import pytest
 from conftest import fraction_rref
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prymlab.algebra import integer_numerators
-from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, matrix_rank,
-                              pivot_columns, shifted_determinants, solve_affine)
+from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, integer_rows,
+                              matrix_rank, pivot_columns, shifted_determinant, solve_affine)
 
 
 def test_multipoly_arithmetic():
@@ -178,14 +179,21 @@ def test_integer_determinant_matches_leibniz(matrix):
 
 
 def test_shifted_determinants_match_leibniz(rng):
+    # integer_rows scales each row by its denominator; shifted_determinant
+    # adds a diagonal to a copy of the rows
     for n in range(5):
         matrix = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
-        dets, D = shifted_determinants(matrix, range(-2, 3))
-        assert all(c * D == int(c * D) for row in matrix for c in row)
-        for s, det in zip(range(-2, 3), dets):
-            shifted = [[D * (c + (s if i == j else 0)) for j, c in enumerate(row)]
-                       for i, row in enumerate(matrix)]
+        rows, dens, _ = integer_rows(matrix)
+        snapshot = [row[:] for row in rows]
+        assert dens == [lcm(*(c.denominator for c in row)) for row in matrix]
+        assert rows == [[c * d for c in row] for d, row in zip(dens, matrix)]
+        assert all(type(c) is int for row in rows for c in row)
+        for s in range(-2, 3):
+            det = shifted_determinant(rows, [d * s for d in dens])
+            shifted = [[d * (c + (s if i == j else 0)) for j, c in enumerate(row)]
+                       for i, (d, row) in enumerate(zip(dens, matrix))]
             assert det == _leibniz(shifted) and type(det) is int
+        assert rows == snapshot
 
 
 def test_integer_determinant_singular_and_shape():

@@ -1,15 +1,17 @@
 """Periodic lattice: Lax operator, invariants, brackets, hierarchy flows."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from conftest import grid_polynomial, wide_toda_point
 from dense_lax import (HLaurent, dense_traces, lax_matrix, mat_mul, mat_trace,
                        toda_tridiag)
 
-from prymlab.algebra import Poly, parse_poly, tridiag_minor_det
+from prymlab.algebra import Poly, integer_numerators, parse_poly, tridiag_minor_det
 from prymlab.errors import InvariantError, ParseError
 from prymlab.sampling import km_point, rng_from_seed, toda_point
-from prymlab.symbolic import MultiPoly
+from prymlab.symbolic import MultiPoly, integer_determinant
 from prymlab import toda
 from prymlab.toda import (KMPoint, TodaPoint, char_poly, hierarchy_commutator,
                           km_even_split, km_even_split_symbolic, km_field,
@@ -200,6 +202,80 @@ def test_char_poly_check_sees_the_h_profile(monkeypatch, rng):
     with pytest.raises(InvariantError) as err:
         char_poly(point)
     assert err.value.invariant == "char-poly"
+
+
+def _record_char_poly_checks(monkeypatch):
+    """Route char_poly's determinant and K evaluation through recorders;
+    returns its log of (diagonal, k), one entry per h checked."""
+    log = []
+    det, at = toda.shifted_determinant, toda.at_two_power
+
+    def recording_det(rows, diagonal):
+        log.append([diagonal])
+        return det(rows, diagonal)
+
+    def recording_at(coeffs, k):
+        log[-1].append(k)
+        return at(coeffs, k)
+
+    monkeypatch.setattr(toda, "shifted_determinant", recording_det)
+    monkeypatch.setattr(toda, "at_two_power", recording_at)
+    return log
+
+
+def test_char_poly_check_k_bounds_both_sides(monkeypatch, rng):
+    """Both sides of det(diag(d) (x Id - L(h))) k_den h
+    = P (k_nums(x) h - (h^2 + 1) k_den), the determinant by today's grid of
+    x = 0..n and interpolation, have every coefficient below 2^k for the k
+    char_poly picks: on random points, n = 24, entries up to 10^30, and
+    wrong K's: one 10^30 times too small, whose denominator scales only the
+    determinant side, one 10^30 times too large, one moved by 10^-30, and
+    K = 0."""
+    points = [toda_point(rng, n) for n in range(1, 9)] + [km_point(rng, n).embed() for n in (3, 6)]
+    points += [toda_point(rng, 24)] + [wide_toda_point(rng, n) for n in (2, 4, 6)]
+    points.append(TodaPoint((F(1),), (F(0),)))  # L(1) = [2]: K = 0 needs the (h^2 + 1) term
+    exact = toda.char_coeffs
+    wrongs = [None, lambda c: [x * F(1, 10**30) for x in c], lambda c: [x * 10**30 for x in c],
+              lambda c: [x + F(1, 10**30 + 7) for x in c], lambda c: [0 * x for x in c]]
+    for wrong in wrongs:
+        monkeypatch.setattr(toda, "char_coeffs",
+                            exact if wrong is None else lambda a, b, z: wrong(exact(a, b, z)))
+        for point in points:
+            log = _record_char_poly_checks(monkeypatch)
+            try:
+                char_poly(point)
+            except InvariantError as exc:
+                assert wrong is not None and exc.invariant == "char-poly"
+            assert len(log) == (3 if wrong is None else 1)
+            k_nums, k_den = integer_numerators(toda.char_coeffs(point.a, point.b, F(0)))
+            n = point.n
+            for h, (diagonal, k) in zip((1, -1, 2), log):
+                rows, dens = zip(*(integer_numerators([-v for v in row])
+                                   for row in toda._lax_at(point, h)))
+                assert list(diagonal) == [d << k for d in dens]
+                dets = [integer_determinant([[c + d * x * (i == j) for j, c in enumerate(row)]
+                                             for i, (d, row) in enumerate(zip(dens, rows))])
+                        for x in range(n + 1)]
+                lhs = Poly(grid_polynomial(dets)) * (k_den * h)
+                rhs = (Poly(k_nums) * h - Poly([(h * h + 1) * k_den])) * math.prod(dens)
+                assert all(abs(lhs.coeff(j)) + abs(rhs.coeff(j)) < 1 << k for j in range(n + 1))
+
+
+def test_char_poly_check_names_the_lowest_failing_power(monkeypatch, rng):
+    # K/2 + c x^j moves q by a multiple of x^j: first at x^j, seen at h = 1
+    point = toda_point(rng, 5)
+    exact = toda.char_coeffs
+    for j in range(5):
+        def wrong(a, b, zero):
+            coeffs = exact(a, b, zero)
+            coeffs[j] += F(2, 3)
+            return coeffs
+
+        monkeypatch.setattr(toda, "char_coeffs", wrong)
+        with pytest.raises(InvariantError) as err:
+            char_poly(point)
+        assert err.value.invariant == "char-poly"
+        assert str(err.value).endswith(f"at h = 1 (first at x^{j})")
 
 
 # ---------------------------------------------------------------------------
