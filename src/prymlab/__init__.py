@@ -24,7 +24,7 @@ __all__ = [
     "incidence_data", "indicial_solutions", "integrate", "involution_j",
     "km_even_split", "km_field", "kowalevski", "laurent_balance",
     "make_balance", "momentum", "mumford_bracket_table",
-    "mumford_flow", "parse_poly", "phi", "phi_inverse",
+    "mumford_flow", "parse_poly", "phi", "phi_all", "phi_inverse",
     "pr_split", "prym_bracket_table", "prym_flow", "quad_mumford_table",
     "quotient_curves", "sigma_enum", "toda_bracket",
     "toda_flow", "toda_integrals", "tridiag_minor_det", "z_embedding",

@@ -27,7 +27,17 @@ then comes out as D^k times itself at x = y / D, so the recursion returns
 U = D^{n-1} u(y/D), V = D^n v(y/D), W = D^{n+1} w(y/D) and
 P = D^n p(y/D), and coefficient j of u is U_j / D^{n-1-j} (likewise for
 v, w, p with their weights): one Fraction per output coefficient.
-`phi_symbolic` feeds MultiPolys to the same recursion (`_phi_polys`).
+
+All n cuts share one pass (`_phi_polys`).  With B(s, L) the determinant
+of the cyclic L-block that starts at s, the minors of cut m are
+Delta_m = B(m+1, n-1), Delta_{m-1,m} = B(m+1, n-2),
+Delta_{m,m+1} = B(m+2, n-2) and Delta_{m-1,m,m+1} = B(m+2, n-3), so one
+recursion of length n-1 from start s serves cuts s-1 and s-2: `phi_all`
+runs n of them and `phi` two.  Expanding the last row of the block at m
+gives p = (x - b_m) Delta_m - S with S = a_{m-1} Delta_{m-1,m}
++ a_m Delta_{m,m+1}, hence w = (x - b_m)(p - S)
++ 4 a_m a_{m-1} Delta_{m-1,m,m+1}; p is formed once per point.
+`phi_symbolic` feeds MultiPolys to the same pass.
 
 On the Mumford side, splitting u w + v^2 = p^2 + r (p monic of degree n)
 defines for each phi of degree <= 1 a quadratic bracket family
@@ -62,13 +72,13 @@ from fractions import Fraction
 from itertools import islice
 
 from .algebra import (Poly, at_two_power, format_poly, integer_numerators, lowest_power, of_sum,
-                      outer, pr_split_from)
+                      outer, pr_split_from, tridiag_run)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
                       _read_slots, check_table_genus, linear_generators,
                       momentum, phase_coordinates, table_from_generators)
 from .symbolic import BracketTable, MultiPoly
-from .toda import TodaPoint, lax_minors
+from .toda import TodaPoint
 
 # ---------------------------------------------------------------------------
 # the forward map
@@ -118,32 +128,76 @@ class PhiImage:
         return payload
 
 
-def _phi_polys(a, b, zero):
-    """The (u, v, w, p) polynomials of the index-n image; generic over the
-    scalar ring of a, b and zero.
+def _x_minus(c, q: list, zero) -> list:
+    """Coefficients of (x - c) q, q an ascending coefficient list."""
+    out = [zero] + q
+    for j, e in enumerate(q):
+        out[j] -= c * e
+    return out
 
-    With n in the last slot every minor is a prefix determinant of one of
-    the two runs of toda.lax_minors: Delta_n, Delta_{n-1,n} and the full
-    determinant are det(1..n-1), det(1..n-2) and det(1..n);
-    Delta_{n,n+1} = Delta_{1,n} and Delta_{n-1,n,n+1} are det(2..n-1) and
-    det(2..n-2); and p = K/2.
+
+def _phi_polys(a, b, zero, cuts) -> tuple[list, list]:
+    """p and the (u, v, w) of every cut in `cuts` (0-based positions, cut
+    m at m - 1), as ascending coefficient lists over the scalar ring of a,
+    b and zero (module docstring, "Integer evaluation").
+
+    One tridiag_run of length n - 1 from start s gives B(s, L) for
+    L <= n - 1 and serves two cuts: cut s - 1 reads Delta_m and
+    Delta_{m-1,m} off it, cut s - 2 Delta_{m,m+1} and Delta_{m-1,m,m+1}.
+    With S = a_{m-1} Delta_{m-1,m} + a_m Delta_{m,m+1}, the last row of
+    the block at m gives p = (x - b_m) Delta_m - S, formed at the first
+    cut and shared by all; then v = a_{m-1} Delta_{m-1,m} - a_m
+    Delta_{m,m+1} and w = (x - b_m)(p - S) + 4 a_m a_{m-1}
+    Delta_{m-1,m,m+1}.
     """
     n = len(a)
-    head, inner, p = lax_minors(a, b, zero)
-    d_m, d_prev = Poly(head[n - 1]), Poly(head[n - 2])
-    d_next, d_both = Poly(inner[n - 2]), Poly(inner[n - 3])
-    am, am1 = a[n - 1], a[n - 2]
-    x_minus_bm = Poly([-b[n - 1], zero + 1])
-    u = d_m
-    v = am1 * d_prev - am * d_next
-    w = x_minus_bm * (x_minus_bm * d_m - 2 * (am1 * d_prev + am * d_next)) \
-        + (4 * (am * am1)) * d_both
-    return u, v, w, Poly(p)
+    runs = {}
+    for start in {(c + k) % n for c in cuts for k in (1, 2)}:
+        block = [(start + i) % n for i in range(n - 1)]
+        # B(start, n-3), B(start, n-2), B(start, n-1)
+        runs[start] = tridiag_run([b[i] for i in block], [a[i] for i in block[:-1]], zero)[n - 3:]
+    p, images = None, []
+    for c in cuts:
+        (_, d_prev, d_m), (d_both, d_next, _) = runs[(c + 1) % n], runs[(c + 2) % n]
+        am1, am, bm = a[c - 1], a[c], b[c]
+        prev_term, next_term = [am1 * e for e in d_prev], [am * e for e in d_next]
+        s = [x + y for x, y in zip(prev_term, next_term)]
+        if p is None:
+            p = _x_minus(bm, d_m, zero)
+            for j, e in enumerate(s):
+                p[j] -= e
+        w = p[:]
+        for j, e in enumerate(s):
+            w[j] -= e
+        w = _x_minus(bm, w, zero)
+        both = 4 * (am * am1)
+        for j, e in enumerate(d_both):
+            w[j] += both * e
+        images.append((d_m, [x - y for x, y in zip(prev_term, next_term)], w))
+    return p, images
 
 
-def _descale(q: Poly, d: int, weight: int) -> Poly:
+def _descale(q: list, d: int, weight: int) -> Poly:
     """Read q(x) off Q(y) = d^weight q(y / d): q_j = Q_j / d^(weight - j)."""
-    return Poly([Fraction(c, d ** (weight - j)) for j, c in enumerate(q.coeffs)])
+    return Poly([Fraction(c, d ** (weight - j)) for j, c in enumerate(q)])
+
+
+def _phi_images(point: TodaPoint, ms) -> list[PhiImage]:
+    """The images of `point` at the cuts m in `ms` (read mod n); the
+    integer data, the flavor and p are formed once (module docstring,
+    "Integer evaluation")."""
+    n = point.n
+    if n < 3:
+        raise InvariantError("size", "the morphism needs n >= 3")
+    nums, d = integer_numerators(point.a + point.b)
+    a, b = [c * d for c in nums[:n]], nums[n:]
+    cuts = [(m - 1) % n for m in ms]
+    p, images = _phi_polys(a, b, 0, cuts)
+    p = _descale(p, d, n)
+    flavor = EVEN_MUMFORD if any(b) else ODD_PRYM if n % 2 == 1 else EVEN_PRYM
+    return [PhiImage(MumfordTriple(_descale(u, d, n - 1), _descale(v, d, n),
+                                   _descale(w, d, n + 1), flavor), c + 1, p)
+            for c, (u, v, w) in zip(cuts, images)]
 
 
 def phi(point: TodaPoint, m: int) -> PhiImage:
@@ -156,32 +210,22 @@ def phi(point: TodaPoint, m: int) -> PhiImage:
     interior m, because deleting an interior row decouples the band and
     the determinant-lemma cross term degenerates to zero).
     """
-    n = point.n
-    if n < 3:
-        raise InvariantError("size", "the morphism needs n >= 3")
-    # integer data in y = D x, relabeled by m (module docstring, "Integer
-    # evaluation")
-    nums, d = integer_numerators(point.a + point.b)
-    s = m % n
-    a = [c * d for c in nums[s:n] + nums[:s]]
-    b = nums[n + s:] + nums[n:n + s]
-    u, v, w, p = (_descale(q, d, weight)
-                  for q, weight in zip(_phi_polys(a, b, 0), (n - 1, n, n + 1, n)))
-    if all(x == 0 for x in point.b):
-        flavor = ODD_PRYM if n % 2 == 1 else EVEN_PRYM
-    else:
-        flavor = EVEN_MUMFORD
-    return PhiImage(MumfordTriple(u, v, w, flavor), (m - 1) % n + 1, p)
+    return _phi_images(point, [m])[0]
+
+
+def phi_all(point: TodaPoint) -> list[PhiImage]:
+    """[phi(point, m) for m = 1..n], from one pass: n minor recursions
+    where n calls of `phi` run 2n, and p formed once."""
+    return _phi_images(point, range(1, point.n + 1))
 
 
 def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     """Image coordinates (even Mumford layout, g = n-1) as exact polynomials
     in (a_1..a_n, b_1..b_n)."""
     nv = 2 * n
-    a = [MultiPoly.var(nv, (i + m) % n) for i in range(n)]
-    b = [MultiPoly.var(nv, n + (i + m) % n) for i in range(n)]
-    u, v, w, _p = _phi_polys(a, b, MultiPoly(nv))
-    values = _read_slots(EVEN_MUMFORD, n - 1, u.coeffs, v.coeffs, w.coeffs)
+    x = MultiPoly.variables(nv)
+    _p, [(u, v, w)] = _phi_polys(x[:n], x[n:], MultiPoly(nv), [(m - 1) % n])
+    values = _read_slots(EVEN_MUMFORD, n - 1, u, v, w)
     return [MultiPoly(nv) if isinstance(c, int) else c for c in values]
 
 

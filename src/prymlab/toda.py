@@ -200,28 +200,21 @@ def toda_integrals_symbolic(n: int) -> list[MultiPoly]:
     return [tr.get(0, zero) * Fraction(1, k) for k, tr in enumerate(traces, start=1)]
 
 
-def lax_minors(a, b, zero) -> tuple[list, list, list]:
-    """The prefix determinants of x Id - L(h) with its h corners stripped,
-    on the runs 1..n and 2..n-1 (tridiag_run: diagonal shifts b, band
-    products a), and the ascending coefficients of
-    K(x)/2 = Delta - a_n Delta_{1,n} read off their last entries; over any
-    scalar ring with the given zero (Fraction, int, MultiPoly, float,
-    LaurentSeries).  At n = 1 both h corners share the one entry and the
-    a_n term, which has no permutation, is dropped."""
+def char_coeffs(a, b, zero) -> list:
+    """Ascending coefficients of K(x)/2 = Delta - a_n Delta_{1,n}, with
+    Delta_{...} the minors of x Id - L(h) with its h corners stripped:
+    Delta is the last determinant of the run on 1..n and Delta_{1,n} that
+    of the run on 2..n-1 (tridiag_run: diagonal shifts b, band products
+    a); over any scalar ring with the given zero (Fraction, int,
+    MultiPoly, float, LaurentSeries).  At n = 1 both h corners share the
+    one entry and the a_n term, which has no permutation, is dropped."""
     n = len(a)
-    head = tridiag_run(b, a, zero)
-    inner = tridiag_run(b[1:n - 1], a[1:], zero)
-    half_k = head[n][:]
+    half_k = tridiag_run(b, a, zero)[n]
     if n > 1:
         an = a[n - 1]
-        for j, c in enumerate(inner[-1]):
+        for j, c in enumerate(tridiag_run(b[1:n - 1], a[1:], zero)[-1]):
             half_k[j] -= an * c
-    return head, inner, half_k
-
-
-def char_coeffs(a, b, zero) -> list:
-    """Ascending coefficients of K(x)/2 (lax_minors)."""
-    return lax_minors(a, b, zero)[2]
+    return half_k
 
 
 def _lax_at(point: TodaPoint, h) -> list[list[Fraction]]:

@@ -56,10 +56,9 @@ def suite_fiber(seed: int = 0) -> list[CheckResult]:
         for n, quota in per_n.items():
             for _ in range(quota):
                 point = sampling.toda_point(rng, n)
-                for m in range(1, n + 1):
-                    # PhiImage checks u w + v^2 = p^2 - 4 exactly; a failure
-                    # raises InvariantError, which fails this check
-                    morphism.phi(point, m)
+                # PhiImage checks u w + v^2 = p^2 - 4 exactly at every m; a
+                # failure raises InvariantError, which fails this check
+                morphism.phi_all(point)
                 count += 1
         return f"{count} points, all m each, exact"
 
@@ -377,11 +376,11 @@ def suite_parity(seed: int = 0) -> list[CheckResult]:
         for n, quota in ((3, 34), (4, 33), (5, 33)):
             for _ in range(quota):
                 point = sampling.km_point(rng, n)
-                for m in range(1, n + 1):
+                for image in morphism.phi_all(point.embed()):
                     # a Prym flavor means MumfordTriple checked the parities
-                    flavor = morphism.phi(point.embed(), m).triple.flavor
+                    flavor = image.triple.flavor
                     if flavor != (mumford.ODD_PRYM if n % 2 else mumford.EVEN_PRYM):
-                        raise AssertionError(f"parity broke at n={n}, m={m}: {flavor}")
+                        raise AssertionError(f"parity broke at n={n}, m={image.m}: {flavor}")
                 count += 1
         return f"{count} KM points, n in 3..5, every m"
 

@@ -1,5 +1,6 @@
 """The lattice-to-Mumford morphism, its inverse, and the quadratic family."""
 
+import hashlib
 from fractions import Fraction as F
 from math import lcm
 
@@ -11,7 +12,8 @@ from prymlab import morphism
 from prymlab.algebra import (Poly, bicoeff, divided_difference, parse_poly, pr_split,
                              tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
-from prymlab.morphism import PhiImage, phi, phi_inverse, phi_symbolic, quad_mumford_table
+from prymlab.morphism import (PhiImage, phi, phi_all, phi_inverse, phi_symbolic,
+                              quad_mumford_table)
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
                              _lift_phi, flow_values, mumford_flow,
                              phase_coordinates, point_values)
@@ -89,6 +91,62 @@ def test_phi_matches_minor_formulas(rng):
                     assert poly == expected
                     assert all(type(c) is F for c in poly.coeffs)
                 assert image.p == half_k
+
+
+def test_phi_all_is_phi_at_every_cut(rng):
+    # one pass for all cuts: the same images as n calls of phi, every
+    # coefficient a Fraction, and one p, K/2, shared by all of them
+    for n in range(3, 13):
+        for point in (toda_point(rng, n), km_point(rng, n).embed()):
+            images = phi_all(point)
+            assert images == [phi(point, m) for m in range(1, n + 1)]
+            for image in images:
+                t = image.triple
+                assert all(type(c) is F for q in (t.u, t.v, t.w, image.p) for c in q.coeffs)
+                assert image.p is images[0].p
+            assert images[0].p == F(1, 2) * char_poly(point)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("forward", [phi_all, lambda point: phi(point, 1)])
+def test_phi_refuses_small_lattices(n, forward):
+    point = KMPoint((F(1),) * n).embed()
+    with pytest.raises(InvariantError) as err:
+        forward(point)
+    assert err.value.invariant == "size"
+    assert str(err.value) == "the morphism needs n >= 3"
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_phi_runs_one_minor_recursion_per_start(monkeypatch, rng, n):
+    # B(m+1, .) and B(m+2, .) serve cut m: n runs for all cuts, 2 for one
+    calls = []
+    exact = morphism.tridiag_run
+
+    def counting(b, c, zero):
+        calls.append(len(b))
+        return exact(b, c, zero)
+
+    monkeypatch.setattr(morphism, "tridiag_run", counting)
+    point = toda_point(rng, n)
+    phi_all(point)
+    assert calls == [n - 1] * n
+    for m in range(1, n + 1):
+        calls.clear()
+        phi(point, m)
+        assert calls == [n - 1] * 2
+
+
+def test_phi_symbolic_is_pinned():
+    # sha256 of every coordinate of phi_symbolic(n, m), n = 3..6 and every
+    # m, as (exponent, coefficient) terms in sorted order
+    digest = hashlib.sha256()
+    for n in range(3, 7):
+        for m in range(1, n + 1):
+            for value in phi_symbolic(n, m):
+                terms = sorted((e, str(c)) for e, c in value.terms.items())
+                digest.update(repr(terms).encode() + b";")
+    assert digest.hexdigest() == "2c54e547ea8de0807b8c9b09ddd99f67878fddae06e60f5289427ed7e83a329f"
 
 
 def test_phi_image_validation():
