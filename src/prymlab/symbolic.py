@@ -7,17 +7,23 @@ coordinates.  That makes antisymmetry, Jacobi identities, Casimirs and
 Poisson-map checks plain polynomial identities, decidable with zero
 tolerance.
 
-MultiPoly is the workhorse: a dict from exponent tuples to Fraction,
-one exponent slot per coordinate.  It is deliberately minimal; degrees
-and variable counts stay small everywhere in this package.
+MultiPoly is the workhorse: a dict `nums` from exponent tuples, one
+exponent slot per coordinate, to nonzero int numerators over one
+positive int `den`, always in lowest terms (gcd(den, *nums) = 1, and
+den = 1 for the zero polynomial), so equal polynomials have equal
+(nums, den).  It is deliberately minimal; degrees and variable counts
+stay small everywhere in this package.
 
-The exact kernels keep Fraction out of their inner loops: a MultiPoly
-product convolves integer numerators over one common denominator per
-factor, the linear algebra eliminates on integer rows kept primitive by
-their content gcd (_eliminate: ranks, determinants, and `solve_affine`,
-which returns integer numerators over one common denominator), and the
-Jacobi check works on integer numerators with packed exponents
-(_PackedTable).  Fractions are built only where a caller needs them.
+The exact kernels keep Fraction out of their inner loops: MultiPoly sums
+add numerators over the lcm of the two denominators, products convolve
+them over the product of the denominators, scalar products and
+derivatives scale them, and each result is reduced by one gcd; the
+linear algebra eliminates on integer rows kept primitive by their
+content gcd (_eliminate: ranks, determinants, and `solve_affine`, which
+returns integer numerators over one common denominator), and the Jacobi
+check works on integer numerators with packed exponents (_PackedTable).
+Fractions are built only where a caller needs them, such as the
+`MultiPoly.terms` view.
 """
 
 from __future__ import annotations
@@ -32,147 +38,197 @@ from .algebra import integer_numerators
 
 
 class MultiPoly:
-    """Sparse polynomial in nvars variables with Fraction coefficients."""
+    """Sparse polynomial in nvars variables with rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    nums maps exponent tuples to nonzero int numerators over the one
+    positive int den, kept in lowest terms: gcd(den, *nums.values()) = 1,
+    and the zero polynomial has no terms and den = 1.  So equal
+    polynomials have equal (nums, den).  `terms` is the Fraction view."""
+
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean = {}
+        self.nums, self.den = {}, 1
         if terms:
+            coeffs = {}
             for expo, coeff in terms.items():
                 coeff = Fraction(coeff)
-                if coeff != 0:
-                    clean[tuple(expo)] = coeff
-        self.terms = clean
+                if coeff:
+                    coeffs[tuple(expo)] = coeff
+            # over the lcm of the denominators the numerators are in lowest terms
+            nums, self.den = integer_numerators(coeffs.values())
+            self.nums = dict(zip(coeffs, nums))
+
+    @classmethod
+    def _reduced(cls, nvars: int, nums: dict, den: int) -> "MultiPoly":
+        """The polynomial nums / den from nonzero int numerators over den > 0,
+        brought to lowest terms by one gcd (none when den = 1)."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
+        out = object.__new__(cls)
+        out.nvars, out.nums, out.den = nvars, nums, den
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        value = value if type(value) is int else Fraction(value)
+        return cls._reduced(nvars, {(0,) * nvars: value.numerator} if value else {},
+                            value.denominator)
 
     @classmethod
     def var(cls, nvars: int, index: int) -> "MultiPoly":
         expo = [0] * nvars
         expo[index] = 1
-        return cls(nvars, {tuple(expo): Fraction(1)})
+        return cls._reduced(nvars, {tuple(expo): 1}, 1)
 
     @classmethod
     def variables(cls, nvars: int) -> list["MultiPoly"]:
         return [cls.var(nvars, i) for i in range(nvars)]
 
-    def _coerce(self, other):
-        """MultiPoly/int/Fraction -> MultiPoly; anything else -> None so the
-        dunder can return NotImplemented and defer to the other operand."""
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction coefficient}, built on each read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
+
+    def _operand(self, other):
+        """(nums, den) of a MultiPoly/int/Fraction operand, None for anything
+        else so the dunder can return NotImplemented and defer to it."""
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
                 raise ValueError("variable counts differ")
-            return other
+            return other.nums, other.den
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.nvars, other)
+            return ({(0,) * self.nvars: other.numerator} if other else {}), other.denominator
         return None
 
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.terms == MultiPoly.const(self.nvars, other).terms
+            if not other:
+                return not self.nums
+            return (self.den == other.denominator and len(self.nums) == 1
+                    and self.nums.get((0,) * self.nvars) == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        """A constant hashes as the scalar it equals (the zero polynomial as 0)."""
+        nums, zero = self.nums, (0,) * self.nvars
+        if not nums or nums.keys() == {zero}:
+            return hash(Fraction(nums.get(zero, 0), self.den))
+        return hash((self.nvars, self.den, frozenset(nums.items())))
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _sum(self, other, sign: int):
+        """self + sign * other, added over the lcm of the two dens; a sum
+        with the int 0 is self."""
+        if type(other) is int and not other:
+            return self
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc = terms.get(expo, Fraction(0)) + coeff
+        nums2, den2 = operand
+        den = self.den
+        if den == den2:
+            nums = dict(self.nums)
+            scale = sign
+        else:
+            common = lcm(den, den2)
+            s = common // den
+            nums = {e: c * s for e, c in self.nums.items()}
+            scale = sign * (common // den2)
+            den = common
+        get = nums.get
+        for expo, c in nums2.items():
+            acc = get(expo, 0) + c * scale
             if acc:
-                terms[expo] = acc
+                nums[expo] = acc
             else:
-                terms.pop(expo, None)
-        out = MultiPoly(self.nvars)
-        out.terms = terms
-        return out
+                del nums[expo]
+        return MultiPoly._reduced(self.nvars, nums, den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        out = MultiPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._reduced(self.nvars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return (-self)._sum(other, 1)
+
+    def _scaled(self, p: int, q: int) -> "MultiPoly":
+        """self * p / q for ints p and q > 0: no convolution."""
+        if not p or not self.nums:
+            return MultiPoly(self.nvars)
+        if p == 1 and q == 1:
+            return self
+        return MultiPoly._reduced(self.nvars, {e: c * p for e, c in self.nums.items()},
+                                  self.den * q)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = MultiPoly(self.nvars)
-        if not self.terms or not other.terms:
-            return out
-        n1, d1 = integer_numerators(self.terms.values())
-        n2, d2 = integer_numerators(other.terms.values())
+        if other.nvars != self.nvars:
+            raise ValueError("variable counts differ")
+        if not self.nums or not other.nums:
+            return MultiPoly(self.nvars)
         acc: dict = {}
         get = acc.get
-        for e1, c1 in zip(self.terms, n1):
-            for e2, c2 in zip(other.terms, n2):
+        terms2 = other.nums.items()
+        for e1, c1 in self.nums.items():
+            for e2, c2 in terms2:
                 expo = tuple(map(add, e1, e2))
                 acc[expo] = get(expo, 0) + c1 * c2
-        den = d1 * d2
-        out.terms = {e: Fraction(c, den) for e, c in acc.items() if c}
-        return out
+        return MultiPoly._reduced(self.nvars, {e: c for e, c in acc.items() if c},
+                                  self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        result = MultiPoly.const(self.nvars, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.const(self.nvars, 1) if result is None else result
 
     # -- calculus / substitution ------------------------------------------------
 
     def diff(self, index: int) -> "MultiPoly":
-        terms: dict = {}
-        for expo, coeff in self.terms.items():
+        """d/dx_index; lowering exponent index is one to one on the terms
+        that have it, so each numerator is scaled once and none cancel."""
+        nums = {}
+        for expo, c in self.nums.items():
             k = expo[index]
-            if k == 0:
-                continue
-            new = list(expo)
-            new[index] = k - 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * k
-        out = MultiPoly(self.nvars)
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+            if k:
+                nums[expo[:index] + (k - 1,) + expo[index + 1:]] = c * k
+        return MultiPoly._reduced(self.nvars, nums, self.den)
 
     def eval(self, values: Sequence[Fraction]) -> Fraction:
         if len(values) != self.nvars:
@@ -187,21 +243,23 @@ class MultiPoly:
         return total
 
     def subs(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute replacement polynomials for every variable."""
+        """Substitute replacement polynomials for every variable: the int
+        numerators times the products of powers, divided once by den."""
         if len(replacements) != self.nvars:
             raise ValueError("wrong number of replacements")
         nvars = replacements[0].nvars if replacements else 0
         acc = MultiPoly(nvars)
-        for expo, coeff in self.terms.items():
-            term = MultiPoly.const(nvars, coeff)
+        for expo, c in self.nums.items():
+            term = None
             for rep, k in zip(replacements, expo):
                 if k:
-                    term = term * rep ** k
-            acc = acc + term
-        return acc
+                    power = rep ** k
+                    term = power if term is None else term * power
+            acc = acc + (MultiPoly.const(nvars, c) if term is None else term * c)
+        return acc._scaled(1, self.den)
 
     def to_str(self, names: Sequence[str]) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for expo, coeff in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
@@ -224,7 +282,7 @@ class MultiPoly:
         return text.replace("+ -", "- ")
 
     def __repr__(self) -> str:
-        return f"MultiPoly(nvars={self.nvars}, {len(self.terms)} terms)"
+        return f"MultiPoly(nvars={self.nvars}, {len(self.nums)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -463,28 +521,27 @@ class _PackedTable:
     field bits*l .. bits*(l+1) - 1, wide enough for 2 maxdeg, so adding the
     keys of a gradient and an entry adds their exponents without carrying
     into the next field.  Built per call and never stored on the table,
-    whose entries may change."""
+    whose entries may change, so the gradient of each entry can be kept
+    for the life of the view and built once."""
 
     def __init__(self, entries: Sequence[Sequence[MultiPoly]]):
         self.dim = len(entries)
         self.nvars = entries[0][0].nvars if entries else 0
         maxdeg = max((max(expo, default=0) for row in entries for entry in row
-                      for expo in entry.terms), default=0)
+                      for expo in entry.nums), default=0)
         self.bits = (2 * maxdeg + 1).bit_length()
         self.shifts = [self.bits * l for l in range(self.nvars)]
         self.rows = [[self._pack(entry) for entry in row] for row in entries]
+        self.gradients: dict = {}
 
     def _pack(self, entry: MultiPoly) -> tuple:
-        nums, den = integer_numerators(entry.terms.values())
-        keys = [sum(e << s for e, s in zip(expo, self.shifts)) for expo in entry.terms]
-        return list(entry.terms), keys, nums, den
+        keys = [sum(e << s for e, s in zip(expo, self.shifts)) for expo in entry.nums]
+        return list(entry.nums), keys, list(entry.nums.values()), entry.den
 
     def unpack(self, acc: dict, den: int) -> MultiPoly:
         mask = (1 << self.bits) - 1
-        out = MultiPoly(self.nvars)
-        out.terms = {tuple((key >> s) & mask for s in self.shifts): Fraction(c, den)
-                     for key, c in acc.items() if c}
-        return out
+        nums = {tuple((key >> s) & mask for s in self.shifts): c for key, c in acc.items() if c}
+        return MultiPoly._reduced(self.nvars, nums, den)
 
     def gradient(self, a: int, b: int) -> dict:
         """{l: (keys, numerators)} for every nonzero d/dc_l of entry (a, b),
@@ -504,9 +561,13 @@ class _PackedTable:
         """The jacobiator of (i, j, k) as {packed key: numerator} over one
         denominator, the lcm of the denominators of its d*e products."""
         products = []
+        gradients = self.gradients
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             dg = self.rows[a][b][3]
-            for l, (dkeys, dnums) in self.gradient(a, b).items():
+            grad = gradients.get((a, b))
+            if grad is None:
+                grad = gradients[a, b] = self.gradient(a, b)
+            for l, (dkeys, dnums) in grad.items():
                 _, ekeys, enums, de = self.rows[l][c]
                 if ekeys:
                     products.append((dkeys, dnums, ekeys, enums, dg * de))

@@ -1,15 +1,22 @@
 """Multivariate polynomials, exact linear algebra and bracket tables."""
 
+import hashlib
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from conftest import fraction_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab.algebra import integer_numerators
+from prymlab import symbolic
+from prymlab.algebra import Poly, integer_numerators, parse_poly
+from prymlab.morphism import quad_mumford_table
+from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM,
+                             mumford_bracket_table)
+from prymlab.prym import reduce_mumford_table
 from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, integer_rows,
                               matrix_rank, pivot_columns, shifted_determinant, solve_affine)
 
@@ -294,6 +301,118 @@ def test_multipoly_product_cancels_terms():
     assert (MultiPoly.const(0, F(2, 3)) * 3).terms == {(): F(2)}
 
 
+def _assert_lowest_terms(poly):
+    """nums / den in lowest terms: den > 0, no zero numerator, no common
+    factor, and den = 1 for the zero polynomial."""
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(c) is int and c != 0 for c in poly.nums.values())
+    assert gcd(poly.den, *poly.nums.values()) == 1
+    assert poly.nums or poly.den == 1
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(*[multipolys(n)] * 3)),
+       st.one_of(small_ints, st.fractions(max_denominator=12)), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_multipoly_results_are_in_lowest_terms(polys, scalar, power):
+    p, q, r = polys
+    results = [p, p + q, p - q, p - p, p + (-p), q - scalar, scalar - q, (p + q) - q,
+               p * q, (p - q) * (p + q), p * scalar, scalar * p, F(1, 2) * (2 * p),
+               p ** power, q.subs([r] * q.nvars), q.subs([p * F(1, 3)] * q.nvars)]
+    results += [p.diff(index) for index in range(p.nvars)]
+    for poly in results:
+        _assert_lowest_terms(poly)
+    assert (p - p).nums == {} and (p - p).den == 1
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(
+    multipolys(n), st.lists(multipolys(n), min_size=n, max_size=n),
+    st.lists(entries, min_size=n, max_size=n))))
+@settings(max_examples=100, deadline=None)
+def test_multipoly_eval_and_subs_match_fraction_sums(case):
+    p, reps, values = case
+    expected = F(0)
+    for expo, coeff in p.terms.items():
+        for v, k in zip(values, expo):
+            coeff *= F(v) ** k
+        expected += coeff
+    got = p.eval(values)
+    assert got == expected and type(got) is F
+    composed = p.subs(reps)
+    _assert_lowest_terms(composed)
+    assert composed.eval(values) == p.eval([r.eval(values) for r in reps])
+
+
+@given(st.integers(0, 3).flatmap(multipolys),
+       st.one_of(small_ints, st.fractions(max_denominator=12)))
+@settings(max_examples=100, deadline=None)
+def test_scalar_product_and_zero_sum_match_the_coerced_constant(p, scalar):
+    const = MultiPoly.const(p.nvars, scalar)
+    for product in (p * scalar, scalar * p):
+        assert product == p * const
+        assert (product.nums, product.den) == ((p * const).nums, (p * const).den)
+    assert p + 0 == 0 + p == p + MultiPoly.const(p.nvars, 0) == p
+    assert p - 0 == p and 0 - p == -p
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(multipolys(n), multipolys(n))),
+       st.one_of(small_ints, st.fractions(max_denominator=12)))
+@settings(max_examples=100, deadline=None)
+def test_equal_multipolys_and_scalars_hash_alike(polys, scalar):
+    p, q = polys
+    nvars = p.nvars
+    const = MultiPoly.const(nvars, scalar)
+    assert const == scalar and hash(const) == hash(scalar)
+    assert MultiPoly(nvars) == 0 and hash(MultiPoly(nvars)) == hash(0)
+    assert hash(p - p) == hash(0) and len({p - p, 0}) == 1
+    assert Poly([const]) == Poly([scalar]) and hash(Poly([const])) == hash(Poly([scalar]))
+    # the same polynomial built two ways
+    same = (p + q) - q
+    assert same == p and hash(same) == hash(p)
+    assert Poly([same, q]) == Poly([p, q]) and hash(Poly([same, q])) == hash(Poly([p, q]))
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+def test_multipoly_hash_contract_examples():
+    c = MultiPoly.const(2, 3)
+    assert c == 3 and hash(c) == hash(3) and len({c, 3}) == 1
+    assert MultiPoly(2) == 0 and hash(MultiPoly(2)) == hash(0)
+    half = MultiPoly.const(2, F(1, 2))
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    assert Poly([c]) == Poly([3]) and hash(Poly([c])) == hash(Poly([3]))
+
+
+@pytest.mark.parametrize("name, build, digest", [
+    ("quad g=2 phi=1", lambda: quad_mumford_table(2, parse_poly("1")),
+     "0990cbce09f1eea63a6344d495f472d87a60cb1756245b2983f8e906b26638c1"),
+    ("quad g=2 phi=x", lambda: quad_mumford_table(2, parse_poly("0,1")),
+     "922830a86dfade17a0567a8f7100f87a8695f18a5275cd67790a11ff527cc3f8"),
+    ("quad g=2 phi=2+3x", lambda: quad_mumford_table(2, parse_poly("2,3")),
+     "ac22d77d8542a3e494d32f8fbec1b5199974c05d63822604c5584b027f81266a"),
+    ("odd-mumford g=1", lambda: mumford_bracket_table(ODD_MUMFORD, 1, parse_poly("1/2,-3")),
+     "27e6db4f2e4636ae6da471da2d5827294fc19ff3489fe067eba0074588759c6f"),
+    ("odd-mumford g=2", lambda: mumford_bracket_table(ODD_MUMFORD, 2, parse_poly("1/2,-3")),
+     "c5005702b6211a2cdabaf6111d6e466187742b5e921e694de970b97a51691661"),
+    ("even-mumford g=1", lambda: mumford_bracket_table(EVEN_MUMFORD, 1, parse_poly("1/2,-3")),
+     "19c60f650201c176d7f1e0de9cbbd5b849ab790e34b748e7b5cf1b9cabaf5539"),
+    ("even-mumford g=2", lambda: mumford_bracket_table(EVEN_MUMFORD, 2, parse_poly("1/2,-3")),
+     "b61a1d08d2b943b35712dbc2baace3e92cd48a33e99136e50550bfbe5d54c806"),
+    ("odd-prym n=1", lambda: reduce_mumford_table(ODD_PRYM, 1, parse_poly("1,0,1")),
+     "c158fd2e084925b449f41ae4e23b7a20eddf48d6df5ae373e026b25086e62c79"),
+    ("odd-prym n=2", lambda: reduce_mumford_table(ODD_PRYM, 2, parse_poly("1,0,1")),
+     "0e537522150a96f5ddbdca7201eb30d06aa4be75c6a23205a65b649fda94894e"),
+    ("even-prym n=1", lambda: reduce_mumford_table(EVEN_PRYM, 1, parse_poly("0,1")),
+     "48a633ba5165ede6b26fddafb2b9b110803351c74473174e38afb49df04c1091"),
+    ("even-prym n=2", lambda: reduce_mumford_table(EVEN_PRYM, 2, parse_poly("0,1")),
+     "9be9acc09857f0357cb5f58978416623215033d0d3625c1a8c8235b1779d790d"),
+])
+def test_bracket_table_strings_are_pinned(name, build, digest):
+    """sha256 of repr(entry_strings()), pinned to the values of the
+    Fraction-dict MultiPoly these tables were first built on."""
+    table = build()
+    assert hashlib.sha256(repr(table.entry_strings()).encode()).hexdigest() == digest, name
+
+
 # ---------------------------------------------------------------------------
 # the packed integer Jacobi kernel against a Fraction-dict jacobiator
 # ---------------------------------------------------------------------------
@@ -394,3 +513,19 @@ def bracket_tables(draw):
 @settings(max_examples=60, deadline=None)
 def test_jacobiator_matches_fraction_oracle_on_random_tables(table):
     _assert_kernel_matches_oracle(table)
+
+
+def test_jacobi_holds_builds_each_gradient_once(monkeypatch):
+    """One _PackedTable view per call keeps every gradient it builds."""
+    builds = Counter()
+    build = symbolic._PackedTable.gradient
+
+    def counted(view, a, b):
+        builds[a, b] += 1
+        return build(view, a, b)
+
+    monkeypatch.setattr(symbolic._PackedTable, "gradient", counted)
+    table = quad_mumford_table(1, parse_poly("2,3"))
+    assert table.jacobi_holds()
+    assert builds and max(builds.values()) == 1
+    assert all(0 <= a < table.dim and 0 <= b < table.dim for a, b in builds)
