@@ -274,21 +274,26 @@ def _exact_zero(c) -> bool:
 _INT, _RATIONAL, _OTHER = 0, 1, 2
 
 
-def _product(a: list, b: list, rows: Iterable[int] | None = None) -> list:
+def _product(a: list, b: list, rows: Iterable[int] | None = None,
+             cols: Iterable[int] | None = None) -> list:
     """Coefficients of the product of two coefficient lists over any ring,
     by the schoolbook loop of Poly.__mul__: only the rows a_i with i in
-    `rows` run (by default every row that is not an exact zero), and each
-    slot starts from the int 0 and adds a_i b_j in the order of i, then j
-    (a slot that no row reaches stays the int 0).  A caller that knows
-    which rows vanish from the shape of its lists passes them, so that no
-    coefficient is compared with anything.  The result is not trimmed."""
+    `rows` run (by default every row that is not an exact zero), each
+    against the columns b_j with j in `cols` (by default every column), and
+    each slot starts from the int 0 and adds a_i b_j in the order of i,
+    then j (a slot that no term reaches stays the int 0).  A caller that
+    knows which rows and columns vanish from the shape of its lists passes
+    them, so that no coefficient is compared with anything.  The result is
+    not trimmed."""
     out = [0] * (len(a) + len(b) - 1)
     if rows is None:
         rows = [i for i, x in enumerate(a) if not _exact_zero(x)]
+    if cols is None:
+        cols = range(len(b))
     for i in rows:
         x = a[i]
-        for k, y in enumerate(b, i):
-            out[k] = out[k] + x * y
+        for j in cols:
+            out[i + j] = out[i + j] + x * b[j]
     return out
 
 

@@ -63,13 +63,14 @@ class ProjectivePoint9:
             raise InvariantError("projective-zero", "all coordinates vanish")
 
     def proportional(self, other: "ProjectivePoint9") -> bool:
-        """Equality in P^8: all 2x2 minors of the coordinate pair vanish."""
+        """Equality in P^8: all 2x2 minors of the coordinate pair vanish.
+
+        The 8 minors a_p b_j - a_j b_p against the first nonzero coordinate
+        a_p decide it: they vanish iff b = (b_p / a_p) a, which makes every
+        minor vanish, and b_p = 0 would force b = 0, which no point is."""
         a, b = self.coords, other.coords
-        for i in range(9):
-            for j in range(i + 1, 9):
-                if a[i] * b[j] != a[j] * b[i]:
-                    return False
-        return True
+        p = next(k for k, c in enumerate(a) if c)
+        return all(a[p] * b[j] == a[j] * b[p] for j in range(9) if j != p)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ProjectivePoint9):

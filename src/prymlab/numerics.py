@@ -30,21 +30,24 @@ code.  Once per run the function is traced: run once on recorders
 (_Recorder), a scalar type that records each +, -, *, / and negation it
 meets and refuses to read a value (a comparison, truth, abs, float(),
 hashing), so no branch on a value can be baked in.  The recording is
-emitted as one Python function over generated names (a few dozen
-locals, each taken again once its value is dead) and compiled; its
-constants (y, h, the 0.0 and 1.0 of the coefficient lists, the int 0 and
-2 of the kernels, inf, nan and -0.0 alike) reach it as objects in its
-namespace, never as text.  It runs the kernel's float operations on the
-same operands in the same order, so every state and integral is bit for
-bit the kernel's, and the field keeps its one implementation: the
-recorder is one more scalar type run through mumford.mumford_tangent,
-toda.km_field and toda.hierarchy_commutator.  The KM monitor traces (its
-zero shifts are constants), and so does the momentum monitor of Mumford
-and Prym runs, which trims and skips rows by the shape of the phase
-space, read once per run, so those runs are straight-line code end to
-end.  The Toda monitor (tridiag_run tests the traced b_k against 0)
-compares values, so it stays on the kernel, as does a field that
-branches on a value and any trace past MAX_TRACE_OPS operations.
+emitted as one Python function over generated names and compiled: a
+value read once is written, parenthesized, into the expression that
+reads it, and the rest live in a few dozen locals, each taken again once
+its value is dead.  Its constants (y, h, the 0.0 and 1.0 of the
+coefficient lists, the int 0 and 2 of the kernels, inf, nan and -0.0
+alike) reach it as objects in its namespace, never as text.  It runs
+each of the kernel's float operations once, on the same operands, so
+every state and integral is bit for bit the kernel's, and the field
+keeps its one implementation: the recorder is one more scalar type run
+through mumford.mumford_tangent, toda.km_field and
+toda.hierarchy_commutator.  The KM monitor traces (its zero shifts are
+constants), and so does the momentum monitor of Mumford and Prym runs,
+which trims and skips rows and columns by the shape of the phase space,
+read once per run, so those runs are straight-line code end to end.
+The Toda monitor (tridiag_run tests the traced b_k against 0) compares
+values, so it stays on the kernel, as does a field that branches on a
+value and any trace past MAX_TRACE_OPS operations.  Each drift is read
+off the largest and smallest value of its column (see _peak).
 """
 
 from __future__ import annotations
@@ -131,6 +134,7 @@ def _rk4_step(f, x, h):
 # ---------------------------------------------------------------------------
 
 MAX_TRACE_OPS = 10_000  # compiling takes some 7 us per operation; a longer trace is given up
+MAX_NESTING = 32  # parentheses around an inlined value, well under the parser's limit of 200
 
 
 class _Refused(Exception):
@@ -206,40 +210,79 @@ class _Tape:
 
 def _emit(fn, width: int):
     """(source, constants) of fn traced on a state of `width` floats: one
-    function `traced(s)` that unpacks s, runs every recorded operation in
-    its order, one per line, and returns fn's outputs as a list.  Operations
+    function `traced(s)` that unpacks s, runs every recorded operation on
+    its own operands, and returns fn's outputs as a list.  Operations
     between two constants ran while tracing, as fn runs them on every call.
-    The values live in locals r<k>, and a local is taken again once the
-    value it held has been read for the last time, so that a call sets up
-    and clears a few dozen locals, not one per operation.  Raises _Refused,
-    or whatever else fn raised on the recorders."""
+
+    The code is written as expression trees: a value that is read exactly
+    once is written, in parentheses, into the expression that reads it, so
+    it costs no store and no load.  A value read more than once, never
+    read, or whose expression would nest deeper than MAX_NESTING gets a
+    statement of its own, in the order of recording, and a local r<k>; a
+    local is taken again once the value it held has been read for the last
+    time, counted at the statement that writes the reading expression, so
+    that a call sets up and clears a few dozen locals, not one per
+    operation.  Every operation still runs once on the same operands, so
+    the bits are fn's and a call raises where fn raises (a division by a
+    zero is the one error float arithmetic raises).  Raises _Refused, or
+    whatever else fn raised on the recorders."""
     tape = _Tape()
     inputs = [tape.value() for _ in range(width)]
     outputs = [tape.operand(y) for y in fn(inputs)]
-    ops = tape.ops
-    last = [-1] * tape.values  # the line that reads each value last
-    for line, (left, _, right) in enumerate(ops):
+    ops, end = tape.ops, tape.values  # value `end` stands for the return
+    reads, reader = [0] * end, [end] * end
+    for value, (left, _, right) in enumerate(ops, width):
         for x in (left, right):
             if type(x) is int:
-                last[x] = line
+                reads[x] += 1
+                reader[x] = value
     for x in outputs:
         if type(x) is int:
-            last[x] = len(ops)
-    local, free, fresh = [], [], (f"r{k}" for k in count())
+            reads[x] += 1
+    depth = [0] * end  # the nesting of an inlined value's expression; 0 for a local
+    line = [-1] * width + [0] * len(ops) + [0]  # where each value's expression is written
+    statements = 0
+    for value, (left, _, right) in enumerate(ops, width):
+        nesting = 1 + max(depth[left] if type(left) is int else 0,
+                          depth[right] if type(right) is int else 0)
+        if reads[value] == 1 and nesting <= MAX_NESTING:
+            depth[value] = nesting
+        else:
+            line[value], statements = statements, statements + 1
+    line[end] = statements
+    last = [-1] * end  # the line that reads each local value last
+    for x in outputs:
+        if type(x) is int:
+            last[x] = statements
+    for value in reversed(range(width, end)):
+        if depth[value]:
+            line[value] = line[reader[value]]
+        left, _, right = ops[value - width]
+        for x in (left, right):
+            if type(x) is int and not depth[x] and last[x] < line[value]:
+                last[x] = line[value]
+    dying = [[] for _ in range(statements + 1)]  # the locals read for the last time on each line
+    for x, at in enumerate(last):
+        if at >= 0:
+            dying[at].append(x)
+    text, free, fresh = [None] * end, [], (f"r{k}" for k in count())
 
-    def store(line):  # the local of the next value, which `line` writes
-        local.append(free.pop() if free else next(fresh))
-        if last[len(local) - 1] <= line:  # never read
-            free.append(local[-1])
-        return local[-1]
+    def store(value):  # the local of a value whose statement is on line[value]
+        text[value] = free.pop() if free else next(fresh)
+        if last[value] <= line[value]:  # never read
+            free.append(text[value])
+        return text[value]
 
-    text = lambda x: x if type(x) is str else local[x]
-    body = [f"[{', '.join(store(-1) for _ in inputs)}] = s"]
-    for line, (left, op, right) in enumerate(ops):
-        expr = f"{op} {text(right)}" if left is None else f"{text(left)} {op} {text(right)}"
-        free += [local[x] for x in dict.fromkeys((left, right)) if type(x) is int and last[x] == line]
-        body.append(f"{store(line)} = {expr}")
-    body.append(f"return [{', '.join(map(text, outputs))}]")
+    word = lambda x: x if type(x) is str else text[x]
+    body = [f"[{', '.join(map(store, range(width)))}] = s"]
+    for value, (left, op, right) in enumerate(ops, width):
+        expr = f"{op}{word(right)}" if left is None else f"{word(left)} {op} {word(right)}"
+        if depth[value]:
+            text[value] = f"({expr})"
+            continue
+        free += [text[x] for x in dying[line[value]]]
+        body.append(f"{store(value)} = {expr}")
+    body.append(f"return [{', '.join(map(word, outputs))}]")
     return "def traced(s):\n    " + "\n    ".join(body) + "\n", tape.constants
 
 
@@ -305,24 +348,26 @@ def _momentum_invariants(flavor: str, g: int, width: int):
     """The monitor of a Mumford or Prym run: H0, ..., H{deg u + deg w}, the
     coefficients of u w + v^2, on a state of `width` coordinates.
 
-    Its trim and its row skip are read off the shape of the phase space
-    once, never off a value: the lists of _slot_codec hold the constant
-    zero in every slot that is not a coordinate and one at the tops of u
-    and w, so u, v and w drop their trailing constant zeros, and the
-    products of algebra._product run the rows of u and of v that are not
-    constant zeros.  No value is compared with anything, so the monitor
-    traces.  Every slot of u w is reached, so every value is a float: the
-    lowest row of u that runs (u_0, or u_1 on an even Prym space, where
-    v_0^2 reaches slot 0) reaches each slot from its own up to deg w, and
-    the top row of u each slot from deg u up.
+    Its trim and its skips are read off the shape of the phase space once,
+    never off a value: the lists of _slot_codec hold the constant zero in
+    every slot that is not a coordinate and one at the tops of u and w, so
+    u, v and w drop their trailing constant zeros, and the products of
+    algebra._product run only the rows and columns that are not constant
+    zeros.  No value is compared with anything, so the monitor traces.  A
+    slot of u w + v^2 that no product reaches is identically zero on the
+    phase space (the odd slots of a Prym space, where u w and v^2 are
+    even) and reads 0.0; a slot that only v^2 reaches (slot 0 of an even
+    Prym space) reads its v^2 sum.
 
     On a finite state it gives the bits of Poly(u) * Poly(w) + Poly(v) *
-    Poly(v), which trims v by value and skips the rows that equal 0, and
-    integrate passes it no other state (the start from _floats, every later
-    state inside BLOWUP_GUARD):
-      - a state slot that is exactly +-0.0 adds 0.0 y = +-0.0 to a sum;
+    Poly(v), which trims v by value, skips the rows that equal 0 and runs
+    every column, and integrate passes it no other state (the start from
+    _floats, every later state inside BLOWUP_GUARD):
+      - a state slot that is exactly +-0.0 times a finite y, and a finite
+        state slot or one times a constant zero, is +-0.0;
       - a sum starts from the int 0, so it is never -0.0, and adding +-0.0
-        changes no bit of it (an inf or nan stays what it is);
+        changes no bit of it (an inf or nan stays what it is), so the
+        terms skipped change no sum, and a sum of them alone is 0.0;
       - an untrimmed zero top of v only adds +0.0 to slots of u w;
       - the top of u w is one times one, and v^2 is shorter than u w
         (deg w > deg u), so nothing is trimmed there and the length is
@@ -330,13 +375,19 @@ def _momentum_invariants(flavor: str, g: int, width: int):
     lists = _slot_codec(flavor, g)[0]
     shape = [[k for k, m in enumerate(c) if m] for c in lists([1] * width, 0, 1)]
     ends = [rows[-1] + 1 if rows else 0 for rows in shape]
-    u_rows, v_rows, _ = shape
+    u_rows, v_rows, w_cols = shape
+    uw_slots = {i + j for i in u_rows for j in w_cols}
+    vv_slots = {i + j for i in v_rows for j in v_rows}
+    zero_slots = [k for k in range(ends[0] + ends[2] - 1) if k not in uw_slots | vv_slots]
 
     def invariants(state):
         u, v, w = (c[:end] for c, end in zip(lists(state, 0.0, 1.0), ends))
-        out = _product(u, w, u_rows)
-        for k, c in enumerate(_product(v, v, v_rows)):
-            out[k] = out[k] + c
+        out = _product(u, w, u_rows, w_cols)
+        for k, c in enumerate(_product(v, v, v_rows, v_rows)):
+            if k in vv_slots:
+                out[k] = out[k] + c if k in uw_slots else c
+        for k in zero_slots:
+            out[k] = 0.0
         return out
     return invariants
 
@@ -344,9 +395,18 @@ def _momentum_invariants(flavor: str, g: int, width: int):
 def _peak(column) -> tuple:
     """(drift, step) of one sampled integral: the largest |value - value at
     t = 0| and the first step that reaches it, as a running maximum from
-    0.0 finds them (a NaN distance never sets a peak)."""
+    0.0 finds them (a NaN distance never sets a peak).
+
+    The drift is read off the largest and smallest entries, hi and lo, in
+    C-level passes.  max and min start from the value at t = 0, base, and
+    no entry compares past a NaN, so a NaN entry never becomes hi or lo
+    (and a NaN base makes every distance NaN, hence drift 0.0).  Round to
+    nearest is monotone in each argument of a subtraction and fl(a - b) =
+    -fl(b - a), so every |fl(x - base)| is at most fl(hi - base) for x >=
+    base and fl(base - lo) for x <= base, and both are reached; a NaN
+    among them (inf - inf) is a NaN distance, which max from 0.0 skips."""
     base = column[0]
-    peak = max(chain((0.0,), map(abs, map(base.__rsub__, column))))
+    peak = max(0.0, max(column) - base, base - min(column))
     return peak, indexOf(map(abs, map(base.__rsub__, column)), peak) if peak else 0
 
 

@@ -4,6 +4,8 @@ divisor points, incidence and balance limits."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prymlab.algebra import LaurentSeries, Poly, parse_poly
 from prymlab.errors import InvariantError
@@ -93,6 +95,50 @@ def test_projective_point_hash_is_scale_free(rng):
         scale = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
         p, q = ProjectivePoint9(coords), ProjectivePoint9([scale * c for c in coords])
         assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+
+
+def _all_minors_vanish(a, b) -> bool:
+    """Proportionality in P^8 by its definition: all 36 2x2 minors vanish."""
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(9) for j in range(i + 1, 9))
+
+
+_coordinate = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9,
+                                                     max_denominator=6))
+
+
+@st.composite
+def _point_pairs(draw):
+    """A point a and a second point b: a scaled copy of a, that copy with
+    one coordinate changed, a point with a's zero coordinates, or a point
+    that is zero at a's pivot (its first nonzero coordinate)."""
+    a = draw(st.lists(_coordinate, min_size=9, max_size=9).filter(any))
+    kind = draw(st.sampled_from(["scaled", "changed", "shared-zeros", "zero-pivot"]))
+    scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool))
+    if kind == "shared-zeros":
+        b = [draw(_coordinate) if c else F(0) for c in a]
+    else:
+        b = [scale * c for c in a]
+    if kind == "changed":
+        b[draw(st.integers(0, 8))] = draw(_coordinate)
+    if kind == "zero-pivot":
+        pivot = next(k for k, c in enumerate(a) if c)
+        b[pivot] = F(0)
+        b[draw(st.integers(0, 8).filter(lambda j: j != pivot))] = draw(_coordinate.filter(bool))
+    return a, b
+
+
+@given(_point_pairs())
+@example(([0, 0, 1, 0, 0, 0, 0, 0, 2], [0, 0, 3, 0, 0, 0, 0, 0, 6]))
+@example(([0, 0, 1, 0, 0, 0, 0, 0, 2], [0, 0, 0, 0, 0, 0, 0, 0, 6]))  # zero at the pivot
+@example(([1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0, 0]))
+@settings(max_examples=300, deadline=None)
+def test_proportional_is_the_vanishing_of_all_36_minors(pair):
+    """The 8 minors against the pivot decide proportionality as all 36
+    minors do, with either point first."""
+    a, b = pair
+    if any(b):
+        assert ProjectivePoint9(a).proportional(ProjectivePoint9(b)) == _all_minors_vanish(a, b)
+        assert ProjectivePoint9(b).proportional(ProjectivePoint9(a)) == _all_minors_vanish(a, b)
 
 
 # ---------------------------------------------------------------------------

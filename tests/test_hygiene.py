@@ -314,25 +314,46 @@ def test_code_runner_scanner_sees_each_form():
     assert code_runners("a", source) == ["a.<module>", "a.f", "a.h", "a.C"]
 
 
-def test_generated_source_holds_only_generated_names():
-    """The source that the emitter compiles for a Prym step names only the
-    generated function, its argument s, the generated locals r<k> and the
-    generated constants c<k>; no literal, call or attribute, so no text of a run's
-    input (here a Lax parameter that prints as nan) reaches exec."""
+def _prym_step():
     from prymlab.mumford import EVEN_PRYM
-    from prymlab.numerics import _emit, _mumford_rhs, _rk4_step
+    from prymlab.numerics import _mumford_rhs, _rk4_step
 
-    rhs = _mumford_rhs(EVEN_PRYM, 1, float("nan"))
-    source, constants = _emit(lambda x: _rk4_step(rhs, x, 1e-3), 5)
-    tree = ast.parse(source)
-    (func,) = tree.body
-    assert isinstance(func, ast.FunctionDef) and func.name == "traced"
-    assert [a.arg for a in func.args.args] == ["s"] and not func.decorator_list
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    generated = re.compile(r"[rc][0-9]+")
-    assert names - {"s"} and all(generated.fullmatch(name) for name in names - {"s"})
-    assert {name for name in names if name.startswith("c")} == set(constants)
+    rhs = _mumford_rhs(EVEN_PRYM, 1, float("nan"))  # a Lax parameter that prints as nan
+    return lambda x: _rk4_step(rhs, x, 1e-3), 5
+
+
+def _km_step():
+    from prymlab.numerics import _rk4_step
+    from prymlab.toda import km_field
+
+    return lambda x: _rk4_step(km_field, x, 1e-3), 20
+
+
+def _toda_step():
+    from prymlab.numerics import _rk4_step, _toda_rhs
+
+    return lambda x: _rk4_step(lambda s: _toda_rhs(s, 10, 2), x, float("inf")), 20
+
+
+def test_generated_source_holds_only_generated_names():
+    """The source that the emitter compiles for a Prym, a KM and a Toda
+    step names only the generated function, its argument s, the generated
+    locals r<k> and the generated constants c<k>; no literal, call or
+    attribute, so no text of a run's input (here a Lax parameter or a
+    step that prints as nan or inf) reaches exec."""
+    from prymlab.numerics import _emit
+
     allowed = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign, ast.Name,
                ast.List, ast.BinOp, ast.UnaryOp, ast.Return, ast.Load, ast.Store,
                ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub)
-    assert all(isinstance(node, allowed) for node in ast.walk(tree))
+    generated = re.compile(r"[rc][0-9]+")
+    for step in (_prym_step, _km_step, _toda_step):
+        source, constants = _emit(*step())
+        tree = ast.parse(source)
+        (func,) = tree.body
+        assert isinstance(func, ast.FunctionDef) and func.name == "traced"
+        assert [a.arg for a in func.args.args] == ["s"] and not func.decorator_list
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names - {"s"} and all(generated.fullmatch(name) for name in names - {"s"})
+        assert {name for name in names if name.startswith("c")} == set(constants)
+        assert all(isinstance(node, allowed) for node in ast.walk(tree))

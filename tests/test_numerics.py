@@ -1,6 +1,7 @@
 """Float integration lane: field agreement with the exact route,
 conservation drift, convergence order, blow-up handling."""
 
+import ast
 import math
 import re
 from fractions import Fraction as F
@@ -273,17 +274,48 @@ def _assert_peaks(traj):
         assert peak["relative_drift"] == d / max(1.0, abs(column[0]))
 
 
-@pytest.mark.parametrize("column", [[1.0, math.nan, 3.0, 3.0, -1.0], [1.0, math.nan],
-                                    [math.inf, math.inf, 1.0], [2.0, 2.0], [0.0, -0.0, 1e-300],
-                                    [1.0, 3.0, math.inf, math.nan, math.inf]])
-def test_peak_is_the_running_maximum_from_zero(column):
-    """A NaN distance never sets a peak, and ties keep the first step."""
+def _running_peak(column):
+    """The peak as the step loop of the dict loop finds it: a running
+    maximum of |value - value at t = 0| from 0.0, set only by a larger
+    distance (a NaN one never), so ties keep the first step."""
     peak, step = 0.0, 0
     for i, x in enumerate(column[1:], start=1):
         d = abs(x - column[0])
         if d > peak:
             peak, step = d, i
-    assert numerics._peak(column) == (peak, step)
+    return peak, step
+
+
+@pytest.mark.parametrize("column", [[1.0, math.nan, 3.0, 3.0, -1.0], [1.0, math.nan],
+                                    [math.inf, math.inf, 1.0], [2.0, 2.0], [0.0, -0.0, 1e-300],
+                                    [1.0, 3.0, math.inf, math.nan, math.inf]])
+def test_peak_is_the_running_maximum_from_zero(column):
+    """A NaN distance never sets a peak, and ties keep the first step."""
+    assert numerics._peak(column) == _running_peak(column)
+
+
+_peak_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@given(st.lists(_peak_entries, min_size=1, max_size=40))
+@example([math.nan, 1.0, -2.0])
+@example([math.inf, math.inf, -math.inf, 1.0])
+@example([-math.inf, 3.0, -math.inf, math.inf])
+@example([-0.0, 0.0, 5e-324, -5e-324])
+@example([5e-324, math.nan, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+@settings(max_examples=400, deadline=None)
+def test_peak_reads_the_running_maximum_off_the_extremes(column):
+    """The drift read off max and min of the column is the running
+    maximum's, bit for bit, and its step is the first that reaches it,
+    whatever NaN, infinity, signed zero or subnormal the column holds,
+    first entry included."""
+    peak, step = numerics._peak(column)
+    want, want_step = _running_peak(column)
+    assert (peak.hex(), step) == (want.hex(), want_step)
 
 
 def _hamiltonian_oracle(table, flavor, n, point, phi, y):
@@ -491,6 +523,29 @@ def test_shape_monitor_is_the_poly_expression_on_every_phase_space(rng, flavor, 
         assert _hexes(monitor(state)) == _hexes(traced(state)) == want
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("flavor", [ODD_PRYM, EVEN_PRYM])
+def test_prym_monitors_run_no_operation_on_a_constant_zero(rng, flavor, n):
+    """The traced Prym monitor skips the columns of w and v that are
+    constant zeros by shape: no operation reads a 0.0 constant, and the
+    odd slots, where u w + v^2 vanishes on the Prym space, return the
+    constant 0.0 itself (the int 0 that starts each sum stays: it turns
+    a -0.0 first term into 0.0).  Its runs match the dict loop bit for
+    bit."""
+    width = _width(flavor, n)
+    source, constants = numerics._emit(_momentum_invariants(flavor, n, width), width)
+    zeros = {name for name, c in constants.items() if type(c) is float and c == 0}
+    tree = ast.parse(source)
+    operands = {child.id for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.UnaryOp))
+                for child in ast.iter_child_nodes(node) if isinstance(child, ast.Name)}
+    assert zeros and not operands & zeros
+    returned = tree.body[0].body[-1].value.elts
+    assert [k for k, x in enumerate(returned) if isinstance(x, ast.Name) and x.id in zeros] \
+        == list(range(1, len(returned), 2))
+    args = ("prym", mumford_triple(rng, flavor, n), 0.3, 0.05, 1e-3)
+    assert _frozen(integrate(*args)) == _frozen(dict_loop_integrate(*args))
+
+
 @pytest.mark.parametrize("system, flavor, g", [("mumford", EVEN_MUMFORD, 2), ("prym", ODD_PRYM, 2)])
 def test_momentum_runs_build_no_poly(rng, monkeypatch, system, flavor, g):
     """The step loop of a Mumford or Prym run builds no Poly: the fields and
@@ -622,15 +677,18 @@ def test_the_recorder_refuses_to_read_a_value(read):
 
 def test_recorded_operations_keep_their_operands_and_order():
     """Reflected operations keep the constant on the left, an operation on
-    two constants runs while tracing, and the compiled code gives the
-    bits of the function run on floats, signed zeros, infinities and NaN
-    included; a constant of another type is not recorded."""
+    two constants runs while tracing, a value read once is written in
+    parentheses into its reader, and the compiled code gives the bits of
+    the function run on floats, signed zeros, infinities and NaN included;
+    a constant of another type is not recorded."""
     def fn(s):
         x, y = s
         return [1.0 - x, x / 2, -y, 0.0 * x, (0.5 * 3.0) * y, x + y * x, 2.0]
 
     source, constants = numerics._emit(fn, 2)
-    assert source.splitlines()[1:3] == ["    [r0, r1] = s", "    r2 = c0 - r0"]
+    assert source.splitlines()[1:] == [
+        "    [r0, r1] = s",
+        "    return [(c0 - r0), (r0 / c1), (-r1), (c2 * r0), (c3 * r1), (r0 + (r1 * r0)), c4]"]
     assert list(map(repr, constants.values())) == ["1.0", "2", "0.0", "1.5", "2.0"]
     compiled = numerics._traced(fn, 2)
     for s in ([-0.0, 0.0], [math.inf, -math.inf], [math.nan, 5e-324], [1e308, -3.0]):
@@ -640,15 +698,118 @@ def test_recorded_operations_keep_their_operands_and_order():
 
 
 def test_a_local_is_taken_again_once_its_value_is_read_for_the_last_time():
-    """A chain of 50 additions runs in one local, and each kept state value in its own."""
+    """A chain of 50 squarings, each value read twice, runs in one local,
+    and each kept state value in its own; a value read once by the return
+    is written into it."""
     def chain(s):
         x = s[0]
         for _ in range(50):
-            x = x + 1.0
+            x = x * x
         return [x]
 
     source, _ = numerics._emit(chain, 1)
-    assert set(re.findall(r"r[0-9]+", source)) == {"r0"} and source.count("r0 = r0 + c") == 50
+    assert set(re.findall(r"r[0-9]+", source)) == {"r0"}
+    assert source.count("    r0 = r0 * r0\n") == 49 and source.endswith("return [(r0 * r0)]\n")
     source, _ = numerics._emit(lambda s: [s[0] * s[1], s[1], s[0]], 2)
-    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    r2 = r0 * r1",
-                                       "    return [r2, r1, r0]"]
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    return [(r0 * r1), r1, r0]"]
+
+
+def test_a_local_read_inside_an_inlined_expression_lives_until_that_statement():
+    """Liveness is counted where the reading expression is written: the
+    input x, read by the inlined x + 1.0, keeps its local until the return
+    that writes it, so the squares recorded in between do not take it."""
+    def fn(s):
+        x, y = s
+        t = x + 1.0  # read once, by the last product: inlined there
+        z = y * y
+        z = z * z
+        return [t * z, z]
+
+    source, _ = numerics._emit(fn, 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    r1 = r1 * r1",
+                                       "    r1 = r1 * r1", "    return [((r0 + c0) * r1), r1]"]
+    for s in ([1.5, -2.0], [-0.0, math.nan]):
+        assert [v.hex() for v in numerics._traced(fn, 2)(s)] == [v.hex() for v in fn(s)]
+
+
+def _paren_depth(source) -> int:
+    depth = deepest = 0
+    for ch in source:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_a_chain_one_short_of_the_cap_compiles_and_matches():
+    """MAX_TRACE_OPS - 1 single-use additions trace, nest at most
+    MAX_NESTING parentheses deep, compile and give fn's bits."""
+    def chain(s):
+        x = s[0]
+        for k in range(numerics.MAX_TRACE_OPS - 1):
+            x = x + (1.0 if k % 2 else 5e-324)
+        return [x]
+
+    source, _ = numerics._emit(chain, 1)
+    assert source.count(" + c") == numerics.MAX_TRACE_OPS - 1
+    assert _paren_depth(source) == numerics.MAX_NESTING
+    compiled = numerics._traced(chain, 1)
+    for s in ([0.25], [-0.0], [math.inf], [math.nan], [-1e308]):
+        assert [v.hex() for v in compiled(s)] == [v.hex() for v in chain(s)]
+
+
+_ARITHMETIC = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y,
+               "/": lambda x, y: x / y, "neg": lambda x, y: -y}
+_tape_specials = [-0.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1.5, -3.0]
+_tape_constants = st.one_of(st.sampled_from(_tape_specials + [0, 2]), st.floats())
+# an operand: ("v", k) reads value k mod the number of values so far, ("c", x) a constant
+_tape_operands = st.one_of(st.tuples(st.just("v"), st.integers(0, 999)),
+                           st.tuples(st.just("c"), _tape_constants))
+
+
+@st.composite
+def _tapes(draw):
+    width = draw(st.integers(2, 4))
+    state = draw(st.lists(st.one_of(st.sampled_from(_tape_specials), st.floats()),
+                          min_size=width, max_size=width))
+    program = draw(st.lists(st.tuples(st.sampled_from(sorted(_ARITHMETIC)), _tape_operands,
+                                      _tape_operands), max_size=40))
+    outputs = draw(st.lists(_tape_operands, min_size=1, max_size=6))
+    return width, state, program, outputs
+
+
+def _tape_function(program, outputs):
+    """The function that runs `program` on any scalar type."""
+    def fn(s):
+        values = list(s)
+        read = lambda ref: values[ref[1] % len(values)] if ref[0] == "v" else ref[1]
+        for op, left, right in program:
+            values.append(_ARITHMETIC[op](read(left), read(right)))
+        return [read(ref) for ref in outputs]
+    return fn
+
+
+def _bits_or_error(fn, state):
+    try:
+        return [(type(x), x.hex() if type(x) is float else x) for x in fn(state)]
+    except ZeroDivisionError as exc:
+        return repr(exc)
+
+
+@given(_tapes())
+@example((2, [1.0, 0.0], [("/", ("v", 0), ("v", 1))], [("v", 2)]))  # a division by a zero input
+@example((3, [-0.0, math.nan, math.inf], [("*", ("v", 0), ("v", 1)), ("neg", ("v", 0), ("v", 3)),
+                                          ("/", ("c", 5e-324), ("v", 0))],
+          [("v", 4), ("v", 5), ("c", -0.0)]))
+@settings(max_examples=300, deadline=None)
+def test_random_tapes_compile_to_the_bits_of_fn(case):
+    """Any straight-line float function compiles to its own bits, or to its
+    own ZeroDivisionError; a division by a zero constant raised while
+    tracing gives up the trace, and fn raises it on floats too."""
+    width, state, program, outputs = case
+    fn = _tape_function(program, outputs)
+    want = _bits_or_error(fn, state)
+    compiled = numerics._traced(fn, width)
+    if compiled is None:
+        assert type(want) is str  # fn raises its ZeroDivisionError on floats too
+    else:
+        assert _bits_or_error(compiled, state) == want
