@@ -11,8 +11,8 @@ This module provides those substrates:
 plus the structural operations the rest of the package consumes: the
 one long division (Poly.divrem), divided differences, the tridiagonal
 minor recurrence, the monic-square splitting f = p^2 + r, and the one
-evaluation at x = 2^k (at_two_power) that decides an int polynomial
-identity whose coefficients are bounded.
+evaluation at x = 2^k (at_two_power) behind first_mismatch, which
+decides a sum of products of int polynomials.
 
 Coefficient slots are duck typed: the same Poly code is reused with
 MultiPoly (symbolic.py) or LaurentSeries coefficients whenever an identity
@@ -328,9 +328,8 @@ def at_two_power(coeffs: Sequence[int], k: int) -> int:
     an int R; as 0 < |q_j0| < 2^k, 2^k does not divide q_j0, so
     q_j0 + 2^k R is nonzero and has 2-adic valuation v_2(q_j0) < k.
 
-    So an exact identity between int polynomials is one evaluation of the
-    difference of its two sides, with k = B.bit_length() for a bound
-    B >= |q_j| on every coefficient of that difference (then 2^k > B)."""
+    The deciders first_mismatch and symbolic.charpoly_mismatch take
+    k = B.bit_length() for a bound B >= |q_j| that each proves."""
     value = 0
     for c in reversed(coeffs):
         value = (value << k) + c
@@ -341,6 +340,32 @@ def lowest_power(value: int, k: int) -> int:
     """The lowest nonzero slot of q, read off value = q(2^k) != 0 under the
     bound of at_two_power: the 2-adic valuation of value, divided by k."""
     return ((value & -value).bit_length() - 1) // k
+
+
+def first_mismatch(terms: Sequence[tuple[int, Sequence[int], Sequence[int]]],
+                   constant: int = 0) -> int | None:
+    """Decide the int polynomial identity sum(s p q for (s, p, q) in terms)
+    + constant = 0, p and q ascending int coefficient lists: None when it
+    holds, otherwise the lowest power of x at which it fails.
+
+    A coefficient of a product is at most the product of the factors' l1
+    norms, so every coefficient of the left side obeys
+
+        |c_j| <= B = sum |s| |p|_1 |q|_1 + |constant|,
+
+    and the identity is decided by its one value at x = 2^k, 2^k > B
+    (at_two_power).  A square, a term whose p and q are one list, costs
+    one norm and one evaluation."""
+    bound = abs(constant)
+    for s, p, q in terms:
+        norm_p = sum(map(abs, p))
+        bound += abs(s) * norm_p * (norm_p if q is p else sum(map(abs, q)))
+    k = bound.bit_length()
+    value = constant
+    for s, p, q in terms:
+        at_p = at_two_power(p, k)
+        value += s * at_p * (at_p if q is p else at_two_power(q, k))
+    return lowest_power(value, k) if value else None
 
 
 def _rational_product(a: list, b: list, width: int | None = None,

@@ -46,11 +46,19 @@ def _load_json_arg(text: str) -> dict:
         raise ParseError(f"cannot read JSON argument: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write a file named on the command line; an unwritable path is malformed input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file: {exc}") from exc
+
+
 def _emit(payload, path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -171,8 +179,7 @@ def _cmd_flow(args) -> dict:
         selector = parse_rational(args.y)
     trajectory = numerics.integrate(args.system, point, selector, args.t, args.step)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(trajectory.csv())
+        _write(args.csv, trajectory.csv())
     return trajectory.drift_summary()
 
 

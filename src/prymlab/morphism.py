@@ -27,6 +27,8 @@ then comes out as D^k times itself at x = y / D, so the recursion returns
 U = D^{n-1} u(y/D), V = D^n v(y/D), W = D^{n+1} w(y/D) and
 P = D^n p(y/D), and coefficient j of u is U_j / D^{n-1-j} (likewise for
 v, w, p with their weights): one Fraction per output coefficient.
+Each image then decides its fiber identity on integer numerators
+(PhiImage, through algebra.first_mismatch).
 
 All n cuts share one pass (`_phi_polys`).  With B(s, L) the determinant
 of the cyclic L-block that starts at s, the minors of cut m are
@@ -71,8 +73,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import (Poly, at_two_power, format_poly, integer_numerators, lowest_power, of_sum,
-                      outer, pr_split_from, tridiag_run)
+from .algebra import (Poly, first_mismatch, format_poly, integer_numerators, of_sum, outer,
+                      pr_split_from, tridiag_run)
 from .errors import InvariantError, NotInImageError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
                       _read_slots, check_table_genus, linear_generators,
@@ -92,17 +94,12 @@ class PhiImage:
     The identity is checked fraction-free: with d the common denominator
     of all coefficients of u, v, w and p, and N_u = d u and so on their
     integer numerator polynomials, it reads
-    q = N_u N_w + N_v^2 - N_p^2 + 4 d^2 = 0 over the integers.  A
-    coefficient of a product is at most the product of the factors' l1
-    norms, so every coefficient of q obeys
-
-        |q_j| <= B = |N_u|_1 |N_w|_1 + |N_v|_1^2 + |N_p|_1^2 + 4 d^2,
-
-    and q = 0 is decided by the one value q(2^k), 2^k > B
-    (algebra.at_two_power); a failure names the lowest power of x at which
-    the identity fails.  One common d keeps k small: the denominators of a
-    `phi` image are powers of one D, so d is the largest of them, where
-    four separate denominators would scale each term by a product of four."""
+    N_u N_w + N_v^2 - N_p^2 + 4 d^2 = 0 over the integers
+    (algebra.first_mismatch); a failure names the lowest power of x at
+    which it fails.  One common d keeps the decider's bound small: the
+    denominators of a `phi` image are powers of one D, so d is the largest
+    of them, where four separate denominators would scale each term by a
+    product of four."""
 
     triple: MumfordTriple
     m: int
@@ -114,13 +111,9 @@ class PhiImage:
         nums, d = integer_numerators([c for q in parts for c in q])
         rest = iter(nums)
         nu, nv, nw, np_ = (list(islice(rest, len(q))) for q in parts)
-        norm_u, norm_v, norm_w, norm_p = (sum(map(abs, q)) for q in (nu, nv, nw, np_))
-        k = (norm_u * norm_w + norm_v * norm_v + norm_p * norm_p + 4 * d * d).bit_length()
-        eu, ev, ew, ep = (at_two_power(q, k) for q in (nu, nv, nw, np_))
-        value = eu * ew + ev * ev - ep * ep + 4 * d * d
-        if value:
-            raise InvariantError("fiber-identity", f"u w + v^2 != p^2 - 4 "
-                                 f"(first at x^{lowest_power(value, k)})")
+        power = first_mismatch([(1, nu, nw), (1, nv, nv), (-1, np_, np_)], 4 * d * d)
+        if power is not None:
+            raise InvariantError("fiber-identity", f"u w + v^2 != p^2 - 4 (first at x^{power})")
 
     def to_json(self) -> dict:
         payload = self.triple.to_json()

@@ -32,9 +32,8 @@ tridiagonal blocks C_i of size 2 l_i on the runs (eigenvalues
 +-1..+-l_i) and diagonal blocks on the gaps with entries 1 - r_j; hence
 the spectrum is integral and the count of non-negative eigenvalues is
 n - #A/2, the number of free parameters of the Laurent family.  Every
-report proves its spectrum by one exact integer determinant of
-M - 2^k Id, with 2^k above a bound on the coefficients of
-det(M - lam Id) - prod(e_i - lam) (check_spectrum).
+report proves its spectrum exactly (check_spectrum, through the
+characteristic-polynomial decider symbolic.charpoly_mismatch).
 Free parameters enter the recursion exactly at the non-pivot columns of
 M - k I and are addressed by slot names "a<i>.<k>".  Each order is solved
 on the integer rows [k Id - M | rhs] (symbolic.solve_affine).  The check
@@ -47,12 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable
 
-from .algebra import LaurentSeries, format_rational, integer_numerators, lowest_power
+from .algebra import LaurentSeries, format_rational, integer_numerators
 from .errors import InvariantError, ResonanceError
-from .symbolic import _eliminate, integer_rows, shifted_determinant, solve_affine
+from .symbolic import _eliminate, charpoly_mismatch, solve_affine
 from .toda import MAX_N, km_field
 
 # The largest Laurent order laurent_balance accepts.  On one Intel Xeon core
@@ -244,33 +243,21 @@ def check_spectrum(matrix, spectrum) -> None:
     """Prove that the n x n rational `matrix` has the eigenvalues `spectrum`
     (with multiplicity), or raise InvariantError("kowalevski-spectrum").
 
-    With d_i the common denominator of row i of M, P = prod d_i and
-    e_i = f_i / E (E = 1 for an int spectrum),
-    q(lam) = E^n det(diag(d) (M - lam Id)) - P prod(f_i - E lam) is an int
-    polynomial, zero exactly when det(M - lam Id) = prod(e_i - lam).  With
-    r_i the l1 norm of row i of diag(d) M, symbolic.integer_rows bounds the
-    determinant's coefficients, so
-
-        |q_j| <= B = E^n prod_i (d_i + r_i) + P prod_i (|f_i| + E),
-
-    and q = 0 is decided by one integer determinant at lam = 2^k, 2^k > B
-    (algebra.at_two_power); a failure names the lowest power of lam at
-    which the two sides differ.  (A Kowalevski matrix is integral: every
-    d_i is 1.)"""
+    With e_i = f_i / E (E = 1 for an int spectrum), symbolic.charpoly_mismatch
+    decides det(lam Id - M) = prod(E lam - f_i) / E^n, which is (-1)^n times
+    det(M - lam Id) = prod(e_i - lam): a failure names its lowest power."""
     n = len(matrix)
     if len(spectrum) != n:
         raise InvariantError("kowalevski-spectrum",
                              f"{len(spectrum)} eigenvalues for a {n} x {n} matrix")
-    rows, dens, det_bound = integer_rows(matrix)
     f, E = integer_numerators(spectrum)
-    P = prod(dens)
-    k = (E ** n * det_bound + P * prod(abs(c) + E for c in f)).bit_length()
-    lam = 1 << k
-    value = (E ** n * shifted_determinant(rows, [-d << k for d in dens])
-             - P * prod(c - E * lam for c in f))
-    if value:
+    q = [1]
+    for c in f:  # q <- (E x - c) q
+        q = [E * a - c * b for a, b in zip([0] + q, q + [0])]
+    power = charpoly_mismatch(matrix, q, E ** n)
+    if power is not None:
         raise InvariantError("kowalevski-spectrum", "det(M - lam Id) is not prod(e_i - lam) "
-                             f"(first at lam^{lowest_power(value, k)})")
+                             f"(first at lam^{power})")
 
 
 def kowalevski(n: int, A: Iterable[int]) -> KowalevskiReport:

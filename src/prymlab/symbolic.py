@@ -19,9 +19,10 @@ add numerators over the lcm of the two denominators, products convolve
 them over the product of the denominators, scalar products and
 derivatives scale them, and each result is reduced by one gcd; the
 linear algebra eliminates on integer rows kept primitive by their
-content gcd (_eliminate: ranks, determinants, and `solve_affine`, which
-returns integer numerators over one common denominator), and the Jacobi
-check works on integer numerators with packed exponents (_PackedTable).
+content gcd (_eliminate: ranks, determinants such as the one at x = 2^k
+of charpoly_mismatch, and `solve_affine`, which returns integer
+numerators over one common denominator), and the Jacobi check works on
+integer numerators with packed exponents (_PackedTable).
 Fractions are built only where a caller needs them, such as the
 `MultiPoly.terms` view.
 """
@@ -34,7 +35,7 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Sequence
 
-from .algebra import integer_numerators
+from .algebra import at_two_power, integer_numerators, lowest_power
 
 
 class MultiPoly:
@@ -341,32 +342,41 @@ def integer_determinant(rows: list[list[int]]) -> int:
     return num * prod(row[col] for row, col in zip(rows, pivots)) // den
 
 
-def integer_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
-    """(rows, dens, B) for a square Fraction/int matrix M: dens[i] is the
-    lcm of the denominators of row i, rows[i] = dens[i] M_i as ints, and
-    B = prod_i (dens[i] + |rows[i]|_1).
+def charpoly_mismatch(matrix: Sequence[Sequence[Fraction]], q: Sequence[int],
+                      q_den: int) -> int | None:
+    """Decide det(x Id - M) = q(x) / q_den for a square Fraction/int matrix
+    M, an ascending int coefficient list q and an int q_den != 0: None
+    when it holds, otherwise the lowest power of x at which the two sides
+    differ.
 
-    det(rows + lam diag(dens)) = prod(dens) det(M + lam Id), and B bounds
-    every coefficient of it as a polynomial in lam: expanding over
-    permutations, each entry is a polynomial of l1 norm
-    |rows_ij| + dens[i] [i = j], the l1 norm of a product is at most the
-    product of the norms, and the permanent of a nonnegative matrix is at
-    most the product of its row sums.  Scaling each row by its own
-    denominator gives B, and so an evaluation above it, up to about n
-    times fewer bits than one common denominator of all n rows would."""
+    With d_i the lcm of the denominators of row i of M, N_i = d_i M_i its
+    int row and P = prod d_i, the identity reads
+
+        r(x) = q_den det(x diag(d) - N) - P q(x) = 0.
+
+    Expanding the determinant over permutations, each entry is a
+    polynomial of l1 norm |N_ij| + d_i [i = j], the l1 norm of a product
+    is at most the product of the norms, and the permanent of a
+    nonnegative matrix is at most the product of its row sums, so
+
+        |r_j| <= B = |q_den| prod_i (d_i + |N_i|_1) + P |q|_1,
+
+    and r = 0 is decided by one integer determinant at x = 2^k, 2^k > B
+    (algebra.at_two_power).  Scaling each row by its own denominator
+    gives B, and so the evaluation, up to about n times fewer bits than
+    one common denominator of all n rows would."""
     rows, dens = [], []
-    for row in matrix:
-        nums, d = integer_numerators(row)
+    for nums, d in map(integer_numerators, matrix):
         rows.append(nums)
         dens.append(d)
-    return rows, dens, prod(d + sum(map(abs, row)) for d, row in zip(dens, rows))
-
-
-def shifted_determinant(rows: Sequence[Sequence[int]], shifts: Sequence[int]) -> int:
-    """det(rows + diag(shifts)) for a square int matrix, by exact integer
-    elimination of a copy."""
-    return integer_determinant([[c + shifts[i] if i == j else c for j, c in enumerate(row)]
-                                for i, row in enumerate(rows)])
+    P = prod(dens)
+    k = (abs(q_den) * prod(d + sum(map(abs, row)) for d, row in zip(dens, rows))
+         + P * sum(map(abs, q))).bit_length()
+    for i, d in enumerate(dens):
+        rows[i][i] -= d << k
+    # det(N - 2^k diag(d)) = (-1)^n det(2^k diag(d) - N)
+    value = (-1) ** len(rows) * q_den * integer_determinant(rows) - P * at_two_power(q, k)
+    return lowest_power(value, k) if value else None
 
 
 def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:

@@ -50,10 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .algebra import (Poly, at_two_power, format_rational, integer_numerators, lowest_power,
-                      parse_rational, tridiag_run)
+from .algebra import Poly, format_rational, integer_numerators, parse_rational, tridiag_run
 from .errors import InvariantError, ParseError
-from .symbolic import BracketTable, MultiPoly, integer_rows, shifted_determinant
+from .symbolic import BracketTable, MultiPoly, charpoly_mismatch
 
 # The largest lattice the Painleve analysis and the bracket tables accept.
 # |Sigma_n| grows like the golden ratio to the n (15 126 sets at n = 20,
@@ -238,32 +237,19 @@ def char_poly(point: TodaPoint) -> Poly:
     independent of it: h det(x Id - L(h)) is a polynomial of degree <= 2
     in h (h^-1 and h sit in one entry each), so agreeing with
     -h^2 - 1 + h K(x)/2 as polynomials in x at h = 1, -1, 2 proves the
-    identity.  At each h, with d_i the common denominator of row i of
-    L(h), P = prod d_i and K/2 = k_nums(x) / k_den, the int polynomial
-
-        q(x) = det(diag(d) (x Id - L(h))) k_den h - P (k_nums(x) h - (h^2 + 1) k_den)
-
-    vanishes exactly when they agree.  With B_det the determinant bound of
-    symbolic.integer_rows (for the rows of -diag(d) L(h)), every
-    coefficient of q obeys
-
-        |q_j| <= B = B_det k_den |h| + P (|k_nums|_1 |h| + (h^2 + 1) k_den),
-
-    so q = 0 is decided by one integer determinant at x = 2^k, 2^k > B
-    (algebra.at_two_power); a failure names the lowest power of x at which
-    the two sides differ."""
+    identity.  With K/2 = k_nums(x) / k_den, each h is the identity
+    det(x Id - L(h)) = (h k_nums(x) - (h^2 + 1) k_den) / (h k_den),
+    decided by symbolic.charpoly_mismatch; a failure names the lowest
+    power of x at which the two sides differ."""
     half_k = char_coeffs(point.a, point.b, Fraction(0))
     k_nums, k_den = integer_numerators(half_k)  # K/2 = k_nums(x) / k_den
-    k_norm = sum(map(abs, k_nums))
     for h in (1, -1, 2):
-        rows, dens, det_bound = integer_rows([[-v for v in row] for row in _lax_at(point, h)])
-        P, scale = prod(dens), h * h + 1
-        k = (det_bound * k_den * abs(h) + P * (k_norm * abs(h) + scale * k_den)).bit_length()
-        det = shifted_determinant(rows, [d << k for d in dens])
-        value = det * k_den * h - P * (at_two_power(k_nums, k) * h - scale * k_den)
-        if value:
+        q = [h * c for c in k_nums]
+        q[0] -= (h * h + 1) * k_den
+        power = charpoly_mismatch(_lax_at(point, h), q, h * k_den)
+        if power is not None:
             raise InvariantError("char-poly", f"det(x Id - L(h)) is off at h = {h} "
-                                 f"(first at x^{lowest_power(value, k)})")
+                                 f"(first at x^{power})")
     return Poly([2 * c for c in half_k])
 
 

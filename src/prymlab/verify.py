@@ -14,8 +14,7 @@ from math import prod
 from operator import mul
 
 from . import example5, morphism, mumford, numerics, painleve, prym, sampling, toda
-from .algebra import (Poly, at_two_power, integer_numerators, lowest_power, parse_poly,
-                      tridiag_run)
+from .algebra import Poly, first_mismatch, integer_numerators, parse_poly, tridiag_run
 from .errors import InvariantError
 from .symbolic import MultiPoly
 
@@ -105,15 +104,11 @@ def suite_detlemma(seed: int = 0) -> list[CheckResult]:
     and y -> y / d is invertible, so it holds over the integers exactly
     when the rational lemma holds.
 
-    The int polynomial q = D1 Dn - D D1n - prod(bands) is decided by its
-    one value at y = 2^k (algebra.at_two_power): a coefficient of a
-    product is at most the product of the factors' l1 norms, so
-
-        |q_j| <= B = |D1|_1 |Dn|_1 + |D|_1 |D1n|_1 + |prod(bands)|,
-
-    and 2^k > B.  A failure names the lowest power at which the lemma
-    fails: coefficient j of q is d^(2n-2-j) times that of the rational
-    difference, so the lowest power of y is the lowest power of x."""
+    The int identity D1 Dn - D D1n - prod(bands) = 0 is decided by
+    algebra.first_mismatch.  A failure names the lowest power at which
+    the lemma fails: coefficient j of the integer difference is
+    d^(2n-2-j) times that of the rational one, so the lowest power of y is
+    the lowest power of x."""
     rng = sampling.rng_from_seed(seed + 2)
 
     def run():
@@ -127,15 +122,11 @@ def suite_detlemma(seed: int = 0) -> list[CheckResult]:
             bands = list(map(mul, nums[n:2 * n - 1], nums[2 * n - 1:]))
             head = tridiag_run(shifts, bands, 0)
             tail = tridiag_run(shifts[1:], bands[1:], 0)
-            minors = (tail[n - 1], head[n - 1], head[n], tail[n - 2])  # D1, Dn, D, D1n
-            t1, h1, h0, t2 = (sum(map(abs, q)) for q in minors)
-            band_product = prod(bands)
-            k = (t1 * h1 + h0 * t2 + abs(band_product)).bit_length()
-            e1, en, e, e1n = (at_two_power(q, k) for q in minors)
-            value = e1 * en - e * e1n - band_product
-            if value:
-                raise AssertionError(f"(first at x^{lowest_power(value, k)}) "
-                                     f"determinant lemma failed, trial {trial}")
+            # D1 Dn - D D1n - prod(bands)
+            power = first_mismatch([(1, tail[n - 1], head[n - 1]), (-1, head[n], tail[n - 2])],
+                                   -prod(bands))
+            if power is not None:
+                raise AssertionError(f"(first at x^{power}) determinant lemma failed, trial {trial}")
         return "500 trials, sizes 2..8, exact"
 
     return [_check("det-lemma: D1 Dn - D D1n = prod of band products", run)]

@@ -13,7 +13,7 @@ import math
 import pytest
 from conftest import wide_rational
 
-from prymlab import morphism, mumford, numerics, sampling, verify
+from prymlab import algebra, morphism, mumford, numerics, sampling, verify
 from prymlab.algebra import Poly, integer_numerators, tridiag_minor_det, tridiag_run
 from prymlab.morphism import PhiImage, _descale
 
@@ -172,8 +172,8 @@ class _Enough(Exception):
 @pytest.mark.parametrize("draw, trials", [("suite", 500), ("wide", 100)])
 def test_detlemma_k_bounds_both_sides(monkeypatch, draw, trials):
     """Both sides of D1 Dn = D D1n + prod(bands), by Poly products of the
-    recorded runs, have every coefficient below 2^k for the k each trial
-    picks: on the suite's 500 draws, and on the first 100 trials with
+    recorded runs, have every coefficient below 2^k for the k that
+    algebra.first_mismatch picks in each trial: on the suite's 500 draws, and on the first 100 trials with
     entries up to 10^30."""
     if draw == "wide":
         monkeypatch.setattr(sampling, "rational", wide_rational)
@@ -187,13 +187,13 @@ def test_detlemma_k_bounds_both_sides(monkeypatch, draw, trials):
 
     monkeypatch.setattr(verify, "tridiag_run", bounded_run)
     ks = []
-    exact = verify.at_two_power
+    exact = algebra.at_two_power
 
     def recording(coeffs, k):
         ks.append(k)
         return exact(coeffs, k)
 
-    monkeypatch.setattr(verify, "at_two_power", recording)
+    monkeypatch.setattr(algebra, "at_two_power", recording)
     (result,) = verify.suite_detlemma(0)
     assert result.passed == (trials == 500)
     assert len(log) == 2 * trials and len(ks) == 4 * trials

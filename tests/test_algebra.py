@@ -2,6 +2,7 @@
 minors, the monic-square splitting and truncated Laurent series."""
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from conftest import typed_series
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prymlab.algebra import (LaurentSeries, Poly, TruncationError, at_two_power,
-                             divided_difference, format_poly,
+                             divided_difference, first_mismatch, format_poly,
                              format_rational, horner, lowest_power, of_sum, outer, parse_poly,
                              parse_rational, pr_split, pr_split_from,
                              tridiag_minor_det, tridiag_run)
@@ -269,6 +270,42 @@ def test_at_two_power_decides_a_product_identity(a, b, c):
     assert (value == 0) == q.is_zero()
     if value:
         assert lowest_power(value, k) == next(j for j, x in enumerate(q.coeffs) if x)
+    # the decider takes its own bound and reads the same lowest slot
+    expected = next((j for j, x in enumerate(q.coeffs) if x), None)
+    assert first_mismatch([(1, a, b), (-1, c, [1])]) == expected
+
+
+def test_first_mismatch_decides_the_determinant_lemma(rng):
+    """None on D1 Dn - D D1n - prod(bands) = 0 for random int tridiagonal
+    runs, and j once c x^j is added, for every j from 0 to the top."""
+    for n in range(2, 9):
+        for _ in range(5):
+            shifts = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            bands = [rng.choice([-1, 1]) * rng.randint(1, 10**6) for _ in range(n - 1)]
+            head, tail = tridiag_run(shifts, bands, 0), tridiag_run(shifts[1:], bands[1:], 0)
+            terms = [(1, tail[n - 1], head[n - 1]), (-1, head[n], tail[n - 2])]
+            constant = -prod(bands)
+            assert first_mismatch(terms, constant) is None
+            for j in range(2 * n - 1):  # D1 Dn has degree 2n - 2
+                for c in (1, -3, 10**40):
+                    planted = [(1, [0] * j + [c], [1])]
+                    assert first_mismatch(terms + planted, constant) == j
+
+
+def test_first_mismatch_edge_cases():
+    # no terms: the identity is the constant; [] is the zero polynomial
+    assert first_mismatch([]) is None
+    assert first_mismatch([], 0) is None
+    assert first_mismatch([], 5) == 0
+    assert first_mismatch([], -(1 << 64)) == 0
+    assert first_mismatch([(1, [], [1, 2])]) is None
+    assert first_mismatch([(1, [], [])], 3) == 0
+    assert first_mismatch([(1, [0, 0, 2], [0, 2]), (-1, [0, 0, 0, 4], [1])]) is None
+    assert first_mismatch([(1, [0, 0, 2], [0, 2]), (-1, [0, 0, 0, 4], [1])], 1) == 0
+    assert first_mismatch([(1, [2], [2])], -4) is None
+    assert first_mismatch([(3, [1, 1], [1, 1]), (-1, [3, 6, 3], [1])]) is None
+    # only the |s| of the bound covers a scaled term: 2^10 at x = 2^1 reads as x^10
+    assert first_mismatch([(1 << 10, [1], [1])]) == 0
 
 
 def test_at_two_power_needs_the_bound():

@@ -171,6 +171,25 @@ def test_output_file(capsys, tmp_path):
     assert len(json.loads(target.read_text())["subsets"]) == 6
 
 
+KM_FLOW = ("flow", "--system", "km", "--point",
+           '{"n":3,"a":["2","1/2","1"],"b":["0","0","0"]}', "--t", "0.01", "--step", "0.001")
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("option", ["--output", "--csv"])
+def test_an_unwritable_path_exits_input(capsys, tmp_path, option, target):
+    # a directory or a path under a missing directory is malformed input:
+    # exit 3 with a JSON diagnostic on stdout, not an OSError traceback
+    path = str(tmp_path if target == "directory" else tmp_path / "missing" / "out")
+    argv = ("--output", path, "sigma", "3") if option == "--output" else (*KM_FLOW, "--csv", path)
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input" and error["message"].startswith("cannot write output file: ")
+    assert path in error["message"]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_point_file_argument(capsys, tmp_path):
     point_file = tmp_path / "point.json"
     point_file.write_text('{"n":3,"a":["1","1","1"],"b":["0","0","0"]}')

@@ -223,6 +223,42 @@ def test_layer_scanner_sees_upward_imports():
     assert upward_imports("algebra", source) == ["algebra -> symbolic", "algebra -> toda"]
 
 
+# The 2^k evaluation policy lives behind the two deciders of exact
+# identities, algebra.first_mismatch and symbolic.charpoly_mismatch; every
+# other module calls one of them instead of choosing its own bound.
+TWO_POWER_NAMES = {"at_two_power", "lowest_power"}
+
+
+def two_power_references(module: str, source: str) -> list[str]:
+    """`module: name` for each of TWO_POWER_NAMES that `source` reads as a
+    name or attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return [f"{module}: {name}" for name in sorted(found & TWO_POWER_NAMES)]
+
+
+def test_only_the_deciders_evaluate_at_two_powers():
+    found = [ref for module, text in _src_sources().items()
+             if module not in ("algebra", "symbolic")
+             for ref in two_power_references(module, text)]
+    assert not found, "2^k evaluation outside algebra and symbolic:\n" + "\n".join(found)
+
+
+def test_two_power_scanner_sees_each_form():
+    source = ("from .algebra import lowest_power as low\n"
+              "from . import algebra\n"
+              "def f(q, k): return algebra.at_two_power(q, k)\n"
+              "def g(at_two_power): return 2 ** at_two_power\n")
+    assert two_power_references("toda", source) == ["toda: at_two_power", "toda: lowest_power"]
+    assert two_power_references("toda", "from .algebra import first_mismatch\n") == []
+
+
 def _resolves(dotted: str) -> bool:
     """Whether `module.attr...` names an object of the prymlab module."""
     module, *path = dotted.split(".")

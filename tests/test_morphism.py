@@ -8,7 +8,7 @@ import pytest
 from conftest import wide_toda_point
 from dense_lax import toda_tridiag
 
-from prymlab import morphism
+from prymlab import algebra, morphism
 from prymlab.algebra import (Poly, bicoeff, divided_difference, parse_poly, pr_split,
                              tridiag_minor_det)
 from prymlab.errors import InvariantError, NotInImageError
@@ -211,16 +211,18 @@ def test_fiber_check_builds_no_fraction(rng, monkeypatch):
 
 def test_fiber_check_k_bounds_both_sides(monkeypatch, rng):
     """Every coefficient of both fraction-free sides, found by Poly
-    products, is below 2^k for the k PhiImage picks: on random points, on
-    n = 24, on entries up to 10^30, and on images that fail the check."""
+    products, is below 2^k for the k that algebra.first_mismatch picks for
+    PhiImage (one evaluation of each of N_u, N_v, N_w and N_p): on random
+    points, on n = 24, on entries up to 10^30, and on images that fail the
+    check."""
     ks = []
-    exact = morphism.at_two_power
+    exact = algebra.at_two_power
 
     def recording(coeffs, k):
         ks.append(k)
         return exact(coeffs, k)
 
-    monkeypatch.setattr(morphism, "at_two_power", recording)
+    monkeypatch.setattr(algebra, "at_two_power", recording)
     images = [phi(toda_point(rng, n), m) for n in (3, 5, 8) for m in (1, 2, n)]
     images += [phi(km_point(rng, n).embed(), m) for n in (3, 4, 7) for m in (1, n)]
     images += [phi(wide_toda_point(rng, n), m) for n in (3, 6) for m in (1, 2, n)]

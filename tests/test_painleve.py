@@ -13,7 +13,7 @@ from conftest import fraction_rref, grid_polynomial, typed_series, wide_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab import painleve
+from prymlab import symbolic
 from prymlab.algebra import LaurentSeries, Poly, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum, cyclic_runs,
@@ -235,19 +235,25 @@ def _spectrum_cases(rng):
 
 
 def test_spectrum_check_k_bounds_both_sides(monkeypatch, rng):
-    """Both sides of E^n det(diag(d) (M - lam Id)) = P prod(f_i - E lam),
+    """Both sides of E^n det(diag(d) (lam Id - M)) = P prod(E lam - f_i),
     the determinant by today's grid of lam = 0..n and interpolation, have
-    every coefficient below 2^k for the k that check_spectrum picks."""
-    shifts = []
-    exact = painleve.shifted_determinant
+    every coefficient below 2^k for the k that symbolic.charpoly_mismatch
+    picks for check_spectrum."""
+    log = []
+    det, at = symbolic.integer_determinant, symbolic.at_two_power
 
-    def recording(rows, diagonal):
-        shifts.append(diagonal)
-        return exact(rows, diagonal)
+    def recording_det(rows):
+        log.append([row[:] for row in rows])
+        return det(rows)
 
-    monkeypatch.setattr(painleve, "shifted_determinant", recording)
+    def recording_at(coeffs, k):
+        log.append(k)
+        return at(coeffs, k)
+
+    monkeypatch.setattr(symbolic, "integer_determinant", recording_det)
+    monkeypatch.setattr(symbolic, "at_two_power", recording_at)
     for matrix, spectrum in _spectrum_cases(rng):
-        shifts.clear()
+        log.clear()
         try:
             check_spectrum(matrix, spectrum)
         except InvariantError as exc:
@@ -255,16 +261,16 @@ def test_spectrum_check_k_bounds_both_sides(monkeypatch, rng):
         n = len(matrix)
         rows, dens = zip(*(integer_numerators(row) for row in matrix))
         f, E = integer_numerators(spectrum)
-        (diagonal,) = shifts
-        k = (-diagonal[0] // dens[0]).bit_length() - 1
-        assert list(diagonal) == [-d << k for d in dens]
-        dets = [integer_determinant([[c - d * lam * (i == j) for j, c in enumerate(row)]
+        shifted, k = log
+        assert shifted == [[c - (d << k) * (i == j) for j, c in enumerate(row)]
+                           for i, (d, row) in enumerate(zip(dens, rows))]
+        dets = [integer_determinant([[d * lam * (i == j) - c for j, c in enumerate(row)]
                                      for i, (d, row) in enumerate(zip(dens, rows))])
                 for lam in range(n + 1)]
         lhs = Poly(grid_polynomial(dets)) * E ** n
         rhs = Poly([math.prod(dens)])
         for c in f:
-            rhs = rhs * Poly([c, -E])
+            rhs = rhs * Poly([-c, E])
         assert all(abs(lhs.coeff(j)) + abs(rhs.coeff(j)) < 1 << k for j in range(n + 1))
 
 

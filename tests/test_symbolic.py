@@ -4,7 +4,7 @@ import hashlib
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from conftest import fraction_rref
@@ -16,9 +16,12 @@ from prymlab.algebra import Poly, integer_numerators, parse_poly
 from prymlab.morphism import quad_mumford_table
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM,
                              mumford_bracket_table)
+from prymlab.painleve import c_block
 from prymlab.prym import reduce_mumford_table
-from prymlab.symbolic import (BracketTable, MultiPoly, integer_determinant, integer_rows,
-                              matrix_rank, pivot_columns, shifted_determinant, solve_affine)
+from prymlab.sampling import toda_point
+from prymlab.symbolic import (BracketTable, MultiPoly, charpoly_mismatch, integer_determinant,
+                              matrix_rank, pivot_columns, solve_affine)
+from prymlab.toda import _lax_at, char_coeffs
 
 
 def test_multipoly_arithmetic():
@@ -185,22 +188,61 @@ def test_integer_determinant_matches_leibniz(matrix):
     assert got == expected and type(got) is int
 
 
-def test_shifted_determinants_match_leibniz(rng):
-    # integer_rows scales each row by its denominator; shifted_determinant
-    # adds a diagonal to a copy of the rows
+def _leibniz_charpoly(matrix):
+    """det(x Id - M) as a Poly, by the Leibniz expansion over Poly entries
+    (the empty matrix's one term is the int 1)."""
+    entries = [[Poly([-c, int(i == j)]) for j, c in enumerate(row)]
+               for i, row in enumerate(matrix)]
+    return Poly([1]) * _leibniz(entries)
+
+
+def test_charpoly_mismatch_matches_leibniz(rng):
+    # None on the Leibniz characteristic polynomial, over either sign of
+    # its denominator; a planted c x^j returns j; M is not overwritten
     for n in range(5):
         matrix = [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
-        rows, dens, _ = integer_rows(matrix)
-        snapshot = [row[:] for row in rows]
-        assert dens == [lcm(*(c.denominator for c in row)) for row in matrix]
-        assert rows == [[c * d for c in row] for d, row in zip(dens, matrix)]
-        assert all(type(c) is int for row in rows for c in row)
-        for s in range(-2, 3):
-            det = shifted_determinant(rows, [d * s for d in dens])
-            shifted = [[d * (c + (s if i == j else 0)) for j, c in enumerate(row)]
-                       for i, (d, row) in enumerate(zip(dens, matrix))]
-            assert det == _leibniz(shifted) and type(det) is int
-        assert rows == snapshot
+        snapshot = [row[:] for row in matrix]
+        q, q_den = integer_numerators(_leibniz_charpoly(matrix).coeffs)
+        assert charpoly_mismatch(matrix, q, q_den) is None
+        assert charpoly_mismatch(matrix, [-c for c in q], -q_den) is None
+        for j in range(n + 1):
+            for c in (1, -7, 10**20):
+                planted = q[:]
+                planted[j] += c
+                assert charpoly_mismatch(matrix, planted, q_den) == j
+        assert matrix == snapshot
+
+
+def test_charpoly_mismatch_holds_on_run_blocks_and_lax_matrices(rng):
+    # the run block C_l has eigenvalues +-1..+-l: det(x Id - C_l) is
+    # prod (x^2 - i^2); K/2 = char_coeffs against det(x Id - L(h)) at each h
+    for l in range(1, 6):
+        q = Poly([1])
+        for i in range(1, l + 1):
+            q = q * Poly([-i * i, 0, 1])
+        assert charpoly_mismatch(c_block(l), q.coeffs, 1) is None
+        top = Poly([0] * (2 * l) + [1])
+        assert charpoly_mismatch(c_block(l), (q + top).coeffs, 1) == 2 * l
+    for n in range(1, 9):
+        point = toda_point(rng, n)
+        k_nums, k_den = integer_numerators(char_coeffs(point.a, point.b, F(0)))
+        for h in (1, -1, 2):
+            q = [h * c for c in k_nums]
+            q[0] -= (h * h + 1) * k_den
+            assert charpoly_mismatch(_lax_at(point, h), q, h * k_den) is None
+            q[0] += 1
+            assert charpoly_mismatch(_lax_at(point, h), q, h * k_den) == 0
+
+
+def test_charpoly_mismatch_edge_cases():
+    # det of the 0 x 0 matrix is 1; the zero polynomial is the empty list
+    assert charpoly_mismatch([], [1], 1) is None
+    assert charpoly_mismatch([], [-1], -1) is None
+    assert charpoly_mismatch([], [2], 1) == 0
+    assert charpoly_mismatch([[F(0)]], [0, 1], 1) is None
+    assert charpoly_mismatch([[F(0)]], [], 1) == 1
+    assert charpoly_mismatch([[F(3, 2)]], [-3, 2], 2) is None
+    assert charpoly_mismatch([[F(3, 2)]], [3, -2], -2) is None
 
 
 def test_integer_determinant_singular_and_shape():

@@ -12,7 +12,7 @@ from prymlab.algebra import Poly, integer_numerators, parse_poly, tridiag_minor_
 from prymlab.errors import InvariantError, ParseError
 from prymlab.sampling import km_point, rng_from_seed, toda_point
 from prymlab.symbolic import MultiPoly, integer_determinant
-from prymlab import toda
+from prymlab import symbolic, toda
 from prymlab.toda import (KMPoint, TodaPoint, char_poly, hierarchy_commutator,
                           km_even_split, km_even_split_symbolic, km_field,
                           km_field_symbolic, toda_bracket,
@@ -205,21 +205,21 @@ def test_char_poly_check_sees_the_h_profile(monkeypatch, rng):
 
 
 def _record_char_poly_checks(monkeypatch):
-    """Route char_poly's determinant and K evaluation through recorders;
-    returns its log of (diagonal, k), one entry per h checked."""
+    """Route charpoly_mismatch's determinant and q evaluation through
+    recorders; returns its log of (matrix, k), one entry per h checked."""
     log = []
-    det, at = toda.shifted_determinant, toda.at_two_power
+    det, at = symbolic.integer_determinant, symbolic.at_two_power
 
-    def recording_det(rows, diagonal):
-        log.append([diagonal])
-        return det(rows, diagonal)
+    def recording_det(rows):
+        log.append([[row[:] for row in rows]])
+        return det(rows)
 
     def recording_at(coeffs, k):
         log[-1].append(k)
         return at(coeffs, k)
 
-    monkeypatch.setattr(toda, "shifted_determinant", recording_det)
-    monkeypatch.setattr(toda, "at_two_power", recording_at)
+    monkeypatch.setattr(symbolic, "integer_determinant", recording_det)
+    monkeypatch.setattr(symbolic, "at_two_power", recording_at)
     return log
 
 
@@ -227,10 +227,10 @@ def test_char_poly_check_k_bounds_both_sides(monkeypatch, rng):
     """Both sides of det(diag(d) (x Id - L(h))) k_den h
     = P (k_nums(x) h - (h^2 + 1) k_den), the determinant by today's grid of
     x = 0..n and interpolation, have every coefficient below 2^k for the k
-    char_poly picks: on random points, n = 24, entries up to 10^30, and
-    wrong K's: one 10^30 times too small, whose denominator scales only the
-    determinant side, one 10^30 times too large, one moved by 10^-30, and
-    K = 0."""
+    that symbolic.charpoly_mismatch picks for char_poly: on random points,
+    n = 24, entries up to 10^30, and wrong K's: one 10^30 times too small,
+    whose denominator scales only the determinant side, one 10^30 times
+    too large, one moved by 10^-30, and K = 0."""
     points = [toda_point(rng, n) for n in range(1, 9)] + [km_point(rng, n).embed() for n in (3, 6)]
     points += [toda_point(rng, 24)] + [wide_toda_point(rng, n) for n in (2, 4, 6)]
     points.append(TodaPoint((F(1),), (F(0),)))  # L(1) = [2]: K = 0 needs the (h^2 + 1) term
@@ -249,11 +249,11 @@ def test_char_poly_check_k_bounds_both_sides(monkeypatch, rng):
             assert len(log) == (3 if wrong is None else 1)
             k_nums, k_den = integer_numerators(toda.char_coeffs(point.a, point.b, F(0)))
             n = point.n
-            for h, (diagonal, k) in zip((1, -1, 2), log):
-                rows, dens = zip(*(integer_numerators([-v for v in row])
-                                   for row in toda._lax_at(point, h)))
-                assert list(diagonal) == [d << k for d in dens]
-                dets = [integer_determinant([[c + d * x * (i == j) for j, c in enumerate(row)]
+            for h, (matrix, k) in zip((1, -1, 2), log):
+                rows, dens = zip(*(integer_numerators(row) for row in toda._lax_at(point, h)))
+                assert matrix == [[c - (d << k) * (i == j) for j, c in enumerate(row)]
+                                  for i, (d, row) in enumerate(zip(dens, rows))]
+                dets = [integer_determinant([[d * x * (i == j) - c for j, c in enumerate(row)]
                                              for i, (d, row) in enumerate(zip(dens, rows))])
                         for x in range(n + 1)]
                 lhs = Poly(grid_polynomial(dets)) * (k_den * h)
