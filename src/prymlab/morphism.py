@@ -76,9 +76,9 @@ from itertools import islice
 from .algebra import (Poly, first_mismatch, format_poly, integer_numerators, of_sum, outer,
                       pr_split_from, tridiag_run)
 from .errors import InvariantError, NotInImageError
-from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple, _lift_phi,
-                      _read_slots, check_table_genus, linear_generators,
-                      momentum, phase_coordinates, table_from_generators)
+from .mumford import (EVEN_MUMFORD, MumfordTriple, _lift_phi, _slot_codec, check_table_genus,
+                      linear_generators, momentum, phase_coordinates, prym_flavor,
+                      table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 from .toda import TodaPoint
 
@@ -187,7 +187,7 @@ def _phi_images(point: TodaPoint, ms) -> list[PhiImage]:
     cuts = [(m - 1) % n for m in ms]
     p, images = _phi_polys(a, b, 0, cuts)
     p = _descale(p, d, n)
-    flavor = EVEN_MUMFORD if any(b) else ODD_PRYM if n % 2 == 1 else EVEN_PRYM
+    flavor = EVEN_MUMFORD if any(b) else prym_flavor(n - 1)
     return [PhiImage(MumfordTriple(_descale(u, d, n - 1), _descale(v, d, n),
                                    _descale(w, d, n + 1), flavor), c + 1, p)
             for c, (u, v, w) in zip(cuts, images)]
@@ -218,7 +218,7 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     nv = 2 * n
     x = MultiPoly.variables(nv)
     _p, [(u, v, w)] = _phi_polys(x[:n], x[n:], MultiPoly(nv), [(m - 1) % n])
-    values = _read_slots(EVEN_MUMFORD, n - 1, u, v, w)
+    values = _slot_codec(EVEN_MUMFORD, n - 1)[1](u, v, w)
     return [MultiPoly(nv) if isinstance(c, int) else c for c in values]
 
 

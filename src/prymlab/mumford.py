@@ -85,6 +85,13 @@ def degrees(flavor: str, k: int) -> tuple[int, int]:
     return step * k + u0, step * k + w0
 
 
+def prym_flavor(deg_u: int) -> str:
+    """The Prym flavor whose u has degree deg_u: odd-prym for even deg u,
+    even-prym for odd.  It is the fixed locus of j on even deg u and of -j
+    on odd deg u (prym.involution_j)."""
+    return EVEN_PRYM if deg_u % 2 else ODD_PRYM
+
+
 @dataclass(frozen=True)
 class MumfordTriple:
     """A point of one of the four phase spaces, validated on construction."""
@@ -104,11 +111,13 @@ class MumfordTriple:
         _require(u.degree == deg_u, "u-degree", f"deg u must be {deg_u}")
         _require(v.degree < deg_u, "v-degree", f"deg v must be < {deg_u}")
         _require(w.degree == deg_w, "w-degree", f"deg w must be {deg_w}")
-        if self.flavor in PRYM_FLAVORS:  # u, w of the parity of deg u, v of the other
-            same, other = ("even", "odd") if deg_u % 2 == 0 else ("odd", "even")
-            has = {"even": Poly.is_even, "odd": Poly.is_odd}
-            _require(has[same](u) and has[same](w) and has[other](v), "parity",
-                     f"{self.flavor} triples need u, w {same} and v {other}")
+        if self.flavor in PRYM_FLAVORS:  # no coefficient off the Prym layout
+            lists, read = _slot_codec(self.flavor, self.index)
+            kept = lists(read(u.coeffs, v.coeffs, w.coeffs), 0, 1)
+            if kept != (u.coeffs, _padded(v.coeffs, deg_u), w.coeffs):
+                p = _coord_layout(self.flavor, self.index)[0].start  # the parity of u's slots
+                raise InvariantError("parity", f"{self.flavor} triples need u, w "
+                                     f"{('even', 'odd')[p]} and v {('odd', 'even')[p]}")
 
     @property
     def g(self) -> int:
@@ -219,16 +228,6 @@ def _slot_codec(flavor: str, g: int):
     return lists, read
 
 
-def _coefficient_lists(flavor: str, g: int, values, zero, one) -> tuple[list, list, list]:
-    """Coefficient lists (u, v, w) of a coordinate vector (see _slot_codec)."""
-    return _slot_codec(flavor, g)[0](values, zero, one)
-
-
-def _read_slots(flavor: str, g: int, du: list, dv: list, dw: list) -> list:
-    """Coordinate slots of coefficient lists (see _slot_codec)."""
-    return _slot_codec(flavor, g)[1](du, dv, dw)
-
-
 def _alpha(u: list, w: list) -> list:
     """Coefficients of alpha(t): 1 on odd Mumford spaces (deg w = deg u + 1),
     t + w_{deg u+1} - u_{deg u-1} otherwise, a missing u_{-1} read as 0.
@@ -245,20 +244,20 @@ def phase_coordinates(flavor: str, g: int) -> CoordSystem:
     layout = _coord_layout(flavor, g)
     names = tuple(f"{fam}{k}" for fam, slots in zip("uvw", layout) for k in slots)
     nvars = len(names)
-    u, v, w = _coefficient_lists(flavor, g, MultiPoly.variables(nvars),
-                                 MultiPoly.const(nvars, 0), MultiPoly.const(nvars, 1))
+    u, v, w = _slot_codec(flavor, g)[0](MultiPoly.variables(nvars),
+                                        MultiPoly.const(nvars, 0), MultiPoly.const(nvars, 1))
     return CoordSystem(flavor, g, names, Poly(u), Poly(v), Poly(w), Poly(_alpha(u, w)))
 
 
 def point_values(triple: MumfordTriple) -> list[Fraction]:
     """Coordinate values of a triple, aligned with phase_coordinates."""
-    return [Fraction(c) for c in _read_slots(triple.flavor, triple.index, triple.u.coeffs,
-                                             triple.v.coeffs, triple.w.coeffs)]
+    read = _slot_codec(triple.flavor, triple.index)[1]
+    return [Fraction(c) for c in read(triple.u.coeffs, triple.v.coeffs, triple.w.coeffs)]
 
 
 def triple_from_values(flavor: str, g: int, values) -> MumfordTriple:
     """Inverse of point_values."""
-    u, v, w = _coefficient_lists(flavor, g, list(values), Fraction(0), Fraction(1))
+    u, v, w = _slot_codec(flavor, g)[0](list(values), Fraction(0), Fraction(1))
     return MumfordTriple(Poly(u), Poly(v), Poly(w), flavor)
 
 
@@ -401,7 +400,7 @@ def flow_values(flavor: str, g: int, du: Poly, dv: Poly, dw: Poly) -> list:
             if not (c == 0) and k not in slots:
                 raise InvariantError("tangent-shape",
                                      f"flow moves the fixed coefficient {fam}{k}")
-    return _read_slots(flavor, g, du.coeffs, dv.coeffs, dw.coeffs)
+    return _slot_codec(flavor, g)[1](du.coeffs, dv.coeffs, dw.coeffs)
 
 
 def mumford_flow_symbolic(flavor: str, g: int, y: Fraction) -> list[MultiPoly]:

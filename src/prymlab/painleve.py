@@ -155,7 +155,8 @@ def sigma_enum(n: int) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class Balance:
     """One solution of the indicial equation: pole set A, leading
-    coefficients alpha and pole orders r (r_i > 0 pole, < 0 zero)."""
+    coefficients alpha (ints from make_balance) and pole orders r
+    (r_i > 0 pole, < 0 zero)."""
 
     n: int
     A: tuple
@@ -187,13 +188,11 @@ def make_balance(n: int, A: Iterable[int]) -> Balance:
     if len(A) == n:
         raise InvariantError("all-poles",
                              "the all-poles set supports no Laurent solution")
-    for i in range(n):
-        lhs = -alpha[i]
-        rhs = alpha[i] * (alpha[(i - 1) % n] - alpha[(i + 1) % n])
-        if lhs != rhs and alpha[i] != 0:
+    for i, (a, f) in enumerate(zip(alpha, km_field(alpha))):
+        if f != -a:
             raise InvariantError("indicial", f"alpha fails the indicial equation at {i + 1}")
     r = tuple(alpha[i % n] - alpha[(i - 2) % n] for i in range(1, n + 1))
-    return Balance(n, A, tuple(map(Fraction, alpha)), r)
+    return Balance(n, A, tuple(alpha), r)
 
 
 def indicial_solutions(n: int) -> list[Balance]:
@@ -226,10 +225,11 @@ class KowalevskiReport:
                 "gap_entries": list(self.gap_entries)}
 
 
-def kowalevski_matrix(balance: Balance) -> list[list[Fraction]]:
+def kowalevski_matrix(balance: Balance) -> list[list[int | Fraction]]:
+    """M of the module docstring; int entries except where alpha holds a Fraction."""
     n = balance.n
     alpha = balance.alpha
-    M = [[Fraction(0)] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for i in range(n):
         if alpha[i] == 0:
             M[i][i] = 1 - balance.r[i]
@@ -285,7 +285,7 @@ def kowalevski(n: int, A: Iterable[int]) -> KowalevskiReport:
                             tuple(spectrum), nonneg)
 
 
-def c_block(l: int) -> list[list[Fraction]]:
+def c_block(l: int) -> list[list[int]]:
     """The 2l x 2l run block in its own indices (alpha pattern on one run)."""
     balance = make_balance(2 * l + 1, range(1, 2 * l + 1))
     M = kowalevski_matrix(balance)
@@ -371,7 +371,7 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     if params:
         raise InvariantError("free-parameters",
                              f"unused parameters {sorted(params)}")
-    return [LaurentSeries(-1, [a] + [Fraction(vec[i], den) for vec, den in zip(nums, dens)],
+    return [LaurentSeries(-1, [Fraction(a)] + [Fraction(v[i], den) for v, den in zip(nums, dens)],
                           hi=order - 1)
             for i, a in enumerate(balance.alpha)]
 

@@ -3,9 +3,12 @@ on their fixed loci (the hyperelliptic Prym systems).
 
 The involution on an even Mumford space M'_g acts on Lax matrices by
     j: (u, v, w)(x)  |->  (u(-x), -v(-x), w(-x)),
-and -j is its composition with the sign flip of the whole matrix.  For g
-even the fixed points of j are exactly the odd-prym triples; for g odd
-the fixed points of -j are the even-prym triples.  When phi is even
+and -j is its composition with the sign flip of the whole matrix.  Which
+of the two an even Mumford space carries is decided by deg u = g: j keeps
+u monic for g even and -j for g odd (involution_j).  The fixed points are
+the Prym triples of mumford.prym_flavor(g): odd-prym for g even,
+even-prym for g odd, whose coordinates are the slots of mumford's layout
+(involution_signs).  When phi is even
 (resp. odd) the involution is an automorphism of the bracket {.,.}^phi,
 and the fixed locus inherits a unique Poisson structure characterized by
 restriction of brackets of invariant extensions (Dirac reduction).
@@ -55,43 +58,31 @@ from fractions import Fraction
 from .algebra import Poly, outer
 from .errors import InvariantError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
-                      MumfordTriple, _lift_phi, _slot_codec, check_table_genus, degrees,
-                      mumford_bracket_table, mumford_tangent, phase_coordinates,
-                      table_from_generators)
+                      MumfordTriple, _coord_layout, _lift_phi, _slot_codec, check_table_genus,
+                      degrees, mumford_bracket_table, mumford_tangent, phase_coordinates,
+                      prym_flavor, table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
 # the involution
 # ---------------------------------------------------------------------------
 
-def involution_j(triple: MumfordTriple, sign: int = 1) -> MumfordTriple:
-    """Apply j (sign=+1) or -j (sign=-1) to an even Mumford triple.
-
-    Monicity of the image forces deg u even for j and odd for -j.
-    """
+def involution_j(triple: MumfordTriple) -> MumfordTriple:
+    """Apply the involution of the triple's even Mumford space: j on even
+    deg u and -j on odd deg u, the one of the two that keeps u monic."""
     if triple.flavor not in (EVEN_MUMFORD, ODD_PRYM, EVEN_PRYM):
         raise InvariantError("flavor", "the involution lives on even Mumford spaces")
-    if sign not in (1, -1):
-        raise InvariantError("sign", "sign must be +1 or -1")
-    need_parity = 0 if sign == 1 else 1
-    if triple.g % 2 != need_parity:
-        raise InvariantError("degree-parity",
-                             "j needs deg u even, -j needs deg u odd")
-    u = triple.u.reflect()
-    v = -triple.v.reflect()
-    w = triple.w.reflect()
-    if sign == -1:
-        u, v, w = -u, -v, -w
-    return MumfordTriple(u, v, w, EVEN_MUMFORD)
+    u, v, w = triple.u.reflect(), -triple.v.reflect(), triple.w.reflect()
+    s = u.leading()  # (-1)^deg u: 1 applies j, -1 applies -j
+    return MumfordTriple(s * u, s * v, s * w, EVEN_MUMFORD)
 
 
-def involution_signs(g: int, sign: int = 1) -> list[int]:
-    """Pullback signs of the even Mumford coordinates under j or -j."""
-    u_sgn = lambda k: (-1) ** k if sign == 1 else -((-1) ** k)
-    v_sgn = lambda k: -((-1) ** k) if sign == 1 else (-1) ** k
-    w_sgn = u_sgn
-    return ([u_sgn(k) for k in range(g)] + [v_sgn(k) for k in range(g)]
-            + [w_sgn(k) for k in range(g + 2)])
+def involution_signs(g: int) -> list[int]:
+    """Pullback signs of the even Mumford coordinates at genus g under
+    involution_j: +1 on the slots of the fixed Prym space, -1 elsewhere."""
+    fixed = _coord_layout(prym_flavor(g), g // 2)
+    return [1 if k in kept else -1
+            for kept, slots in zip(fixed, _coord_layout(EVEN_MUMFORD, g)) for k in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +128,13 @@ def dirac_reduce(table: BracketTable, signs: list[int]) -> BracketTable:
 
 
 def reduce_mumford_table(flavor: str, n: int, phi: Poly) -> BracketTable:
-    """Generic route: reduce the ambient even Mumford table through j / -j."""
+    """Generic route: reduce the ambient even Mumford table through
+    involution_j (j or -j by the parity of the ambient genus)."""
     if flavor not in PRYM_FLAVORS:
         raise InvariantError("flavor", "expected a prym flavor")
-    g = degrees(flavor, n)[0]  # j on even ambient genus, -j on odd
+    g = degrees(flavor, n)[0]
     ambient = mumford_bracket_table(EVEN_MUMFORD, g, phi)
-    return dirac_reduce(ambient, involution_signs(g, -1 if g % 2 else 1))
+    return dirac_reduce(ambient, involution_signs(g))
 
 
 # ---------------------------------------------------------------------------

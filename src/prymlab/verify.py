@@ -370,7 +370,7 @@ def suite_parity(seed: int = 0) -> list[CheckResult]:
                 for image in morphism.phi_all(point.embed()):
                     # a Prym flavor means MumfordTriple checked the parities
                     flavor = image.triple.flavor
-                    if flavor != (mumford.ODD_PRYM if n % 2 else mumford.EVEN_PRYM):
+                    if flavor != mumford.prym_flavor(n - 1):
                         raise AssertionError(f"parity broke at n={n}, m={image.m}: {flavor}")
                 count += 1
         return f"{count} KM points, n in 3..5, every m"

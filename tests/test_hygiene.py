@@ -259,6 +259,60 @@ def test_two_power_scanner_sees_each_form():
     assert two_power_references("toda", "from .algebra import first_mismatch\n") == []
 
 
+# Which Prym flavor a degree parity selects is decided by mumford.prym_flavor,
+# next to the slot layout it must agree with; every other module calls it.
+PRYM_FLAVOR_NAMES = {"ODD_PRYM", "EVEN_PRYM"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def parity_flavor_choices(module: str, source: str) -> list[str]:
+    """`module:line` for each conditional expression or `if` statement whose
+    test computes a `%` and whose branches name a Prym flavor constant."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.IfExp):
+            branches = [node.body, node.orelse]
+        elif isinstance(node, ast.If):
+            branches = node.body + node.orelse
+        else:
+            continue
+        mod = any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod)
+                  for sub in ast.walk(node.test))
+        if mod and PRYM_FLAVOR_NAMES & set().union(*map(_names, branches)):
+            lines.append(node.lineno)
+    return [f"{module}:{line}" for line in sorted(lines)]
+
+
+def test_only_mumford_chooses_a_prym_flavor_by_parity():
+    found = [ref for module, text in _src_sources().items() if module != "mumford"
+             for ref in parity_flavor_choices(module, text)]
+    assert not found, "Prym flavor chosen by a parity test outside mumford:\n" + "\n".join(found)
+
+
+def test_parity_flavor_scanner_sees_each_form():
+    source = ("from . import mumford\n"
+              "from .mumford import EVEN_PRYM, ODD_PRYM\n"
+              "def f(n): return mumford.ODD_PRYM if n % 2 else mumford.EVEN_PRYM\n"
+              "def g(n, b):\n"
+              "    if (n - 1) % 2 == 0:\n"
+              "        return ODD_PRYM\n"
+              "    return b\n"
+              "def h(n, b):\n"
+              "    if n % 2:\n"
+              "        pass\n"
+              "    else:\n"
+              "        return EVEN_PRYM\n")
+    assert parity_flavor_choices("verify", source) == ["verify:3", "verify:5", "verify:9"]
+    clean = ("from .mumford import ODD_PRYM, prym_flavor\n"
+             "def f(n, flavor): return prym_flavor(n - 1) if n % 2 else flavor\n"
+             "def g(flavor): return 1 if flavor == ODD_PRYM else -1\n")
+    assert parity_flavor_choices("verify", clean) == []
+
+
 def _resolves(dotted: str) -> bool:
     """Whether `module.attr...` names an object of the prymlab module."""
     module, *path = dotted.split(".")

@@ -7,11 +7,11 @@ import pytest
 from prymlab.algebra import Poly, parse_poly
 from prymlab.errors import InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
-                             ODD_MUMFORD, ODD_PRYM, MumfordTriple,
-                             bracket_generators, flow_values, momentum,
+                             ODD_MUMFORD, ODD_PRYM, PRYM_FLAVORS, MumfordTriple,
+                             bracket_generators, degrees, flow_values, momentum,
                              mumford_bracket_table, mumford_flow,
                              mumford_flow_symbolic, phase_coordinates,
-                             point_values, triple_from_values)
+                             point_values, prym_flavor, triple_from_values)
 from prymlab.sampling import mumford_triple
 from prymlab.symbolic import MultiPoly, matrix_rank
 
@@ -94,6 +94,36 @@ def test_triple_validation_names_the_broken_invariant(flavor, replaced, invarian
     with pytest.raises(InvariantError) as err:
         MumfordTriple(u, v, w, flavor)
     assert err.value.invariant == invariant
+
+
+_PARITY_WORDS = {ODD_PRYM: "u, w even and v odd", EVEN_PRYM: "u, w odd and v even"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("flavor", PRYM_FLAVORS)
+def test_every_off_layout_slot_breaks_parity(rng, flavor, n):
+    names = phase_coordinates(flavor, n).names
+    base = mumford_triple(rng, flavor, n)
+    deg_u, deg_w = degrees(flavor, n)
+    off = [(fam, k) for fam, top in zip("uvw", (deg_u, deg_u, deg_w))
+           for k in range(top) if f"{fam}{k}" not in names]
+    assert len(off) == deg_u + deg_u + deg_w - len(names) > 0
+    for fam, k in off:
+        coeffs = {f: list(getattr(base, f).coeffs) for f in "uvw"}
+        coeffs[fam] += [F(0)] * (k + 1 - len(coeffs[fam]))
+        coeffs[fam][k] = F(rng.choice([-3, -1, 1, 2]))
+        with pytest.raises(InvariantError) as err:
+            MumfordTriple(*(Poly(coeffs[f]) for f in "uvw"), flavor)
+        assert err.value.invariant == "parity"
+        assert str(err.value) == f"{flavor} triples need {_PARITY_WORDS[flavor]}"
+
+
+@pytest.mark.parametrize("flavor", PRYM_FLAVORS)
+def test_prym_flavor_agrees_with_the_degree_table(flavor):
+    for n in range(8):
+        deg_u = degrees(flavor, n)[0]
+        assert prym_flavor(deg_u) == flavor
+        assert degrees(prym_flavor(deg_u), deg_u // 2)[0] == deg_u
 
 
 def test_prym_flavors_and_json():

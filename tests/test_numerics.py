@@ -16,9 +16,8 @@ from prymlab import morphism, numerics
 from prymlab.algebra import Poly
 from prymlab.errors import BlowUpError, InvariantError
 from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
-                             _coefficient_lists, _read_slots, degrees, flow_values, momentum,
-                             mumford_bracket_table, mumford_flow, phase_coordinates,
-                             point_values, triple_from_values)
+                             _slot_codec, degrees, flow_values, momentum, mumford_bracket_table,
+                             mumford_flow, phase_coordinates, point_values, triple_from_values)
 from prymlab.numerics import (_lattice_invariants, _momentum_invariants, _mumford_rhs,
                               _toda_rhs, endpoint, integrate)
 from prymlab.prym import prym_bracket_table, prym_flow
@@ -471,7 +470,7 @@ def _codec_states(draw):
 
 def _poly_momentum(flavor, g, state):
     """Poly(u) * Poly(w) + Poly(v) * Poly(v) on the lists of a state, as floats."""
-    u, v, w = map(Poly, _coefficient_lists(flavor, g, state, 0.0, 1.0))
+    u, v, w = map(Poly, _slot_codec(flavor, g)[0](state, 0.0, 1.0))
     return [float(c) for c in (u * w + v * v).coeffs]
 
 
@@ -511,9 +510,10 @@ def test_shape_monitor_is_the_poly_expression_on_every_phase_space(rng, flavor, 
     traced = numerics._traced(monitor, width)
     deg_u, deg_w = degrees(flavor, g)
     states = [[-0.0] * width, [5e-324] * width, [-1e300] * width]
-    u, v, w = _coefficient_lists(flavor, g, [1.0] * width, 0.0, 1.0)
+    lists, read = _slot_codec(flavor, g)
+    u, v, w = lists([1.0] * width, 0.0, 1.0)
     if v:
-        states.append(_read_slots(flavor, g, u, v[:-1] + [-0.0], w))  # a -0.0 top of v
+        states.append(read(u, v[:-1] + [-0.0], w))  # a -0.0 top of v
     draws = _specials + [2.0, -2.0]
     states += [[rng.choice(draws) if rng.random() < 0.7 else rng.uniform(-3, 3)
                 for _ in range(width)] for _ in range(60)]

@@ -465,6 +465,10 @@ def test_kowalevski_matrix_entries():
     M = kowalevski_matrix(balance)
     assert M[0][1] == 1 and M[0][4] == -1  # alpha_1 = -1 row
     assert M[2][2] == 2 and M[3][3] == 1 and M[4][4] == 2
+    # a balance from make_balance is integral, so nothing has a denominator to clear
+    assert all(type(c) is int for c in balance.alpha + tuple(c for row in M for c in row))
+    mixed = kowalevski_matrix(NON_INTEGRAL)
+    assert mixed[0][3] == F(-1, 2) and type(mixed[2][2]) is int
 
 
 def _solve_balance(balance, params, order):

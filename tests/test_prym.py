@@ -6,10 +6,10 @@ import pytest
 
 from prymlab.algebra import Poly, bicoeff, outer, parse_poly
 from prymlab.errors import InvariantError
-from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MumfordTriple,
+from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_MUMFORD, ODD_PRYM, MumfordTriple,
                              flow_values, momentum,
                              mumford_bracket_table, phase_coordinates,
-                             point_values, table_from_generators)
+                             point_values, prym_flavor, table_from_generators)
 from prymlab.prym import (dirac_reduce, genus_of_hyperelliptic, involution_j,
                           involution_signs, is_poisson_involution,
                           prym_bracket_generators, prym_bracket_table, prym_flow,
@@ -22,46 +22,49 @@ from prymlab.toda import char_poly
 def test_involution_examples(rng):
     fixed = MumfordTriple(parse_poly("-1,0,1"), Poly(), parse_poly("4,0,-5,0,1"),
                           ODD_PRYM)
-    assert involution_j(fixed.ambient(), 1) == fixed.ambient()
+    assert involution_j(fixed.ambient()) == fixed.ambient()
     for _ in range(4):
         p = mumford_triple(rng, EVEN_MUMFORD, 2)
-        q = involution_j(involution_j(p, 1), 1)
+        q = involution_j(involution_j(p))
         assert (q.u, q.v, q.w) == (p.u, p.v, p.w)
         p3 = mumford_triple(rng, EVEN_MUMFORD, 3)
-        q3 = involution_j(involution_j(p3, -1), -1)
+        q3 = involution_j(involution_j(p3))
         assert (q3.u, q3.v, q3.w) == (p3.u, p3.v, p3.w)
 
 
 def test_involution_degree_parity_guard(rng):
-    with pytest.raises(InvariantError):
-        involution_j(mumford_triple(rng, EVEN_MUMFORD, 3), 1)
-    with pytest.raises(InvariantError):
-        involution_j(mumford_triple(rng, EVEN_MUMFORD, 2), -1)
+    # deg u picks the map: j (u(-x), -v(-x), w(-x)) on even g, its negative on odd g
+    for g in range(6):
+        p = mumford_triple(rng, EVEN_MUMFORD, g)
+        j = (p.u.reflect(), -p.v.reflect(), p.w.reflect())
+        want = j if g % 2 == 0 else tuple(-q for q in j)
+        image = involution_j(p)
+        assert (image.u, image.v, image.w, image.flavor) == (*want, EVEN_MUMFORD)
 
 
 def test_fixed_point_characterization(rng):
     # fixed by j exactly when the forbidden-parity coefficients vanish
     for _ in range(4):
         prym_point = mumford_triple(rng, ODD_PRYM, 1).ambient()
-        assert involution_j(prym_point, 1) == prym_point
+        assert involution_j(prym_point) == prym_point
         generic = mumford_triple(rng, EVEN_MUMFORD, 2)
         forbidden = ([generic.u.coeff(k) for k in (1,)]
                      + [generic.v.coeff(k) for k in (0,)]
                      + [generic.w.coeff(k) for k in (1, 3)])
-        assert (involution_j(generic, 1) == generic) == all(c == 0 for c in forbidden)
+        assert (involution_j(generic) == generic) == all(c == 0 for c in forbidden)
         eprym = mumford_triple(rng, EVEN_PRYM, 1).ambient()
-        assert involution_j(eprym, -1) == eprym
+        assert involution_j(eprym) == eprym
 
 
 def test_involution_is_poisson_for_matching_parity(rng):
     even_phi = mumford_bracket_table(EVEN_MUMFORD, 2, parse_poly("1,0,1"))
     odd_phi = mumford_bracket_table(EVEN_MUMFORD, 2, parse_poly("0,1"))
-    signs = involution_signs(2, 1)
+    signs = involution_signs(2)
     assert is_poisson_involution(even_phi, signs)
     assert not is_poisson_involution(odd_phi, signs)
     # numeric spot check of {F o j, G o j} = {F, G} o j for coordinates
     point = mumford_triple(rng, EVEN_MUMFORD, 2)
-    image = involution_j(point, 1)
+    image = involution_j(point)
     vals, ivals = point_values(point), point_values(image)
     m_here = even_phi.at(vals)
     m_there = even_phi.at(ivals)
@@ -71,10 +74,23 @@ def test_involution_is_poisson_for_matching_parity(rng):
             assert signs[i] * signs[j] * m_here[i][j] == m_there[i][j]
 
 
+@pytest.mark.parametrize("g", range(9))
+def test_involution_signs_fix_the_prym_layout(g):
+    ambient = phase_coordinates(EVEN_MUMFORD, g).names
+    kept = set(phase_coordinates(prym_flavor(g), g // 2).names)
+    assert involution_signs(g) == [1 if name in kept else -1 for name in ambient]
+
+
+def test_involution_rejects_odd_mumford_points(rng):
+    with pytest.raises(InvariantError) as exc:
+        involution_j(mumford_triple(rng, ODD_MUMFORD, 2))
+    assert exc.value.invariant == "flavor"
+
+
 def test_dirac_reduce_refuses_non_poisson_involution():
     table = mumford_bracket_table(EVEN_MUMFORD, 2, parse_poly("0,1"))
     with pytest.raises(InvariantError):
-        dirac_reduce(table, involution_signs(2, 1))
+        dirac_reduce(table, involution_signs(2))
 
 
 @pytest.mark.parametrize("flavor,n,phi_text", [
