@@ -92,6 +92,14 @@ def prym_flavor(deg_u: int) -> str:
     return EVEN_PRYM if deg_u % 2 else ODD_PRYM
 
 
+def prym_sign(flavor: str) -> int:
+    """(-1)^deg u on a Prym flavor, read off its layout: the e for which
+    e j fixes it (1, so j, on odd-prym; -1, so -j, on even-prym)."""
+    if flavor not in PRYM_FLAVORS:
+        raise InvariantError("flavor", f"{flavor!r} is not a Prym flavor")
+    return 1 - 2 * _coord_layout(flavor, 0)[0].start
+
+
 @dataclass(frozen=True)
 class MumfordTriple:
     """A point of one of the four phase spaces, validated on construction."""

@@ -202,6 +202,10 @@ class _Tape:
         return name
 
     def record(self, left, op, right) -> _Recorder:
+        if op == "*":  # x * 1 (float or int 1) is x bit for bit, signed zeros, inf and NaN too
+            for x, one in ((left, right), (right, left)):
+                if type(one) in (float, int) and one == 1:
+                    return x
         if len(self.ops) == MAX_TRACE_OPS:
             raise _Refused(f"the trace passes {MAX_TRACE_OPS} operations")
         self.ops.append((None if left is None else self.operand(left), op, self.operand(right)))

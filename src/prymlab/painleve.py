@@ -35,8 +35,9 @@ n - #A/2, the number of free parameters of the Laurent family.  Every
 report proves its spectrum exactly (check_spectrum, through the
 characteristic-polynomial decider symbolic.charpoly_mismatch).
 Free parameters enter the recursion exactly at the non-pivot columns of
-M - k I and are addressed by slot names "a<i>.<k>".  Each order is solved
-on the integer rows [k Id - M | rhs] (symbolic.solve_affine).  The check
+M - k I, addressed by slot names "a<i>.<k>"; only the k with k <= max_i
+sum_j |M_ij| can have one (Gershgorin).  Each order is solved on the
+integer rows [k Id - M | rhs] (symbolic.solve_affine).  The check
 km_residual weighs a as 2: with D the lcm of the series' denominators,
 D^2 times the residual is B_i' - A_i (A_{i-1} - A_{i+1}) on the int
 series A_i = D a_i and B_i = D^2 a_i.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable
 
 from .algebra import LaurentSeries, format_rational, integer_numerators
@@ -54,9 +56,9 @@ from .errors import InvariantError, ResonanceError
 from .symbolic import _eliminate, charpoly_mismatch, solve_affine
 from .toda import MAX_N, km_field
 
-# The largest Laurent order laurent_balance accepts.  On one Intel Xeon core
-# the balance on cells {1, 2} at n = MAX_N, free parameters in 1..3, takes
-# 8 ms at order 20 (the most any suite uses), 0.4 s at 200, 5.1 s at 400.
+# The largest Laurent order laurent_balance accepts.  On a 2-vCPU Intel Xeon
+# (Python 3.11) the balance on cells {1, 2} at n = MAX_N, free parameters in
+# 1..3, takes 3-4 ms at order 20 (the most any suite uses), 0.3-0.4 s at 200, 3-4 s at 400.
 MAX_ORDER = 200
 
 
@@ -300,21 +302,25 @@ def slot_name(i: int, k: int) -> str:
     return f"a{i}.{k}"
 
 
-def _shifted_systems(balance: Balance, through_order: int):
-    """(k, D (k Id - M), D) for k = 1..through_order, with D the common
-    denominator of M (1 for a balance from make_balance): int rows."""
+def _negated_matrix(balance: Balance) -> tuple[list[list[int]], int]:
+    """(-D M as int rows, D), with D the common denominator of M (1 for a
+    balance from make_balance)."""
     n = balance.n
     M, D = integer_numerators([c for row in kowalevski_matrix(balance) for c in row])
-    for k in range(1, through_order + 1):
-        yield k, [[k * D * (i == j) - M[i * n + j] for j in range(n)] for i in range(n)], D
+    return [[-c for c in M[i:i + n]] for i in range(0, n * n, n)], D
 
 
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     """Names of the free coefficients the recursion leaves open, in order:
-    the non-pivot columns of each k Id - M, by forward elimination of its int rows."""
+    the non-pivot columns of each k Id - M, by forward elimination of its int
+    rows.  Only the orders with k D <= B = max_i sum_j |D M_ij| are
+    eliminated: above B the rows are strictly diagonally dominant
+    (Gershgorin), so k Id - M is invertible and every column pivots."""
+    neg, D = _negated_matrix(balance)
     names = []
-    for k, rows, _ in _shifted_systems(balance, through_order):
-        pivots = _eliminate(rows, reduce_above=False)[0]
+    for k in range(1, min(through_order, max(sum(map(abs, row)) for row in neg) // D) + 1):
+        pivots = _eliminate([[*row[:i], row[i] + k * D, *row[i + 1:]]
+                             for i, row in enumerate(neg)])[0]
         names.extend(slot_name(c + 1, k) for c in range(n) if c not in pivots)
     return names
 
@@ -337,16 +343,17 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     if not 0 <= order <= MAX_ORDER:
         raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
     params = {k: Fraction(v) for k, v in free_params.items()}
-    # order k >= 1: numerators of a_i^(k) and a_{i-1}^(k) - a_{i+1}^(k), their denominator
-    nums, diffs, dens = [], [], []
-    for k, rows, D in _shifted_systems(balance, order):
+    neg, D = _negated_matrix(balance)
+    # row i, orders 1..k-1: numerators of a_i^(j) and a_{i-1}^(j) - a_{i+1}^(j); their denominators
+    nums, diffs, dens = [[] for _ in range(n)], [[] for _ in range(n)], []
+    for k in range(1, order + 1):
         # rhs_i = sum_{j=1}^{k-1} a_i^(j) diff_i^(k-j), over L = lcm_j dens_j dens_{k-j}
         products = [dens[j] * dens[k - 2 - j] for j in range(k - 1)]
         L = lcm(*products)
-        terms = [(L // p, a, d) for p, a, d in zip(products, nums, reversed(diffs))]
-        for i, row in enumerate(rows):
-            row.append(D * sum(w * a[i] * d[i] for w, a, d in terms))
-        sol = solve_affine(rows)
+        weights = [D * L // p for p in products]
+        sol = solve_affine([[*row[:i], row[i] + k * D, *row[i + 1:],
+                             sum(map(mul, map(mul, weights, a), reversed(d)))]
+                            for i, (row, a, d) in enumerate(zip(neg, nums, diffs))])
         if not sol.consistent:
             raise ResonanceError(f"inconsistent resonance at order k={k}")
         values = []
@@ -365,15 +372,16 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
             w = L * value.numerator * (Q // value.denominator)
             vec = [x + w * y for x, y in zip(vec, basis_vec)]
         g = gcd(sol.den * L * Q, *vec)
-        nums.append([x // g for x in vec])
-        diffs.append([nums[-1][i - 1] - nums[-1][(i + 1) % n] for i in range(n)])
+        for i in range(n):
+            nums[i].append(vec[i] // g)
+            diffs[i].append((vec[i - 1] - vec[(i + 1) % n]) // g)
         dens.append(sol.den * L * Q // g)
     if params:
         raise InvariantError("free-parameters",
                              f"unused parameters {sorted(params)}")
-    return [LaurentSeries(-1, [Fraction(a)] + [Fraction(v[i], den) for v, den in zip(nums, dens)],
+    return [LaurentSeries(-1, [Fraction(a)] + [Fraction(x, den) for x, den in zip(col, dens)],
                           hi=order - 1)
-            for i, a in enumerate(balance.alpha)]
+            for a, col in zip(balance.alpha, nums)]
 
 
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:

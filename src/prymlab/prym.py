@@ -60,7 +60,7 @@ from .errors import InvariantError
 from .mumford import (EVEN_MUMFORD, EVEN_PRYM, ODD_PRYM, MAX_GENUS, PRYM_FLAVORS,
                       MumfordTriple, _coord_layout, _lift_phi, _slot_codec, check_table_genus,
                       degrees, mumford_bracket_table, mumford_tangent, phase_coordinates,
-                      prym_flavor, table_from_generators)
+                      prym_flavor, prym_sign, table_from_generators)
 from .symbolic import BracketTable, MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -167,11 +167,9 @@ def prym_bracket_generators(flavor: str, n: int, phi: Poly) -> dict:
         raise InvariantError("phi", "phi must be nonzero")
     if phi.degree > ambient_g:
         raise InvariantError("phi-degree", f"deg phi must be <= {ambient_g}")
-    want_even = flavor == ODD_PRYM
-    if want_even and not phi.is_even():
-        raise InvariantError("phi-parity", "odd-prym reduction needs phi even")
-    if not want_even and not phi.is_odd():
-        raise InvariantError("phi-parity", "even-prym reduction needs phi odd")
+    parity = "even" if prym_sign(flavor) == 1 else "odd"  # the parity of deg u
+    if not (phi.is_even() if parity == "even" else phi.is_odd()):
+        raise InvariantError("phi-parity", f"{flavor} reduction needs phi {parity}")
     phim = _lift_phi(phi, coords.nvars)
     u, v, w = coords.u, coords.v, coords.w
 

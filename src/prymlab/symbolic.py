@@ -18,11 +18,11 @@ The exact kernels keep Fraction out of their inner loops: MultiPoly sums
 add numerators over the lcm of the two denominators, products convolve
 them over the product of the denominators, scalar products and
 derivatives scale them, and each result is reduced by one gcd; the
-linear algebra eliminates on integer rows kept primitive by their
-content gcd (_eliminate: ranks, determinants such as the one at x = 2^k
-of charpoly_mismatch, and `solve_affine`, which returns integer
-numerators over one common denominator), and the Jacobi check works on
-integer numerators with packed exponents (_PackedTable).
+linear algebra eliminates forward on integer rows kept primitive by
+their content gcd (_eliminate: ranks, determinants such as the one at
+x = 2^k of charpoly_mismatch, and `solve_affine`, whose back substitution
+returns integer numerators over one common denominator), and the Jacobi
+check works on integer numerators with packed exponents (_PackedTable).
 Fractions are built only where a caller needs them, such as the
 `MultiPoly.terms` view.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .algebra import at_two_power, integer_numerators, lowest_power
@@ -290,15 +290,14 @@ class MultiPoly:
 # exact linear algebra on integer rows
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: list[list[int]], reduce_above: bool) -> tuple[list[int], int, int]:
-    """Fraction-free elimination of integer rows, in place.
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free forward elimination of integer rows, in place.
 
-    For each pivot p in row r, every other row with an entry f in the pivot
-    column becomes (p row - f row_r) / g, g the content gcd of the new row;
-    rows below the pivot are cleared, and with reduce_above the rows above
-    it too (Gauss-Jordan).  Returns the pivot columns and the ints num, den
-    with det(input) = num * prod(pivot entries) / den when the input is
-    square of full rank."""
+    For each pivot p in row r, every row below it with an entry f in the
+    pivot column becomes (p row - f row_r) / g, g the content gcd of the new
+    row, so the rows end in echelon form with the pivot rows first.  Returns
+    the pivot columns and the ints num, den with det(input) = num *
+    prod(pivot entries) / den when the input is square of full rank."""
     pivots: list[int] = []
     num = den = 1
     m = len(rows)
@@ -314,10 +313,10 @@ def _eliminate(rows: list[list[int]], reduce_above: bool) -> tuple[list[int], in
             num = -num
         prow = rows[r]
         p = prow[col]
-        for i in range(0 if reduce_above else r + 1, m):
+        for i in range(r + 1, m):
             row = rows[i]
             f = row[col]
-            if f and i != r:
+            if f:
                 new = [p * a - f * b for a, b in zip(row, prow)]
                 g = gcd(*new)
                 if g > 1:
@@ -336,7 +335,7 @@ def integer_determinant(rows: list[list[int]]) -> int:
     """Exact determinant of a square int matrix; the rows are overwritten."""
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    pivots, num, den = _eliminate(rows, reduce_above=False)
+    pivots, num, den = _eliminate(rows)
     if len(pivots) < len(rows):
         return 0
     return num * prod(row[col] for row, col in zip(rows, pivots)) // den
@@ -382,7 +381,7 @@ def charpoly_mismatch(matrix: Sequence[Sequence[Fraction]], q: Sequence[int],
 def pivot_columns(matrix: Sequence[Sequence[Fraction]]) -> list[int]:
     """The pivot columns of the rref of a Fraction/int matrix, read off a
     forward integer elimination (no back substitution, no Fraction)."""
-    return _eliminate([integer_numerators(row)[0] for row in matrix], reduce_above=False)[0]
+    return _eliminate([integer_numerators(row)[0] for row in matrix])[0]
 
 
 def matrix_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -405,22 +404,24 @@ def solve_affine(rows: list[list[int]]) -> AffineSolution:
     """Exact solution of A x = b over Q from the augmented integer rows
     [A | b], which are overwritten.
 
-    One fraction-free Gauss-Jordan elimination leaves pivot p_r in row r
-    and zeros in the other pivot columns, so with den the lcm of the
-    pivots each pivot coordinate is read off row r times den / p_r."""
+    A forward elimination leaves the rows in echelon form, pivot p_r in
+    column c_r of row r.  Over den = |prod p_r| every coordinate of the
+    particular solution and of each kernel vector is an integer, so back
+    substitution from the last pivot up divides each row's remainder by
+    p_r exactly."""
     n = len(rows[0]) - 1 if rows else 0
-    pivots, _, _ = _eliminate(rows, reduce_above=True)
+    pivots = _eliminate(rows)[0]
     if n in pivots:
         return AffineSolution(False, None, [], [], 1)
     free_cols = [j for j in range(n) if j not in pivots]
-    den = lcm(*[row[col] for row, col in zip(rows, pivots)])
+    den = abs(prod(row[col] for row, col in zip(rows, pivots)))
     particular = [0] * n
-    kernel = [[den if j == free else 0 for j in range(n)] for free in free_cols]
-    for row, col in zip(rows, pivots):
-        s = den // row[col]
-        particular[col] = row[n] * s
-        for vec, free in zip(kernel, free_cols):
-            vec[col] = -row[free] * s
+    kernel = [[den * (j == free) for j in range(n)] for free in free_cols]
+    for row, col in reversed(list(zip(rows, pivots))):
+        # the row is 0 left of col, and every vector is still 0 at col
+        particular[col] = (row[n] * den - sum(map(mul, row, particular))) // row[col]
+        for vec in kernel:
+            vec[col] = -sum(map(mul, row, vec)) // row[col]
     return AffineSolution(True, particular, kernel, free_cols, den)
 
 

@@ -378,7 +378,8 @@ def suite_parity(seed: int = 0) -> list[CheckResult]:
     def reflection():
         # X_{-y} = j_* X_y makes the Prym-slot reading of X_y its projection
         # 1/2 (X_y + eps X_{-y}) to the locus, eps = +1 for j and -1 for -j
-        for flavor, eps in ((mumford.ODD_PRYM, 1), (mumford.EVEN_PRYM, -1)):
+        for flavor in mumford.PRYM_FLAVORS:
+            eps = mumford.prym_sign(flavor)
             for n in (1, 2):
                 coords = mumford.phase_coordinates(flavor, n)
                 u, v, w = coords.u.coeffs, coords.v.coeffs, coords.w.coeffs

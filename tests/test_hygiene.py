@@ -259,8 +259,10 @@ def test_two_power_scanner_sees_each_form():
     assert two_power_references("toda", "from .algebra import first_mismatch\n") == []
 
 
-# Which Prym flavor a degree parity selects is decided by mumford.prym_flavor,
-# next to the slot layout it must agree with; every other module calls it.
+# Which Prym flavor a degree parity selects, and which sign or parity a
+# Prym flavor carries, are decided by mumford.prym_flavor and
+# mumford.prym_sign, next to the slot layout they must agree with; every
+# other module calls them.
 PRYM_FLAVOR_NAMES = {"ODD_PRYM", "EVEN_PRYM"}
 
 
@@ -269,11 +271,28 @@ def _names(node: ast.AST) -> set[str]:
             if isinstance(sub, (ast.Name, ast.Attribute))}
 
 
+def _is_number(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float, bool)
+
+
 def parity_flavor_choices(module: str, source: str) -> list[str]:
-    """`module:line` for each conditional expression or `if` statement whose
-    test computes a `%` and whose branches name a Prym flavor constant."""
-    lines = []
+    """`module:line` for each hand-made pairing of a Prym flavor constant
+    with a parity: a conditional expression or `if` statement whose test
+    computes a `%` and whose branches name one, an `==` or `!=` comparison
+    with one, and a tuple that holds one beside a number."""
+    lines = set()
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) \
+                    and PRYM_FLAVOR_NAMES & _names(node):
+                lines.add(node.lineno)
+            continue
+        if isinstance(node, ast.Tuple):
+            if any(map(_is_number, node.elts)) and PRYM_FLAVOR_NAMES & _names(node):
+                lines.add(node.lineno)
+            continue
         if isinstance(node, ast.IfExp):
             branches = [node.body, node.orelse]
         elif isinstance(node, ast.If):
@@ -283,14 +302,14 @@ def parity_flavor_choices(module: str, source: str) -> list[str]:
         mod = any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod)
                   for sub in ast.walk(node.test))
         if mod and PRYM_FLAVOR_NAMES & set().union(*map(_names, branches)):
-            lines.append(node.lineno)
+            lines.add(node.lineno)
     return [f"{module}:{line}" for line in sorted(lines)]
 
 
 def test_only_mumford_chooses_a_prym_flavor_by_parity():
     found = [ref for module, text in _src_sources().items() if module != "mumford"
              for ref in parity_flavor_choices(module, text)]
-    assert not found, "Prym flavor chosen by a parity test outside mumford:\n" + "\n".join(found)
+    assert not found, "Prym flavor paired with a parity outside mumford:\n" + "\n".join(found)
 
 
 def test_parity_flavor_scanner_sees_each_form():
@@ -307,10 +326,23 @@ def test_parity_flavor_scanner_sees_each_form():
               "    else:\n"
               "        return EVEN_PRYM\n")
     assert parity_flavor_choices("verify", source) == ["verify:3", "verify:5", "verify:9"]
-    clean = ("from .mumford import ODD_PRYM, prym_flavor\n"
+    clean = ("from .mumford import EVEN_PRYM, ODD_PRYM, prym_flavor, prym_sign\n"
              "def f(n, flavor): return prym_flavor(n - 1) if n % 2 else flavor\n"
-             "def g(flavor): return 1 if flavor == ODD_PRYM else -1\n")
+             "def g(flavor): return prym_sign(flavor) if flavor in (ODD_PRYM, EVEN_PRYM) else 0\n"
+             "def h(n): return [(ODD_PRYM, n), (EVEN_PRYM, 'x')]\n")
     assert parity_flavor_choices("verify", clean) == []
+
+
+def test_parity_flavor_scanner_sees_flavor_equalities_and_sign_pairs():
+    source = ("from . import mumford\n"
+              "from .mumford import EVEN_PRYM, ODD_PRYM\n"
+              "def g(flavor): return 1 if flavor == ODD_PRYM else -1\n"
+              "def h(flavor):\n"
+              "    want_even = mumford.EVEN_PRYM != flavor\n"
+              "    return want_even\n"
+              "PAIRS = ((ODD_PRYM, 1), (mumford.EVEN_PRYM, -1))\n"
+              "SIGNS = [(EVEN_PRYM, True)]\n")
+    assert parity_flavor_choices("prym", source) == ["prym:3", "prym:5", "prym:7", "prym:8"]
 
 
 def _resolves(dotted: str) -> bool:

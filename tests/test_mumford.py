@@ -11,7 +11,7 @@ from prymlab.mumford import (EVEN_MUMFORD, EVEN_PRYM, MUMFORD_FLAVORS,
                              bracket_generators, degrees, flow_values, momentum,
                              mumford_bracket_table, mumford_flow,
                              mumford_flow_symbolic, phase_coordinates,
-                             point_values, prym_flavor, triple_from_values)
+                             point_values, prym_flavor, prym_sign, triple_from_values)
 from prymlab.sampling import mumford_triple
 from prymlab.symbolic import MultiPoly, matrix_rank
 
@@ -124,6 +124,20 @@ def test_prym_flavor_agrees_with_the_degree_table(flavor):
         deg_u = degrees(flavor, n)[0]
         assert prym_flavor(deg_u) == flavor
         assert degrees(prym_flavor(deg_u), deg_u // 2)[0] == deg_u
+
+
+@pytest.mark.parametrize("flavor", PRYM_FLAVORS)
+def test_prym_sign_is_the_parity_of_u(rng, flavor):
+    """prym_sign is (-1)^deg u at every index, and u(-x) = prym_sign u(x)
+    on the points of the space, so sign * j fixes them."""
+    for n in range(1, 6):
+        assert prym_sign(flavor) == (-1) ** degrees(flavor, n)[0]
+        t = mumford_triple(rng, flavor, n)
+        assert t.u.reflect() == prym_sign(flavor) * t.u
+    for other in MUMFORD_FLAVORS:
+        with pytest.raises(InvariantError) as err:
+            prym_sign(other)
+        assert err.value.invariant == "flavor"
 
 
 def test_prym_flavors_and_json():

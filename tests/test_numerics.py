@@ -697,6 +697,44 @@ def test_recorded_operations_keep_their_operands_and_order():
         numerics._Tape().value() + F(1)
 
 
+def test_a_product_with_the_constant_one_records_nothing():
+    """x * 1 and 1 * x, with 1 a float or an int, are x itself and leave the
+    tape empty, which keeps every bit; True is not a constant, and 1.5 or
+    -1.0 is recorded."""
+    tape = numerics._Tape()
+    x = tape.value()
+    assert all(y is x for y in (x * 1, 1 * x, x * 1.0, 1.0 * x)) and tape.ops == []
+    with pytest.raises(TypeError):
+        x * True
+    assert x * 1.5 is not x and -1.0 * x is not x
+    assert [op for _, op, _ in tape.ops] == ["*", "*"]
+    fn = lambda s: [s[0] * 1, 1.0 * s[1], (s[0] + s[1]) * 1.0]
+    source, constants = numerics._emit(fn, 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    return [r0, r1, (r0 + r1)]"]
+    assert constants == {}
+    compiled = numerics._traced(fn, 2)
+    for s in ([-0.0, 0.0], [math.inf, -math.inf], [math.nan, 5e-324], [1e308, -3.0]):
+        assert [v.hex() for v in compiled(s)] == [v.hex() for v in fn(s)]
+
+
+@pytest.mark.parametrize("fn, width, ops", [
+    (_lattice_invariants(20, km=True), 20, 419),
+    (lambda x: numerics._rk4_step(_mumford_rhs(ODD_PRYM, 2, 0.3), x, 1e-3),
+     _width(ODD_PRYM, 2), 503),
+    (lambda x: numerics._rk4_step(_mumford_rhs(EVEN_MUMFORD, 2, 0.3), x, 1e-3),
+     _width(EVEN_MUMFORD, 2), 400)],
+    ids=["km-20-monitor", "odd-prym-2-step", "even-mumford-2-step"])
+def test_traced_runs_multiply_by_no_constant_one(fn, width, ops):
+    """The KM n = 20 monitor, an odd Prym n = 2 step and an even Mumford
+    g = 2 step recorded 40, 28 and 32 products with the constant 1 (of
+    459, 531 and 432 operations) before such products were skipped."""
+    tape = numerics._Tape()
+    fn([tape.value() for _ in range(width)])
+    ones = {name for name, c in tape.constants.items() if type(c) in (float, int) and c == 1}
+    assert len(tape.ops) == ops
+    assert not any(op == "*" and {left, right} & ones for left, op, right in tape.ops)
+
+
 def test_a_local_is_taken_again_once_its_value_is_read_for_the_last_time():
     """A chain of 50 squarings, each value read twice, runs in one local,
     and each kept state value in its own; a value read once by the return

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import dataclasses
 import gc
+import hashlib
 import math
 import tracemalloc
 
@@ -20,12 +21,15 @@ from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum
                               free_slots, indicial_solutions, km_residual, kowalevski,
                               kowalevski_matrix, laurent_balance, make_balance, sigma_bits,
                               sigma_enum, sigma_enum_brute, slot_name)
-from prymlab.symbolic import integer_determinant, solve_affine
+from prymlab.sampling import rational, rng_from_seed
+from prymlab.symbolic import integer_determinant, pivot_columns, solve_affine
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
 # a hand-built balance with non-integral leading coefficients (and a
 # non-integral Kowalevski matrix); it does not solve the indicial equation
 NON_INTEGRAL = Balance(4, (1, 2), (F(-1, 2), F(3, 2), F(0), F(0)), (1, 1, -1, 0))
+# a leading configuration that violates the indicial equation
+BOGUS = Balance(3, (1, 3), (F(-2), F(0), F(2)), (1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +424,43 @@ def test_free_slots_match_a_full_solve():
         == ["a4.1", "a3.2"]
 
 
+def test_free_slots_stop_at_the_gershgorin_bound():
+    """With D the common denominator of M and B = max_i sum_j |D M_ij|, the
+    rows of D (k Id - M) are strictly diagonally dominant for k D > B, so
+    every column pivots there and free_slots need not look past B // D."""
+    cases = [b for n in range(3, 11) for b in indicial_solutions(n)] + [NON_INTEGRAL, BOGUS]
+    for balance in cases:
+        n, M = balance.n, kowalevski_matrix(balance)
+        D = math.lcm(*[F(c).denominator for row in M for c in row])
+        B = max(sum(abs(D * c) for c in row) for row in M)
+        last = B // D
+        for i, row in enumerate(M):  # the margin at last + 1, which only grows with k
+            assert abs((last + 1) * D - D * row[i]) > sum(abs(D * c) for j, c in enumerate(row)
+                                                          if j != i)
+        for k in [*range(last + 1, 21), MAX_ORDER]:
+            shifted = [[(k if i == j else 0) - c for j, c in enumerate(row)]
+                       for i, row in enumerate(M)]
+            assert len(pivot_columns(shifted)) == n
+        assert free_slots(n, balance, MAX_ORDER) == free_slots(n, balance, last)
+
+
+def test_laurent_balance_is_pinned():
+    """sha256 over laurent_balance for every Sigma_n balance at n = 3..8 to
+    order 20, its slots drawn in order by sampling.rational from seed 0:
+    each series as (lo, hi, its coefficients as text)."""
+    rng = rng_from_seed(0)
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(3, 9):
+        for balance in indicial_solutions(n):
+            params = {name: rational(rng) for name in free_slots(n, balance, 20)}
+            for s in laurent_balance(n, balance, params, 20):
+                digest.update(repr((s.lo, s.hi, [str(c) for c in s.coeffs])).encode() + b";")
+            count += 1
+    assert count == 110
+    assert digest.hexdigest() == "54a4d64168b05fa214d3e381dd2279f98f801a23b78f0d98a8d7f8299d77e23a"
+
+
 def test_general_n_first_consistency_ties_alphas():
     balance = make_balance(7, (1, 2))
     params = {name: F(1) for name in free_slots(7, balance, 4)}
@@ -440,10 +481,9 @@ def test_parameter_errors():
 def test_resonance_failure_detected():
     # a leading configuration violating the indicial equation hits an
     # unsolvable resonance in the coefficient recursion
-    bogus = Balance(3, (1, 3), (F(-2), F(0), F(2)), (1, 0, 1))
-    params = {name: F(1) for name in free_slots(3, bogus, 5)}
+    params = {name: F(1) for name in free_slots(3, BOGUS, 5)}
     with pytest.raises(ResonanceError):
-        laurent_balance(3, bogus, params, 5)
+        laurent_balance(3, BOGUS, params, 5)
 
 
 def test_spectrum_conserved_along_series():
