@@ -110,10 +110,7 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         while cs and _exact_zero(cs[-1]):
-            # a trimmed Fraction zero keeps an int remainder over Q, so that
-            # products stay Fraction-typed (see _rational_product)
-            if type(cs.pop()) is Fraction and _scalar_kind(cs) == _INT:
-                cs = [Fraction(c) for c in cs]
+            cs.pop()
         self.coeffs = cs
 
     # -- basic queries ------------------------------------------------------
@@ -159,13 +156,7 @@ class Poly:
             if isinstance(other, int) and other == 0:
                 return self
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(_sum(self.coeffs, other.coeffs))
 
     def __radd__(self, other) -> "Poly":
         if isinstance(other, int) and other == 0:
@@ -187,12 +178,7 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            kind = _scalar_kind(self.coeffs)
-            if kind != _OTHER:
-                kind = max(kind, _scalar_kind(other.coeffs))
-            if kind != _OTHER:
-                return Poly(_rational_product(self.coeffs, other.coeffs, all_int=kind == _INT))
-            return Poly(_product(self.coeffs, other.coeffs))
+            return Poly(_multiply(self.coeffs, other.coeffs))
         return Poly([c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -368,23 +354,20 @@ def first_mismatch(terms: Sequence[tuple[int, Sequence[int], Sequence[int]]],
     return lowest_power(value, k) if value else None
 
 
-def _rational_product(a: list, b: list, width: int | None = None,
-                      all_int: bool | None = None) -> list:
-    """Coefficients of the product of two Fraction/int coefficient lists,
-    the first `width` of them when it is given.
-
-    Each factor is scaled to integers by its common denominator, the integer
-    numerators are convolved, and each output coefficient becomes a single
-    Fraction.  Two all-int factors are convolved as they are and give int
-    coefficients, as the generic loop does; a caller that has already
-    classified both factors passes that verdict as `all_int`, otherwise the
-    truncated factors are scanned here."""
-    if width is None:
-        width = len(a) + len(b) - 1
+def _multiply(a: list, b: list, width: int | None = None) -> list:
+    """The first `width` coefficients (by default all) of the product of two
+    coefficient lists: the one product of Poly and LaurentSeries.  Int lists
+    convolve as they are; int/Fraction lists convolve their integer
+    numerators over each factor's common denominator, into one Fraction per
+    output; any other ring runs the schoolbook loop of _product."""
+    width = len(a) + len(b) - 1 if width is None else width
     a, b = a[:width], b[:width]
-    if all_int is None:
-        all_int = max(_scalar_kind(a), _scalar_kind(b)) == _INT
-    if all_int:
+    kind = _scalar_kind(a)
+    if kind != _OTHER:
+        kind = max(kind, _scalar_kind(b))
+    if kind == _OTHER:
+        return _product(a, b)[:width]
+    if kind == _INT:
         na, nb = a, b
     else:
         na, da = integer_numerators(a)
@@ -394,10 +377,22 @@ def _rational_product(a: list, b: list, width: int | None = None,
         if x:
             for j, y in enumerate(nb[:width - i], i):
                 out[j] += x * y
-    if all_int:
+    if kind == _INT:
         return out
     den = da * db
     return [Fraction(c, den) for c in out]
+
+
+def _sum(a: list, b: list) -> list:
+    """Coefficients of the sum of two coefficient lists, slot by slot: the
+    longer list is copied and the shorter one added into it.  The one sum
+    of Poly and LaurentSeries."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return out
 
 
 def horner(coeffs: list, y) -> tuple[list, object]:
@@ -596,12 +591,16 @@ def pr_split(u: Poly, v: Poly, w: Poly, n: int) -> tuple[Poly, Poly]:
 class LaurentSeries:
     """Laurent series known exactly on a finite exponent window.
 
-    coeffs[i], an int or Fraction, multiplies t^(lo+i); every coefficient above `hi` is unknown
+    coeffs[i] multiplies t^(lo+i); every coefficient above `hi` is unknown
     (truncated) and every one below lo is zero.  hi=None marks an exact
     series (a Laurent polynomial) whose higher coefficients are all zero.
     The constructor strips zeros from both ends of coeffs, so a series with
-    any coefficient has nonzero first and last ones.  Arithmetic tracks how far results remain valid, so "equals zero through
-    the truncation order" is a meaningful exact statement.
+    any coefficient has nonzero first and last ones.  The series keeps only
+    its window; sums and products run on Poly's kernels (_sum, _multiply),
+    so the coefficients may lie in any ring those take (int, Fraction,
+    MultiPoly, ...); only inverse needs a field.  Arithmetic tracks how far
+    results remain valid, so "equals zero through the truncation order" is
+    a meaningful exact statement.
     """
 
     __slots__ = ("lo", "coeffs", "hi")
@@ -690,36 +689,20 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.lo, tuple(self.coeffs), self.hi))
 
-    def _combine(self, other: "LaurentSeries", sign: int) -> "LaurentSeries":
-        """self + sign * other on integer numerators over one denominator;
-        int plus int stays int, otherwise each output is one Fraction."""
-        if self.known_zero() and self.hi is None:
-            return other if sign > 0 else -other
-        if other.known_zero() and other.hi is None:
-            return self
-        if self.hi is None and other.hi is None:
-            hi = None
-            top = max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - 1
-        else:
-            hi = top = min(h for h in (self.hi, other.hi) if h is not None)
-        lo = min(self.lo if self.coeffs else top, other.lo if other.coeffs else top)
-        a = self.coeffs[:max(0, top + 1 - self.lo)]
-        b = other.coeffs[:max(0, top + 1 - other.lo)]
-        ab = a + b
-        rational = _scalar_kind(ab) != _INT
-        nums, den = integer_numerators(ab) if rational else (ab, 1)
-        out = [0] * (top - lo + 1)
-        for i, x in enumerate(nums[:len(a)], self.lo - lo):
-            out[i] = x
-        for i, x in enumerate(nums[len(a):], other.lo - lo):
-            out[i] += sign * x
-        if rational:
-            out = [Fraction(c, den) for c in out]
-        return LaurentSeries(lo, out, hi)
-
     def __add__(self, other):
         other = LaurentSeries._coerce(other)
-        return NotImplemented if other is None else self._combine(other, 1)
+        if other is None:
+            return NotImplemented
+        if self.known_zero() and self.hi is None:
+            return other
+        if other.known_zero() and other.hi is None:
+            return self
+        hi = other.hi if self.hi is None else self.hi if other.hi is None else min(self.hi, other.hi)
+        top = hi if hi is not None else max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - 1
+        lo = min(self.lo if self.coeffs else top, other.lo if other.coeffs else top)
+        # each operand's slots t^lo .. t^top, zero-padded below its own lo
+        a, b = (([0] * (s.lo - lo) + s.coeffs)[:top + 1 - lo] for s in (self, other))
+        return LaurentSeries(lo, _sum(a, b), hi)
 
     __radd__ = __add__
 
@@ -728,11 +711,11 @@ class LaurentSeries:
 
     def __sub__(self, other):
         other = LaurentSeries._coerce(other)
-        return NotImplemented if other is None else self._combine(other, -1)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = LaurentSeries._coerce(other)
-        return NotImplemented if other is None else other._combine(self, -1)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
         other = LaurentSeries._coerce(other)
@@ -750,21 +733,15 @@ class LaurentSeries:
         hi = min(bounds) if bounds else None
         if self.known_zero() or other.known_zero():
             return LaurentSeries(0, [], hi)
-        lo = self.lo + other.lo
+        lo = self.lo + other.lo  # with both factors nonzero, hi >= lo
         top = hi if hi is not None else lo + len(self.coeffs) + len(other.coeffs) - 2
-        width = top - lo + 1
-        if width <= 0:
-            return LaurentSeries(0, [], hi)
-        return LaurentSeries(lo, _rational_product(self.coeffs, other.coeffs, width), hi)
+        return LaurentSeries(lo, _multiply(self.coeffs, other.coeffs, top - lo + 1), hi)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "LaurentSeries":
         hi = None if self.hi is None else self.hi - 1
-        coeffs = [e * c for e, c in enumerate(self.coeffs, self.lo)]
-        if _scalar_kind(self.coeffs) == _RATIONAL:  # ints beside Fractions become Fractions
-            coeffs = [Fraction(c) if type(c) is int else c for c in coeffs]
-        return LaurentSeries(self.lo - 1, coeffs, hi)
+        return LaurentSeries(self.lo - 1, [e * c for e, c in enumerate(self.coeffs, self.lo)], hi)
 
     def truncate(self, hi: int) -> "LaurentSeries":
         if self.hi is not None and hi > self.hi:

@@ -316,6 +316,8 @@ def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     rows.  Only the orders with k D <= B = max_i sum_j |D M_ij| are
     eliminated: above B the rows are strictly diagonally dominant
     (Gershgorin), so k Id - M is invertible and every column pivots."""
+    if balance.n != n:
+        raise InvariantError("size", "balance does not match n")
     neg, D = _negated_matrix(balance)
     names = []
     for k in range(1, min(through_order, max(sum(map(abs, row)) for row in neg) // D) + 1):
@@ -387,15 +389,10 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
 def km_residual(series: list[LaurentSeries]) -> list[LaurentSeries]:
     """da_i/dt - a_i (a_{i-1} - a_{i+1}) for a candidate solution.  With a of
     weight 2 it is found scaled by D^2 on int series (module docstring) and
-    divided once; a residual is int when a_{i-1}, a_i, a_{i+1} are, otherwise
-    every coefficient is a Fraction."""
-    n, D = len(series), lcm(*[c.denominator for s in series for c in s.coeffs])
+    divided once, into one Fraction per coefficient."""
+    D = lcm(*[c.denominator for s in series for c in s.coeffs])
     A = [LaurentSeries(s.lo, [c.numerator * (D // c.denominator) for c in s.coeffs], s.hi)
          for s in series]
-    out = []
-    for i, (a, f) in enumerate(zip(A, km_field(A))):
-        r = LaurentSeries(a.lo, [D * c for c in a.coeffs], a.hi).derivative() - f
-        ints = all(type(c) is int for j in (i - 1, i, (i + 1) % n) for c in series[j].coeffs)
-        out.append(LaurentSeries(r.lo, [c // (D * D) if ints else Fraction(c, D * D)
-                                        for c in r.coeffs], r.hi))
-    return out
+    scaled = [LaurentSeries(a.lo, [D * c for c in a.coeffs], a.hi).derivative() - f
+              for a, f in zip(A, km_field(A))]
+    return [LaurentSeries(r.lo, [Fraction(c, D * D) for c in r.coeffs], r.hi) for r in scaled]

@@ -64,20 +64,26 @@ MAX_N = 24
 # phase points
 # ---------------------------------------------------------------------------
 
+def _lattice_a(a) -> tuple:
+    """a as Fractions; TodaPoint and KMPoint need every a_i nonzero, prod 1."""
+    a = tuple(Fraction(x) for x in a)
+    if any(x == 0 for x in a):
+        raise InvariantError("a-nonzero", "all a_i must be nonzero")
+    if prod(a) != 1:
+        raise InvariantError("a-product", "prod a_i must equal 1")
+    return a
+
+
 @dataclass(frozen=True)
 class TodaPoint:
     a: tuple
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
         if len(self.a) != len(self.b):
             raise InvariantError("size", "a and b must have the same length")
-        if any(x == 0 for x in self.a):
-            raise InvariantError("a-nonzero", "all a_i must be nonzero")
-        if prod(self.a) != 1:
-            raise InvariantError("a-product", "prod a_i must equal 1")
+        object.__setattr__(self, "a", _lattice_a(self.a))
 
     @property
     def n(self) -> int:
@@ -116,11 +122,7 @@ class KMPoint:
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        if any(x == 0 for x in self.a):
-            raise InvariantError("a-nonzero", "all a_i must be nonzero")
-        if prod(self.a) != 1:
-            raise InvariantError("a-product", "prod a_i must equal 1")
+        object.__setattr__(self, "a", _lattice_a(self.a))
 
     @property
     def n(self) -> int:

@@ -345,6 +345,54 @@ def test_parity_flavor_scanner_sees_flavor_equalities_and_sign_pairs():
     assert parity_flavor_choices("prym", source) == ["prym:3", "prym:5", "prym:7", "prym:8"]
 
 
+# Coefficient types are classified in one place, algebra._multiply, the
+# one product of Poly and LaurentSeries; LaurentSeries keeps its window and
+# leaves its coefficient arithmetic to Poly's kernels.
+def coefficient_type_rules(module: str, source: str) -> list[str]:
+    """`module.name` or `module.Class.name` of each top-level statement (a
+    non-definition reads as `module.<module>`) or class member of `source`
+    that reads _scalar_kind, as a name or attribute or by import, other than
+    algebra._multiply, and of each LaurentSeries member that reads
+    integer_numerators."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes = [(f"{module}.{node.name}.{getattr(m, 'name', '<body>')}", m)
+                      for m in node.body]
+        else:
+            scopes = [(f"{module}.{getattr(node, 'name', '<module>')}", node)]
+        for name, scope in scopes:
+            read = _names(scope) | {alias.name for sub in ast.walk(scope)
+                                    if isinstance(sub, ast.ImportFrom) for alias in sub.names}
+            if ("_scalar_kind" in read and name != "algebra._multiply"
+                    or ".LaurentSeries." in name and "integer_numerators" in read):
+                found.append(name)
+    return found
+
+
+def test_only_multiply_classifies_coefficient_types():
+    found = [ref for module, text in _src_sources().items()
+             for ref in coefficient_type_rules(module, text)]
+    assert not found, "coefficient-type rules outside algebra._multiply:\n" + "\n".join(found)
+
+
+def test_coefficient_type_scanner_sees_each_form():
+    source = ("from .algebra import _scalar_kind as kind\n"
+              "from . import algebra\n"
+              "class Poly:\n"
+              "    def __init__(self, cs): self.kind = algebra._scalar_kind(cs)\n"
+              "def _multiply(a, b): return _scalar_kind(a)\n"
+              "class LaurentSeries:\n"
+              "    def _combine(self, other): return integer_numerators(other)\n"
+              "    def derivative(self): return _scalar_kind(self.coeffs)\n"
+              "    def __mul__(self, other): return _multiply(self.coeffs, other.coeffs)\n"
+              "def scaled(values): return integer_numerators(values)\n")
+    assert coefficient_type_rules("algebra", source) == [
+        "algebra.<module>", "algebra.Poly.__init__", "algebra.LaurentSeries._combine",
+        "algebra.LaurentSeries.derivative"]
+    assert "toda._multiply" in coefficient_type_rules("toda", source)  # only algebra's counts
+
+
 def _resolves(dotted: str) -> bool:
     """Whether `module.attr...` names an object of the prymlab module."""
     module, *path = dotted.split(".")
