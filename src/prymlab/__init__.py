@@ -15,7 +15,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 __all__ = [
-    "Balance", "BracketTable", "ExactScalar", "InvariantError",
+    "Balance", "BracketTable", "InvariantError",
     "KMPoint", "KowalevskiReport", "LaurentSeries", "MultiPoly",
     "MumfordTriple", "NotInImageError", "ParseError", "PhiImage", "Poly",
     "ProjectivePoint9", "ResonanceError", "TodaPoint", "Trajectory",

@@ -4,7 +4,6 @@ Everything in this package ultimately reduces to computations in Q[x],
 Q[x,x'] and truncated Laurent series rings with exact rational coefficients.
 This module provides those substrates:
 
-    ExactScalar    alias for fractions.Fraction (always reduced, exact)
     Poly           dense univariate polynomials, coefficients ascending
     LaurentSeries  truncated Laurent series with an explicit validity window
 
@@ -18,7 +17,8 @@ Coefficient slots are duck typed: the same Poly code is reused with
 MultiPoly (symbolic.py) or LaurentSeries coefficients whenever an identity
 has to hold symbolically or along a formal solution.  The generic additive
 zero is the plain int 0, which coerces correctly against every coefficient
-type used here.
+type used here.  No kernel but _multiply tests a coefficient's type:
+c == 0 means an exact zero in every ring (LaurentSeries.__eq__).
 
 A bivariate polynomial F(x, x') is a Poly in x whose coefficients are Polys
 in x' (Q[x, x'] = (Q[x'])[x]): bicoeff(F, i, j) reads x^i x'^j, outer,
@@ -40,9 +40,6 @@ from math import comb, lcm, log10
 from typing import Iterable, Sequence
 
 from .errors import InvariantError, ParseError
-
-ExactScalar = Fraction
-
 
 class TruncationError(ArithmeticError):
     """A Laurent-series coefficient beyond the validity window was requested."""
@@ -102,14 +99,15 @@ class Poly:
 
     The zero polynomial has an empty coefficient list and degree -1.
     Coefficients may live in any commutative ring that supports +, -, *
-    and comparison with 0 (Fraction, MultiPoly, LaurentSeries, ...).
+    and comparison with 0 (Fraction, MultiPoly, LaurentSeries, ...); a
+    trailing coefficient that == 0, an exact zero, is trimmed.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and _exact_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
 
@@ -213,27 +211,27 @@ class Poly:
         """(q, r) with self = q divisor + r and deg r < deg divisor.
 
         A monic divisor needs no division, so any coefficient ring serves
-        (MultiPoly, Polys in x'); otherwise the ring must be a field, and
-        ints are divided as Fractions.  Exact-zero divisor coefficients are
-        skipped, and so is the leading slot, which is never read again."""
+        (MultiPoly, Polys in x').  Otherwise each quotient term is scaled by
+        Fraction(1) / lead, taken at the first step that divides (exact over
+        int and Fraction, 1.0 / lead over float).  Divisor coefficients that
+        == 0 are skipped, and so is the leading slot, never read again."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         dd = divisor.degree
         lead = divisor.coeffs[-1]
-        monic = lead == 1
+        monic, inverse = lead == 1, None
         # negated, so that an int 0 slot of rem takes a Poly by +
-        body = [(j, -b) for j, b in enumerate(divisor.coeffs[:dd]) if not _exact_zero(b)]
+        body = [(j, -b) for j, b in enumerate(divisor.coeffs[:dd]) if b != 0]
         quot = [0] * max(0, len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             q = rem[k]
             if q == 0:
                 continue
             if not monic:
-                if type(q) is int and type(lead) is int:
-                    q = Fraction(q)
-                exact = isinstance(q, Fraction) or isinstance(lead, Fraction)
-                q = q / lead if exact else q * (1 / lead)
+                if inverse is None:
+                    inverse = Fraction(1) / lead
+                q = q * inverse
             quot[k - dd] = q
             for j, b in body:
                 rem[k - dd + j] = rem[k - dd + j] + b * q
@@ -251,12 +249,6 @@ class Poly:
             return ",".join(str(c) for c in self.coeffs)
 
 
-def _exact_zero(c) -> bool:
-    """c == 0, except that a series known to vanish only through its window
-    is not an exact zero: it still bounds the window of what it meets."""
-    return c == 0 and (type(c) is not LaurentSeries or c.hi is None)
-
-
 _INT, _RATIONAL, _OTHER = 0, 1, 2
 
 
@@ -264,7 +256,7 @@ def _product(a: list, b: list, rows: Iterable[int] | None = None,
              cols: Iterable[int] | None = None) -> list:
     """Coefficients of the product of two coefficient lists over any ring,
     by the schoolbook loop of Poly.__mul__: only the rows a_i with i in
-    `rows` run (by default every row that is not an exact zero), each
+    `rows` run (by default every row that is not == 0), each
     against the columns b_j with j in `cols` (by default every column), and
     each slot starts from the int 0 and adds a_i b_j in the order of i,
     then j (a slot that no term reaches stays the int 0).  A caller that
@@ -273,7 +265,7 @@ def _product(a: list, b: list, rows: Iterable[int] | None = None,
     not trimmed."""
     out = [0] * (len(a) + len(b) - 1)
     if rows is None:
-        rows = [i for i, x in enumerate(a) if not _exact_zero(x)]
+        rows = [i for i, x in enumerate(a) if x != 0]
     if cols is None:
         cols = range(len(b))
     for i in rows:
@@ -446,10 +438,10 @@ def divided_difference(p: Poly, phi: Poly) -> Poly:
         return Poly()
     grid = [[0] * d for _ in range(d)]
     for i, a in enumerate(p.coeffs):
-        if _exact_zero(a):
+        if a == 0:
             continue
         for j, b in enumerate(phi.coeffs):
-            if _exact_zero(b):
+            if b == 0:
                 continue
             c = a * b
             if i > j:
@@ -476,15 +468,15 @@ def tridiag_run(b: Sequence, c: Sequence, zero) -> list[list]:
     D_k = (x - b_k) D_{k-1} - c_{k-1} D_{k-2} depends on sup and sub
     separately.  It runs in place on coefficient lists.
 
-    The b_k D_{k-1} pass is skipped when b_k is an exact zero (the KM
-    slice): a series that vanishes only through its window still bounds the
-    window of what it meets (_exact_zero).  The skip is exact over
+    The b_k D_{k-1} pass is skipped when b_k == 0 (the KM slice), which
+    a series that vanishes only through its window does not: it still
+    bounds the window of what it meets.  The skip is exact over
     Fraction, and bit-identical over float while the coefficients are
     finite: no coefficient is ever -0.0 (the lists start from +0.0 and 1,
     and x - y is -0.0 only for x = -0.0), and subtracting a zero product
     from anything but -0.0 leaves it as it is.
 
-    Parity stride: while `zero` and every shift so far are exact zeros,
+    Parity stride: while `zero` and every shift so far == 0,
     D_k(-x) = (-1)^k D_k(x), so D_k vanishes in every slot of the other
     parity, and the c-pass of D_k touches only the slots of D_{k-2} of
     parity k, every second one.  A skipped slot keeps the `zero` it was
@@ -493,15 +485,14 @@ def tridiag_run(b: Sequence, c: Sequence, zero) -> list[list]:
     MultiPoly; and a LaurentSeries c times an exact zero is the exact zero
     series (which the pass would store in place of an int or Fraction
     `zero`, an equal value of another type).  The first shift that is not
-    an exact zero, a windowed zero series included, turns the stride off
-    for the rest of the run."""
+    == 0, a windowed zero series included, turns the stride off for the
+    rest of the run."""
     prev2, prev = [], [zero + 1]
     dets = [prev]
-    stride = _exact_zero(zero)
+    stride = zero == 0
     for k, bk in enumerate(b):
         cur = [zero] + prev
-        # not _exact_zero(bk), without a call on the float lane's zeros
-        if bk != 0 or type(bk) is LaurentSeries and not _exact_zero(bk):
+        if bk != 0:
             stride = False
             for j, p in enumerate(prev):
                 cur[j] -= bk * p
@@ -600,7 +591,9 @@ class LaurentSeries:
     so the coefficients may lie in any ring those take (int, Fraction,
     MultiPoly, ...); only inverse needs a field.  Arithmetic tracks how far
     results remain valid, so "equals zero through the truncation order" is
-    a meaningful exact statement.
+    a meaningful exact statement: known_zero and is_zero_through ask it of
+    the window.  A scalar c stands for the exact constant series c, so a
+    series == 0 only when it is exactly zero (hi None).
     """
 
     __slots__ = ("lo", "coeffs", "hi")
@@ -630,7 +623,7 @@ class LaurentSeries:
         return cls(0, [c])
 
     @classmethod
-    def monomial(cls, e: int, c=Fraction(1), hi: int | None = None) -> "LaurentSeries":
+    def monomial(cls, e: int, c=1, hi: int | None = None) -> "LaurentSeries":
         return cls(e, [c], hi)
 
     @classmethod
@@ -638,7 +631,7 @@ class LaurentSeries:
         if isinstance(value, LaurentSeries):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls.constant(Fraction(value))
+            return cls.constant(value)
         return None
 
     # -- queries ---------------------------------------------------------------
@@ -681,10 +674,8 @@ class LaurentSeries:
             return (self.lo, self.coeffs, self.hi) == (other.lo, other.coeffs, other.hi)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        scalar = Fraction(other)
-        if scalar == 0:
-            return self.known_zero()
-        return self.coeffs == [scalar] and self.lo == 0
+        # the exact constant series `other`, trimmed as the constructor trims it
+        return self.hi is None and self.lo == 0 and self.coeffs == ([other] if other else [])
 
     def __hash__(self):
         return hash((self.lo, tuple(self.coeffs), self.hi))
@@ -693,9 +684,9 @@ class LaurentSeries:
         other = LaurentSeries._coerce(other)
         if other is None:
             return NotImplemented
-        if self.known_zero() and self.hi is None:
+        if self == 0:
             return other
-        if other.known_zero() and other.hi is None:
+        if other == 0:
             return self
         hi = other.hi if self.hi is None else self.hi if other.hi is None else min(self.hi, other.hi)
         top = hi if hi is not None else max(self.lo + len(self.coeffs), other.lo + len(other.coeffs)) - 1
@@ -721,7 +712,7 @@ class LaurentSeries:
         other = LaurentSeries._coerce(other)
         if other is None:
             return NotImplemented
-        if (self.known_zero() and self.hi is None) or (other.known_zero() and other.hi is None):
+        if self == 0 or other == 0:
             return LaurentSeries(0, [], None)
         # validity: unknown terms of one factor start at hi+1 and meet the
         # other factor's leading exponent

@@ -232,6 +232,10 @@ def incidence_data(k: Fraction, l: Fraction, order: int = 6):
 # principal balances and their divisor limits
 # ---------------------------------------------------------------------------
 
+# The highest order of a free slot of the base principal balance (a3.2, a5.2).
+PARAM_ORDER = 2
+
+
 def principal_balance_params(k: Fraction, beta: Fraction,
                              delta: Fraction) -> tuple[Balance, dict, Fraction]:
     """Free-parameter values of the base principal balance (poles at a1, a2)
@@ -247,7 +251,7 @@ def principal_balance_params(k: Fraction, beta: Fraction,
     if beta * delta == 0:
         raise InvariantError("constraint", "beta delta must be nonzero")
     balance = make_balance(5, (1, 2))
-    slots = free_slots(5, balance, 2)
+    slots = free_slots(5, balance, PARAM_ORDER)
     if set(slots) != {"a2.1", "a4.1", "a3.2", "a5.2"}:
         raise InvariantError("free-parameters", f"unexpected slot layout {slots}")
     alpha = (k - delta) / 2
@@ -274,7 +278,12 @@ def rotate_solution(series: list[LaurentSeries], shift: int) -> list[LaurentSeri
 
 def balance_limit(k: Fraction, beta: Fraction, delta: Fraction, shift: int = 0,
                   order: int = 8) -> tuple[ProjectivePoint9, Fraction]:
-    """Limit point of the shift-th principal balance; also returns l."""
+    """Limit point of the shift-th principal balance; also returns l.  An
+    order below PARAM_ORDER, which would leave free parameters unplaced,
+    raises InvariantError("order") before any series is built."""
+    if order < PARAM_ORDER:
+        raise InvariantError("order", f"the balance limit needs order >= {PARAM_ORDER} to"
+                             f" place its free parameters, got {order}")
     balance, params, l = principal_balance_params(k, beta, delta)
     series = laurent_balance(5, balance, params, order)
     return balance_to_divisor(rotate_solution(series, shift % 5)), l

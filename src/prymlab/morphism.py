@@ -129,10 +129,10 @@ def _x_minus(c, q: list, zero) -> list:
     return out
 
 
-def _phi_polys(a, b, zero, cuts) -> tuple[list, list]:
-    """p and the (u, v, w) of every cut in `cuts` (0-based positions, cut
-    m at m - 1), as ascending coefficient lists over the scalar ring of a,
-    b and zero (module docstring, "Integer evaluation").
+def _phi_polys(a, b, zero, ms) -> tuple[list, list]:
+    """p and the (u, v, w) of every cut m in `ms` (read mod n, 0-based
+    position (m - 1) % n), as ascending coefficient lists over the scalar
+    ring of a, b and zero (module docstring, "Integer evaluation").
 
     One tridiag_run of length n - 1 from start s gives B(s, L) for
     L <= n - 1 and serves two cuts: cut s - 1 reads Delta_m and
@@ -141,9 +141,12 @@ def _phi_polys(a, b, zero, cuts) -> tuple[list, list]:
     the block at m gives p = (x - b_m) Delta_m - S, formed at the first
     cut and shared by all; then v = a_{m-1} Delta_{m-1,m} - a_m
     Delta_{m,m+1} and w = (x - b_m)(p - S) + 4 a_m a_{m-1}
-    Delta_{m-1,m,m+1}.
+    Delta_{m-1,m,m+1}.  Every cut needs n >= 3 (InvariantError("size")).
     """
     n = len(a)
+    if n < 3:
+        raise InvariantError("size", "the morphism needs n >= 3")
+    cuts = [(m - 1) % n for m in ms]
     runs = {}
     for start in {(c + k) % n for c in cuts for k in (1, 2)}:
         block = [(start + i) % n for i in range(n - 1)]
@@ -180,17 +183,14 @@ def _phi_images(point: TodaPoint, ms) -> list[PhiImage]:
     integer data, the flavor and p are formed once (module docstring,
     "Integer evaluation")."""
     n = point.n
-    if n < 3:
-        raise InvariantError("size", "the morphism needs n >= 3")
     nums, d = integer_numerators(point.a + point.b)
     a, b = [c * d for c in nums[:n]], nums[n:]
-    cuts = [(m - 1) % n for m in ms]
-    p, images = _phi_polys(a, b, 0, cuts)
+    p, images = _phi_polys(a, b, 0, ms)
     p = _descale(p, d, n)
     flavor = EVEN_MUMFORD if any(b) else prym_flavor(n - 1)
     return [PhiImage(MumfordTriple(_descale(u, d, n - 1), _descale(v, d, n),
-                                   _descale(w, d, n + 1), flavor), c + 1, p)
-            for c, (u, v, w) in zip(cuts, images)]
+                                   _descale(w, d, n + 1), flavor), (m - 1) % n + 1, p)
+            for m, (u, v, w) in zip(ms, images)]
 
 
 def phi(point: TodaPoint, m: int) -> PhiImage:
@@ -217,9 +217,8 @@ def phi_symbolic(n: int, m: int) -> list[MultiPoly]:
     in (a_1..a_n, b_1..b_n)."""
     nv = 2 * n
     x = MultiPoly.variables(nv)
-    _p, [(u, v, w)] = _phi_polys(x[:n], x[n:], MultiPoly(nv), [(m - 1) % n])
-    values = _slot_codec(EVEN_MUMFORD, n - 1)[1](u, v, w)
-    return [MultiPoly(nv) if isinstance(c, int) else c for c in values]
+    _p, [(u, v, w)] = _phi_polys(x[:n], x[n:], MultiPoly(nv), [m])
+    return _slot_codec(EVEN_MUMFORD, n - 1)[1](u, v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,70 @@ def test_divrem_skips_exact_zero_divisor_coefficients(p, low, gap, zero, lead):
     assert r.degree < d.degree
 
 
+_h = float.fromhex
+
+
+def _typed(c):
+    """A coefficient as (type, value), a float by its bits."""
+    if isinstance(c, Poly):
+        return Poly, [_typed(x) for x in c.coeffs]
+    return type(c), c.hex() if type(c) is float else c
+
+
+@pytest.mark.parametrize("p, d, q, r", [
+    ([5, 0, 3, 1], [-1, 1], [4, 4, 1], [9]),  # monic over int: no inverse
+    ([1, 2, 3, 4], [1, 2], [F(3, 4), F(1, 2), F(2)], [F(1, 4)]),
+    ([2, 6, 4], [2, 2], [F(1), F(2)], []),
+    ([F(1, 2), F(-3), F(2, 3), F(5)], [F(1), F(3, 4)], [F(20, 3), F(-8), F(20, 3)],
+     [F(-37, 6)]),
+    ([1, -2, 0, 7], [F(1, 3), 0, F(-2, 5)], [0, F(-35, 2)], [1, F(23, 6)]),
+    ([F(1, 2), F(3, 7), F(-5, 2)], [3, -6], [F(23, 168), F(5, 12)], [F(5, 56)]),
+    ([1.5, -2.0, 0.1, 3.0, -0.7], [0.3, 0.0, 7.0],
+     [_h("0x1.30463796ac9e0p-6"), _h("0x1.b6db6db6db6dbp-2"), _h("-0x1.9999999999999p-4")],
+     [_h("0x1.7e92def07e641p+0"), _h("-0x1.1075075075075p+1")]),
+    ([1, -2, 5, 3], [0.1, 3.0], [_h("-0x1.713579be02468p-1"), _h("0x1.a222222222222p+0"), 1.0],
+     [_h("0x1.1275dfafe6838p+0")]),
+    ([0.1, -2.5, 1.7], [1, 3], [_h("-0x1.05b05b05b05b0p+0"), _h("0x1.2222222222222p-1")],
+     [_h("0x1.1f49f49f49f4ap+0")]),
+    ([Poly([1, 2]), Poly([0, F(1, 2)]), Poly([3]), Poly([-1, 0, 1])],
+     [Poly([0, 0, -1]), 0, Poly([1])], [Poly([3]), Poly([-1, 0, 1])],
+     [Poly([1, 2, 3]), Poly([0, F(1, 2), -1, 0, 1])]),  # a nested Poly([1]) top is monic
+])
+def test_divrem_quotients_keep_their_values_and_types(p, d, q, r):
+    """One inverse of the leading coefficient: exact over int and Fraction
+    (an int lead divides into Fractions), bit for bit over float."""
+    got_q, got_r = Poly(p).divrem(Poly(d))
+    assert [_typed(c) for c in got_q.coeffs] == [_typed(c) for c in q]
+    assert [_typed(c) for c in got_r.coeffs] == [_typed(c) for c in r]
+
+
+def test_divrem_by_a_monic_multipoly_divisor_keeps_its_values():
+    x, y = MultiPoly.variables(2)
+    half = F(1, 2)
+    p = Poly([x * y, y - x, half * x, y * y, x, MultiPoly.const(2, 3)])
+    q, r = p.divrem(Poly([y, x * x, 1]))
+    x2, x3, x4 = x * x, x * x * x, x * x * x * x
+    assert q.coeffs == [-3 * x4 * x2 + x4 * x - x2 * y * y + 6 * x2 * y - x * y + half * x,
+                        3 * x4 - x3 + y * y - 3 * y, -3 * x2 + x, MultiPoly.const(2, 3)]
+    assert r.coeffs == [3 * x4 * x2 * y - x4 * x * y + x2 * y ** 3 - 6 * x2 * y * y
+                        + x * y * y + half * x * y,
+                        3 * x4 * x4 - x4 * x3 + x4 * y * y - 9 * x4 * y + 2 * x3 * y
+                        - half * x3 - y ** 3 + 3 * y * y - x + y]
+    assert all(type(c) is MultiPoly for c in q.coeffs + r.coeffs)
+
+
+def test_divrem_takes_no_inverse_before_the_first_division():
+    """A lead with no inverse (a MultiPoly, a Poly in x') divides nothing of
+    lower degree: the quotient is 0 and the remainder the dividend."""
+    x, y = MultiPoly.variables(2)
+    for p, d in ((Poly([x, y]), Poly([1, 0, x])),
+                 (Poly([Poly([1]), Poly([2, 3])]), Poly([0, 0, Poly([0, 1])]))):
+        q, r = p.divrem(d)
+        assert q.is_zero() and r == p
+        with pytest.raises(TypeError):
+            Poly([1, 2, 3]).divrem(d)
+
+
 def _schoolbook(a, b):
     """Reference product: every coefficient pair multiplied as it stands."""
     if not a or not b:
@@ -658,8 +722,22 @@ def test_series_shift_truncate_zero():
     s = LaurentSeries(0, [F(1), F(1)], hi=5)
     t = s.truncate(3)
     assert t.known_through() == 3
-    zero = s - s
-    assert zero.known_zero() and zero == 0
+    zero = s - s  # zero only through its window, so not the exact zero
+    assert zero.known_zero() and zero.is_zero_through(5) and zero != 0
+
+
+@pytest.mark.parametrize("series, scalar, equal", [
+    (LaurentSeries(0, []), 0, True), (LaurentSeries(0, []), F(0), True),
+    (LaurentSeries(0, [], hi=3), 0, False), (LaurentSeries(-2, [0, 0], hi=1), F(0), False),
+    (LaurentSeries(0, [2], hi=0), 2, False), (LaurentSeries(0, [F(2)], hi=4), F(2), False),
+    (LaurentSeries(0, [2]), 2, True), (LaurentSeries(0, [2]), F(2), True),
+    (LaurentSeries(0, [F(2)]), 2, True), (LaurentSeries(1, [2]), 2, False),
+    (LaurentSeries(0, [2, 1]), 2, False), (LaurentSeries(0, [2]), 0, False)])
+def test_series_equals_a_scalar_only_as_an_exact_constant(series, scalar, equal):
+    """A scalar c is the exact constant series c: a zero known only through
+    its window is not 0, and 2 + O(t) is not 2."""
+    assert (series == scalar) is equal and (scalar == series) is equal
+    assert (series != scalar) is not equal
 
 
 @pytest.mark.parametrize("coeffs", [[], [0, 0], [F(2)], [0, 0, F(1, 3), 0, -1, 0, 0],

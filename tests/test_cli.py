@@ -234,6 +234,14 @@ def test_laurent_order_bound_exits_invariant(capsys, argv):
     assert error["message"] == f"the Laurent order must lie in 0..{MAX_ORDER}, got {MAX_ORDER + 1}"
 
 
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_example5_order_below_the_free_slots_exits_invariant(capsys, order):
+    code, out = run_cli(capsys, "example5", "--k", "3", "--l", "7", "--order", order)
+    assert code == EXIT_INVARIANT
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "order" and "order >= 2" in error["message"]
+
+
 @pytest.mark.parametrize("flavor", ["even-mumford", "odd-prym"])
 def test_phi_inverse_below_three_exits_invariant(capsys, flavor):
     triple = json.dumps({"flavor": flavor, "u": "1", "v": "", "w": "-4,0,1"})

@@ -230,6 +230,21 @@ def test_balance_limits_land_on_curves():
         assert limit == expected
 
 
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_balance_limit_refuses_an_order_below_its_free_slots(monkeypatch, order):
+    # the free parameters sit at orders 1 and 2; a shorter series would
+    # leave them unused, so the order is refused before any series is built
+    built = []
+    init = LaurentSeries.__init__
+    monkeypatch.setattr(LaurentSeries, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    with pytest.raises(InvariantError) as err:
+        balance_limit(F(3), F(1), F(2), order=order)
+    assert err.value.invariant == "order" and not built
+    assert str(err.value) == ("the balance limit needs order >= 2 to place its free"
+                              f" parameters, got {order}")
+
+
 def test_balance_params_constraint():
     k, beta, delta = F(3), F(2), F(1, 2)
     balance, params, l = principal_balance_params(k, beta, delta)

@@ -345,6 +345,18 @@ def test_parity_flavor_scanner_sees_flavor_equalities_and_sign_pairs():
     assert parity_flavor_choices("prym", source) == ["prym:3", "prym:5", "prym:7", "prym:8"]
 
 
+def _scopes(module: str, source: str):
+    """(name, node) of each top-level statement of `source`, named
+    `module.name` (a non-definition reads as `module.<module>`), and of each
+    class member, named `module.Class.name`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                yield f"{module}.{node.name}.{getattr(member, 'name', '<body>')}", member
+        else:
+            yield f"{module}.{getattr(node, 'name', '<module>')}", node
+
+
 # Coefficient types are classified in one place, algebra._multiply, the
 # one product of Poly and LaurentSeries; LaurentSeries keeps its window and
 # leaves its coefficient arithmetic to Poly's kernels.
@@ -355,18 +367,12 @@ def coefficient_type_rules(module: str, source: str) -> list[str]:
     algebra._multiply, and of each LaurentSeries member that reads
     integer_numerators."""
     found = []
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            scopes = [(f"{module}.{node.name}.{getattr(m, 'name', '<body>')}", m)
-                      for m in node.body]
-        else:
-            scopes = [(f"{module}.{getattr(node, 'name', '<module>')}", node)]
-        for name, scope in scopes:
-            read = _names(scope) | {alias.name for sub in ast.walk(scope)
-                                    if isinstance(sub, ast.ImportFrom) for alias in sub.names}
-            if ("_scalar_kind" in read and name != "algebra._multiply"
-                    or ".LaurentSeries." in name and "integer_numerators" in read):
-                found.append(name)
+    for name, scope in _scopes(module, source):
+        read = _names(scope) | {alias.name for sub in ast.walk(scope)
+                                if isinstance(sub, ast.ImportFrom) for alias in sub.names}
+        if ("_scalar_kind" in read and name != "algebra._multiply"
+                or ".LaurentSeries." in name and "integer_numerators" in read):
+            found.append(name)
     return found
 
 
@@ -391,6 +397,59 @@ def test_coefficient_type_scanner_sees_each_form():
         "algebra.<module>", "algebra.Poly.__init__", "algebra.LaurentSeries._combine",
         "algebra.LaurentSeries.derivative"]
     assert "toda._multiply" in coefficient_type_rules("toda", source)  # only algebra's counts
+
+
+# The kernels of algebra are generic over the coefficient ring: c == 0 asks
+# for an exact zero in every ring, LaurentSeries included, so only parsing,
+# the product's classifier and the two classes' own operators test types.
+_TYPE_TESTS_ALLOWED = {"algebra.parse_rational", "algebra.parse_poly", "algebra._scalar_kind"}
+
+
+def type_tests(module: str, source: str) -> list[str]:
+    """The name (as _scopes gives it) of each top-level statement or class
+    member of `source` that tests a type: it calls isinstance or issubclass,
+    or type with one argument (`type(x) is T`, `type(x) is not T`, ...).
+    The parsers, _scalar_kind, and the dunder methods and _coerce of Poly
+    and LaurentSeries may."""
+    found = []
+    for name, scope in _scopes(module, source):
+        cls, _, member = name[len(module) + 1:].rpartition(".")
+        if (name in _TYPE_TESTS_ALLOWED or cls in ("Poly", "LaurentSeries")
+                and (member == "_coerce" or member.startswith("__") and member.endswith("__"))):
+            continue
+        if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and (sub.func.id in ("isinstance", "issubclass")
+                    or sub.func.id == "type" and len(sub.args) == 1)
+               for sub in ast.walk(scope)):
+            found.append(name)
+    return found
+
+
+def test_algebra_kernels_test_no_coefficient_type():
+    found = type_tests("algebra", (ROOT / "src/prymlab/algebra.py").read_text())
+    assert not found, "type tests in algebra's kernels:\n" + "\n".join(found)
+
+
+def test_type_test_scanner_sees_each_form():
+    source = ("KIND = type(0)\n"
+              "def parse_rational(text):\n"
+              "    if not isinstance(text, str): raise ValueError(text)\n"
+              "def _scalar_kind(cs): return [type(c) is int for c in cs]\n"
+              "def _exact_zero(c): return c == 0 and type(c) is not LaurentSeries\n"
+              "class Poly:\n"
+              "    def __eq__(self, other): return isinstance(other, Poly)\n"
+              "    def divrem(self, d):\n"
+              "        q = self.coeffs[-1]\n"
+              "        return q / d if isinstance(q, Fraction) else q * (1 / d)\n"
+              "def tridiag_run(b):\n"
+              "    return [bk for bk in b if bk != 0 or type(bk) is LaurentSeries]\n"
+              "class LaurentSeries:\n"
+              "    def _coerce(self, value): return isinstance(value, int)\n"
+              "    def truncate(self, hi): return issubclass(type(hi), int)\n"
+              "def _product(a, b): return [x * y for x in a for y in b]\n")
+    assert type_tests("algebra", source) == [
+        "algebra.<module>", "algebra._exact_zero", "algebra.Poly.divrem",
+        "algebra.tridiag_run", "algebra.LaurentSeries.truncate"]
 
 
 def _resolves(dotted: str) -> bool:

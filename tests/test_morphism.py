@@ -107,8 +107,12 @@ def test_phi_all_is_phi_at_every_cut(rng):
             assert images[0].p == F(1, 2) * char_poly(point)
 
 
+def _phi_symbolic_at(point):
+    return phi_symbolic(point.n, 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
-@pytest.mark.parametrize("forward", [phi_all, lambda point: phi(point, 1)])
+@pytest.mark.parametrize("forward", [phi_all, lambda point: phi(point, 1), _phi_symbolic_at])
 def test_phi_refuses_small_lattices(n, forward):
     point = KMPoint((F(1),) * n).embed()
     with pytest.raises(InvariantError) as err:
@@ -147,6 +151,12 @@ def test_phi_symbolic_is_pinned():
                 terms = sorted((e, str(c)) for e, c in value.terms.items())
                 digest.update(repr(terms).encode() + b";")
     assert digest.hexdigest() == "2c54e547ea8de0807b8c9b09ddd99f67878fddae06e60f5289427ed7e83a329f"
+
+
+def test_phi_symbolic_fills_every_slot_with_a_multipoly():
+    for n in range(3, 8):
+        for m in range(1, n + 1):
+            assert all(type(c) is MultiPoly for c in phi_symbolic(n, m))
 
 
 def test_phi_image_validation():
