@@ -515,29 +515,17 @@ def tridiag_minor_det(b: Sequence, c: Sequence, removed: Iterable[int] = ()) -> 
     products c_i, as in tridiag_run) obtained by deleting rows and columns
     `removed` (1-based, reduced mod n).  The empty 0x0 minor is 1.
 
-    Deleting an index decouples the band, so the minor determinant is the
-    product of the determinants of the maximal surviving consecutive blocks.
-    """
-    n = len(b)
-    removed_set = set()
+    It is one tridiag_run over the kept indices, with band product 0 between
+    kept neighbours that were not adjacent: a zero coupling splits the
+    continuant into the product of its blocks."""
+    n, gone = len(b), set()
     for idx in removed:
-        norm = (idx - 1) % n + 1
-        if norm in removed_set:
+        if (idx - 1) % n in gone:
             raise ValueError(f"duplicate removal index {idx}")
-        removed_set.add(norm)
-    keep = [i for i in range(1, n + 1) if i not in removed_set]
-    result = Poly([1])
-    run_start = None
-    prev = None
-    for i in keep + [None]:
-        if run_start is None:
-            run_start = i
-        elif i is None or i != prev + 1:
-            run = tridiag_run(b[run_start - 1:prev], c[run_start - 1:prev - 1], 0)
-            result = result * Poly(run[-1])
-            run_start = i
-        prev = i
-    return result
+        gone.add((idx - 1) % n)
+    keep = [i for i in range(n) if i not in gone]
+    bands = [c[i] if j == i + 1 else 0 for i, j in zip(keep, keep[1:])]
+    return Poly(tridiag_run([b[i] for i in keep], bands, 0)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +665,9 @@ class LaurentSeries:
         # the exact constant series `other`, trimmed as the constructor trims it
         return self.hi is None and self.lo == 0 and self.coeffs == ([other] if other else [])
 
-    def __hash__(self):
+    def __hash__(self):  # an exact constant hashes as the scalar it equals
+        if self.hi is None and self.lo == 0 and len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.lo, tuple(self.coeffs), self.hi))
 
     def __add__(self, other):

@@ -276,14 +276,18 @@ def rotate_solution(series: list[LaurentSeries], shift: int) -> list[LaurentSeri
     return [series[(i - shift) % n] for i in range(n)]
 
 
+def _check_param_order(order: int) -> None:
+    if order < PARAM_ORDER:
+        raise InvariantError("order", f"the balance limit needs order >= {PARAM_ORDER} to"
+                             f" place its free parameters, got {order}")
+
+
 def balance_limit(k: Fraction, beta: Fraction, delta: Fraction, shift: int = 0,
                   order: int = 8) -> tuple[ProjectivePoint9, Fraction]:
     """Limit point of the shift-th principal balance; also returns l.  An
     order below PARAM_ORDER, which would leave free parameters unplaced,
     raises InvariantError("order") before any series is built."""
-    if order < PARAM_ORDER:
-        raise InvariantError("order", f"the balance limit needs order >= {PARAM_ORDER} to"
-                             f" place its free parameters, got {order}")
+    _check_param_order(order)
     balance, params, l = principal_balance_params(k, beta, delta)
     series = laurent_balance(5, balance, params, order)
     return balance_to_divisor(rotate_solution(series, shift % 5)), l
@@ -303,9 +307,10 @@ def example5_report(k: Fraction, l: Fraction, beta: Fraction = Fraction(1),
     (beta, delta) instead (its l value is reported alongside).  The report
     echoes k, l, beta and delta, so they are formatted first: one past the
     digit limit raises InvariantError("digit-limit") before any series is
-    built."""
+    built, and so does an order balance_limit refuses."""
     k, l, beta, delta = map(Fraction, (k, l, beta, delta))
     k_text, l_text, beta_text, delta_text = map(format_rational, (k, l, beta, delta))
+    _check_param_order(order)
     p = Poly([Fraction(0), l, Fraction(0), -k, Fraction(0), Fraction(1)])  # x^5 - k x^3 + l x
     curves = quotient_curves(p * p - Poly([Fraction(4)]))
     points, matrix = incidence_data(k, l)

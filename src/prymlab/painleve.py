@@ -13,10 +13,11 @@ the cell sets of the matchings of the n-cycle (a run splits into dominoes
 #Sigma_n = L_n - [n even] with L_n the Lucas numbers 2, 1, 3, 4, 7, 11, ...
 The n principal balances are the single dominoes.  On a run of length 2l
 the leading coefficients are the unique pattern (-l, 1, 1-l, 2, ..., -1, l),
-zero off A.  The full circle A = Z/n (even n) belongs to Sigma_n but
-supports no Laurent solution (the all-poles linear system is
-inconsistent), so indicial_solutions excludes it while sigma_enum keeps
-it.  Pole orders are r_i = alpha_{i+1} - alpha_{i-1}.  The test oracle
+zero off A, so every solution is integral; a Balance is its alpha alone
+and reads A and the pole orders r_i = alpha_{i+1} - alpha_{i-1} off it.
+The full circle A = Z/n (even n) belongs to Sigma_n but supports no
+Laurent solution (the all-poles linear system is inconsistent), so
+indicial_solutions excludes it while sigma_enum keeps it.  The test oracle
 sigma_enum_brute checks the definition on all 2^n subsets at once:
 sigma_bits tests every subset's bit mask in parallel, as the bits of
 2^n-bit ints, in O(n^2) big-int operations.
@@ -45,7 +46,7 @@ series A_i = D a_i and B_i = D^2 a_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -156,14 +157,26 @@ def sigma_enum(n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Balance:
-    """One solution of the indicial equation: pole set A, leading
-    coefficients alpha (ints from make_balance) and pole orders r
-    (r_i > 0 pole, < 0 zero)."""
+    """One solution of the indicial equation, given by its leading
+    coefficients alpha (any other alpha raises InvariantError("indicial")).
+    alpha and what is read off it are ints: n, the pole set A (the support of
+    alpha, 1-based) and the pole orders r (r_i > 0 pole, < 0 zero)."""
 
-    n: int
-    A: tuple
     alpha: tuple
-    r: tuple
+    n: int = field(init=False)
+    A: tuple = field(init=False)
+    r: tuple = field(init=False)
+
+    def __post_init__(self):
+        alpha = tuple(self.alpha)
+        for i, (a, f) in enumerate(zip(alpha, km_field(alpha))):
+            if f != -a:
+                raise InvariantError("indicial", f"alpha fails the indicial equation at {i + 1}")
+        alpha, n = tuple(map(int, alpha)), len(alpha)
+        for name, value in (("alpha", alpha), ("n", n),
+                            ("A", tuple(i for i, a in enumerate(alpha, start=1) if a)),
+                            ("r", tuple(alpha[(i + 1) % n] - alpha[i - 1] for i in range(n)))):
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {"n": self.n, "A": list(self.A),
@@ -183,18 +196,15 @@ def _alpha_for(A: tuple, n: int) -> list[int]:
 
 
 def make_balance(n: int, A: Iterable[int]) -> Balance:
-    """Balance for an admissible pole set; validates the indicial equation."""
+    """Balance for an admissible pole set: the size, Sigma_n and all-poles
+    checks, then the alpha pattern of the module docstring."""
     _check_size(n, 2, "a balance")
     A = tuple(sorted({(i - 1) % n + 1 for i in A}))
     alpha = _alpha_for(A, n)
     if len(A) == n:
         raise InvariantError("all-poles",
                              "the all-poles set supports no Laurent solution")
-    for i, (a, f) in enumerate(zip(alpha, km_field(alpha))):
-        if f != -a:
-            raise InvariantError("indicial", f"alpha fails the indicial equation at {i + 1}")
-    r = tuple(alpha[i % n] - alpha[(i - 2) % n] for i in range(1, n + 1))
-    return Balance(n, A, tuple(alpha), r)
+    return Balance(tuple(alpha))
 
 
 def indicial_solutions(n: int) -> list[Balance]:
@@ -227,10 +237,9 @@ class KowalevskiReport:
                 "gap_entries": list(self.gap_entries)}
 
 
-def kowalevski_matrix(balance: Balance) -> list[list[int | Fraction]]:
-    """M of the module docstring; int entries except where alpha holds a Fraction."""
-    n = balance.n
-    alpha = balance.alpha
+def kowalevski_matrix(balance: Balance) -> list[list[int]]:
+    """M of the module docstring, with int entries."""
+    n, alpha = balance.n, balance.alpha
     M = [[0] * n for _ in range(n)]
     for i in range(n):
         if alpha[i] == 0:
@@ -302,26 +311,18 @@ def slot_name(i: int, k: int) -> str:
     return f"a{i}.{k}"
 
 
-def _negated_matrix(balance: Balance) -> tuple[list[list[int]], int]:
-    """(-D M as int rows, D), with D the common denominator of M (1 for a
-    balance from make_balance)."""
-    n = balance.n
-    M, D = integer_numerators([c for row in kowalevski_matrix(balance) for c in row])
-    return [[-c for c in M[i:i + n]] for i in range(0, n * n, n)], D
-
-
 def free_slots(n: int, balance: Balance, through_order: int) -> list[str]:
     """Names of the free coefficients the recursion leaves open, in order:
     the non-pivot columns of each k Id - M, by forward elimination of its int
-    rows.  Only the orders with k D <= B = max_i sum_j |D M_ij| are
-    eliminated: above B the rows are strictly diagonally dominant
-    (Gershgorin), so k Id - M is invertible and every column pivots."""
+    rows.  Only the orders with k <= B = max_i sum_j |M_ij| are eliminated:
+    above B the rows are strictly diagonally dominant (Gershgorin), so
+    k Id - M is invertible and every column pivots."""
     if balance.n != n:
         raise InvariantError("size", "balance does not match n")
-    neg, D = _negated_matrix(balance)
+    neg = [[-c for c in row] for row in kowalevski_matrix(balance)]
     names = []
-    for k in range(1, min(through_order, max(sum(map(abs, row)) for row in neg) // D) + 1):
-        pivots = _eliminate([[*row[:i], row[i] + k * D, *row[i + 1:]]
+    for k in range(1, min(through_order, max(sum(map(abs, row)) for row in neg)) + 1):
+        pivots = _eliminate([[*row[:i], row[i] + k, *row[i + 1:]]
                              for i, row in enumerate(neg)])[0]
         names.extend(slot_name(c + 1, k) for c in range(n) if c not in pivots)
     return names
@@ -345,15 +346,15 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     if not 0 <= order <= MAX_ORDER:
         raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
     params = {k: Fraction(v) for k, v in free_params.items()}
-    neg, D = _negated_matrix(balance)
+    neg = [[-c for c in row] for row in kowalevski_matrix(balance)]
     # row i, orders 1..k-1: numerators of a_i^(j) and a_{i-1}^(j) - a_{i+1}^(j); their denominators
     nums, diffs, dens = [[] for _ in range(n)], [[] for _ in range(n)], []
     for k in range(1, order + 1):
         # rhs_i = sum_{j=1}^{k-1} a_i^(j) diff_i^(k-j), over L = lcm_j dens_j dens_{k-j}
         products = [dens[j] * dens[k - 2 - j] for j in range(k - 1)]
         L = lcm(*products)
-        weights = [D * L // p for p in products]
-        sol = solve_affine([[*row[:i], row[i] + k * D, *row[i + 1:],
+        weights = [L // p for p in products]
+        sol = solve_affine([[*row[:i], row[i] + k, *row[i + 1:],
                              sum(map(mul, map(mul, weights, a), reversed(d)))]
                             for i, (row, a, d) in enumerate(zip(neg, nums, diffs))])
         if not sol.consistent:

@@ -198,9 +198,8 @@ def prym_bracket_table(flavor: str, n: int, phi: Poly) -> BracketTable:
 
 
 def tables_equal(a: BracketTable, b: BracketTable) -> bool:
-    return (a.names == b.names
-            and all((a.entry(i, j) - b.entry(i, j)).is_zero()
-                    for i in range(a.dim) for j in range(a.dim)))
+    """Entry by entry, as MultiPoly is canonical."""
+    return a.names == b.names and a.entries == b.entries
 
 
 # ---------------------------------------------------------------------------

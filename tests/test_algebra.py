@@ -726,18 +726,31 @@ def test_series_shift_truncate_zero():
     assert zero.known_zero() and zero.is_zero_through(5) and zero != 0
 
 
-@pytest.mark.parametrize("series, scalar, equal", [
+SCALAR_EQUALITY = [
     (LaurentSeries(0, []), 0, True), (LaurentSeries(0, []), F(0), True),
     (LaurentSeries(0, [], hi=3), 0, False), (LaurentSeries(-2, [0, 0], hi=1), F(0), False),
     (LaurentSeries(0, [2], hi=0), 2, False), (LaurentSeries(0, [F(2)], hi=4), F(2), False),
     (LaurentSeries(0, [2]), 2, True), (LaurentSeries(0, [2]), F(2), True),
     (LaurentSeries(0, [F(2)]), 2, True), (LaurentSeries(1, [2]), 2, False),
-    (LaurentSeries(0, [2, 1]), 2, False), (LaurentSeries(0, [2]), 0, False)])
+    (LaurentSeries(0, [2, 1]), 2, False), (LaurentSeries(0, [2]), 0, False)]
+
+
+@pytest.mark.parametrize("series, scalar, equal", SCALAR_EQUALITY)
 def test_series_equals_a_scalar_only_as_an_exact_constant(series, scalar, equal):
     """A scalar c is the exact constant series c: a zero known only through
     its window is not 0, and 2 + O(t) is not 2."""
     assert (series == scalar) is equal and (scalar == series) is equal
     assert (series != scalar) is not equal
+
+
+@pytest.mark.parametrize("series, scalar, equal", SCALAR_EQUALITY)
+def test_series_hashes_as_the_scalar_it_equals(series, scalar, equal):
+    """Equal values hash equal, so a set or dict key holds an exact constant
+    series and its scalar once, as it does for Poly."""
+    if equal:
+        assert hash(series) == hash(scalar) and len({series, scalar}) == 1
+    copy = LaurentSeries(series.lo, list(series.coeffs), series.hi)
+    assert copy == series and hash(copy) == hash(series)
 
 
 @pytest.mark.parametrize("coeffs", [[], [0, 0], [F(2)], [0, 0, F(1, 3), 0, -1, 0, 0],

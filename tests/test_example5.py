@@ -245,6 +245,20 @@ def test_balance_limit_refuses_an_order_below_its_free_slots(monkeypatch, order)
                               f" parameters, got {order}")
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_report_refuses_a_short_order_before_solving_the_charts(monkeypatch, order):
+    # the order refusal comes before the chart series, not after them
+    def refused(*args):
+        pytest.fail("incidence_data ran for an order the balance limits refuse")
+
+    monkeypatch.setattr(example5, "incidence_data", refused)
+    with pytest.raises(InvariantError) as err:
+        example5_report(F(3), F(7), order=order)
+    assert err.value.invariant == "order"
+    assert str(err.value) == ("the balance limit needs order >= 2 to place its free"
+                              f" parameters, got {order}")
+
+
 def test_balance_params_constraint():
     k, beta, delta = F(3), F(2), F(1, 2)
     balance, params, l = principal_balance_params(k, beta, delta)

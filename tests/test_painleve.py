@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from conftest import fraction_rref, grid_polynomial, typed_series, wide_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prymlab import symbolic
+from prymlab import painleve, symbolic
 from prymlab.algebra import LaurentSeries, Poly, integer_numerators
 from prymlab.errors import InvariantError, ResonanceError
 from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum, cyclic_runs,
@@ -23,13 +24,13 @@ from prymlab.painleve import (MAX_N, MAX_ORDER, Balance, c_block, check_spectrum
                               sigma_enum, sigma_enum_brute, slot_name)
 from prymlab.sampling import rational, rng_from_seed
 from prymlab.symbolic import integer_determinant, pivot_columns, solve_affine
+from prymlab.toda import km_field
 
 PRINCIPAL_PARAMS = {"a2.1": F(1), "a4.1": F(1, 6), "a3.2": F(3), "a5.2": F(2)}
-# a hand-built balance with non-integral leading coefficients (and a
-# non-integral Kowalevski matrix); it does not solve the indicial equation
-NON_INTEGRAL = Balance(4, (1, 2), (F(-1, 2), F(3, 2), F(0), F(0)), (1, 1, -1, 0))
+# non-integral leading coefficients; they do not solve the indicial equation
+NON_INTEGRAL = (F(-1, 2), F(3, 2), F(0), F(0))
 # a leading configuration that violates the indicial equation
-BOGUS = Balance(3, (1, 3), (F(-2), F(0), F(2)), (1, 0, 1))
+BOGUS = (F(-2), F(0), F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,42 @@ def test_indicial_equation_holds_exactly():
             assert balance.r[i] == a[(i + 1) % n] - a[(i - 1) % n]
 
 
+def test_indicial_solutions_are_every_solution_in_a_box():
+    """Oracle: every alpha in {-3..3}^n solving the indicial equation (the box
+    holds every solution for n <= 6, as |alpha_i| <= n / 2) is the alpha of
+    exactly one balance; Balance accepts it, keeps it as ints and reads A and r
+    off it."""
+    for n in range(3, 7):
+        found = {alpha for alpha in itertools.product(range(-3, 4), repeat=n)
+                 if km_field(alpha) == [-a for a in alpha]}
+        balances = indicial_solutions(n)
+        assert found == {b.alpha for b in balances} and len(found) == len(balances)
+        for b in balances:
+            again = Balance(tuple(map(F, b.alpha)))
+            assert again == b and all(type(x) is int for x in again.alpha + again.r)
+            assert again.A == tuple(i + 1 for i in range(n) if b.alpha[i])
+
+
+def test_balance_refuses_alpha_off_the_indicial_equation():
+    # every half-integer alpha at n <= 4, then the two hand-built fixtures
+    refused = 0
+    for n in (3, 4):
+        for twice in itertools.product(range(-6, 7), repeat=n):
+            if any(x % 2 for x in twice):
+                with pytest.raises(InvariantError) as err:
+                    Balance(tuple(F(x, 2) for x in twice))
+                assert err.value.invariant == "indicial"
+                refused += 1
+    assert refused == 13 ** 3 - 7 ** 3 + 13 ** 4 - 7 ** 4
+    for alpha, cell in ((NON_INTEGRAL, 1), (BOGUS, 1)):
+        with pytest.raises(InvariantError) as err:
+            Balance(alpha)
+        assert (err.value.invariant, str(err.value)) \
+            == ("indicial", f"alpha fails the indicial equation at {cell}")
+    with pytest.raises(TypeError):
+        Balance(3, (1, 2), (-1, 1, 0), (1, 1, -1))  # alpha alone, nothing read off it
+
+
 def test_full_circle_excluded_only_from_indicial():
     assert tuple(range(1, 7)) in sigma_enum(6)
     assert all(len(b.A) < 6 for b in indicial_solutions(6))
@@ -228,7 +265,8 @@ def _spectrum_cases(rng):
     for l in range(1, 6):
         spectrum = list(range(-l, 0)) + list(range(1, l + 1))
         cases += [(c_block(l), spectrum), (c_block(l), spectrum[:-1] + [l + 1])]
-    cases.append((kowalevski_matrix(NON_INTEGRAL), [F(1, 2), 1, 2, -1]))
+    cases.append(([[0, F(1, 2), 0, F(-1, 2)], [F(3, 2), 0, F(-3, 2), 0], [0, 0, 2, 0],
+                   [0, 0, 0, 1]], [F(1, 2), 1, 2, -1]))
     # zero rows: only the shift's own term bounds the top coefficient
     cases += [([[F(0)] * n for _ in range(n)], [0] * n) for n in (1, 3)]
     for n in (1, 2, 4, 6):
@@ -410,8 +448,6 @@ def test_free_slots_match_a_full_solve():
     for n in range(3, 9):
         for balance in indicial_solutions(n):
             assert free_slots(n, balance, 12) == _solve_affine_free_slots(n, balance, 12)
-    assert free_slots(4, NON_INTEGRAL, 6) == _solve_affine_free_slots(4, NON_INTEGRAL, 6) \
-        == ["a4.1", "a3.2"]
 
 
 def test_free_slots_refuse_a_balance_of_another_size():
@@ -429,7 +465,7 @@ def test_free_slots_stop_at_the_gershgorin_bound():
     """With D the common denominator of M and B = max_i sum_j |D M_ij|, the
     rows of D (k Id - M) are strictly diagonally dominant for k D > B, so
     every column pivots there and free_slots need not look past B // D."""
-    cases = [b for n in range(3, 11) for b in indicial_solutions(n)] + [NON_INTEGRAL, BOGUS]
+    cases = [b for n in range(3, 11) for b in indicial_solutions(n)]
     for balance in cases:
         n, M = balance.n, kowalevski_matrix(balance)
         D = math.lcm(*[F(c).denominator for row in M for c in row])
@@ -479,12 +515,25 @@ def test_parameter_errors():
         laurent_balance(5, balance, bad, 3)
 
 
-def test_resonance_failure_detected():
-    # a leading configuration violating the indicial equation hits an
-    # unsolvable resonance in the coefficient recursion
-    params = {name: F(1) for name in free_slots(3, BOGUS, 5)}
+def _inconsistent_at(monkeypatch, order):
+    """Make painleve's solver report the system of one order inconsistent."""
+    calls = []
+
+    def solve(rows):
+        calls.append(rows)
+        if len(calls) == order:
+            return symbolic.AffineSolution(False, None, [], [], 1)
+        return solve_affine(rows)
+
+    monkeypatch.setattr(painleve, "solve_affine", solve)
+
+
+def test_resonance_failure_detected(monkeypatch):
+    # an order whose system has no solution is an unsolvable resonance in
+    # the coefficient recursion
+    _inconsistent_at(monkeypatch, 3)
     with pytest.raises(ResonanceError):
-        laurent_balance(3, BOGUS, params, 5)
+        laurent_balance(5, make_balance(5, (1, 2)), PRINCIPAL_PARAMS, 5)
 
 
 def test_spectrum_conserved_along_series():
@@ -508,8 +557,6 @@ def test_kowalevski_matrix_entries():
     assert M[2][2] == 2 and M[3][3] == 1 and M[4][4] == 2
     # a balance from make_balance is integral, so nothing has a denominator to clear
     assert all(type(c) is int for c in balance.alpha + tuple(c for row in M for c in row))
-    mixed = kowalevski_matrix(NON_INTEGRAL)
-    assert mixed[0][3] == F(-1, 2) and type(mixed[2][2]) is int
 
 
 def _solve_balance(balance, params, order):
@@ -532,9 +579,9 @@ def _solve_balance(balance, params, order):
     return coeffs
 
 
-def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(rng):
+def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(monkeypatch, rng):
     order = 12
-    cases = [b for n in range(3, 9) for b in indicial_solutions(n)] + [NON_INTEGRAL]
+    cases = [b for n in range(3, 9) for b in indicial_solutions(n)]
     for balance in cases:
         n = balance.n
         slots = free_slots(n, balance, order)
@@ -546,10 +593,9 @@ def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(rng):
             assert [s.coefficient(k - 1) for k in range(order + 1)] \
                 == [expected[k][i] for k in range(order + 1)]
             assert all(type(c) is F for c in s.coeffs)
-        if balance is not NON_INTEGRAL:
-            for r in km_residual(series):
-                assert r.known_through() == order - 2 and r.is_zero_through(order - 2)
-                assert all(type(c) is F for c in r.coeffs)
+        for r in km_residual(series):
+            assert r.known_through() == order - 2 and r.is_zero_through(order - 2)
+            assert all(type(c) is F for c in r.coeffs)
         # the first missing slot is named, with the full list
         missing = rng.choice(slots)
         with pytest.raises(InvariantError) as err:
@@ -561,9 +607,9 @@ def test_laurent_balance_matches_in_test_solve_for_n_3_to_8(rng):
             laurent_balance(5, make_balance(5, (1, 2)), {**PRINCIPAL_PARAMS, extra: F(1)}, order)
         assert err.value.invariant == "free-parameters"
         assert str(err.value) == f"unused parameters {[extra]}"
-    bogus = Balance(3, (1, 3), (F(-2), F(0), F(2)), (1, 0, 1))
+    _inconsistent_at(monkeypatch, 2)
     with pytest.raises(ResonanceError) as err:
-        laurent_balance(3, bogus, {"a3.1": F(1), "a3.2": F(1)}, order)
+        laurent_balance(5, make_balance(5, (1, 2)), PRINCIPAL_PARAMS, order)
     assert err.value.invariant == "laurent-resonance"
     assert str(err.value) == "inconsistent resonance at order k=2"
 

@@ -15,7 +15,7 @@ from prymlab.prym import (dirac_reduce, genus_of_hyperelliptic, involution_j,
                           prym_bracket_generators, prym_bracket_table, prym_flow,
                           quotient_curves, reduce_mumford_table, tables_equal)
 from prymlab.sampling import km_point, mumford_triple
-from prymlab.symbolic import MultiPoly
+from prymlab.symbolic import BracketTable, MultiPoly
 from prymlab.toda import char_poly
 
 
@@ -103,6 +103,18 @@ def test_generic_reduction_equals_closed_forms(flavor, n, phi_text):
     phi = parse_poly(phi_text)
     assert tables_equal(reduce_mumford_table(flavor, n, phi),
                         prym_bracket_table(flavor, n, phi))
+
+
+def test_tables_equal_sees_one_entry_and_the_names():
+    table = prym_bracket_table(ODD_PRYM, 2, parse_poly("1"))
+    assert tables_equal(table, BracketTable(table.names, table.entries))
+    for i, j in ((0, 1), (table.dim - 1, table.dim - 1)):
+        entries = [row[:] for row in table.entries]
+        entries[i][j] = entries[i][j] + 1
+        assert not tables_equal(table, BracketTable(table.names, entries))
+        assert not tables_equal(BracketTable(table.names, entries), table)
+    renamed = [*table.names[:-1], "z"]
+    assert not tables_equal(table, BracketTable(renamed, table.entries))
 
 
 def test_closed_form_uv_example():
