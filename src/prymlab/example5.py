@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .algebra import LaurentSeries, Poly, format_poly, format_rational
 from .errors import InvariantError
-from .painleve import Balance, free_slots, laurent_balance, make_balance
+from .painleve import MAX_ORDER, Balance, free_slots, laurent_balance, make_balance
 from .prym import quotient_curves
 from .toda import KMPoint
 
@@ -277,16 +277,21 @@ def rotate_solution(series: list[LaurentSeries], shift: int) -> list[LaurentSeri
 
 
 def _check_param_order(order: int) -> None:
+    """The order refusals of the balance limits, before any series is built:
+    below PARAM_ORDER, and past MAX_ORDER with laurent_balance's message."""
     if order < PARAM_ORDER:
         raise InvariantError("order", f"the balance limit needs order >= {PARAM_ORDER} to"
                              f" place its free parameters, got {order}")
+    if order > MAX_ORDER:
+        raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
 
 
 def balance_limit(k: Fraction, beta: Fraction, delta: Fraction, shift: int = 0,
                   order: int = 8) -> tuple[ProjectivePoint9, Fraction]:
     """Limit point of the shift-th principal balance; also returns l.  An
-    order below PARAM_ORDER, which would leave free parameters unplaced,
-    raises InvariantError("order") before any series is built."""
+    order below PARAM_ORDER, which would leave free parameters unplaced, or
+    past painleve.MAX_ORDER raises InvariantError("order") before any series
+    is built."""
     _check_param_order(order)
     balance, params, l = principal_balance_params(k, beta, delta)
     series = laurent_balance(5, balance, params, order)

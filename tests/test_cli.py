@@ -242,6 +242,18 @@ def test_example5_order_below_the_free_slots_exits_invariant(capsys, order):
     assert error["invariant"] == "order" and "order >= 2" in error["message"]
 
 
+def test_an_example5_order_past_the_laurent_bound_exits_before_any_series(capsys, monkeypatch):
+    built = []
+    init = LaurentSeries.__init__
+    monkeypatch.setattr(LaurentSeries, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    code, out = run_cli(capsys, "example5", "--k", "3", "--l", "7", "--order", str(MAX_ORDER + 1))
+    assert code == EXIT_INVARIANT and not built
+    error = json.loads(out)["error"]
+    assert error["invariant"] == "order"
+    assert error["message"] == f"the Laurent order must lie in 0..{MAX_ORDER}, got {MAX_ORDER + 1}"
+
+
 @pytest.mark.parametrize("flavor", ["even-mumford", "odd-prym"])
 def test_phi_inverse_below_three_exits_invariant(capsys, flavor):
     triple = json.dumps({"flavor": flavor, "u": "1", "v": "", "w": "-4,0,1"})

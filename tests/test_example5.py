@@ -15,7 +15,7 @@ from prymlab.example5 import (ProjectivePoint9, balance_limit, chart_series,
                               example5_report, incidence_data,
                               principal_balance_params, rotate_solution,
                               series_limit, z_embedding, z_functions)
-from prymlab.painleve import laurent_balance
+from prymlab.painleve import MAX_ORDER, laurent_balance
 from prymlab.prym import genus_of_hyperelliptic, quotient_curves
 from prymlab.sampling import km_point
 from prymlab.toda import KMPoint, char_poly
@@ -245,9 +245,9 @@ def test_balance_limit_refuses_an_order_below_its_free_slots(monkeypatch, order)
                               f" parameters, got {order}")
 
 
-@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, MAX_ORDER + 1])
 def test_report_refuses_a_short_order_before_solving_the_charts(monkeypatch, order):
-    # the order refusal comes before the chart series, not after them
+    # the order refusals come before the chart series, not after them
     def refused(*args):
         pytest.fail("incidence_data ran for an order the balance limits refuse")
 
@@ -255,8 +255,9 @@ def test_report_refuses_a_short_order_before_solving_the_charts(monkeypatch, ord
     with pytest.raises(InvariantError) as err:
         example5_report(F(3), F(7), order=order)
     assert err.value.invariant == "order"
-    assert str(err.value) == ("the balance limit needs order >= 2 to place its free"
-                              f" parameters, got {order}")
+    assert str(err.value) == (f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}"
+                              if order > MAX_ORDER else "the balance limit needs order >= 2 to"
+                              f" place its free parameters, got {order}")
 
 
 def test_balance_params_constraint():

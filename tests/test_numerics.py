@@ -4,6 +4,7 @@ conservation drift, convergence order, blow-up handling."""
 import ast
 import math
 import re
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -395,6 +396,19 @@ def test_endpoint_is_the_last_state_of_integrate_bit_for_bit(rng, run):
     assert [x.hex() for x in endpoint(*args)] == [x.hex() for x in want]
 
 
+@pytest.mark.parametrize("run", [run for run in ORACLE_RUNS if run != "km-truncating"])
+def test_trajectories_are_float64_arrays(rng, run):
+    """Every state, every integral's column and the times are array("d"),
+    and Trajectory.endpoint() is the list numerics.endpoint returns."""
+    args = ORACLE_RUNS[run](rng)
+    traj = integrate(*args)
+    arrays = [traj.times, *traj.states, *traj.conserved.values()]
+    assert all(type(x) is array and x.typecode == "d" for x in arrays)
+    want = endpoint(*args)
+    assert type(traj.endpoint()) is list
+    assert [x.hex() for x in traj.endpoint()] == [x.hex() for x in want]
+
+
 def test_endpoint_samples_no_integral(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("an integral was sampled")
@@ -642,6 +656,30 @@ def test_a_monitor_gives_one_value_per_name(rng, monkeypatch, system, monitor, c
     assert err.value.invariant == "monitor"
     assert str(err.value) == f"the monitor gave {names + change} values for {names} integrals"
     endpoint(*args)  # samples no integral
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_monitor_row_that_changes_length_is_refused(monkeypatch, change):
+    """A monitor that gives one value per name at t = 0 and another count
+    later raises "monitor" rather than shifting every column.  The run stays
+    on the kernel, since a traced monitor gives the rows of its first call."""
+    monkeypatch.setattr(numerics, "_traced", lambda fn, width: None)
+    build, calls = numerics._lattice_invariants, []
+
+    def drifting(*spec, **options):
+        invariants = build(*spec, **options)
+
+        def monitor(state):
+            calls.append(state)
+            row = invariants(state)
+            return row if len(calls) == 1 else (row + [state[0]])[:len(row) + change]
+        return monitor
+
+    monkeypatch.setattr(numerics, "_lattice_invariants", drifting)
+    with pytest.raises(InvariantError) as err:
+        integrate("km", REFERENCE, None, 0.01, 1e-3)
+    assert len(calls) == 11 and err.value.invariant == "monitor"
+    assert str(err.value) == "a row of the monitor after t = 0 is not 6 values"
 
 
 def test_a_nan_field_runs_traced(monkeypatch):
