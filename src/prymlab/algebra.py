@@ -547,9 +547,7 @@ def pr_split_from(f: Poly, n: int) -> tuple[Poly, Poly]:
         k = d - n
         acc = f.coeff(d)
         for i in range(k + 1, n):
-            j = d - i
-            if k < j <= n - 1 and i <= n - 1:
-                acc = acc - p[i] * p[j]
+            acc = acc - p[i] * p[d - i]
         p[k] = acc * half
     p_poly = Poly(p)
     r = f - p_poly * p_poly

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .algebra import LaurentSeries, Poly, format_poly, format_rational
 from .errors import InvariantError
-from .painleve import MAX_ORDER, Balance, free_slots, laurent_balance, make_balance
+from .painleve import Balance, _check_order, free_slots, laurent_balance, make_balance
 from .prym import quotient_curves
 from .toda import KMPoint
 
@@ -278,12 +278,11 @@ def rotate_solution(series: list[LaurentSeries], shift: int) -> list[LaurentSeri
 
 def _check_param_order(order: int) -> None:
     """The order refusals of the balance limits, before any series is built:
-    below PARAM_ORDER, and past MAX_ORDER with laurent_balance's message."""
+    below PARAM_ORDER, then laurent_balance's own check of the order."""
     if order < PARAM_ORDER:
         raise InvariantError("order", f"the balance limit needs order >= {PARAM_ORDER} to"
                              f" place its free parameters, got {order}")
-    if order > MAX_ORDER:
-        raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
+    _check_order(order)
 
 
 def balance_limit(k: Fraction, beta: Fraction, delta: Fraction, shift: int = 0,

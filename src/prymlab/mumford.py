@@ -224,9 +224,6 @@ def _slot_codec(flavor: str, g: int):
         return u, v, w
 
     def read(du, dv, dw):
-        out = du[su] + dv[sv] + dw[sw]
-        if len(out) == count:
-            return out
         out = []
         for p, s, size in zip((du, dv, dw), (su, sv, sw), sizes):
             picked = p[s]

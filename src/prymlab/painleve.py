@@ -68,6 +68,11 @@ def _check_size(n: int, least: int, what: str) -> None:
         raise InvariantError("size", f"{what} needs {least} <= n <= {MAX_N}, got n = {n}")
 
 
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_ORDER:
+        raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
+
+
 # ---------------------------------------------------------------------------
 # Sigma_n combinatorics
 # ---------------------------------------------------------------------------
@@ -343,8 +348,7 @@ def laurent_balance(n: int, balance: Balance, free_params: dict,
     """
     if balance.n != n:
         raise InvariantError("size", "balance does not match n")
-    if not 0 <= order <= MAX_ORDER:
-        raise InvariantError("order", f"the Laurent order must lie in 0..{MAX_ORDER}, got {order}")
+    _check_order(order)
     params = {k: Fraction(v) for k, v in free_params.items()}
     neg = [[-c for c in row] for row in kowalevski_matrix(balance)]
     # row i, orders 1..k-1: numerators of a_i^(j) and a_{i-1}^(j) - a_{i+1}^(j); their denominators

@@ -2,6 +2,7 @@
 conservation drift, convergence order, blow-up handling."""
 
 import ast
+import hashlib
 import math
 import re
 from array import array
@@ -889,3 +890,43 @@ def test_random_tapes_compile_to_the_bits_of_fn(case):
         assert type(want) is str  # fn raises its ZeroDivisionError on floats too
     else:
         assert _bits_or_error(compiled, state) == want
+
+
+def _emitter_corpus():
+    """(name, fn, width) of each trace that test_emitted_source_is_pinned
+    covers; the steps take h = 1e-3, the Mumford and Prym fields y = 0.3."""
+    step = lambda rhs: lambda x: numerics._rk4_step(rhs, x, 1e-3)
+    for n in range(1, 25):
+        yield f"km-step-{n}", step(km_field), n
+        yield f"km-monitor-{n}", _lattice_invariants(n, km=True), n
+    for n in range(1, 13):
+        yield f"toda-monitor-{n}", _lattice_invariants(n), 2 * n
+        for index in range(1, min(3, n - 1) + 1):
+            toda = lambda s, n=n, index=index: _toda_rhs(s, n, index)
+            yield f"toda-step-{n}-{index}", step(toda), 2 * n
+    for flavor in FLAVORS:
+        for g in range(5):
+            width = _width(flavor, g)
+            yield f"{flavor}-step-{g}", step(_mumford_rhs(flavor, g, 0.3)), width
+            yield f"{flavor}-monitor-{g}", _momentum_invariants(flavor, g, width), width
+
+
+def test_emitted_source_is_pinned():
+    """sha256 over the source and the constants _emit writes for the KM step
+    and monitor at n = 1..24, the Toda monitor at n = 1..12 and step at n =
+    2..12 and index 1..3, and the Mumford and Prym steps and momentum
+    monitors at g = 0..4; a trace that raises _Refused (every Toda monitor)
+    enters as its name alone."""
+    digest, refused, count = hashlib.sha256(), [], 0
+    for name, fn, width in _emitter_corpus():
+        count += 1
+        try:
+            source, constants = numerics._emit(fn, width)
+        except numerics._Refused:
+            refused.append(name)
+            digest.update(f"{name}: refused;".encode())
+            continue
+        digest.update(repr((name, source, [repr(c) for c in constants.values()])).encode() + b";")
+    assert count == 130
+    assert refused == [f"toda-monitor-{n}" for n in range(1, 13)]  # tridiag_run compares b_k with 0
+    assert digest.hexdigest() == "ed88a795360ac939ce9b967432732289df635144b562f4db6b19359b1b427ad4"
