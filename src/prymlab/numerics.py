@@ -35,31 +35,38 @@ code.  Once per run the function is traced: run once on recorders
 (_Recorder), a scalar type that records each +, -, *, / and negation it
 meets and refuses to read a value (a comparison, truth, abs, float(),
 hashing), so no branch on a value can be baked in.  The recording is
-emitted as one Python function over generated names and compiled: a
-value read once is written, parenthesized, into the expression that
-reads it, and the rest live in far fewer locals than values.  The tape
-counts the reads of each value, the emitter counts them down as it
-writes the statements that hold them, and a local is taken again once
-its count reaches zero.  Its constants (y, h, the 0.0 and 1.0 of the
-coefficient lists, the int 0 and 2 of the kernels, inf, nan and -0.0
-alike) reach it as objects in its namespace, never as text.  It runs
-each of the kernel's float operations once, on the same operands, so
-every state and integral is bit for bit the kernel's, and the field
-keeps its one implementation: the recorder is one more scalar type run
-through mumford.mumford_tangent, toda.km_field and
-toda.hierarchy_commutator.  The KM monitor traces (its zero shifts are
-constants), and so does the momentum monitor of Mumford and Prym runs,
-which trims and skips rows and columns by the shape of the phase space,
-read once per run, so those runs are straight-line code end to end.
-The Toda monitor (tridiag_run tests the traced b_k against 0) compares
-values, so it stays on the kernel, as does a field that branches on a
-value and any trace past MAX_TRACE_OPS operations.  Each drift is read
-off the largest and smallest value of its column (see _peak).
+emitted as one Python function over generated names and compiled.  An
+operation that no output reads, directly or through other operations, is
+dropped unless it can raise (a division can): a Prym step reads the
+Mumford field on the Prym slots alone, and a Toda step the offsets 0 and
+1 of a commutator whose offsets >= 2 vanish, so 184 of the 503
+operations of the odd Prym n = 2 step and 1 152 of the 2 736 of the Toda
+n = 24, index 2 step go.  A value read once is written, parenthesized,
+into the expression that reads it, and the rest live in far fewer locals
+than values.  The tape counts the reads of each value, the emitter
+counts them down as it writes the statements that hold them, and a local
+is taken again once its count reaches zero.  Its constants (y, h, the
+0.0 and 1.0 of the coefficient lists, the int 0 and 2 of the kernels,
+inf, nan and -0.0 alike) reach it as objects in its namespace, never as
+text.  It runs each operation an output reads, and each that can raise,
+once, on the same operands, so every state and integral is bit for bit
+the kernel's, and the field keeps its one implementation: the recorder
+is one more scalar type run through mumford.mumford_tangent,
+toda.km_field and toda.hierarchy_commutator.  The KM monitor traces (its
+zero shifts are constants), and so does the momentum monitor of Mumford
+and Prym runs, which trims and skips rows and columns by the shape of
+the phase space, read once per run, so those runs are straight-line code
+end to end.  The Toda monitor (tridiag_run tests the traced b_k against
+0) compares values, so it stays on the kernel, as does a field that
+branches on a value and any trace past MAX_TRACE_OPS operations.  Each
+drift is read off the largest and smallest value of its column (see
+_peak).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -228,32 +235,60 @@ class _Tape:
 
 def _emit(fn, width: int):
     """(source, constants) of fn traced on a state of `width` floats: one
-    function `traced(s)` that unpacks s, runs every recorded operation on
-    its own operands, and returns fn's outputs as a list.  Operations
-    between two constants ran while tracing, as fn runs them on every call.
+    function `traced(s)` that unpacks s, runs each recorded operation that
+    an output reads, and each that can raise, on its own operands, and
+    returns fn's outputs as a list.  Operations between two constants ran
+    while tracing, as fn runs them on every call.
 
-    The code is written as expression trees, in one pass over the tape: a
-    value that is read exactly once is written, in parentheses, into the
-    expression that reads it, so it costs no store and no load.  A value
-    read more than once, never read, or whose expression would nest deeper
-    than MAX_NESTING gets a statement of its own, in the order of
-    recording, and a local r<k>.  Each value keeps the locals its text
-    reads; as a statement is written, the tape's reads of those locals are
-    counted down, and the locals that reach zero are free (in value order)
-    before the statement takes its own.  A value never read frees its local
-    at once.  So a call sets up and clears far fewer locals than it runs
-    operations: 100 for the 420 of the KM n = 20 step, 289 for the 2 736 of
-    the Toda n = 24, index 2 step.  Every operation still runs once on the same operands,
-    so the bits are fn's and a call raises where fn raises (a division by a
-    zero is the one error float arithmetic raises).  Raises _Refused, or
-    whatever else fn raised on the recorders."""
+    A pass back over the tape first finds the dead operations: those whose
+    value no output and no live operation reads, and that cannot raise.
+    Float arithmetic raises only on a zero divisor and on an int past the
+    float range (OverflowError), so every division stays, and every
+    operation on such an int.  One pass is enough, as every reader of a
+    value comes after it on the tape.  A dead operation writes no text and
+    takes back its reads of its operands, and a constant that only dead
+    operations read leaves the namespace.  So the Toda n = 24, index 2 step
+    runs 1 584 of its 2 736 recorded operations, in 483 lines rather than
+    771.
+
+    The code is written as expression trees, in one pass forward over the
+    live operations: a value that is read exactly once is written, in
+    parentheses, into the expression that reads it, so it costs no store
+    and no load.  A value read more than once, never read (an operation
+    kept because it can raise), or whose expression would nest deeper than
+    MAX_NESTING gets a statement of its own, in the order of recording, and
+    a local r<k>.  Each value keeps the locals its text reads; as a
+    statement is written, the tape's reads of those locals are counted
+    down, and the locals that reach zero are free (in value order) before
+    the statement takes its own.  A value never read frees its local at
+    once.  So a call sets up and clears far fewer locals than it runs
+    operations: 100 for the 420 of the KM n = 20 step, 265 for the 1 584
+    of the Toda n = 24, index 2 step (289 without the pass back).  Every
+    live operation runs once on the same operands, so the bits are fn's
+    and a call raises where fn raises.  Raises _Refused, or whatever else
+    fn raised on the recorders."""
     tape = _Tape()
     inputs = [tape.value() for _ in range(width)]
     outputs = [tape.operand(y) for y in fn(inputs)]
     reads, free, fresh = tape.reads, [], (f"r{k}" for k in count())
+    # backwards, every reader of a value is met before the value: an operation that nothing
+    # live reads, and that cannot raise, is dead and takes back its reads of its operands
+    raising = {c for c, x in tape.constants.items()
+               if type(x) is int and abs(x) > sys.float_info.max}
+    live, kept = [], {x for x in outputs if type(x) is str}
+    for value in reversed(range(width, len(reads))):
+        left, op, right = operation = tape.ops[value - width]
+        if reads[value] or op == "/" or left in raising or right in raising:
+            live.append((value, operation))
+            kept.update(x for x in (left, right) if type(x) is str)
+        else:
+            for x in (left, right):
+                if type(x) is int:
+                    reads[x] -= 1
+    constants = {c: x for c, x in tape.constants.items() if c in kept}
     # per operand: its text, its nesting (0 for a local) and the locals its text reads; a
     # constant, and the missing left of a negation, are their name and read none
-    named = [*tape.constants, None]
+    named = [*constants, None]
     text, depth, uses = {c: c for c in named}, dict.fromkeys(named, 0), dict.fromkeys(named, ())
 
     def store(value):  # the local of a value written as a statement
@@ -263,7 +298,7 @@ def _emit(fn, width: int):
         return text[value]
 
     body = [f"[{', '.join(map(store, range(width)))}] = s"]
-    for value, (left, op, right) in enumerate(tape.ops, width):
+    for value, (left, op, right) in reversed(live):
         expr = f"{op}{text[right]}" if left is None else f"{text[left]} {op} {text[right]}"
         reading, nesting = uses[left] + uses[right], 1 + max(depth[left], depth[right])
         if reads[value] == 1 and nesting <= MAX_NESTING:
@@ -274,7 +309,7 @@ def _emit(fn, width: int):
         free += [text[x] for x in sorted({x for x in reading if not reads[x]})]
         body.append(f"{store(value)} = {expr}")
     body.append(f"return [{', '.join(text[x] for x in outputs)}]")
-    return "def traced(s):\n    " + "\n    ".join(body) + "\n", tape.constants
+    return "def traced(s):\n    " + "\n    ".join(body) + "\n", constants
 
 
 def _traced(fn, width: int):

@@ -794,7 +794,10 @@ def test_a_local_is_taken_again_once_its_value_is_read_for_the_last_time():
 def test_a_local_read_inside_an_inlined_expression_lives_until_that_statement():
     """Liveness is counted where the reading expression is written: the
     input x, read by the inlined x + 1.0, keeps its local until the return
-    that writes it, so the squares recorded in between do not take it."""
+    that writes it, so the squares recorded in between do not take it.  In
+    the second function the square of w frees no local (w is read again),
+    so it takes a fresh one; had x's local been freed where x + 1.0 was
+    recorded, the square would overwrite x."""
     def fn(s):
         x, y = s
         t = x + 1.0  # read once, by the last product: inlined there
@@ -802,11 +805,131 @@ def test_a_local_read_inside_an_inlined_expression_lives_until_that_statement():
         z = z * z
         return [t * z, z]
 
+    def fn3(s):
+        x, y, w = s
+        t = x + 1.0  # read once, by the first product returned: inlined there
+        q = w * w
+        return [t * y, q, q + w]
+
     source, _ = numerics._emit(fn, 2)
     assert source.splitlines()[1:] == ["    [r0, r1] = s", "    r1 = r1 * r1",
                                        "    r1 = r1 * r1", "    return [((r0 + c0) * r1), r1]"]
-    for s in ([1.5, -2.0], [-0.0, math.nan]):
+    source, _ = numerics._emit(fn3, 3)
+    assert source.splitlines()[1:] == ["    [r0, r1, r2] = s", "    r3 = r2 * r2",
+                                       "    return [((r0 + c0) * r1), r3, (r3 + r2)]"]
+    for f, states in ((fn, ([1.5, -2.0], [-0.0, math.nan])),
+                      (fn3, ([1.5, -2.0, 3.0], [-0.0, math.nan, 0.5]))):
+        for s in states:
+            assert [v.hex() for v in numerics._traced(f, len(s))(s)] == [v.hex() for v in f(s)]
+
+
+def _recorded_and_live(fn, width):
+    """(recorded, live) operations of fn's trace, by a walk back from the
+    outputs: an operation is live if an output or a live operation reads
+    its value, or if it divides."""
+    tape = numerics._Tape()
+    live = {y.index for y in fn([tape.value() for _ in range(width)])
+            if type(y) is numerics._Recorder}
+    kept = 0
+    for value in reversed(range(width, width + len(tape.ops))):
+        left, op, right = tape.ops[value - width]
+        if value in live or op == "/":
+            kept += 1
+            live.update(x for x in (left, right) if type(x) is int)
+    return len(tape.ops), kept
+
+
+def _emitted_operations(source) -> int:
+    return sum(isinstance(node, (ast.BinOp, ast.UnaryOp)) for node in ast.walk(ast.parse(source)))
+
+
+def test_an_unread_product_leaves_no_operation_and_no_constant():
+    """x * 3.0, read by nothing, is recorded but not emitted, and its
+    constant leaves the namespace."""
+    def fn(s):
+        x, y = s
+        x * 3.0
+        return [x + y, -y]
+
+    source, constants = numerics._emit(fn, 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    return [(r0 + r1), (-r1)]"]
+    assert constants == {} and _recorded_and_live(fn, 2) == (3, 2)
+
+
+def test_a_value_read_by_a_dead_and_a_live_operation_is_inlined_into_the_live_one():
+    """The dead t - 2.0 takes back its read of t, so t is read once and is
+    written into t + 1.0; 2.0 leaves the namespace, 1.0 keeps its name."""
+    def fn(s):
+        x, y = s
+        t = x * y
+        t - 2.0
+        return [t + 1.0, y]
+
+    source, constants = numerics._emit(fn, 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    return [((r0 * r1) + c1), r1]"]
+    assert constants == {"c1": 1.0}
+    for s in ([1.5, -2.0], [-0.0, math.inf], [math.nan, 5e-324]):
         assert [v.hex() for v in numerics._traced(fn, 2)(s)] == [v.hex() for v in fn(s)]
+
+
+def test_an_unread_operation_that_can_raise_stays_and_raises_as_fn_does():
+    """A division read by nothing is still run, so the compiled function
+    raises fn's ZeroDivisionError at y = 0.0; the dead product beside it
+    goes, with its constant.  So does a sum with an int past the float
+    range, which raises OverflowError on every float."""
+    def fn(s):
+        x, y = s
+        x / y
+        (x + 1.0) * y
+        return [x - y]
+
+    def huge(s):
+        s[0] + 10 ** 400
+        return [s[0] * 2.0]
+
+    source, constants = numerics._emit(fn, 2)
+    assert source.splitlines()[1:] == ["    [r0, r1] = s", "    r2 = r0 / r1",
+                                       "    return [(r0 - r1)]"]
+    assert constants == {}
+    source, constants = numerics._emit(huge, 1)
+    assert source.splitlines()[1:] == ["    [r0] = s", "    r1 = r0 + c0", "    return [(r0 * c1)]"]
+    assert constants == {"c0": 10 ** 400, "c1": 2.0}
+    for f, error, state in ((fn, ZeroDivisionError, [1.0, 0.0]), (huge, OverflowError, [1.0])):
+        for g in (f, numerics._traced(f, len(state))):
+            with pytest.raises(error):
+                g(state)
+    compiled = numerics._traced(fn, 2)
+    assert [v.hex() for v in compiled([1.0, -2.0])] == [v.hex() for v in fn([1.0, -2.0])]
+
+
+def test_the_emitted_operations_are_the_live_ones():
+    """Every trace of the pinned corpus emits as many operations as the walk
+    back from its outputs finds live."""
+    for name, fn, width in _emitter_corpus():
+        try:
+            source, _ = numerics._emit(fn, width)
+        except numerics._Refused:
+            continue
+        assert _emitted_operations(source) == _recorded_and_live(fn, width)[1], name
+
+
+@pytest.mark.parametrize("fn, width, recorded, live", [
+    (lambda x: numerics._rk4_step(_mumford_rhs(ODD_PRYM, 2, 0.3), x, 1e-3),
+     _width(ODD_PRYM, 2), 503, 319),
+    (lambda x: numerics._rk4_step(lambda s: _toda_rhs(s, 10, 2), x, 1e-3), 20, 1140, 660),
+    (lambda x: numerics._rk4_step(_mumford_rhs(EVEN_MUMFORD, 2, 0.3), x, 1e-3),
+     _width(EVEN_MUMFORD, 2), 400, 356),
+    (lambda x: numerics._rk4_step(km_field, x, 1e-3), 20, 420, 420),
+    (_lattice_invariants(20, km=True), 20, 419, 419)],
+    ids=["odd-prym-2-step", "toda-10-2-step", "even-mumford-2-step", "km-20-step",
+         "km-20-monitor"])
+def test_live_operation_counts(fn, width, recorded, live):
+    """The Prym field is the Mumford field read on the Prym slots, and the
+    Toda field the whole commutator, whose offsets >= 2 vanish: the
+    operations that only feed what is not read are dropped (each of these
+    traces is in the pinned corpus, whose emitted counts are the live
+    ones).  The KM step and monitor read every operation."""
+    assert _recorded_and_live(fn, width) == (recorded, live)
 
 
 def _paren_depth(source) -> int:
@@ -916,8 +1039,10 @@ def test_emitted_source_is_pinned():
     and monitor at n = 1..24, the Toda monitor at n = 1..12 and step at n =
     2..12 and index 1..3, and the Mumford and Prym steps and momentum
     monitors at g = 0..4; a trace that raises _Refused (every Toda monitor)
-    enters as its name alone."""
-    digest, refused, count = hashlib.sha256(), [], 0
+    enters as its name alone.  The KM entries alone, which have no dead
+    operation, keep the digest they had before dead operations were
+    dropped."""
+    digest, km, refused, count = hashlib.sha256(), hashlib.sha256(), [], 0
     for name, fn, width in _emitter_corpus():
         count += 1
         try:
@@ -926,7 +1051,11 @@ def test_emitted_source_is_pinned():
             refused.append(name)
             digest.update(f"{name}: refused;".encode())
             continue
-        digest.update(repr((name, source, [repr(c) for c in constants.values()])).encode() + b";")
+        entry = repr((name, source, [repr(c) for c in constants.values()])).encode() + b";"
+        digest.update(entry)
+        if name.startswith("km-"):
+            km.update(entry)
     assert count == 130
     assert refused == [f"toda-monitor-{n}" for n in range(1, 13)]  # tridiag_run compares b_k with 0
-    assert digest.hexdigest() == "ed88a795360ac939ce9b967432732289df635144b562f4db6b19359b1b427ad4"
+    assert digest.hexdigest() == "e26471b9de1177d56f46f367fc457318f391b529a082949b84b6848a39d4e3cd"
+    assert km.hexdigest() == "c993f5ff2b543043289ffa029ae22c391df8e9183aec743b949a3a1e8531bf3e"
